@@ -32,7 +32,6 @@ from .rational import (
     sign_affine,
     solve_linear_system,
     vec_add,
-    vec_neg,
     vec_scale,
     vector,
 )
@@ -91,13 +90,12 @@ class Vertex:
 
 @dataclass(frozen=True)
 class ArrangementEdge:
-    """A 1-face: bounded segment (head set) or ray (direction set)."""
+    """A 1-face: bounded segment (head set) or ray leaving tail (no head)."""
 
     line_set: tuple[int, ...]    # d-1 hyperplane indices, sorted
     sign_vector: SignVector      # zeros exactly on line_set
     tail: int                    # vertex id
     head: Optional[int] = None
-    direction: Optional[Vec] = None
 
     @property
     def is_segment(self) -> bool:
@@ -156,146 +154,104 @@ def evaluate_sign(h: Hyperplane, x: Vec) -> Sign:
 
 def require_simple(arr: Arrangement) -> None:
     """Raise NotSimpleError (with the report attached) unless arr is simple."""
-    report = check_simple(arr)
-    if not report.is_simple:
-        raise NotSimpleError(f"arrangement is not simple: {report.reason}", report=report)
+    for _ in _subset_points(arr):
+        pass
 
 
 def check_simple(arr: Arrangement) -> SimplicityReport:
     """Decide simplicity by the definition: n >= d+1, every d-subset of
     hyperplanes meets in a unique point, and all such points are distinct."""
-    d, n = arr.dim, arr.n
-    if n < d + 1:
-        return SimplicityReport(False, None, f"need at least {d + 1} hyperplanes, got {n}")
-    seen: dict[Vec, tuple[int, ...]] = {}
-    for subset in itertools.combinations(range(n), d):
-        point = _intersection_point(arr, subset)
-        if point is None:
-            return SimplicityReport(False, subset, "hyperplanes do not meet in a single point")
-        if point in seen:
-            return SimplicityReport(
-                False, subset, f"intersection point coincides with subset {seen[point]}"
-            )
-        seen[point] = subset
+    try:
+        require_simple(arr)
+    except NotSimpleError as exc:
+        return exc.report
     return SimplicityReport(True)
 
 
-def _intersection_point(arr: Arrangement, subset: tuple[int, ...]) -> Optional[Vec]:
-    m = tuple(arr.hyperplanes[i].a for i in subset)
-    rhs = tuple(arr.hyperplanes[i].b for i in subset)
-    return solve_linear_system(m, rhs)
+def _not_simple(witness: Optional[tuple[int, ...]], reason: str) -> NotSimpleError:
+    report = SimplicityReport(False, witness, reason)
+    return NotSimpleError(f"arrangement is not simple: {reason}", report=report)
+
+
+def _subset_points(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], Vec]]:
+    """Yield (subset, point) for every d-subset in lexicographic order,
+    raising NotSimpleError at the first singular subset or repeated point."""
+    d, n = arr.dim, arr.n
+    if n < d + 1:
+        raise _not_simple(None, f"need at least {d + 1} hyperplanes, got {n}")
+    seen: dict[Vec, tuple[int, ...]] = {}
+    for subset in itertools.combinations(range(n), d):
+        m = tuple(arr.hyperplanes[i].a for i in subset)
+        rhs = tuple(arr.hyperplanes[i].b for i in subset)
+        point = solve_linear_system(m, rhs)
+        if point is None:
+            raise _not_simple(subset, "hyperplanes do not meet in a single point")
+        if point in seen:
+            raise _not_simple(
+                subset, f"intersection point coincides with subset {seen[point]}"
+            )
+        seen[point] = subset
+        yield subset, point
 
 
 def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
-    """All C(n,d) vertices, sorted by tight set; raises NotSimpleError when
-    the input violates simplicity (detected for free during enumeration)."""
-    d, n = arr.dim, arr.n
-    if n < d + 1:
-        raise NotSimpleError(f"need at least {d + 1} hyperplanes, got {n}")
+    """All C(n,d) vertices, sorted by tight set.  This is the simplicity
+    check of every enumeration: it raises NotSimpleError, with the report
+    attached, on a singular subset, a repeated point, or a point lying on
+    more than d hyperplanes (the witness then names all of them)."""
     vertices: list[Vertex] = []
-    seen: dict[Vec, tuple[int, ...]] = {}
-    for subset in itertools.combinations(range(n), d):
-        point = _intersection_point(arr, subset)
-        if point is None:
-            raise NotSimpleError(f"hyperplane subset {subset} is singular")
-        if point in seen:
-            raise NotSimpleError(
-                f"subsets {seen[point]} and {subset} intersect at the same point"
-            )
-        seen[point] = subset
+    for subset, point in _subset_points(arr):
         signs = tuple(evaluate_sign(h, point) for h in arr.hyperplanes)
         zeros = tuple(i for i, s in enumerate(signs) if s == 0)
         if zeros != subset:
-            raise NotSimpleError(
-                f"point of subset {subset} lies on extra hyperplanes {set(zeros) - set(subset)}"
+            raise _not_simple(
+                zeros, f"point of subset {subset} lies on extra hyperplanes "
+                f"{sorted(set(zeros) - set(subset))}"
             )
         vertices.append(Vertex(point, subset, signs))
     return vertices
 
 
-def _line_direction(arr: Arrangement, line_set: tuple[int, ...]) -> Vec:
-    """A nonzero vector parallel to the intersection of the line_set normals.
-
-    The (d-1) x d system has rank d-1 for a simple arrangement, so exactly
-    one free column remains after Gaussian elimination.
-    """
-    d = arr.dim
-    rows = [list(arr.hyperplanes[i].a) for i in line_set]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(d):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    if r != len(rows):
-        raise InternalConsistencyError(f"line normals {line_set} are linearly dependent")
-    free = next(c for c in range(d) if c not in pivot_cols)
-    direction = [Fraction(0)] * d
-    direction[free] = Fraction(1)
-    for row_idx, col in enumerate(pivot_cols):
-        direction[col] = -rows[row_idx][free]
-    return tuple(direction)
+def _with_sign(signs: SignVector, index: int, sign: Sign) -> SignVector:
+    return signs[:index] + (sign,) + signs[index + 1:]
 
 
 def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[ArrangementEdge]:
     """Decompose every line (each (d-1)-subset of hyperplanes) into its
-    bounded segments between consecutive vertices plus the two extreme rays."""
-    d = arr.dim
-    lines: dict[tuple[int, ...], list[int]] = {}
+    bounded segments between consecutive vertices plus the two extreme rays.
+
+    Everything follows from the vertex sign vectors.  A vertex on a line is
+    tight on exactly one hyperplane j off the line, which crosses the line
+    there and nowhere else.  The vertices of a line are collinear, so the
+    first coordinate in which two of them differ orders them strictly.  The
+    segment from u to its neighbour w has u's signs with u's index j set to
+    w's sign at j; the ray leaving an extreme vertex v away from its
+    neighbour w has v's signs with v's index j set to minus w's sign at j.
+    Lines come in sorted order, each as a ray, its segments, then a ray.
+    """
+    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for vid, v in enumerate(vertices):
-        for sub in itertools.combinations(v.tight_set, d - 1):
-            lines.setdefault(sub, []).append(vid)
+        tight = v.tight_set
+        for k, j in enumerate(tight):
+            lines.setdefault(tight[:k] + tight[k + 1:], []).append((vid, j))
 
     edges: list[ArrangementEdge] = []
     for line_set in sorted(lines):
-        direction = _line_direction(arr, line_set)
-        # sort along the axis with the largest |direction| component,
-        # ties broken by lowest axis index
-        axis = max(range(d), key=lambda c: (abs(direction[c]), -c))
-        if direction[axis] < 0:
-            direction = vec_neg(direction)
-        order = sorted(lines[line_set], key=lambda vid: vertices[vid].point[axis])
+        on_line = lines[line_set]
+        p, q = vertices[on_line[0][0]].point, vertices[on_line[1][0]].point
+        axis = next(c for c in range(arr.dim) if p[c] != q[c])
+        on_line.sort(key=lambda item: vertices[item[0]].point[axis])
+        signs = [vertices[vid].sign_vector for vid, _ in on_line]
 
-        first, last = order[0], order[-1]
-        edges.append(
-            _make_ray(arr, line_set, first, vertices[first].point, vec_neg(direction))
-        )
-        for u, w in zip(order, order[1:]):
-            midpoint = vec_scale(vec_add(vertices[u].point, vertices[w].point), Fraction(1, 2))
-            edges.append(
-                ArrangementEdge(line_set, _face_signs(arr, line_set, midpoint), u, head=w)
-            )
-        edges.append(
-            _make_ray(arr, line_set, last, vertices[last].point, direction)
-        )
+        first, j = on_line[0]
+        edges.append(ArrangementEdge(line_set, _with_sign(signs[0], j, -signs[1][j]), first))
+        for k in range(len(on_line) - 1):
+            (u, j), (w, _) = on_line[k], on_line[k + 1]
+            sign_vector = _with_sign(signs[k], j, signs[k + 1][j])
+            edges.append(ArrangementEdge(line_set, sign_vector, u, head=w))
+        last, j = on_line[-1]
+        edges.append(ArrangementEdge(line_set, _with_sign(signs[-1], j, -signs[-2][j]), last))
     return edges
-
-
-def _make_ray(arr, line_set, tail, tail_point, direction) -> ArrangementEdge:
-    probe = vec_add(tail_point, direction)  # no vertex beyond the extreme one
-    return ArrangementEdge(
-        line_set, _face_signs(arr, line_set, probe), tail, direction=direction
-    )
-
-
-def _face_signs(arr: Arrangement, zero_set: tuple[int, ...], interior: Vec) -> SignVector:
-    signs = tuple(evaluate_sign(h, interior) for h in arr.hyperplanes)
-    if tuple(i for i, s in enumerate(signs) if s == 0) != zero_set:
-        raise InternalConsistencyError(
-            f"face on {zero_set} has unexpected zeros at its interior point"
-        )
-    return signs
 
 
 def _completions(signs: SignVector, zero_set: tuple[int, ...]) -> Iterator[SignVector]:

@@ -17,7 +17,6 @@ from .arrangement import (
     enumerate_bounded_facets,
     enumerate_edges,
     enumerate_vertices,
-    require_simple,
 )
 from .cells import (
     CellClass,
@@ -63,8 +62,8 @@ def average_diameter(arr: Arrangement) -> Fraction:
 
 
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
-    """Full aggregate over the bounded cells of a simple arrangement."""
-    require_simple(arr)
+    """Full aggregate over the bounded cells of a simple arrangement; vertex
+    enumeration raises NotSimpleError for any other input."""
     vertices, edges, cells = _enumerate(arr)
     records = build_cell_records(arr, vertices, edges, cells)
     counts = Counter(rec.cell_class for rec in records)
@@ -119,7 +118,6 @@ def external_face_count(arr: Arrangement) -> int:
     """Bounded (d-1)-faces incident to exactly one bounded cell."""
     if arr.dim not in (2, 3):
         raise UnsupportedDimensionError("external faces are defined for d in {2, 3}")
-    require_simple(arr)
     _, edges, cells = _enumerate(arr)
     bounded_sigs = {cell.signature for cell in cells}
     if arr.dim == 2:
@@ -134,7 +132,6 @@ def p_odd_count(arr: Arrangement) -> int:
     """Bounded cells with an odd number of edges (equivalently vertices)."""
     if arr.dim != 2:
         raise UnsupportedDimensionError("odd-cell counting is defined for d = 2")
-    require_simple(arr)
     _, edges, cells = _enumerate(arr)
     return sum(1 for cell in cells if len(cell.vertex_ids) % 2 == 1)
 

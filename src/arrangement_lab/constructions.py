@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
 
@@ -164,6 +165,7 @@ def random_simple_arrangement(d: int, n: int, seed: int, bound: int = 100) -> Co
         raise InputError("coefficient bound must be at least 10")
     stream = SplitMix64(seed)
     chosen: list[Hyperplane] = []
+    points: dict[Vec, tuple[int, ...]] = {}
     for _ in range(n):
         for attempt in range(1000):
             a = tuple(Fraction(stream.next_int(-bound, bound)) for _ in range(d))
@@ -171,7 +173,7 @@ def random_simple_arrangement(d: int, n: int, seed: int, bound: int = 100) -> Co
             if all(c == 0 for c in a):
                 continue
             candidate = Hyperplane(a, b)
-            if _extends_simply(chosen, candidate, d):
+            if _extends_simply(chosen, candidate, d, points):
                 chosen.append(candidate)
                 break
         else:
@@ -185,20 +187,30 @@ def random_simple_arrangement(d: int, n: int, seed: int, bound: int = 100) -> Co
     return Construction(arr, "random", d, n, seed=seed, bound=bound)
 
 
-def _extends_simply(existing: list[Hyperplane], candidate: Hyperplane, d: int) -> bool:
+def _extends_simply(
+    existing: list[Hyperplane], candidate: Hyperplane, d: int,
+    points: dict[Vec, tuple[int, ...]],
+) -> bool:
     """True if adding `candidate` keeps every d-subset nonsingular and all
-    intersection points distinct."""
-    from itertools import combinations
+    intersection points distinct.
 
+    `points` holds the intersection points of `existing`, which are already
+    known to be distinct, so only the d-subsets containing the candidate are
+    solved.  Their points are added to `points` when the candidate is
+    accepted and removed again when it is rejected.
+    """
     planes = existing + [candidate]
-    if len(planes) < d:
-        return True
-    points: dict[Vec, tuple[int, ...]] = {}
-    for subset in combinations(range(len(planes)), d):
+    last = len(existing)
+    added: list[Vec] = []
+    for rest in combinations(range(last), d - 1):
+        subset = rest + (last,)
         m = tuple(planes[i].a for i in subset)
         rhs = tuple(planes[i].b for i in subset)
         point = solve_linear_system(m, rhs)
         if point is None or point in points:
+            for stale in added:
+                del points[stale]
             return False
         points[point] = subset
+        added.append(point)
     return True

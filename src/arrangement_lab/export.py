@@ -15,7 +15,6 @@ from .arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
-    require_simple,
 )
 from .cells import build_cell_records
 from .errors import InputError, UnsupportedDimensionError
@@ -54,7 +53,6 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     filled on a diameter color ramp, vertices as dots."""
     if arr.dim != 2:
         raise UnsupportedDimensionError("SVG export requires a 2-dimensional arrangement")
-    require_simple(arr)
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, edges)
@@ -134,12 +132,11 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
     facets ordered by hyperplane index with vertices in cyclic order."""
     if arr.dim != 3:
         raise UnsupportedDimensionError("OFF export requires a 3-dimensional arrangement")
-    require_simple(arr)
+    vertices = enumerate_vertices(arr)  # raises first on a non-simple input
     if len(signature) != arr.n:
         raise InputError(
             f"signature length {len(signature)} does not match n = {arr.n}"
         )
-    vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, edges)
     by_signature = {cell.signature: cell for cell in cells}

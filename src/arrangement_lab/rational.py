@@ -69,10 +69,6 @@ def vec_scale(u: Vec, c: Fraction) -> Vec:
     return tuple(a * c for a in u)
 
 
-def vec_neg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 

@@ -100,6 +100,24 @@ def test_enumerate_vertices_rejects_non_simple():
         enumerate_vertices(arr)
 
 
+def test_enumerate_vertices_names_concurrent_hyperplanes():
+    arr = Arrangement(
+        2,
+        (
+            hyperplane([1, 1], 1),
+            hyperplane([1, 0], 0),
+            hyperplane([0, 1], 0),
+            hyperplane([1, -1], 0),
+        ),
+    )
+    with pytest.raises(NotSimpleError) as err:
+        enumerate_vertices(arr)
+    assert err.value.report.witness == (1, 2, 3)
+    # the solve-only check finds the same point again from another subset
+    report = check_simple(arr)
+    assert not report.is_simple and report.witness == (1, 3)
+
+
 def test_sign_of_first_slanted_line_at_origin():
     # the line through (1,0) and (0,1) evaluates negative at the origin
     arr = build_ao2(7).arrangement
@@ -136,12 +154,24 @@ def test_total_bounded_edges_2d():
 def test_segment_endpoints_consecutive_and_rays_signed():
     arr = build_ao2(5).arrangement
     vertices, edges, _ = enumerate_all(arr)
+    by_line = {}
     for e in edges:
         zeros = tuple(i for i, s in enumerate(e.sign_vector) if s == 0)
         assert zeros == e.line_set
-        if not e.is_segment:
-            assert e.direction is not None
-            assert any(c != 0 for c in e.direction)
+        by_line.setdefault(e.line_set, []).append(e)
+    for line_set, line_edges in by_line.items():
+        segments = [e for e in line_edges if e.is_segment]
+        for ray in (e for e in line_edges if not e.is_segment):
+            # the tail is an extreme vertex of the line: one segment ends there
+            touching = [s for s in segments if ray.tail in (s.tail, s.head)]
+            assert len(touching) == 1
+            # and the ray crosses only the tail's off-line hyperplane
+            (off_line,) = set(vertices[ray.tail].tight_set) - set(line_set)
+            differ = [
+                i for i, (r, s) in enumerate(zip(ray.sign_vector, touching[0].sign_vector))
+                if r != s
+            ]
+            assert differ == [off_line]
 
 
 def test_segments_chain_consecutive_vertices_along_each_line():

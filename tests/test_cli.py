@@ -78,6 +78,23 @@ def test_analyze_non_simple_names_the_pair(tmp_path, capsys):
     assert "(1, 2)" in err
 
 
+def test_analyze_concurrent_lines_names_the_triple(tmp_path, capsys):
+    # lines 2, 3 and 4 (x = 0, y = 0, x = y) all pass through the origin
+    bad = tmp_path / "concurrent.json"
+    bad.write_text(json.dumps({
+        "dim": 2,
+        "hyperplanes": [
+            {"a": ["1", "1"], "b": "1"},
+            {"a": ["1", "0"], "b": "0"},
+            {"a": ["0", "1"], "b": "0"},
+            {"a": ["1", "-1"], "b": "0"},
+        ],
+    }))
+    assert run(["analyze", bad]) == 2
+    err = capsys.readouterr().err
+    assert "extra hyperplanes" in err and "(hyperplanes (2, 3, 4))" in err
+
+
 def test_analyze_with_cells(tmp_path):
     out = tmp_path / "a.json"
     report_path = tmp_path / "r.json"
