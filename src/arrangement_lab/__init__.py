@@ -32,7 +32,6 @@ from .cells import (
     canonical_form,
     cell_diameter,
     cell_f_counts,
-    cell_skeleton,
     classify_cell,
     shell_canonical_forms,
 )

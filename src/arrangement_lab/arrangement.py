@@ -2,14 +2,16 @@
 
 The combinatorics is driven entirely by sign vectors: a vertex is the unique
 solution of d tight hyperplanes, an edge lives on the line cut out by d-1
-hyperplanes, and a full-dimensional cell is a zero-free sign vector.  A face
-belongs to the closure of a cell exactly when its sign vector agrees with the
-cell's signature on every coordinate where the face is not tight, so all
-incidence questions reduce to completing zeros with +/- and hashing.
+hyperplanes, and a face of codimension c is a sign vector with c zeros.  A
+face belongs to the closure of another exactly when its sign vector agrees
+with the other's on every coordinate where the smaller face is not tight, so
+all incidence questions reduce to completing zeros with +/- and hashing.
 
-Boundedness is decided by ray incidence: a candidate cell is bounded iff no
-unbounded edge of the arrangement is compatible with its signature.  No
-linear programming and no floating point anywhere.
+One completion rule finds the bounded faces of every dimension: keep c of a
+vertex's d zeros and fill the rest with +/- to get the faces of codimension
+c at that vertex; such a face is unbounded iff some ray reaches it, i.e. the
+same completion of a ray's zeros produces it.  Bounded cells are c = 0 and
+bounded facets c = 1.  No linear programming and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -117,10 +119,9 @@ class SimplicityReport:
 
 @dataclass(frozen=True)
 class FacetRecord:
-    """A bounded 2-face of a 3-dimensional arrangement."""
+    """A bounded (d-1)-face of a d-dimensional arrangement."""
 
-    hyperplane: int                       # index of the carrying plane
-    induced_signature: SignVector         # over the induced 2D arrangement
+    hyperplane: int                       # index of the carrying hyperplane
     signature: SignVector                 # full length n, zero at `hyperplane`
     incident: tuple[SignVector, SignVector]   # carrier set to -, then +
 
@@ -254,44 +255,55 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     return edges
 
 
-def _completions(signs: SignVector, zero_set: tuple[int, ...]) -> Iterator[SignVector]:
-    """All sign vectors obtained by filling the given zeros with +/-."""
-    base = list(signs)
-    for combo in itertools.product((-1, 1), repeat=len(zero_set)):
-        for pos, s in zip(zero_set, combo):
-            base[pos] = s
-        yield tuple(base)
+def _face_completions(
+    signs: SignVector, zero_set: tuple[int, ...], codim: int
+) -> Iterator[SignVector]:
+    """Every face with `codim` zeros whose closure contains the face `signs`:
+    keep each `codim`-subset of its zeros and fill the others with +/-."""
+    for kept in itertools.combinations(zero_set, codim):
+        free = tuple(i for i in zero_set if i not in kept)
+        base = list(signs)
+        for combo in itertools.product((-1, 1), repeat=len(free)):
+            for pos, s in zip(free, combo):
+                base[pos] = s
+            yield tuple(base)
+
+
+def _bounded_faces(
+    vertices: list[Vertex], edges: list[ArrangementEdge], codim: int
+) -> dict[SignVector, list[int]]:
+    """Bounded faces of codimension `codim`, as {signature: vertex ids}.
+
+    The faces at a vertex keep `codim` of its zeros and fill the others with
+    +/-; a face is unbounded iff a ray lies in its closure, that is iff the
+    same completion of some ray's zeros produces it.  Vertex ids come in
+    increasing order.
+    """
+    members: dict[SignVector, list[int]] = {}
+    for vid, v in enumerate(vertices):
+        for sig in _face_completions(v.sign_vector, v.tight_set, codim):
+            members.setdefault(sig, []).append(vid)
+
+    unbounded: set[SignVector] = set()
+    for edge in edges:
+        if not edge.is_segment:
+            unbounded.update(_face_completions(edge.sign_vector, edge.line_set, codim))
+    return {sig: vids for sig, vids in members.items() if sig not in unbounded}
 
 
 def enumerate_bounded_cells(
     arr: Arrangement, vertices: list[Vertex], edges: list[ArrangementEdge]
 ) -> list[BoundedCell]:
-    """Bounded cells as zero-free sign vectors with their vertex sets.
-
-    Candidates come from expanding each vertex's d zeros into all 2^d
-    combinations; a candidate is unbounded iff some ray's sign vector is
-    compatible with it.  The count must equal C(n-1, d).
-    """
+    """Bounded cells, the zero-free bounded faces, sorted by signature.
+    The count must equal C(n-1, d)."""
     d, n = arr.dim, arr.n
-    members: dict[SignVector, list[int]] = {}
-    for vid, v in enumerate(vertices):
-        for sig in _completions(v.sign_vector, v.tight_set):
-            members.setdefault(sig, []).append(vid)
-
-    unbounded: set[SignVector] = set()
-    for edge in edges:
-        if edge.is_segment:
-            continue
-        unbounded.update(_completions(edge.sign_vector, edge.line_set))
-
-    bounded = [sig for sig in members if sig not in unbounded]
+    members = _bounded_faces(vertices, edges, 0)
     expected = comb(n - 1, d)
-    if len(bounded) != expected:
+    if len(members) != expected:
         raise InternalConsistencyError(
-            f"found {len(bounded)} bounded cells, expected C({n - 1},{d}) = {expected}"
+            f"found {len(members)} bounded cells, expected C({n - 1},{d}) = {expected}"
         )
-    bounded.sort()
-    return [BoundedCell(sig, tuple(sorted(members[sig]))) for sig in bounded]
+    return [BoundedCell(sig, tuple(members[sig])) for sig in sorted(members)]
 
 
 def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:
@@ -338,34 +350,25 @@ def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:
     )
 
 
-def enumerate_bounded_facets(arr: Arrangement) -> list[FacetRecord]:
-    """All bounded 2-faces of a 3-dimensional simple arrangement.
+def enumerate_bounded_facets(
+    arr: Arrangement, vertices: list[Vertex], edges: list[ArrangementEdge]
+) -> list[FacetRecord]:
+    """All bounded (d-1)-faces, sorted by carrier and then signature.
 
-    The bounded cells of each restriction are exactly the bounded 2-faces on
-    that plane; the two incident full-dimensional cells are obtained by
-    setting the carrier coordinate to - and +.  Total must be n*C(n-2,2).
+    A facet has one zero, at its carrier; its two incident full-dimensional
+    cells set the carrier to - and +.  The count must be n*C(n-2,d-1).
     """
     d, n = arr.dim, arr.n
-    if d != 3:
-        raise UnsupportedDimensionError("facet enumeration is defined for dimension 3")
     records: list[FacetRecord] = []
-    for i in range(n):
-        restriction = restrict_to_hyperplane(arr, i)
-        sub_vertices = enumerate_vertices(restriction.arrangement)
-        sub_edges = enumerate_edges(restriction.arrangement, sub_vertices)
-        sub_cells = enumerate_bounded_cells(restriction.arrangement, sub_vertices, sub_edges)
-        for cell in sub_cells:
-            full = [0] * n
-            for pos, orig in enumerate(restriction.kept):
-                full[orig] = cell.signature[pos]
-            minus, plus = list(full), list(full)
-            minus[i], plus[i] = -1, 1
-            records.append(
-                FacetRecord(i, cell.signature, tuple(full), (tuple(minus), tuple(plus)))
-            )
-    expected = n * comb(n - 2, 2)
+    for sig in _bounded_faces(vertices, edges, 1):
+        carrier = sig.index(0)
+        records.append(FacetRecord(
+            carrier, sig, (_with_sign(sig, carrier, -1), _with_sign(sig, carrier, 1))
+        ))
+    expected = n * comb(n - 2, d - 1)
     if len(records) != expected:
         raise InternalConsistencyError(
-            f"found {len(records)} bounded facets, expected n*C(n-2,2) = {expected}"
+            f"found {len(records)} bounded facets, expected n*C(n-2,{d - 1}) = {expected}"
         )
+    records.sort(key=lambda rec: (rec.hyperplane, rec.signature))
     return records

@@ -83,26 +83,6 @@ class CellRecord:
 # skeletons
 # ---------------------------------------------------------------------------
 
-def cell_skeleton(cell: BoundedCell, edges: list[ArrangementEdge], dim: int) -> Adjacency:
-    """Skeleton of one bounded cell: segments whose sign vectors agree with
-    the cell signature off their line sets."""
-    adj: dict[int, set[int]] = {vid: set() for vid in cell.vertex_ids}
-    for edge in edges:
-        if not edge.is_segment:
-            continue
-        line = set(edge.line_set)
-        if all(
-            s == cell.signature[i]
-            for i, s in enumerate(edge.sign_vector)
-            if i not in line
-        ):
-            adj[edge.tail].add(edge.head)
-            adj[edge.head].add(edge.tail)
-    skeleton = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-    _validate_skeleton(skeleton, dim, cell.signature)
-    return skeleton
-
-
 def skeletons_for_cells(
     cells: list[BoundedCell], edges: list[ArrangementEdge], dim: int
 ) -> list[Adjacency]:

@@ -69,20 +69,11 @@ def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     counts = Counter(rec.cell_class for rec in records)
     delta = Fraction(sum(rec.diameter for rec in records), len(records))
 
-    bounded_sigs = {cell.signature for cell in cells}
-    f_bounded = f_external = p_odd = None
+    f_bounded = f_external = p_odd = None   # read by P2 and P4 only; None for d >= 4
+    if arr.dim in (2, 3):
+        f_bounded, f_external = _facet_counts(arr, vertices, edges, cells)
     if arr.dim == 2:
-        segments = [e for e in edges if e.is_segment]
-        f_bounded = len(segments)
-        f_external = _external_2d(segments, bounded_sigs)
         p_odd = sum(1 for rec in records if rec.vertex_count % 2 == 1)
-    elif arr.dim == 3:
-        facets = enumerate_bounded_facets(arr)
-        f_bounded = len(facets)
-        f_external = sum(
-            1 for rec in facets
-            if sum(sig in bounded_sigs for sig in rec.incident) == 1
-        )
 
     return CensusReport(
         dim=arr.dim,
@@ -99,33 +90,21 @@ def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     )
 
 
-def _external_2d(segments, bounded_sigs) -> int:
-    count = 0
-    for edge in segments:
-        line = edge.line_set[0]
-        incident = 0
-        for s in (-1, 1):
-            sig = list(edge.sign_vector)
-            sig[line] = s
-            if tuple(sig) in bounded_sigs:
-                incident += 1
-        if incident == 1:
-            count += 1
-    return count
+def _facet_counts(arr: Arrangement, vertices, edges, cells) -> tuple[int, int]:
+    """Bounded (d-1)-faces, and those incident to exactly one bounded cell."""
+    bounded_sigs = {cell.signature for cell in cells}
+    facets = enumerate_bounded_facets(arr, vertices, edges)
+    external = sum(
+        1 for rec in facets if sum(sig in bounded_sigs for sig in rec.incident) == 1
+    )
+    return len(facets), external
 
 
 def external_face_count(arr: Arrangement) -> int:
     """Bounded (d-1)-faces incident to exactly one bounded cell."""
     if arr.dim not in (2, 3):
         raise UnsupportedDimensionError("external faces are defined for d in {2, 3}")
-    _, edges, cells = _enumerate(arr)
-    bounded_sigs = {cell.signature for cell in cells}
-    if arr.dim == 2:
-        return _external_2d([e for e in edges if e.is_segment], bounded_sigs)
-    facets = enumerate_bounded_facets(arr)
-    return sum(
-        1 for rec in facets if sum(sig in bounded_sigs for sig in rec.incident) == 1
-    )
+    return _facet_counts(arr, *_enumerate(arr))[1]
 
 
 def p_odd_count(arr: Arrangement) -> int:

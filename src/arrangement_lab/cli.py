@@ -117,6 +117,8 @@ def _load_pools(path: str):
     try:
         with open(path) as handle:
             obj = json.load(handle)
+        if not isinstance(obj, dict):
+            raise TypeError('top level must be an object with "d2" and/or "d3" pools')
         d2 = tuple((int(n), int(s)) for n, s in obj.get("d2", RANDOM_2D_POOL))
         d3 = tuple((int(n), int(s)) for n, s in obj.get("d3", RANDOM_3D_POOL))
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:

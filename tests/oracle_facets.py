@@ -1,0 +1,68 @@
+"""Reference oracle for `enumerate_bounded_facets`: restriction to each plane.
+
+Each plane of a 3-dimensional arrangement carries the 2-dimensional
+arrangement induced by the others, in an explicit affine chart.  Its
+vertices are solved again in exact arithmetic, and its bounded cells, found
+by the planar enumeration, are the bounded 2-faces on that plane.  Slow, but
+it derives each facet from the geometry of the carrier instead of from the
+ambient vertex sign vectors, so it checks the combinatorial kernel
+independently.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import comb
+
+from arrangement_lab.arrangement import (
+    Arrangement,
+    SignVector,
+    enumerate_bounded_cells,
+    enumerate_edges,
+    enumerate_vertices,
+    restrict_to_hyperplane,
+)
+from arrangement_lab.errors import InternalConsistencyError, UnsupportedDimensionError
+
+
+@dataclass(frozen=True)
+class RestrictedFacet:
+    """A bounded 2-face of a 3-dimensional arrangement."""
+
+    hyperplane: int                       # index of the carrying plane
+    induced_signature: SignVector         # over the induced 2D arrangement
+    signature: SignVector                 # full length n, zero at `hyperplane`
+    incident: tuple[SignVector, SignVector]   # carrier set to -, then +
+
+
+def enumerate_bounded_facets_by_restriction(arr: Arrangement) -> list[RestrictedFacet]:
+    """All bounded 2-faces of a 3-dimensional simple arrangement.
+
+    The bounded cells of each restriction are exactly the bounded 2-faces on
+    that plane; the two incident full-dimensional cells are obtained by
+    setting the carrier coordinate to - and +.  Total must be n*C(n-2,2).
+    """
+    d, n = arr.dim, arr.n
+    if d != 3:
+        raise UnsupportedDimensionError("facet enumeration is defined for dimension 3")
+    records: list[RestrictedFacet] = []
+    for i in range(n):
+        restriction = restrict_to_hyperplane(arr, i)
+        sub_vertices = enumerate_vertices(restriction.arrangement)
+        sub_edges = enumerate_edges(restriction.arrangement, sub_vertices)
+        sub_cells = enumerate_bounded_cells(restriction.arrangement, sub_vertices, sub_edges)
+        for cell in sub_cells:
+            full = [0] * n
+            for pos, orig in enumerate(restriction.kept):
+                full[orig] = cell.signature[pos]
+            minus, plus = list(full), list(full)
+            minus[i], plus[i] = -1, 1
+            records.append(
+                RestrictedFacet(i, cell.signature, tuple(full), (tuple(minus), tuple(plus)))
+            )
+    expected = n * comb(n - 2, 2)
+    if len(records) != expected:
+        raise InternalConsistencyError(
+            f"found {len(records)} bounded facets, expected n*C(n-2,2) = {expected}"
+        )
+    return records

@@ -351,13 +351,18 @@ def test_restriction_requires_dim_three():
         restrict_to_hyperplane(build_ao2(5).arrangement, 0)
 
 
+def facets_of(arr):
+    vertices, edges, _ = enumerate_all(arr)
+    return enumerate_bounded_facets(arr, vertices, edges)
+
+
 def test_facet_counts_3d():
-    assert len(enumerate_bounded_facets(build_ao3(6).arrangement)) == 36   # n*C(n-2,2)
-    assert len(enumerate_bounded_facets(build_ao3(7).arrangement)) == 70
+    assert len(facets_of(build_ao3(6).arrangement)) == 36   # n*C(n-2,2)
+    assert len(facets_of(build_ao3(7).arrangement)) == 70
 
 
 def test_facet_records_have_two_incident_signatures():
-    facets = enumerate_bounded_facets(build_ao3(5).arrangement)
+    facets = facets_of(build_ao3(5).arrangement)
     for rec in facets:
         assert len(rec.incident) == 2
         minus, plus = rec.incident
@@ -365,6 +370,6 @@ def test_facet_records_have_two_incident_signatures():
         assert rec.signature[rec.hyperplane] == 0
 
 
-def test_facet_enumeration_requires_dim_three():
-    with pytest.raises(UnsupportedDimensionError):
-        enumerate_bounded_facets(build_ao2(5).arrangement)
+def test_facet_counts_2d():
+    assert len(facets_of(build_ao2(5).arrangement)) == 5 * 3   # n*(n-2)
+    assert len(facets_of(build_ao2(8).arrangement)) == 8 * 6

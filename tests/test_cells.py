@@ -14,7 +14,6 @@ from arrangement_lab.cells import (
     build_cell_records,
     canonical_form,
     cell_diameter,
-    cell_skeleton,
     classify_cell,
     cube,
     is_clique_product_graph,
@@ -28,6 +27,7 @@ from arrangement_lab.cells import (
     skeletons_for_cells,
 )
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
+from oracle_skeleton import cell_skeleton
 
 
 def records_of(arr):

@@ -143,6 +143,14 @@ def test_verify_seeds_override(tmp_path):
     assert pool_rows[0]["params"]["instances"] == 1
 
 
+def test_verify_seeds_file_not_an_object(tmp_path, capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps([1, 2]))
+    assert run(["verify", "--prop", "P2", "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read seeds file") and "top level" in err
+
+
 def test_export_svg_heptagon_color(tmp_path):
     src = tmp_path / "a27.json"
     svg = tmp_path / "a27.svg"

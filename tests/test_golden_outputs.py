@@ -18,6 +18,8 @@ INPUTS = {
     "ao3-6": ["construct", "--family", "ao3", "-n", "6"],
     "cyclic-3-6": ["construct", "--family", "cyclic", "-d", "3", "-n", "6"],
     "random-2-6-1": ["random", "-d", "2", "-n", "6", "--seed", "1"],
+    "random-3-7-2": ["random", "-d", "3", "-n", "7", "--seed", "2"],
+    "cyclic-4-7": ["construct", "--family", "cyclic", "-d", "4", "-n", "7"],
 }
 
 CENSUS_DIGESTS = {
@@ -25,6 +27,9 @@ CENSUS_DIGESTS = {
     "ao3-6": "cdcbc3c407cf252e11631ea8957294bc547117255fe4c05f43928da6d5c41db7",
     "cyclic-3-6": "cfbe289ac34ccd74b3b1c3a66cae329bd1b17e3fee2222e79ae3d83ee0c04186",
     "random-2-6-1": "851028ac072324c95f65f6f81bd3ee437003169619ad0fc1c734dd2170f09d65",
+    # a random 3D f_bounded/f_external, and the null face fields for d >= 4
+    "random-3-7-2": "77d5b1bd9af6da9ff19d9a7a71ceb3bba35caad5eb252a8536a7e60b4f19a0d5",
+    "cyclic-4-7": "e33fec8bde53bf3201a582fd8c8ccf1b573ff1f03c96c12363e7071d39bd0399",
 }
 
 SVG_DIGEST = ("ao2-6", "43aa6986c504dbaa0fd5d4ffd470c4da76af901b064b9d21d5ceac34b8c952c5")
