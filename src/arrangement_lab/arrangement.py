@@ -12,6 +12,13 @@ vertex's d zeros and fill the rest with +/- to get the faces of codimension
 c at that vertex; such a face is unbounded iff some ray reaches it, i.e. the
 same completion of a ray's zeros produces it.  Bounded cells are c = 0 and
 bounded facets c = 1.  No linear programming and no floating point anywhere.
+
+The geometry itself runs in plain integers.  Each call scales every
+hyperplane (a, b) by a positive factor to primitive integers, which keeps
+its orientation; a vertex is integer numerators p over a positive common
+denominator q in lowest terms, and the sign of a hyperplane at it is the
+sign of a·p − b·q.  Fractions appear only in `Vertex.point`, the boundary
+value that edge ordering, reports and exports read.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Iterator, Optional
 
 from .errors import (
@@ -29,10 +37,13 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .rational import (
+    IntPoint,
+    IntRow,
     Vec,
     dot,
+    integer_row,
     sign_affine,
-    solve_linear_system,
+    solve_integer_system,
     vec_add,
     vec_scale,
     vector,
@@ -155,7 +166,7 @@ def evaluate_sign(h: Hyperplane, x: Vec) -> Sign:
 
 def require_simple(arr: Arrangement) -> None:
     """Raise NotSimpleError (with the report attached) unless arr is simple."""
-    for _ in _subset_points(arr):
+    for _ in _subset_points(arr, _integer_rows(arr)):
         pass
 
 
@@ -174,17 +185,23 @@ def _not_simple(witness: Optional[tuple[int, ...]], reason: str) -> NotSimpleErr
     return NotSimpleError(f"arrangement is not simple: {reason}", report=report)
 
 
-def _subset_points(arr: Arrangement) -> Iterator[tuple[tuple[int, ...], Vec]]:
-    """Yield (subset, point) for every d-subset in lexicographic order,
-    raising NotSimpleError at the first singular subset or repeated point."""
+def _integer_rows(arr: Arrangement) -> list[IntRow]:
+    """Every hyperplane as primitive integers (a, b), orientation kept."""
+    return [integer_row((*h.a, h.b)) for h in arr.hyperplanes]
+
+
+def _subset_points(
+    arr: Arrangement, rows: list[IntRow]
+) -> Iterator[tuple[tuple[int, ...], IntPoint]]:
+    """Yield (subset, (p, q)) for every d-subset in lexicographic order,
+    raising NotSimpleError at the first singular subset or repeated point.
+    `rows` are the hyperplanes as integers, from `_integer_rows`."""
     d, n = arr.dim, arr.n
     if n < d + 1:
         raise _not_simple(None, f"need at least {d + 1} hyperplanes, got {n}")
-    seen: dict[Vec, tuple[int, ...]] = {}
+    seen: dict[IntPoint, tuple[int, ...]] = {}
     for subset in itertools.combinations(range(n), d):
-        m = tuple(arr.hyperplanes[i].a for i in subset)
-        rhs = tuple(arr.hyperplanes[i].b for i in subset)
-        point = solve_linear_system(m, rhs)
+        point = solve_integer_system([rows[i] for i in subset])
         if point is None:
             raise _not_simple(subset, "hyperplanes do not meet in a single point")
         if point in seen:
@@ -199,17 +216,24 @@ def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
     """All C(n,d) vertices, sorted by tight set.  This is the simplicity
     check of every enumeration: it raises NotSimpleError, with the report
     attached, on a singular subset, a repeated point, or a point lying on
-    more than d hyperplanes (the witness then names all of them)."""
+    more than d hyperplanes (the witness then names all of them).
+
+    Every sign is sign(a·p − b·q) in integers; the Fraction point is built
+    once per vertex, after its signs.
+    """
+    rows = _integer_rows(arr)
+    planes = [(row[:-1], row[-1]) for row in rows]
     vertices: list[Vertex] = []
-    for subset, point in _subset_points(arr):
-        signs = tuple(evaluate_sign(h, point) for h in arr.hyperplanes)
+    for subset, (p, q) in _subset_points(arr, rows):
+        values = [sum(map(mul, a, p)) - b * q for a, b in planes]
+        signs = tuple((v > 0) - (v < 0) for v in values)
         zeros = tuple(i for i, s in enumerate(signs) if s == 0)
         if zeros != subset:
             raise _not_simple(
                 zeros, f"point of subset {subset} lies on extra hyperplanes "
                 f"{sorted(set(zeros) - set(subset))}"
             )
-        vertices.append(Vertex(point, subset, signs))
+        vertices.append(Vertex(tuple(Fraction(c, q) for c in p), subset, signs))
     return vertices
 
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from typing import Optional
 
-from .arrangement import Arrangement, Hyperplane, check_simple
+from .arrangement import Arrangement, Hyperplane, check_simple, hyperplane
 from .errors import GenerationError, InputError, InternalConsistencyError
-from .rational import Vec, solve_linear_system
+from .rational import IntPoint, IntRow, integer_row, solve_integer_system
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,8 @@ def _coordinate_hyperplane(dim: int, axis: int) -> Hyperplane:
 
 def _intercept_hyperplane(intercepts: list[Fraction]) -> Hyperplane:
     """The hyperplane sum(x_i / c_i) = 1, scaled to primitive integers."""
-    coeffs = [Fraction(1) / c for c in intercepts]
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs] + [scale]
-    g = gcd(*ints)
-    return Hyperplane(
-        tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)
-    )
+    ints = integer_row([Fraction(1) / c for c in intercepts] + [1])
+    return hyperplane(ints[:-1], ints[-1])
 
 
 def _checked(arrangement: Arrangement, family: str) -> Arrangement:
@@ -164,23 +158,21 @@ def random_simple_arrangement(d: int, n: int, seed: int, bound: int = 100) -> Co
     if bound < 10:
         raise InputError("coefficient bound must be at least 10")
     stream = SplitMix64(seed)
-    chosen: list[Hyperplane] = []
-    points: dict[Vec, tuple[int, ...]] = {}
+    rows: list[IntRow] = []
+    points: dict[IntPoint, tuple[int, ...]] = {}
     for _ in range(n):
         for attempt in range(1000):
-            a = tuple(Fraction(stream.next_int(-bound, bound)) for _ in range(d))
-            b = Fraction(stream.next_int(-bound, bound))
-            if all(c == 0 for c in a):
+            row = tuple(stream.next_int(-bound, bound) for _ in range(d + 1))
+            if all(c == 0 for c in row[:-1]):
                 continue
-            candidate = Hyperplane(a, b)
-            if _extends_simply(chosen, candidate, d, points):
-                chosen.append(candidate)
+            if _extends_simply(rows, row, d, points):
+                rows.append(row)
                 break
         else:
             raise GenerationError(
-                f"could not extend to {len(chosen) + 1} hyperplanes after 1000 attempts"
+                f"could not extend to {len(rows) + 1} hyperplanes after 1000 attempts"
             )
-    arr = Arrangement(d, tuple(chosen))
+    arr = Arrangement(d, tuple(hyperplane(row[:-1], row[-1]) for row in rows))
     report = check_simple(arr)
     if not report.is_simple:
         raise InternalConsistencyError(f"random arrangement not simple: {report.reason}")
@@ -188,25 +180,24 @@ def random_simple_arrangement(d: int, n: int, seed: int, bound: int = 100) -> Co
 
 
 def _extends_simply(
-    existing: list[Hyperplane], candidate: Hyperplane, d: int,
-    points: dict[Vec, tuple[int, ...]],
+    existing: list[IntRow], candidate: IntRow, d: int,
+    points: dict[IntPoint, tuple[int, ...]],
 ) -> bool:
-    """True if adding `candidate` keeps every d-subset nonsingular and all
-    intersection points distinct.
+    """True if adding the integer row `candidate` (a, b) keeps every d-subset
+    nonsingular and all intersection points distinct.
 
-    `points` holds the intersection points of `existing`, which are already
-    known to be distinct, so only the d-subsets containing the candidate are
-    solved.  Their points are added to `points` when the candidate is
-    accepted and removed again when it is rejected.
+    `points` holds the intersection points of `existing`, as the
+    (numerators, denominator) pairs of `solve_integer_system`, which are
+    already known to be distinct, so only the d-subsets containing the
+    candidate are solved.  Their points are added to `points` when the
+    candidate is accepted and removed again when it is rejected.
     """
-    planes = existing + [candidate]
+    rows = existing + [candidate]
     last = len(existing)
-    added: list[Vec] = []
+    added: list[IntPoint] = []
     for rest in combinations(range(last), d - 1):
         subset = rest + (last,)
-        m = tuple(planes[i].a for i in subset)
-        rhs = tuple(planes[i].b for i in subset)
-        point = solve_linear_system(m, rhs)
+        point = solve_integer_system([rows[i] for i in subset])
         if point is None or point in points:
             for stale in added:
                 del points[stale]

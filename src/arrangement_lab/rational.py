@@ -1,28 +1,32 @@
 """Exact rational scalars and small dense linear algebra.
 
-All geometric predicates in this package run on `fractions.Fraction`, which
-already guarantees the invariants we need: positive denominator, eagerly
-reduced to lowest terms, immutable and hashable.  Vectors are plain tuples of
-Fractions and matrices are tuples of row tuples; dimensions are fixed at
-construction and every operation validates them.
+Exactness comes from plain integers.  The one linear-system kernel,
+`solve_integer_system`, runs fraction-free (Bareiss) elimination on integer
+rows (A | b) and returns the solution as integer numerators over a positive
+common denominator, in lowest terms; singularity detection is exact, since a
+system is singular exactly when some pivot column vanishes.  `integer_row`
+scales a rational row by a positive factor to coprime integers, which keeps
+the sign of every affine functional it describes.
 
-Linear systems are solved by fraction-free (Bareiss) elimination on an
-integer-cleared augmented matrix, which keeps intermediate values as plain
-integers and makes singularity detection exact: the solver reports "no
-solution object" exactly when some pivot column vanishes.
+`fractions.Fraction` is the boundary type: vectors are tuples of Fractions
+and matrices tuples of row tuples, for input, reports and exports.
+`solve_linear_system` and `sign_affine` keep that Fraction interface; the
+former clears denominators and calls the integer kernel.
 """
 
 from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+IntRow = tuple[int, ...]                # integer row (a_1, ..., a_d, b)
+IntPoint = tuple[tuple[int, ...], int]  # numerators over a positive denominator
 
 
 def vector(values: Iterable) -> Vec:
@@ -73,50 +77,82 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
+def integer_row(values: Sequence) -> IntRow:
+    """Scale rational values by a positive factor to coprime integers.
+
+    The factor is positive, so the sign of a·x − b at any point is kept when
+    (a, b) is scaled this way; an all-zero row stays all zero.
+    """
+    entries = [Fraction(v) for v in values]
+    scale = lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (scale // e.denominator) for e in entries]
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints)
+
+
+def solve_integer_system(rows: Sequence[IntRow]) -> Optional[IntPoint]:
+    """Solve the integer augmented system (A | b) with d rows of d+1 entries.
+
+    Returns None when A is singular, otherwise (numerators, denominator)
+    with x_i = numerators[i] / denominator, the denominator positive and
+    gcd(numerators..., denominator) = 1, so equal points have equal results.
+
+    Bareiss elimination keeps every intermediate value an integer: each
+    update divides exactly by the previous pivot, and the last pivot is
+    ±det(A).  Back-substitution then works on x·det(A), which is an integer
+    vector by Cramer's rule, so it divides exactly as well.
+    """
+    d = len(rows)
+    if any(len(row) != d + 1 for row in rows):
+        raise DimensionMismatchError(f"expected {d} rows of {d + 1} entries")
+    m = [list(row) for row in rows]
+
+    prev = 1
+    for k in range(d):
+        pivot = next((r for r in range(k, d) if m[r][k] != 0), None)
+        if pivot is None:
+            return None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+        pk = m[k][k]
+        for i in range(k + 1, d):
+            rik = m[i][k]
+            for j in range(k + 1, d + 1):
+                m[i][j] = (m[i][j] * pk - rik * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pk
+
+    det = prev
+    x = [0] * d
+    for i in reversed(range(d)):
+        row = m[i]
+        acc = det * row[d]
+        for j in range(i + 1, d):
+            acc -= row[j] * x[j]
+        x[i] = acc // row[i]
+    if det < 0:
+        det = -det
+        x = [-v for v in x]
+    g = gcd(det, *x)
+    return tuple(v // g for v in x), det // g
+
+
 def solve_linear_system(m: Mat, rhs: Vec) -> Optional[Vec]:
     """Solve m·x = rhs exactly; return None when the matrix is singular.
 
-    Uses integer-preserving (Bareiss) elimination: each row of the augmented
-    matrix is scaled to integers first, so all intermediate arithmetic is
-    exact integer work and the final back-substitution reintroduces
-    Fractions only once.
+    Each row of the augmented matrix is scaled to integers and solved by
+    `solve_integer_system`; Fractions appear again only in the result.
     """
     d = len(rhs)
     if len(m) != d or any(len(row) != d for row in m):
         raise DimensionMismatchError(
             f"expected a {d}x{d} matrix to match rhs of length {d}"
         )
-    if d == 0:
-        return ()
-
-    rows: list[list[int]] = []
-    for row, y in zip(m, rhs):
-        entries = [Fraction(v) for v in row] + [Fraction(y)]
-        scale = lcm(*(e.denominator for e in entries))
-        rows.append([int(e * scale) for e in entries])
-
-    prev = 1
-    for k in range(d):
-        pivot = next((r for r in range(k, d) if rows[r][k] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-        pk = rows[k][k]
-        for i in range(k + 1, d):
-            rik = rows[i][k]
-            for j in range(k + 1, d + 1):
-                rows[i][j] = (rows[i][j] * pk - rik * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = pk
-
-    x = [Fraction(0)] * d
-    for i in reversed(range(d)):
-        acc = Fraction(rows[i][d])
-        for j in range(i + 1, d):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    return tuple(x)
+    solved = solve_integer_system([integer_row((*row, y)) for row, y in zip(m, rhs)])
+    if solved is None:
+        return None
+    numerators, denominator = solved
+    return tuple(Fraction(p, denominator) for p in numerators)
 
 
 def sign_affine(a: Sequence[Fraction], b: Fraction, x: Sequence[Fraction]) -> int:

@@ -133,6 +133,12 @@ def test_verify_malformed_range(capsys):
     assert run(["verify", "--prop", "P1", "--range", "m=4..5"]) == 2
 
 
+def test_verify_range_rejected_for_hirsch(capsys):
+    assert run(["verify", "--prop", "H", "--range", "n=4..5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --range does not apply to H or S")
+
+
 def test_verify_seeds_override(tmp_path):
     seeds = tmp_path / "seeds.json"
     seeds.write_text(json.dumps({"d2": [[5, 3]], "d3": [[5, 1]]}))

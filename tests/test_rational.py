@@ -1,6 +1,7 @@
 """Exact scalar and linear-algebra layer."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from arrangement_lab.rational import (
     decimal_display,
     format_rational,
     identity_matrix,
+    integer_row,
     mat_vec,
     matrix,
     parse_rational,
     sign_affine,
+    solve_integer_system,
     solve_linear_system,
     vector,
 )
@@ -103,3 +106,62 @@ def test_decimal_display_six_digits_half_even():
     assert decimal_display(Fraction(17, 10)) == "1.700000"
     assert decimal_display(Fraction(1, 2), places=0) == "0"   # round half even
     assert decimal_display(Fraction(3, 2), places=0) == "2"
+
+
+square_systems = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.lists(fractions_st, min_size=d, max_size=d), min_size=d, max_size=d),
+        st.lists(fractions_st, min_size=d, max_size=d),
+    )
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(square_systems)
+def test_integer_core_agrees_with_cramer(system):
+    rows, rhs = system
+    solved = solve_integer_system([integer_row((*row, y)) for row, y in zip(rows, rhs)])
+    det = cofactor_determinant(rows)
+    if det == 0:
+        assert solved is None
+        return
+    numerators, denominator = solved
+    assert denominator > 0
+    assert gcd(denominator, *numerators) == 1
+    for i in range(len(rows)):
+        replaced = [row[:i] + [y] + row[i + 1:] for row, y in zip(rows, rhs)]
+        assert Fraction(numerators[i], denominator) == cofactor_determinant(replaced) / det
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.integers(-30, 30), min_size=3, max_size=3),
+    st.lists(st.integers(-30, 30), min_size=3, max_size=3),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.lists(st.integers(-30, 30), min_size=3, max_size=3),
+)
+def test_integer_core_returns_none_on_singular(u, v, s, t, rhs):
+    dependent = [s * a + t * b for a, b in zip(u, v)]
+    rows = [(*u, rhs[0]), (*v, rhs[1]), (*dependent, rhs[2])]
+    assert solve_integer_system(rows) is None
+    assert solve_integer_system([rows[2], rows[0], rows[1]]) is None
+
+
+def test_integer_core_lowest_terms_and_shapes():
+    # 2x = 1, 4y = -2 in unreduced form: x = 1/2, y = -1/2
+    assert solve_integer_system([(4, 0, 2), (0, -8, 4)]) == ((1, -1), 2)
+    assert solve_integer_system([(-3, 6)]) == ((-2,), 1)
+    assert solve_integer_system([]) == ((), 1)
+    with pytest.raises(DimensionMismatchError):
+        solve_integer_system([(1, 2), (3, 4)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(fractions_st, min_size=1, max_size=5).filter(any))
+def test_integer_row_is_a_positive_coprime_multiple(values):
+    ints = integer_row(values)
+    assert gcd(*ints) == 1
+    ratios = {Fraction(i) / v for i, v in zip(ints, values) if v != 0}
+    assert len(ratios) == 1 and ratios.pop() > 0
+    assert all(i == 0 for i, v in zip(ints, values) if v == 0)

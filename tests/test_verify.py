@@ -7,6 +7,9 @@ import pytest
 from arrangement_lab.errors import InputError
 from arrangement_lab.verify import (
     P7_GRID,
+    _verify_hirsch,
+    _verify_p1,
+    construction_census,
     delta_formula_2d,
     delta_formula_3d,
     expected_census_dplus2,
@@ -140,3 +143,18 @@ def test_suite_results_are_deterministic():
     second = run_suite(["P5"])
     assert [r.params for r in first.results] == [r.params for r in second.results]
     assert [r.computed for r in first.results] == [r.computed for r in second.results]
+
+
+def test_census_cache_shares_keys_across_checks():
+    # P1 and H must hit the same cache entry for the same instance
+    construction_census.cache_clear()
+    _verify_p1(5)
+    _verify_hirsch([("ao2", 2, 5, None, None)])
+    info = construction_census.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("prop", ["H", "S"])
+def test_run_suite_rejects_range_for_default_instance_checks(prop):
+    with pytest.raises(InputError, match="default instances"):
+        run_suite([prop], {"n": [4, 5]})
