@@ -1,5 +1,14 @@
 """Per-cell analytics: skeleton graphs, diameters, f-counts, classification.
 
+Skeletons come from the vertex line steps.  A vertex v is tight on d
+hyperplanes; dropping one of them, k, leaves a line through v, and the
+segment or ray on that line leaving v to side s of hyperplane k is v's step
+(k, s).  A bounded cell's closure is a simple polytope whose edge at v on
+that line is the one on the cell's side of k, so the skeleton of cell C is
+v -> {step (k, C[k]) for k tight at v}, one table lookup per edge end.
+Diameters use one reach bitmask per vertex: each round ORs the neighbours'
+masks in, and the number of rounds until every mask is full is the diameter.
+
 Classification is purely combinatorial, a function of the skeleton's
 isomorphism type plus the facet count, with the documented precedence
 simplex > cube > simplex product > shell > other.  The cube and
@@ -84,44 +93,49 @@ class CellRecord:
 # ---------------------------------------------------------------------------
 
 def skeletons_for_cells(
-    cells: list[BoundedCell], edges: list[ArrangementEdge], dim: int
+    cells: list[BoundedCell], vertices: list[Vertex], edges: list[ArrangementEdge], dim: int
 ) -> list[Adjacency]:
-    """Skeletons of all cells in one pass, via sign-vector completion lookup."""
-    index = {cell.signature: i for i, cell in enumerate(cells)}
-    adjacencies: list[dict[int, set[int]]] = [
-        {vid: set() for vid in cell.vertex_ids} for cell in cells
-    ]
+    """Skeletons of all cells in one pass, by direct lookup in a step table.
+
+    Let segment (u, w) leave u along the line that drops u's tight index k,
+    with sign s at k; then u's step (k, s), `steps[u][k][s > 0]`, is w.  k is
+    the only index of u's tight set where the segment's sign is nonzero.
+    Where a ray leaves u instead, the step is None.  The closure of a bounded
+    cell C is a simple polytope, so at each of its vertices v and for each k
+    in v's tight set, C has exactly one edge on the line that drops k, the
+    one on C's side C[k]: v's neighbours in C are its steps (k, C[k]).
+    Raises InternalConsistencyError, naming the signature, when a step is
+    missing or leaves C, when C has fewer than d+1 vertices, or when its
+    skeleton is disconnected.
+    """
+    steps = [{k: [None, None] for k in v.tight_set} for v in vertices]
     for edge in edges:
-        if not edge.is_segment:
-            continue
-        base = list(edge.sign_vector)
-        for combo in itertools.product((-1, 1), repeat=len(edge.line_set)):
-            for pos, s in zip(edge.line_set, combo):
-                base[pos] = s
-            i = index.get(tuple(base))
-            if i is not None:
-                adjacencies[i][edge.tail].add(edge.head)
-                adjacencies[i][edge.head].add(edge.tail)
+        if edge.is_segment:
+            signs = edge.sign_vector
+            for v, w in ((edge.tail, edge.head), (edge.head, edge.tail)):
+                for k, ends in steps[v].items():
+                    if signs[k]:  # v's one tight index off the segment's line
+                        ends[signs[k] > 0] = w
+                        break
     skeletons = []
-    for cell, adj in zip(cells, adjacencies):
-        skeleton = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-        _validate_skeleton(skeleton, dim, cell.signature)
-        skeletons.append(skeleton)
-    return skeletons
-
-
-def _validate_skeleton(adj: Adjacency, dim: int, signature) -> None:
-    if len(adj) < dim + 1:
-        raise InternalConsistencyError(
-            f"cell {signature} has only {len(adj)} vertices"
-        )
-    for v, nbrs in adj.items():
-        if len(nbrs) != dim:
+    for cell in cells:
+        signature, members = cell.signature, set(cell.vertex_ids)
+        if len(members) < dim + 1:
             raise InternalConsistencyError(
-                f"cell {signature}: vertex {v} has degree {len(nbrs)}, expected {dim}"
+                f"cell {signature} has only {len(members)} vertices"
             )
-    if _bfs_distances(adj, next(iter(sorted(adj)))) is None:
-        raise InternalConsistencyError(f"cell {signature} has a disconnected skeleton")
+        adj: Adjacency = {}
+        for v in cell.vertex_ids:
+            nbrs = [ends[signature[k] > 0] for k, ends in steps[v].items()]
+            if not members.issuperset(nbrs):
+                raise InternalConsistencyError(
+                    f"cell {signature}: an edge at vertex {v} is missing or leaves the cell"
+                )
+            adj[v] = tuple(sorted(nbrs))
+        if _bfs_distances(adj, cell.vertex_ids[0]) is None:
+            raise InternalConsistencyError(f"cell {signature} has a disconnected skeleton")
+        skeletons.append(adj)
+    return skeletons
 
 
 def _bfs_distances(adj: Adjacency, source: int) -> dict[int, int] | None:
@@ -140,14 +154,29 @@ def _bfs_distances(adj: Adjacency, source: int) -> dict[int, int] | None:
 
 
 def cell_diameter(adj: Adjacency) -> int:
-    """Max over vertex pairs of the shortest-path length (all-sources BFS)."""
-    best = 0
-    for v in adj:
-        dist = _bfs_distances(adj, v)
-        if dist is None:
+    """Max over vertex pairs of the shortest-path length, by reach masks.
+
+    Vertex i gets local bit i and a mask of the vertices it reaches, at first
+    itself.  Each round ORs every vertex's neighbours' masks into its own, so
+    after r rounds the masks are the balls of radius r, and the number of
+    rounds until every mask is full is the diameter.  Raises ValueError when
+    a round adds nothing before that, i.e. on a disconnected graph.
+    """
+    local = {v: i for i, v in enumerate(adj)}
+    nbrs = [[local[w] for w in ws] for ws in adj.values()]
+    full = (1 << len(nbrs)) - 1
+    reach = [1 << i for i in range(len(nbrs))]
+    rounds = 0
+    while min(reach, default=full) != full:
+        grown = []
+        for m, ns in zip(reach, nbrs):
+            for j in ns:
+                m |= reach[j]
+            grown.append(m)
+        if grown == reach:
             raise ValueError("diameter of a disconnected graph")
-        best = max(best, max(dist.values()))
-    return best
+        reach, rounds = grown, rounds + 1
+    return rounds
 
 
 def cell_f_counts(cell: BoundedCell, vertices: list[Vertex], adj: Adjacency) -> tuple[int, int, int]:
@@ -369,7 +398,7 @@ def build_cell_records(
     cells: list[BoundedCell],
 ) -> list[CellRecord]:
     records = []
-    for cell, adj in zip(cells, skeletons_for_cells(cells, edges, arr.dim)):
+    for cell, adj in zip(cells, skeletons_for_cells(cells, vertices, edges, arr.dim)):
         v, e, f = cell_f_counts(cell, vertices, adj)
         if arr.dim == 3 and (v - e + f != 2 or 2 * e != 3 * v):
             raise InternalConsistencyError(

@@ -56,8 +56,8 @@ def _enumerate(arr: Arrangement):
 
 def average_diameter(arr: Arrangement) -> Fraction:
     """Exact mean of bounded-cell diameters."""
-    _, edges, cells = _enumerate(arr)
-    total = sum(cell_diameter(adj) for adj in skeletons_for_cells(cells, edges, arr.dim))
+    vertices, edges, cells = _enumerate(arr)
+    total = sum(map(cell_diameter, skeletons_for_cells(cells, vertices, edges, arr.dim)))
     return Fraction(total, len(cells))
 
 

@@ -20,13 +20,7 @@ from .census import CensusReport
 from .cells import CellRecord
 from .errors import InputError
 from .rational import decimal_display, format_rational, parse_rational
-from .verify import (
-    RANDOM_2D_POOL,
-    RANDOM_3D_POOL,
-    RANDOM_COEFF_BOUND,
-    SuiteSummary,
-    VerificationResult,
-)
+from .verify import SuiteSummary, VerificationResult
 
 
 def jsonify(value):
@@ -159,12 +153,14 @@ def verification_to_obj(result: VerificationResult) -> dict:
 
 
 def suite_to_obj(summary: SuiteSummary) -> dict:
+    """The summary with the random pools it used, each sorted by (seed, n),
+    so a reordered pool writes the same bytes."""
     return {
         "all_pass": summary.all_pass,
         "results": [verification_to_obj(r) for r in summary.results],
         "random_pools": {
-            "d2": [[n, seed] for n, seed in RANDOM_2D_POOL],
-            "d3": [[n, seed] for n, seed in RANDOM_3D_POOL],
-            "coefficient_bound": RANDOM_COEFF_BOUND,
+            "d2": sorted(summary.random_2d, key=lambda row: (row[1], row[0])),
+            "d3": sorted(summary.random_3d, key=lambda row: (row[1], row[0])),
+            "coefficient_bound": summary.bound,
         },
     }

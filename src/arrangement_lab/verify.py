@@ -84,6 +84,9 @@ class VerificationResult:
 class SuiteSummary:
     results: list[VerificationResult]
     all_pass: bool
+    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL   # the pools that were used
+    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL
+    bound: int = RANDOM_COEFF_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +621,7 @@ def run_suite(
         results.append(_verify_hirsch(instances))
     if "S" in requested:
         results.append(_verify_simplex_floor(instances))
-    return SuiteSummary(results, all(r.passed for r in results))
+    return SuiteSummary(results, all(r.passed for r in results), random_2d, random_3d, bound)
 
 
 def _pair_grid(ds: list[int], ns: list[int], default: tuple) -> list[tuple[int, int]]:

@@ -1,15 +1,49 @@
-"""Reference oracle for `skeletons_for_cells`: one cell at a time.
+"""Reference oracles for the per-cell kernel in `arrangement_lab.cells`.
 
-For each cell, every bounded segment is tested directly: it is an edge of
-the cell iff its sign vector agrees with the cell signature off its line
-set.  This scans all segments per cell instead of looking up the completions
-of each segment, so it checks the batch builder independently.
+`skeletons_for_cells` is the completion-lookup builder that the step-table
+kernel replaced: every bounded segment completes the zeros of its line set
+with +/- in all 2^(d-1) ways and adds itself to each cell it hits.
+`cell_skeleton` takes one cell at a time and tests each segment directly: it
+is an edge of the cell iff its sign vector agrees with the cell signature off
+its line set.  `cell_diameter` runs one BFS from every vertex.  None of them
+uses the step table or the reach masks, so they check the kernel
+independently.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from arrangement_lab.arrangement import ArrangementEdge, BoundedCell
-from arrangement_lab.cells import Adjacency, _validate_skeleton
+from arrangement_lab.cells import Adjacency, _bfs_distances
+from arrangement_lab.errors import InternalConsistencyError
+
+
+def skeletons_for_cells(
+    cells: list[BoundedCell], edges: list[ArrangementEdge], dim: int
+) -> list[Adjacency]:
+    """Skeletons of all cells in one pass, via sign-vector completion lookup."""
+    index = {cell.signature: i for i, cell in enumerate(cells)}
+    adjacencies: list[dict[int, set[int]]] = [
+        {vid: set() for vid in cell.vertex_ids} for cell in cells
+    ]
+    for edge in edges:
+        if not edge.is_segment:
+            continue
+        base = list(edge.sign_vector)
+        for combo in itertools.product((-1, 1), repeat=len(edge.line_set)):
+            for pos, s in zip(edge.line_set, combo):
+                base[pos] = s
+            i = index.get(tuple(base))
+            if i is not None:
+                adjacencies[i][edge.tail].add(edge.head)
+                adjacencies[i][edge.head].add(edge.tail)
+    skeletons = []
+    for cell, adj in zip(cells, adjacencies):
+        skeleton = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        _validate_skeleton(skeleton, dim, cell.signature)
+        skeletons.append(skeleton)
+    return skeletons
 
 
 def cell_skeleton(cell: BoundedCell, edges: list[ArrangementEdge], dim: int) -> Adjacency:
@@ -30,3 +64,28 @@ def cell_skeleton(cell: BoundedCell, edges: list[ArrangementEdge], dim: int) -> 
     skeleton = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
     _validate_skeleton(skeleton, dim, cell.signature)
     return skeleton
+
+
+def _validate_skeleton(adj: Adjacency, dim: int, signature) -> None:
+    if len(adj) < dim + 1:
+        raise InternalConsistencyError(
+            f"cell {signature} has only {len(adj)} vertices"
+        )
+    for v, nbrs in adj.items():
+        if len(nbrs) != dim:
+            raise InternalConsistencyError(
+                f"cell {signature}: vertex {v} has degree {len(nbrs)}, expected {dim}"
+            )
+    if _bfs_distances(adj, next(iter(sorted(adj)))) is None:
+        raise InternalConsistencyError(f"cell {signature} has a disconnected skeleton")
+
+
+def cell_diameter(adj: Adjacency) -> int:
+    """Max over vertex pairs of the shortest-path length (all-sources BFS)."""
+    best = 0
+    for v in adj:
+        dist = _bfs_distances(adj, v)
+        if dist is None:
+            raise ValueError("diameter of a disconnected graph")
+        best = max(best, max(dist.values()))
+    return best

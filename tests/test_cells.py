@@ -27,7 +27,7 @@ from arrangement_lab.cells import (
     skeletons_for_cells,
 )
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
-from oracle_skeleton import cell_skeleton
+from oracle_skeleton import cell_diameter as oracle_cell_diameter, cell_skeleton
 
 
 def records_of(arr):
@@ -81,7 +81,7 @@ def test_batch_skeletons_match_single_cell_skeletons():
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, edges)
-    batch = skeletons_for_cells(cells, edges, arr.dim)
+    batch = skeletons_for_cells(cells, vertices, edges, arr.dim)
     for cell, adj in zip(cells, batch):
         assert adj == cell_skeleton(cell, edges, arr.dim)
 
@@ -153,6 +153,65 @@ def test_polygon_diameters():
 def test_disconnected_graph_diameter_raises():
     with pytest.raises(ValueError):
         cell_diameter({0: (1,), 1: (0,), 2: (3,), 3: (2,)})
+
+
+def path_graph(k):
+    return {v: tuple(w for w in (v - 1, v + 1) if 0 <= w < k) for v in range(k)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 20])
+def test_path_diameter(k):
+    assert cell_diameter(path_graph(k)) == k - 1
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, 11])
+def test_cycle_diameter(k):
+    assert cell_diameter(cycle_graph(k)) == k // 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_hypercube_diameter(d):
+    assert cell_diameter(hypercube_graph(d)) == d
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 4), (4, 4)])
+def test_clique_product_diameter(a, b):
+    assert cell_diameter(clique_product_graph(a, b)) == 2
+
+
+def test_single_vertex_diameter():
+    assert cell_diameter({5: ()}) == 0
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus random chords, on scattered vertex ids."""
+    k = draw(st.integers(1, 14))
+    ids = draw(st.lists(st.integers(0, 500), min_size=k, max_size=k, unique=True))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, k)}
+    if k > 1:
+        pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+        edges |= {(u, w) for u, w in draw(st.lists(pairs, max_size=2 * k)) if u != w}
+    nbrs = {v: set() for v in ids}
+    for u, w in edges:
+        nbrs[ids[u]].add(ids[w])
+        nbrs[ids[w]].add(ids[u])
+    return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_graphs())
+def test_diameter_matches_all_sources_bfs(adj):
+    assert cell_diameter(adj) == oracle_cell_diameter(adj)
+
+
+@settings(deadline=None, max_examples=20)
+@given(connected_graphs(), connected_graphs())
+def test_disjoint_union_diameter_raises(left, right):
+    shift = 1 + max(left)
+    union = {**left, **{v + shift: tuple(w + shift for w in ws) for v, ws in right.items()}}
+    with pytest.raises(ValueError):
+        cell_diameter(union)
 
 
 def test_diameter_by_class_in_dimension_four():

@@ -1,6 +1,7 @@
 """Command-line surface: flows, exit codes, byte-identical artifacts."""
 
 import json
+import random
 import re
 
 import pytest
@@ -17,6 +18,7 @@ from arrangement_lab.jsonio import (
     signature_from_str,
     signature_str,
 )
+from arrangement_lab.verify import RANDOM_2D_POOL, RANDOM_3D_POOL
 
 
 def run(args):
@@ -147,6 +149,29 @@ def test_verify_seeds_override(tmp_path):
     obj = json.loads(out.read_text())
     pool_rows = [r for r in obj["results"] if "pool" in r["params"]]
     assert pool_rows[0]["params"]["instances"] == 1
+
+
+def test_verify_summary_records_the_pools_used(tmp_path):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"d2": [[5, 3]]}))
+    out = tmp_path / "s.json"
+    assert run(["verify", "--prop", "P2", "--range", "n=5..5", "--seeds", seeds, "--out", out]) == 0
+    pools = json.loads(out.read_text())["random_pools"]
+    assert pools["d2"] == [[5, 3]]
+    assert pools["d3"] == [[n, seed] for n, seed in RANDOM_3D_POOL]
+
+
+def test_verify_summary_bytes_ignore_pool_order(tmp_path):
+    d2, d3 = list(RANDOM_2D_POOL), list(RANDOM_3D_POOL)
+    random.Random(7).shuffle(d2)
+    random.Random(8).shuffle(d3)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"d2": d2, "d3": d3}))
+    shuffled, default = tmp_path / "shuffled.json", tmp_path / "default.json"
+    argv = ["verify", "--prop", "P4", "--range", "n=5..5", "--out"]
+    assert run([*argv, shuffled, "--seeds", seeds]) == 0
+    assert run([*argv, default]) == 0
+    assert shuffled.read_bytes() == default.read_bytes()
 
 
 def test_verify_seeds_file_not_an_object(tmp_path, capsys):
