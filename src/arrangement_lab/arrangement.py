@@ -4,14 +4,21 @@ The combinatorics is driven entirely by sign vectors: a vertex is the unique
 solution of d tight hyperplanes, an edge lives on the line cut out by d-1
 hyperplanes, and a face of codimension c is a sign vector with c zeros.  A
 face belongs to the closure of another exactly when its sign vector agrees
-with the other's on every coordinate where the smaller face is not tight, so
-all incidence questions reduce to completing zeros with +/- and hashing.
+with the other's on every coordinate where the smaller face is not tight.
 
-One completion rule finds the bounded faces of every dimension: keep c of a
-vertex's d zeros and fill the rest with +/- to get the faces of codimension
-c at that vertex; such a face is unbounded iff some ray reaches it, i.e. the
-same completion of a ray's zeros produces it.  Bounded cells are c = 0 and
-bounded facets c = 1.  No linear programming and no floating point anywhere.
+One walk finds the bounded faces of every dimension.  Dropping one of a
+vertex's d tight hyperplanes leaves a line through it, and the segment or
+ray on that line to either side of the dropped hyperplane is a step; the
+step table comes from the segments of `enumerate_edges`.  Lexicographic
+order on points is a generic linear order, so a bounded face has exactly
+one lex-min vertex, and every edge of the face leaves it upward.  At each
+vertex and for each c of its zeros kept zero, setting the other zeros to
+their upward sides names the one face of codimension c that can have that
+vertex as its minimum; walking its steps visits its vertices, or reaches a
+ray and shows it unbounded.  Bounded cells are c = 0 and bounded facets
+c = 1.  This is reverse search (Avis-Fukuda 1996) without linear
+programming, because the vertices are already known; no floating point
+anywhere.
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
@@ -253,6 +260,12 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     w's sign at j; the ray leaving an extreme vertex v away from its
     neighbour w has v's signs with v's index j set to minus w's sign at j.
     Lines come in sorted order, each as a ray, its segments, then a ray.
+
+    Order contract, which the face walk relies on: along each line the
+    vertices come in increasing lexicographic order of their points, so
+    every segment runs from tail to head with vertices[tail].point <
+    vertices[head].point, the line's first ray leaves its lex-min vertex
+    and its last ray leaves its lex-max vertex.
     """
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for vid, v in enumerate(vertices):
@@ -279,18 +292,45 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     return edges
 
 
-def _face_completions(
-    signs: SignVector, zero_set: tuple[int, ...], codim: int
-) -> Iterator[SignVector]:
-    """Every face with `codim` zeros whose closure contains the face `signs`:
-    keep each `codim`-subset of its zeros and fill the others with +/-."""
-    for kept in itertools.combinations(zero_set, codim):
-        free = tuple(i for i in zero_set if i not in kept)
-        base = list(signs)
-        for combo in itertools.product((-1, 1), repeat=len(free)):
-            for pos, s in zip(free, combo):
-                base[pos] = s
-            yield tuple(base)
+def _step_table(vertices: list[Vertex], edges: list[ArrangementEdge]) -> list[dict[int, list]]:
+    """Every vertex's line steps, read off the segments.
+
+    `steps[v][k]` is [w-, w+, up] for each k tight at v: the neighbours of v
+    on the line that drops k, on the - and the + side of k (None where a ray
+    leaves v), and the side of k that lies lexicographically above v.  For a
+    segment at v, k is the one index of v's tight set where its sign is
+    nonzero.  Segments run from tail to head in increasing lexicographic
+    order, so up is the segment's sign at its tail and the opposite at its
+    head; every line carries at least one segment, so up is always set.
+    """
+    steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]
+    for edge in edges:
+        if edge.is_segment:
+            signs = edge.sign_vector
+            for v, w, up in ((edge.tail, edge.head, 1), (edge.head, edge.tail, -1)):
+                for k, step in steps[v].items():
+                    if signs[k]:  # v's one tight index off the segment's line
+                        step[signs[k] > 0], step[2] = w, up * signs[k]
+                        break
+    return steps
+
+
+def _walk(steps: list[dict[int, list]], start: int, face: SignVector) -> Optional[list[int]]:
+    """The vertices of `face`, in increasing order, reached from `start`,
+    which must lie in its closure, by the steps toward the face's side of
+    every hyperplane it is not on; None as soon as a step is a ray, i.e.
+    when the face is unbounded."""
+    seen, todo = {start}, [start]
+    for v in todo:
+        for k, step in steps[v].items():
+            if face[k]:
+                w = step[face[k] > 0]
+                if w is None:
+                    return None
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return sorted(seen)
 
 
 def _bounded_faces(
@@ -298,21 +338,25 @@ def _bounded_faces(
 ) -> dict[SignVector, list[int]]:
     """Bounded faces of codimension `codim`, as {signature: vertex ids}.
 
-    The faces at a vertex keep `codim` of its zeros and fill the others with
-    +/-; a face is unbounded iff a ray lies in its closure, that is iff the
-    same completion of some ray's zeros produces it.  Vertex ids come in
-    increasing order.
+    For each vertex v and each `codim`-subset K of its tight set, the
+    candidate is v's signs with every other tight index set to its up side:
+    the one face zero on K whose edges at v all go up, so the one that can
+    have v as its lex-min vertex.  Each bounded face is found exactly once,
+    from its own minimum; a candidate whose walk reaches a ray is unbounded
+    and dropped.  Vertex ids come in increasing order.
     """
-    members: dict[SignVector, list[int]] = {}
+    steps = _step_table(vertices, edges)
+    faces: dict[SignVector, list[int]] = {}
     for vid, v in enumerate(vertices):
-        for sig in _face_completions(v.sign_vector, v.tight_set, codim):
-            members.setdefault(sig, []).append(vid)
-
-    unbounded: set[SignVector] = set()
-    for edge in edges:
-        if not edge.is_segment:
-            unbounded.update(_face_completions(edge.sign_vector, edge.line_set, codim))
-    return {sig: vids for sig, vids in members.items() if sig not in unbounded}
+        for kept in itertools.combinations(v.tight_set, codim):
+            face = list(v.sign_vector)
+            for k, step in steps[vid].items():
+                if k not in kept:
+                    face[k] = step[2]
+            members = _walk(steps, vid, face)
+            if members is not None:
+                faces[tuple(face)] = members
+    return faces
 
 
 def enumerate_bounded_cells(

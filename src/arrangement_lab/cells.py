@@ -1,11 +1,12 @@
 """Per-cell analytics: skeleton graphs, diameters, f-counts, classification.
 
-Skeletons come from the vertex line steps.  A vertex v is tight on d
-hyperplanes; dropping one of them, k, leaves a line through v, and the
-segment or ray on that line leaving v to side s of hyperplane k is v's step
-(k, s).  A bounded cell's closure is a simple polytope whose edge at v on
-that line is the one on the cell's side of k, so the skeleton of cell C is
-v -> {step (k, C[k]) for k tight at v}, one table lookup per edge end.
+Skeletons come from the vertex line steps, the table that the face walk in
+`arrangement` also reads.  A vertex v is tight on d hyperplanes; dropping
+one of them, k, leaves a line through v, and the segment or ray on that line
+leaving v to side s of hyperplane k is v's step (k, s).  A bounded cell's
+closure is a simple polytope whose edge at v on that line is the one on the
+cell's side of k, so the skeleton of cell C is v -> {step (k, C[k]) for k
+tight at v}, one table lookup per edge end.
 Diameters use one reach bitmask per vertex: each round ORs the neighbours'
 masks in, and the number of rounds until every mask is full is the diameter.
 
@@ -26,7 +27,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, ArrangementEdge, BoundedCell, Vertex
+from .arrangement import Arrangement, ArrangementEdge, BoundedCell, Vertex, _step_table
 from .errors import InternalConsistencyError
 
 Adjacency = dict[int, tuple[int, ...]]
@@ -95,28 +96,18 @@ class CellRecord:
 def skeletons_for_cells(
     cells: list[BoundedCell], vertices: list[Vertex], edges: list[ArrangementEdge], dim: int
 ) -> list[Adjacency]:
-    """Skeletons of all cells in one pass, by direct lookup in a step table.
+    """Skeletons of all cells in one pass, by direct lookup in the step table
+    of `arrangement._step_table`, where `steps[v][k][s > 0]` is v's
+    neighbour on the line that drops k, on side s of k, or None for a ray.
 
-    Let segment (u, w) leave u along the line that drops u's tight index k,
-    with sign s at k; then u's step (k, s), `steps[u][k][s > 0]`, is w.  k is
-    the only index of u's tight set where the segment's sign is nonzero.
-    Where a ray leaves u instead, the step is None.  The closure of a bounded
-    cell C is a simple polytope, so at each of its vertices v and for each k
-    in v's tight set, C has exactly one edge on the line that drops k, the
-    one on C's side C[k]: v's neighbours in C are its steps (k, C[k]).
-    Raises InternalConsistencyError, naming the signature, when a step is
-    missing or leaves C, when C has fewer than d+1 vertices, or when its
-    skeleton is disconnected.
+    The closure of a bounded cell C is a simple polytope, so at each of its
+    vertices v and for each k in v's tight set, C has exactly one edge on
+    the line that drops k, the one on C's side C[k]: v's neighbours in C are
+    its steps (k, C[k]).  Raises InternalConsistencyError, naming the
+    signature, when a step is missing or leaves C, when C has fewer than d+1
+    vertices, or when its skeleton is disconnected.
     """
-    steps = [{k: [None, None] for k in v.tight_set} for v in vertices]
-    for edge in edges:
-        if edge.is_segment:
-            signs = edge.sign_vector
-            for v, w in ((edge.tail, edge.head), (edge.head, edge.tail)):
-                for k, ends in steps[v].items():
-                    if signs[k]:  # v's one tight index off the segment's line
-                        ends[signs[k] > 0] = w
-                        break
+    steps = _step_table(vertices, edges)
     skeletons = []
     for cell in cells:
         signature, members = cell.signature, set(cell.vertex_ids)
@@ -126,7 +117,7 @@ def skeletons_for_cells(
             )
         adj: Adjacency = {}
         for v in cell.vertex_ids:
-            nbrs = [ends[signature[k] > 0] for k, ends in steps[v].items()]
+            nbrs = [step[signature[k] > 0] for k, step in steps[v].items()]
             if not members.issuperset(nbrs):
                 raise InternalConsistencyError(
                     f"cell {signature}: an edge at vertex {v} is missing or leaves the cell"

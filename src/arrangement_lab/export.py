@@ -12,6 +12,9 @@ from fractions import Fraction
 
 from .arrangement import (
     Arrangement,
+    BoundedCell,
+    _step_table,
+    _walk,
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
@@ -129,7 +132,11 @@ def _clip_line(a, b, x0, x1, y0, y1):
 
 def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
     """One bounded cell of a 3D arrangement as OFF text: vertices first,
-    facets ordered by hyperplane index with vertices in cyclic order."""
+    facets ordered by hyperplane index with vertices in cyclic order.
+
+    Only the requested cell is walked, from the first vertex whose signs
+    agree with the signature off its tight set; raises InputError when no
+    vertex does or when the walk reaches a ray."""
     if arr.dim != 3:
         raise UnsupportedDimensionError("OFF export requires a 3-dimensional arrangement")
     vertices = enumerate_vertices(arr)  # raises first on a non-simple input
@@ -138,24 +145,19 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
             f"signature length {len(signature)} does not match n = {arr.n}"
         )
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, edges)
-    by_signature = {cell.signature: cell for cell in cells}
-    cell = by_signature.get(signature)
-    if cell is None:
-        raise InputError(
-            f"{signature_str(signature)} is not a bounded cell of this arrangement"
-        )
-    records = build_cell_records(arr, vertices, edges, [cell])
-    record = records[0]
+    start = next((vid for vid, v in enumerate(vertices) if 0 not in signature
+                  and all(s in (0, c) for s, c in zip(v.sign_vector, signature))), None)
+    vids = start is not None and _walk(_step_table(vertices, edges), start, signature)
+    if not vids:
+        raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
+    (record,) = build_cell_records(arr, vertices, edges, [BoundedCell(signature, tuple(vids))])
     adj = record.adjacency_dict()
 
-    local = {vid: i for i, vid in enumerate(cell.vertex_ids)}
-    facet_planes = sorted(
-        {index for vid in cell.vertex_ids for index in vertices[vid].tight_set}
-    )
+    local = {vid: i for i, vid in enumerate(vids)}
+    facet_planes = sorted({index for vid in vids for index in vertices[vid].tight_set})
     facets = []
     for plane in facet_planes:
-        members = [vid for vid in cell.vertex_ids if plane in vertices[vid].tight_set]
+        members = [vid for vid in vids if plane in vertices[vid].tight_set]
         member_set = set(members)
         ring_adj = {
             vid: tuple(w for w in adj[vid] if w in member_set) for vid in members
@@ -163,7 +165,7 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
         facets.append([local[vid] for vid in _cycle_order(ring_adj)])
 
     lines = ["OFF", f"{record.vertex_count} {record.facet_count} {record.edge_count}"]
-    for vid in cell.vertex_ids:
+    for vid in vids:
         point = vertices[vid].point
         lines.append(" ".join(decimal_display(c) for c in point))
     for facet in facets:

@@ -63,12 +63,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise DimensionMismatchError("vector subtraction length mismatch")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(u: Vec, c: Fraction) -> Vec:
     return tuple(a * c for a in u)
 

@@ -196,6 +196,40 @@ def test_segments_chain_consecutive_vertices_along_each_line():
         assert set(chain) == on_line
 
 
+def assert_lines_run_in_lex_order(arr):
+    """Segments run tail -> head in increasing lexicographic order of their
+    points, and each line's first ray leaves its lex-min vertex, its last ray
+    its lex-max vertex."""
+    vertices, edges, _ = enumerate_all(arr)
+    by_line = {}
+    for e in edges:
+        by_line.setdefault(e.line_set, []).append(e)
+    for line_edges in by_line.values():
+        first, *segments, last = line_edges
+        assert not first.is_segment and not last.is_segment
+        for s in segments:
+            assert vertices[s.tail].point < vertices[s.head].point
+        points = [vertices[s.tail].point for s in segments] + [vertices[last.tail].point]
+        assert vertices[first.tail].point == min(points)
+        assert vertices[last.tail].point == max(points)
+
+
+@pytest.mark.parametrize(
+    "built",
+    [build_ao2(9), build_ao3(8), build_cyclic_star(2, 7), build_cyclic_star(3, 7),
+     build_cyclic_star(4, 8)],
+    ids=lambda b: f"{b.family}-{b.d}-{b.n}",
+)
+def test_constructed_lines_run_in_lex_order(built):
+    assert_lines_run_in_lex_order(built.arrangement)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(4, 8))
+def test_random_lines_run_in_lex_order(seed, d, n):
+    assert_lines_run_in_lex_order(random_simple_arrangement(d, n, seed=seed).arrangement)
+
+
 @settings(deadline=None, max_examples=15)
 @given(st.integers(0, 10_000), st.sampled_from([(2, 4), (2, 6), (3, 5)]))
 def test_random_arrangements_satisfy_structural_counts(seed, shape):

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from arrangement_lab.arrangement import enumerate_edges, enumerate_vertices
 from arrangement_lab.census import census
 from arrangement_lab.cli import main
 from arrangement_lab.constructions import build_ao2, build_cyclic_star
@@ -228,6 +229,23 @@ def test_export_off_requires_cell(tmp_path):
     src = tmp_path / "s.json"
     run(["construct", "--family", "cyclic", "-d", 3, "-n", 6, "--out", src])
     assert run(["export", src, "--format", "off", "--out", tmp_path / "no.off"]) == 2
+
+
+def test_export_off_rejects_unbounded_and_unrealized_cells(tmp_path, capsys):
+    src = tmp_path / "s36.json"
+    run(["construct", "--family", "cyclic", "-d", 3, "-n", 6, "--out", src])
+    arr, _ = load_arrangement(str(src))
+    vertices = enumerate_vertices(arr)
+    ray = next(e for e in enumerate_edges(arr, vertices) if not e.is_segment)
+    # every side of a ray's line set is a cell, and the ray makes it unbounded
+    unbounded = signature_str(tuple(s or 1 for s in ray.sign_vector))
+    # below all three coordinate planes every slanted plane (positive
+    # intercepts) is negative, so no cell has signs ---+++
+    for cell in (unbounded, "---+++"):
+        assert run(["export", src, "--format", "off", "--out", tmp_path / "no.off",
+                    f"--cell={cell}"]) == 2
+        assert f"{cell} is not a bounded cell" in capsys.readouterr().err
+    assert not (tmp_path / "no.off").exists()
 
 
 def test_byte_identical_construct(tmp_path):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrangement_lab.arrangement import (
     Arrangement,
@@ -23,6 +25,7 @@ from arrangement_lab.constructions import (
 )
 from arrangement_lab.errors import InputError
 from arrangement_lab.jsonio import arrangement_to_obj, canonical_dumps
+from oracle_vertices import check_simple_by_fractions
 
 ZERO = Fraction(0)
 
@@ -191,6 +194,14 @@ def test_random_arrangement_counts_and_determinism():
     text1 = canonical_dumps(arrangement_to_obj(built.arrangement, built.metadata()))
     text2 = canonical_dumps(arrangement_to_obj(again.arrangement, again.metadata()))
     assert text1 == text2
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(4, 9))
+def test_random_arrangements_are_simple_by_fractions(seed, d, n):
+    # generation carries no final simplicity check; an independent one agrees
+    arr = random_simple_arrangement(d, n, seed=seed).arrangement
+    assert check_simple_by_fractions(arr).is_simple
 
 
 def test_random_35_census_is_forced():
