@@ -20,7 +20,6 @@ from .arrangement import (
     enumerate_bounded_facets,
     enumerate_edges,
     enumerate_vertices,
-    evaluate_sign,
     hyperplane,
     require_simple,
     restrict_to_hyperplane,

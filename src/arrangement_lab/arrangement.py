@@ -49,10 +49,7 @@ from .rational import (
     Vec,
     dot,
     integer_row,
-    sign_affine,
     solve_integer_system,
-    vec_add,
-    vec_scale,
     vector,
 )
 
@@ -158,17 +155,6 @@ class Restriction:
     directions: tuple[Vec, ...]
     kept: tuple[int, ...]       # original indices, in induced order
     excluded: tuple[int, ...]   # parallel hyperplanes (empty for simple input)
-
-    def embed(self, t: Vec) -> Vec:
-        point = self.base
-        for coord, direction in zip(t, self.directions):
-            point = vec_add(point, vec_scale(direction, coord))
-        return point
-
-
-def evaluate_sign(h: Hyperplane, x: Vec) -> Sign:
-    """Exact sign of h at the point x."""
-    return sign_affine(h.a, h.b, x)
 
 
 def require_simple(arr: Arrangement) -> None:

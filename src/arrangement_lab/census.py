@@ -22,12 +22,10 @@ from .cells import (
     CellClass,
     CellRecord,
     build_cell_records,
-    cell_diameter,
     cube,
     polygon,
     simplex,
     simplex_product,
-    skeletons_for_cells,
 )
 from .errors import UnsupportedDimensionError
 
@@ -47,24 +45,12 @@ class CensusReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _enumerate(arr: Arrangement):
-    vertices = enumerate_vertices(arr)
-    edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, edges)
-    return vertices, edges, cells
-
-
-def average_diameter(arr: Arrangement) -> Fraction:
-    """Exact mean of bounded-cell diameters."""
-    vertices, edges, cells = _enumerate(arr)
-    total = sum(map(cell_diameter, skeletons_for_cells(cells, vertices, edges, arr.dim)))
-    return Fraction(total, len(cells))
-
-
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     """Full aggregate over the bounded cells of a simple arrangement; vertex
     enumeration raises NotSimpleError for any other input."""
-    vertices, edges, cells = _enumerate(arr)
+    vertices = enumerate_vertices(arr)
+    edges = enumerate_edges(arr, vertices)
+    cells = enumerate_bounded_cells(arr, vertices, edges)
     records = build_cell_records(arr, vertices, edges, cells)
     counts = Counter(rec.cell_class for rec in records)
     delta = Fraction(sum(rec.diameter for rec in records), len(records))
@@ -100,19 +86,27 @@ def _facet_counts(arr: Arrangement, vertices, edges, cells) -> tuple[int, int]:
     return len(facets), external
 
 
+# ---------------------------------------------------------------------------
+# single-number views of `census`
+# ---------------------------------------------------------------------------
+
+def average_diameter(arr: Arrangement) -> Fraction:
+    """Exact mean of bounded-cell diameters."""
+    return census(arr).delta
+
+
 def external_face_count(arr: Arrangement) -> int:
     """Bounded (d-1)-faces incident to exactly one bounded cell."""
     if arr.dim not in (2, 3):
         raise UnsupportedDimensionError("external faces are defined for d in {2, 3}")
-    return _facet_counts(arr, *_enumerate(arr))[1]
+    return census(arr).f_external
 
 
 def p_odd_count(arr: Arrangement) -> int:
     """Bounded cells with an odd number of edges (equivalently vertices)."""
     if arr.dim != 2:
         raise UnsupportedDimensionError("odd-cell counting is defined for d = 2")
-    _, edges, cells = _enumerate(arr)
-    return sum(1 for cell in cells if len(cell.vertex_ids) % 2 == 1)
+    return census(arr).p_odd
 
 
 # ---------------------------------------------------------------------------

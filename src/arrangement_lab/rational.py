@@ -34,41 +34,10 @@ def vector(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
 
 
-def matrix(rows: Iterable[Iterable]) -> Mat:
-    """Coerce nested iterables into a rectangular tuple-of-tuples matrix."""
-    converted = tuple(vector(row) for row in rows)
-    if converted:
-        width = len(converted[0])
-        for row in converted:
-            if len(row) != width:
-                raise DimensionMismatchError("inconsistent row widths")
-    return converted
-
-
-def identity_matrix(d: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
-    )
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatchError(f"dot of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise DimensionMismatchError("vector addition length mismatch")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(u: Vec, c: Fraction) -> Vec:
-    return tuple(a * c for a in u)
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
 
 
 def integer_row(values: Sequence) -> IntRow:

@@ -180,8 +180,13 @@ def construction_census(
     return census(built.arrangement, metadata=built.metadata())
 
 
-def default_instances() -> list[tuple]:
-    """(family, d, n, seed, bound) keys of every default-grid arrangement."""
+def default_instances(
+    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
+    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
+    bound: int = RANDOM_COEFF_BOUND,
+) -> list[tuple]:
+    """(family, d, n, seed, bound) keys of every default-grid construction
+    and of the random pools, each key once, in first-seen order."""
     instances: list[tuple] = []
     for n in P1_RANGE:
         instances.append(("ao2", 2, n, None, None))
@@ -191,21 +196,11 @@ def default_instances() -> list[tuple]:
         instances.append(("cyclic", d, d + 2, None, None))
     for d, n in P6_GRID:
         instances.append(("cyclic", d, n, None, None))
-    for n, seed in RANDOM_2D_POOL:
-        instances.append(("random", 2, n, seed, RANDOM_COEFF_BOUND))
-    for n, seed in RANDOM_3D_POOL:
-        instances.append(("random", 3, n, seed, RANDOM_COEFF_BOUND))
-    seen = set()
-    unique = []
-    for key in instances:
-        if key not in seen:
-            seen.add(key)
-            unique.append(key)
-    return unique
-
-
-def _census_by_label(report: CensusReport) -> dict[str, int]:
-    return {cls.label: count for cls, count in sorted(report.class_counts.items())}
+    for n, seed in random_2d:
+        instances.append(("random", 2, n, seed, bound))
+    for n, seed in random_3d:
+        instances.append(("random", 3, n, seed, bound))
+    return list(dict.fromkeys(instances))
 
 
 def _labels(counts: dict[CellClass, int]) -> dict[str, int]:
@@ -216,6 +211,63 @@ def _identity_residual(report: CensusReport) -> Fraction:
     """I*delta - (2 f1 - f1_0 - p_odd)/2; zero exactly when the identity holds."""
     rhs = Fraction(2 * report.f_bounded - report.f_external - report.p_odd, 2)
     return report.cell_count * report.delta - rhs
+
+
+# ---------------------------------------------------------------------------
+# result shapes
+# ---------------------------------------------------------------------------
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _census_result(
+    prop: str,
+    params: dict,
+    report: CensusReport,
+    expected_counts: dict[CellClass, int],
+    delta: Fraction,
+    notes: Sequence[str] = (),
+) -> VerificationResult:
+    """Compare the census, delta and cell count C(n-1, d) of a report with
+    their closed forms."""
+    cell_count = comb(report.n - 1, report.dim)
+    ok = (
+        report.class_counts == expected_counts
+        and report.delta == delta
+        and report.cell_count == cell_count
+    )
+    return VerificationResult(
+        prop,
+        params,
+        {"census": _labels(expected_counts), "delta": delta, "cell_count": cell_count},
+        {
+            "census": _labels(report.class_counts),
+            "delta": report.delta,
+            "cell_count": report.cell_count,
+        },
+        _verdict(ok),
+        list(notes),
+    )
+
+
+def _violations_result(
+    prop: str,
+    params: dict,
+    failures: list[str],
+    expected: Optional[dict] = None,
+    computed: Optional[dict] = None,
+) -> VerificationResult:
+    """A check that counts its violations and notes the first ten; `expected`
+    and `computed` add context keys beside the count."""
+    return VerificationResult(
+        prop,
+        params,
+        {"violations": 0, **(expected or {})},
+        {"violations": len(failures), **(computed or {})},
+        _verdict(not failures),
+        failures[:10],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +292,7 @@ def verify_identity_2d(arr: Arrangement) -> VerificationResult:
             "p_odd": report.p_odd,
             "delta": report.delta,
         },
-        verdict="pass" if ok else "fail",
+        verdict=_verdict(ok),
     )
 
 
@@ -248,23 +300,7 @@ def _verify_p1(n: int) -> VerificationResult:
     if n < 4:
         raise InputError("P1 requires n >= 4")
     report = construction_census("ao2", 2, n, None, None)
-    expected_counts = expected_census_2d(n)
-    expected = {
-        "census": _labels(expected_counts),
-        "delta": delta_formula_2d(n),
-        "cell_count": comb(n - 1, 2),
-    }
-    computed = {
-        "census": _census_by_label(report),
-        "delta": report.delta,
-        "cell_count": report.cell_count,
-    }
-    ok = (
-        report.class_counts == expected_counts
-        and report.delta == expected["delta"]
-        and report.cell_count == expected["cell_count"]
-    )
-    return VerificationResult("P1", {"n": n}, expected, computed, "pass" if ok else "fail")
+    return _census_result("P1", {"n": n}, report, expected_census_2d(n), delta_formula_2d(n))
 
 
 def _verify_p2(n: int) -> VerificationResult:
@@ -287,7 +323,7 @@ def _verify_p2(n: int) -> VerificationResult:
         "identity_residual": _identity_residual(report),
     }
     ok = all(computed[key] == expected[key] for key in expected)
-    return VerificationResult("P2", {"n": n}, expected, computed, "pass" if ok else "fail")
+    return VerificationResult("P2", {"n": n}, expected, computed, _verdict(ok))
 
 
 def _verify_p2_random(pool: Sequence[tuple[int, int]], bound: int) -> VerificationResult:
@@ -304,14 +340,7 @@ def _verify_p2_random(pool: Sequence[tuple[int, int]], bound: int) -> Verificati
             failures.append(f"triangles n={n} seed={seed}")
         if report.f_external < 2 * (n - 1):
             failures.append(f"external n={n} seed={seed}")
-    return VerificationResult(
-        prop="P2",
-        params={"pool": "random-2d", "instances": len(pool)},
-        expected={"violations": 0},
-        computed={"violations": len(failures)},
-        verdict="pass" if not failures else "fail",
-        notes=failures[:10],
-    )
+    return _violations_result("P2", {"pool": "random-2d", "instances": len(pool)}, failures)
 
 
 def _verify_p3(n: int) -> VerificationResult:
@@ -330,7 +359,7 @@ def _verify_p3(n: int) -> VerificationResult:
             "n=6 closed form: 19/10; documented alternative value: 1.8 (= 9/5)",
             f"enumerated delta of the ao3 arrangement: {report.delta}",
             f"enumerated delta of the cyclic star with 6 planes: {star.delta}",
-            f"enumerated ao3 census: {_census_by_label(report)}",
+            f"enumerated ao3 census: {_labels(report.class_counts)}",
         ]
         if not ok:
             notes.append("deviation: enumerated delta differs from the closed form")
@@ -338,33 +367,17 @@ def _verify_p3(n: int) -> VerificationResult:
             "P3",
             {"n": n},
             {"delta": delta_expected},
-            {"delta": report.delta, "census": _census_by_label(report)},
-            "pass" if ok else "fail",
+            {"delta": report.delta, "census": _labels(report.class_counts)},
+            _verdict(ok),
             notes,
         )
-    expected_counts = expected_census_3d(n)
-    expected = {
-        "census": _labels(expected_counts),
-        "delta": delta_expected,
-        "cell_count": comb(n - 1, 3),
-    }
-    computed = {
-        "census": _census_by_label(report),
-        "delta": report.delta,
-        "cell_count": report.cell_count,
-    }
-    ok = (
-        report.class_counts == expected_counts
-        and report.delta == delta_expected
-        and report.cell_count == expected["cell_count"]
-    )
     notes = []
     if n == 5:
         notes.append(
             "the 5-facet shell cell has a prism's counts and skeleton, so it is"
             " classified with the simplex products"
         )
-    return VerificationResult("P3", {"n": n}, expected, computed, "pass" if ok else "fail", notes)
+    return _census_result("P3", {"n": n}, report, expected_census_3d(n), delta_expected, notes)
 
 
 def _p4_checks(report: CensusReport) -> list[str]:
@@ -396,20 +409,17 @@ def _verify_p4(n: int) -> VerificationResult:
         raise InputError("P4 requires n >= 5 (the bound fails below that: a lone"
                          " simplex already beats it at n = 4)")
     report = construction_census("ao3", 3, n, None, None)
-    failures = _p4_checks(report)
-    return VerificationResult(
-        prop="P4",
-        params={"n": n},
-        expected={"violations": 0, "upper_bound": prop4_upper_bound(n)},
+    return _violations_result(
+        "P4",
+        {"n": n},
+        _p4_checks(report),
+        expected={"upper_bound": prop4_upper_bound(n)},
         computed={
-            "violations": len(failures),
             "delta": report.delta,
             "f2": report.f_bounded,
             "f2_external": report.f_external,
             "simplices": simplex_count(report),
         },
-        verdict="pass" if not failures else "fail",
-        notes=failures,
     )
 
 
@@ -419,14 +429,7 @@ def _verify_p4_random(pool: Sequence[tuple[int, int]], bound: int) -> Verificati
         report = construction_census("random", 3, n, seed, bound)
         for what in _p4_checks(report):
             failures.append(f"n={n} seed={seed}: {what}")
-    return VerificationResult(
-        prop="P4",
-        params={"pool": "random-3d", "instances": len(pool)},
-        expected={"violations": 0},
-        computed={"violations": len(failures)},
-        verdict="pass" if not failures else "fail",
-        notes=failures[:10],
-    )
+    return _violations_result("P4", {"pool": "random-3d", "instances": len(pool)}, failures)
 
 
 def _verify_p5(d: int) -> VerificationResult:
@@ -434,23 +437,9 @@ def _verify_p5(d: int) -> VerificationResult:
         raise InputError("P5 requires d >= 2")
     n = d + 2
     report = construction_census("cyclic", d, n, None, None)
-    expected_counts = expected_census_dplus2(d)
-    expected = {
-        "census": _labels(expected_counts),
-        "delta": Fraction(2 * d, d + 1),
-        "cell_count": d + 1,
-    }
-    computed = {
-        "census": _census_by_label(report),
-        "delta": report.delta,
-        "cell_count": report.cell_count,
-    }
-    ok = (
-        report.class_counts == expected_counts
-        and report.delta == expected["delta"]
-        and report.cell_count == d + 1
+    return _census_result(
+        "P5", {"d": d, "n": n}, report, expected_census_dplus2(d), Fraction(2 * d, d + 1)
     )
-    return VerificationResult("P5", {"d": d, "n": n}, expected, computed, "pass" if ok else "fail")
 
 
 def _verify_p6(d: int, n: int) -> VerificationResult:
@@ -464,7 +453,7 @@ def _verify_p6(d: int, n: int) -> VerificationResult:
     notes = []
     if d == 2:
         notes.append("in the plane the cubical cells are the quadrilaterals")
-    return VerificationResult("P6", {"d": d, "n": n}, expected, computed, "pass" if ok else "fail", notes)
+    return VerificationResult("P6", {"d": d, "n": n}, expected, computed, _verdict(ok), notes)
 
 
 def _verify_p7(d: int, n: int) -> VerificationResult:
@@ -495,7 +484,7 @@ def _verify_p7(d: int, n: int) -> VerificationResult:
             " (n-d)(n-d-1) double-counts and the bound overshoots; the honest"
             " counts are reported instead"
         )
-    return VerificationResult("P7", {"d": d, "n": n}, expected, computed, "pass" if ok else "fail", notes)
+    return VerificationResult("P7", {"d": d, "n": n}, expected, computed, _verdict(ok), notes)
 
 
 def _verify_hirsch(instances: Sequence[tuple]) -> VerificationResult:
@@ -508,14 +497,7 @@ def _verify_hirsch(instances: Sequence[tuple]) -> VerificationResult:
         tested += 1
         if report.delta > hirsch_bound(d, n):
             failures.append(f"{family} d={d} n={n} seed={seed}")
-    return VerificationResult(
-        prop="H",
-        params={"instances": tested},
-        expected={"violations": 0},
-        computed={"violations": len(failures)},
-        verdict="pass" if not failures else "fail",
-        notes=failures[:10],
-    )
+    return _violations_result("H", {"instances": tested}, failures)
 
 
 def _verify_simplex_floor(instances: Sequence[tuple]) -> VerificationResult:
@@ -524,14 +506,7 @@ def _verify_simplex_floor(instances: Sequence[tuple]) -> VerificationResult:
         report = construction_census(family, d, n, seed, bound)
         if simplex_count(report) < n - d:
             failures.append(f"{family} d={d} n={n} seed={seed}")
-    return VerificationResult(
-        prop="S",
-        params={"instances": len(instances)},
-        expected={"violations": 0},
-        computed={"violations": len(failures)},
-        verdict="pass" if not failures else "fail",
-        notes=failures[:10],
-    )
+    return _violations_result("S", {"instances": len(instances)}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +551,9 @@ def run_suite(
 
     `ranges` ({"n": [...]} and/or {"d": [...]}) restricts the grid and is only
     accepted when a single proposition other than H or S is selected; the
-    default grids are the documented acceptance grids.
+    default grids are the documented acceptance grids.  The random pools and
+    their coefficient bound feed P2, P4, H and S; H and S check them beside
+    every default-grid construction.
     """
     requested = {p.upper() for p in props}
     if "ALL" in requested:
@@ -587,7 +564,10 @@ def run_suite(
     if ranges and len(requested) != 1:
         raise InputError("--range requires exactly one proposition")
     if ranges and requested <= {"H", "S"}:
-        raise InputError("--range does not apply to H or S: they always check the default instances")
+        raise InputError(
+            "--range does not apply to H or S: they check the default instances"
+            " built from the random pools in use"
+        )
 
     ns = list(ranges.get("n", ())) if ranges else []
     ds = list(ranges.get("d", ())) if ranges else []
@@ -616,7 +596,7 @@ def run_suite(
     if "P7" in requested:
         for d, n in _pair_grid(ds, ns, P7_GRID):
             results.append(_verify_p7(d, n))
-    instances = default_instances()
+    instances = default_instances(random_2d, random_3d, bound)
     if "H" in requested:
         results.append(_verify_hirsch(instances))
     if "S" in requested:

@@ -19,10 +19,10 @@ from arrangement_lab.arrangement import (
     ArrangementEdge,
     SignVector,
     Vertex,
-    evaluate_sign,
 )
 from arrangement_lab.errors import InternalConsistencyError
-from arrangement_lab.rational import Vec, vec_add, vec_scale
+from arrangement_lab.rational import Vec
+from oracle_arithmetic import evaluate_sign, vec_add, vec_scale
 
 
 def _neg(u: Vec) -> Vec:

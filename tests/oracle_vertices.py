@@ -19,10 +19,10 @@ from arrangement_lab.arrangement import (
     Arrangement,
     SimplicityReport,
     Vertex,
-    evaluate_sign,
 )
 from arrangement_lab.errors import NotSimpleError
 from arrangement_lab.rational import Vec
+from oracle_arithmetic import evaluate_sign
 
 
 def solve_by_fractions(m, rhs) -> Optional[Vec]:

@@ -152,6 +152,17 @@ def test_verify_seeds_override(tmp_path):
     assert pool_rows[0]["params"]["instances"] == 1
 
 
+def test_verify_hirsch_and_floor_check_the_seeds_pools(tmp_path):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"d2": [[5, 3]], "d3": [[5, 1]]}))
+    out = tmp_path / "s.json"
+    assert run(["verify", "--prop", "H", "--prop", "S", "--seeds", seeds, "--out", out]) == 0
+    by_prop = {r["prop"]: r for r in json.loads(out.read_text())["results"]}
+    # 28 constructed instances (21 of them in d = 2, 3) plus the two random ones
+    assert by_prop["H"]["params"]["instances"] == 23
+    assert by_prop["S"]["params"]["instances"] == 30
+
+
 def test_verify_summary_records_the_pools_used(tmp_path):
     seeds = tmp_path / "seeds.json"
     seeds.write_text(json.dumps({"d2": [[5, 3]]}))

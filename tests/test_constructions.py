@@ -13,7 +13,6 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
-    evaluate_sign,
 )
 from arrangement_lab.cells import build_cell_records, polygon, simplex, simplex_product
 from arrangement_lab.constructions import (
@@ -25,6 +24,7 @@ from arrangement_lab.constructions import (
 )
 from arrangement_lab.errors import InputError
 from arrangement_lab.jsonio import arrangement_to_obj, canonical_dumps
+from oracle_arithmetic import evaluate_sign
 from oracle_vertices import check_simple_by_fractions
 
 ZERO = Fraction(0)

@@ -35,6 +35,7 @@ CENSUS_DIGESTS = {
 SVG_DIGEST = ("ao2-6", "43aa6986c504dbaa0fd5d4ffd470c4da76af901b064b9d21d5ceac34b8c952c5")
 OFF_CELL = "+++++-"  # the 6-facet shell
 OFF_DIGEST = ("ao3-6", "5fedf4362628826401401234085c619c46e258a075b5c070c179e193fd9ae1db")
+SUMMARY_DIGEST = "7312f99cf0b5c63dfbbdc091932928faf65e923fd9fc354de6d1cf2ec6ea273c"
 
 
 def _sha256(path) -> str:
@@ -67,3 +68,9 @@ def test_off_cell_is_pinned(tmp_path):
     assert main(["export", str(_input(tmp_path, name)), "--format", "off",
                  f"--cell={OFF_CELL}", "--out", str(out)]) == 0
     assert _sha256(out) == digest
+
+
+def test_verify_summary_is_pinned(tmp_path):
+    out = tmp_path / "summary.json"
+    assert main(["verify", "--prop", "all", "--out", str(out)]) == 0
+    assert _sha256(out) == SUMMARY_DIGEST

@@ -11,16 +11,14 @@ from arrangement_lab.errors import DimensionMismatchError
 from arrangement_lab.rational import (
     decimal_display,
     format_rational,
-    identity_matrix,
     integer_row,
-    mat_vec,
-    matrix,
     parse_rational,
     sign_affine,
     solve_integer_system,
     solve_linear_system,
     vector,
 )
+from oracle_arithmetic import identity_matrix, mat_vec, matrix
 
 
 def cofactor_determinant(m):
