@@ -21,7 +21,7 @@ from .arrangement import (
     enumerate_edges,
     enumerate_vertices,
     hyperplane,
-    require_simple,
+    line_steps,
     restrict_to_hyperplane,
 )
 from .cells import (

@@ -8,8 +8,9 @@ with the other's on every coordinate where the smaller face is not tight.
 
 One walk finds the bounded faces of every dimension.  Dropping one of a
 vertex's d tight hyperplanes leaves a line through it, and the segment or
-ray on that line to either side of the dropped hyperplane is a step; the
-step table comes from the segments of `enumerate_edges`.  Lexicographic
+ray on that line to either side of the dropped hyperplane is a step;
+`line_steps` reads the step table off the segments of `enumerate_edges`,
+once per census, and the walk and the cell skeletons share it.  Lexicographic
 order on points is a generic linear order, so a bounded face has exactly
 one lex-min vertex, and every edge of the face leaves it upward.  At each
 vertex and for each c of its zeros kept zero, setting the other zeros to
@@ -55,6 +56,7 @@ from .rational import (
 
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
+Steps = list[dict[int, list]]  # steps[v][k] = [w-, w+, up], from `line_steps`
 
 
 @dataclass(frozen=True)
@@ -157,17 +159,12 @@ class Restriction:
     excluded: tuple[int, ...]   # parallel hyperplanes (empty for simple input)
 
 
-def require_simple(arr: Arrangement) -> None:
-    """Raise NotSimpleError (with the report attached) unless arr is simple."""
-    for _ in _subset_points(arr, _integer_rows(arr)):
-        pass
-
-
 def check_simple(arr: Arrangement) -> SimplicityReport:
     """Decide simplicity by the definition: n >= d+1, every d-subset of
     hyperplanes meets in a unique point, and all such points are distinct."""
     try:
-        require_simple(arr)
+        for _ in _subset_points(arr, _integer_rows(arr)):
+            pass
     except NotSimpleError as exc:
         return exc.report
     return SimplicityReport(True)
@@ -278,8 +275,9 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     return edges
 
 
-def _step_table(vertices: list[Vertex], edges: list[ArrangementEdge]) -> list[dict[int, list]]:
-    """Every vertex's line steps, read off the segments.
+def line_steps(vertices: list[Vertex], edges: list[ArrangementEdge]) -> Steps:
+    """Every vertex's line steps, read off the segments: the table that the
+    face walk and the cell skeletons read, built once per census.
 
     `steps[v][k]` is [w-, w+, up] for each k tight at v: the neighbours of v
     on the line that drops k, on the - and the + side of k (None where a ray
@@ -301,7 +299,7 @@ def _step_table(vertices: list[Vertex], edges: list[ArrangementEdge]) -> list[di
     return steps
 
 
-def _walk(steps: list[dict[int, list]], start: int, face: SignVector) -> Optional[list[int]]:
+def _walk(steps: Steps, start: int, face: SignVector) -> Optional[list[int]]:
     """The vertices of `face`, in increasing order, reached from `start`,
     which must lie in its closure, by the steps toward the face's side of
     every hyperplane it is not on; None as soon as a step is a ray, i.e.
@@ -320,7 +318,7 @@ def _walk(steps: list[dict[int, list]], start: int, face: SignVector) -> Optiona
 
 
 def _bounded_faces(
-    vertices: list[Vertex], edges: list[ArrangementEdge], codim: int
+    vertices: list[Vertex], steps: Steps, codim: int
 ) -> dict[SignVector, list[int]]:
     """Bounded faces of codimension `codim`, as {signature: vertex ids}.
 
@@ -331,7 +329,6 @@ def _bounded_faces(
     from its own minimum; a candidate whose walk reaches a ray is unbounded
     and dropped.  Vertex ids come in increasing order.
     """
-    steps = _step_table(vertices, edges)
     faces: dict[SignVector, list[int]] = {}
     for vid, v in enumerate(vertices):
         for kept in itertools.combinations(v.tight_set, codim):
@@ -346,12 +343,12 @@ def _bounded_faces(
 
 
 def enumerate_bounded_cells(
-    arr: Arrangement, vertices: list[Vertex], edges: list[ArrangementEdge]
+    arr: Arrangement, vertices: list[Vertex], steps: Steps
 ) -> list[BoundedCell]:
     """Bounded cells, the zero-free bounded faces, sorted by signature.
     The count must equal C(n-1, d)."""
     d, n = arr.dim, arr.n
-    members = _bounded_faces(vertices, edges, 0)
+    members = _bounded_faces(vertices, steps, 0)
     expected = comb(n - 1, d)
     if len(members) != expected:
         raise InternalConsistencyError(
@@ -405,7 +402,7 @@ def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:
 
 
 def enumerate_bounded_facets(
-    arr: Arrangement, vertices: list[Vertex], edges: list[ArrangementEdge]
+    arr: Arrangement, vertices: list[Vertex], steps: Steps
 ) -> list[FacetRecord]:
     """All bounded (d-1)-faces, sorted by carrier and then signature.
 
@@ -414,7 +411,7 @@ def enumerate_bounded_facets(
     """
     d, n = arr.dim, arr.n
     records: list[FacetRecord] = []
-    for sig in _bounded_faces(vertices, edges, 1):
+    for sig in _bounded_faces(vertices, steps, 1):
         carrier = sig.index(0)
         records.append(FacetRecord(
             carrier, sig, (_with_sign(sig, carrier, -1), _with_sign(sig, carrier, 1))

@@ -1,9 +1,10 @@
 """Per-cell analytics: skeleton graphs, diameters, f-counts, classification.
 
-Skeletons come from the vertex line steps, the table that the face walk in
-`arrangement` also reads.  A vertex v is tight on d hyperplanes; dropping
-one of them, k, leaves a line through v, and the segment or ray on that line
-leaving v to side s of hyperplane k is v's step (k, s).  A bounded cell's
+Skeletons come from the vertex line steps, the table that
+`arrangement.line_steps` builds once per census and the face walk also
+reads.  A vertex v is tight on d hyperplanes; dropping one of them, k,
+leaves a line through v, and the segment or ray on that line leaving v to
+side s of hyperplane k is v's step (k, s).  A bounded cell's
 closure is a simple polytope whose edge at v on that line is the one on the
 cell's side of k, so the skeleton of cell C is v -> {step (k, C[k]) for k
 tight at v}, one table lookup per edge end.
@@ -27,7 +28,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, ArrangementEdge, BoundedCell, Vertex, _step_table
+from .arrangement import Arrangement, BoundedCell, Steps, Vertex
 from .errors import InternalConsistencyError
 
 Adjacency = dict[int, tuple[int, ...]]
@@ -93,11 +94,9 @@ class CellRecord:
 # skeletons
 # ---------------------------------------------------------------------------
 
-def skeletons_for_cells(
-    cells: list[BoundedCell], vertices: list[Vertex], edges: list[ArrangementEdge], dim: int
-) -> list[Adjacency]:
+def skeletons_for_cells(cells: list[BoundedCell], steps: Steps, dim: int) -> list[Adjacency]:
     """Skeletons of all cells in one pass, by direct lookup in the step table
-    of `arrangement._step_table`, where `steps[v][k][s > 0]` is v's
+    of `arrangement.line_steps`, where `steps[v][k][s > 0]` is v's
     neighbour on the line that drops k, on side s of k, or None for a ray.
 
     The closure of a bounded cell C is a simple polytope, so at each of its
@@ -107,7 +106,6 @@ def skeletons_for_cells(
     signature, when a step is missing or leaves C, when C has fewer than d+1
     vertices, or when its skeleton is disconnected.
     """
-    steps = _step_table(vertices, edges)
     skeletons = []
     for cell in cells:
         signature, members = cell.signature, set(cell.vertex_ids)
@@ -385,11 +383,11 @@ def canonical_form(adj: Adjacency) -> tuple:
 def build_cell_records(
     arr: Arrangement,
     vertices: list[Vertex],
-    edges: list[ArrangementEdge],
+    steps: Steps,
     cells: list[BoundedCell],
 ) -> list[CellRecord]:
     records = []
-    for cell, adj in zip(cells, skeletons_for_cells(cells, vertices, edges, arr.dim)):
+    for cell, adj in zip(cells, skeletons_for_cells(cells, steps, arr.dim)):
         v, e, f = cell_f_counts(cell, vertices, adj)
         if arr.dim == 3 and (v - e + f != 2 or 2 * e != 3 * v):
             raise InternalConsistencyError(

@@ -17,6 +17,7 @@ from .arrangement import (
     enumerate_bounded_facets,
     enumerate_edges,
     enumerate_vertices,
+    line_steps,
 )
 from .cells import (
     CellClass,
@@ -47,17 +48,24 @@ class CensusReport:
 
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     """Full aggregate over the bounded cells of a simple arrangement; vertex
-    enumeration raises NotSimpleError for any other input."""
+    enumeration raises NotSimpleError for any other input.  The line-step
+    table is built once and read by the cell walk, the skeletons and the
+    facet walk."""
     vertices = enumerate_vertices(arr)
-    edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, edges)
-    records = build_cell_records(arr, vertices, edges, cells)
+    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    cells = enumerate_bounded_cells(arr, vertices, steps)
+    records = build_cell_records(arr, vertices, steps, cells)
     counts = Counter(rec.cell_class for rec in records)
     delta = Fraction(sum(rec.diameter for rec in records), len(records))
 
-    f_bounded = f_external = p_odd = None   # read by P2 and P4 only; None for d >= 4
+    # bounded (d-1)-faces, and those incident to exactly one bounded cell;
+    # read by P2 and P4 only, and None for d >= 4
+    f_bounded = f_external = p_odd = None
     if arr.dim in (2, 3):
-        f_bounded, f_external = _facet_counts(arr, vertices, edges, cells)
+        facets = enumerate_bounded_facets(arr, vertices, steps)
+        bounded = {cell.signature for cell in cells}
+        f_bounded = len(facets)
+        f_external = sum(sum(sig in bounded for sig in rec.incident) == 1 for rec in facets)
     if arr.dim == 2:
         p_odd = sum(1 for rec in records if rec.vertex_count % 2 == 1)
 
@@ -74,16 +82,6 @@ def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
         records=records,
         metadata=metadata or {},
     )
-
-
-def _facet_counts(arr: Arrangement, vertices, edges, cells) -> tuple[int, int]:
-    """Bounded (d-1)-faces, and those incident to exactly one bounded cell."""
-    bounded_sigs = {cell.signature for cell in cells}
-    facets = enumerate_bounded_facets(arr, vertices, edges)
-    external = sum(
-        1 for rec in facets if sum(sig in bounded_sigs for sig in rec.incident) == 1
-    )
-    return len(facets), external
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,8 @@ def _cmd_verify(args) -> int:
 def _cmd_export(args) -> int:
     arr, _ = load_arrangement(args.input)
     if args.format == "svg":
+        if args.cell is not None:
+            raise InputError("--cell applies only to --format off")
         text = render_svg(arr)
     else:
         if args.cell is None:

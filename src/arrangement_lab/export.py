@@ -13,11 +13,11 @@ from fractions import Fraction
 from .arrangement import (
     Arrangement,
     BoundedCell,
-    _step_table,
     _walk,
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
+    line_steps,
 )
 from .cells import build_cell_records
 from .errors import InputError, UnsupportedDimensionError
@@ -57,9 +57,9 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     if arr.dim != 2:
         raise UnsupportedDimensionError("SVG export requires a 2-dimensional arrangement")
     vertices = enumerate_vertices(arr)
-    edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, edges)
-    records = build_cell_records(arr, vertices, edges, cells)
+    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    cells = enumerate_bounded_cells(arr, vertices, steps)
+    records = build_cell_records(arr, vertices, steps, cells)
 
     xs = [v.point[0] for v in vertices]
     ys = [v.point[1] for v in vertices]
@@ -144,13 +144,13 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
         raise InputError(
             f"signature length {len(signature)} does not match n = {arr.n}"
         )
-    edges = enumerate_edges(arr, vertices)
+    steps = line_steps(vertices, enumerate_edges(arr, vertices))
     start = next((vid for vid, v in enumerate(vertices) if 0 not in signature
                   and all(s in (0, c) for s, c in zip(v.sign_vector, signature))), None)
-    vids = start is not None and _walk(_step_table(vertices, edges), start, signature)
+    vids = start is not None and _walk(steps, start, signature)
     if not vids:
         raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
-    (record,) = build_cell_records(arr, vertices, edges, [BoundedCell(signature, tuple(vids))])
+    (record,) = build_cell_records(arr, vertices, steps, [BoundedCell(signature, tuple(vids))])
     adj = record.adjacency_dict()
 
     local = {vid: i for i, vid in enumerate(vids)}

@@ -64,6 +64,11 @@ P6_GRID = ((2, 6), (2, 8), (3, 6), (3, 8), (4, 8), (4, 9), (5, 10), (5, 11))
 P7_GRID = tuple(pair for pair in P6_GRID if pair[0] >= 3)
 
 PROP_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "H", "S")
+# the --range keys each gridded check takes; H and S take none
+RANGE_KEYS = {
+    "P1": ("n",), "P2": ("n",), "P3": ("n",), "P4": ("n",), "P5": ("d",),
+    "P6": ("d", "n"), "P7": ("d", "n"),
+}
 
 
 @dataclass
@@ -275,9 +280,9 @@ def _violations_result(
 # ---------------------------------------------------------------------------
 
 def verify_identity_2d(arr: Arrangement) -> VerificationResult:
-    report = census(arr)
-    if report.dim != 2:
+    if arr.dim != 2:
         raise InputError("the edge identity is defined for d = 2")
+    report = census(arr)
     residual = _identity_residual(report)
     f1_expected = report.n * (report.n - 2)
     ok = residual == 0 and report.f_bounded == f1_expected
@@ -550,10 +555,11 @@ def run_suite(
     """Run the requested checks over their grids, in id order.
 
     `ranges` ({"n": [...]} and/or {"d": [...]}) restricts the grid and is only
-    accepted when a single proposition other than H or S is selected; the
-    default grids are the documented acceptance grids.  The random pools and
-    their coefficient bound feed P2, P4, H and S; H and S check them beside
-    every default-grid construction.
+    accepted when a single proposition other than H or S is selected, with
+    keys that proposition takes (`RANGE_KEYS`), and when it leaves at least
+    one instance; the default grids are the documented acceptance grids.
+    The random pools and their coefficient bound feed P2, P4, H and S; H and
+    S check them beside every default-grid construction.
     """
     requested = {p.upper() for p in props}
     if "ALL" in requested:
@@ -568,6 +574,14 @@ def run_suite(
             "--range does not apply to H or S: they check the default instances"
             " built from the random pools in use"
         )
+    if ranges:
+        (prop,) = requested
+        for key in sorted(ranges):
+            if key not in RANGE_KEYS[prop]:
+                takes = " or ".join(RANGE_KEYS[prop])
+                raise InputError(
+                    f"--range key {key!r} does not apply to {prop}, which takes {takes}"
+                )
 
     ns = list(ranges.get("n", ())) if ranges else []
     ds = list(ranges.get("d", ())) if ranges else []
@@ -590,12 +604,9 @@ def run_suite(
     if "P5" in requested:
         for d in ds or P5_RANGE:
             results.append(_verify_p5(d))
-    if "P6" in requested:
-        for d, n in _pair_grid(ds, ns, P6_GRID):
-            results.append(_verify_p6(d, n))
-    if "P7" in requested:
-        for d, n in _pair_grid(ds, ns, P7_GRID):
-            results.append(_verify_p7(d, n))
+    for prop, check, grid in (("P6", _verify_p6, P6_GRID), ("P7", _verify_p7, P7_GRID)):
+        if prop in requested:
+            results.extend(check(d, n) for d, n in _pair_grid(prop, ds, ns, grid))
     instances = default_instances(random_2d, random_3d, bound)
     if "H" in requested:
         results.append(_verify_hirsch(instances))
@@ -604,11 +615,14 @@ def run_suite(
     return SuiteSummary(results, all(r.passed for r in results), random_2d, random_3d, bound)
 
 
-def _pair_grid(ds: list[int], ns: list[int], default: tuple) -> list[tuple[int, int]]:
-    if not ds and not ns:
-        return list(default)
+def _pair_grid(prop: str, ds: list[int], ns: list[int], default: tuple) -> list[tuple[int, int]]:
+    """The (d, n) pairs of a P6/P7 grid: every pair with n >= 2d when `ds`
+    and `ns` are both given, else the default pairs that the one given (or
+    neither) admits; raises InputError when that leaves none."""
     if ds and ns:
-        return [(d, n) for d in ds for n in ns if n >= 2 * d]
-    if ds:
-        return [(d, n) for d, n in default if d in ds]
-    return [(d, n) for d, n in default if n in ns]
+        pairs = [(d, n) for d in ds for n in ns if n >= 2 * d]
+    else:
+        pairs = [(d, n) for d, n in default if (not ds or d in ds) and (not ns or n in ns)]
+    if not pairs:
+        raise InputError(f"--range leaves the {prop} grid empty: no (d, n) pair to check")
+    return pairs

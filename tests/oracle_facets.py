@@ -20,6 +20,7 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
+    line_steps,
     restrict_to_hyperplane,
 )
 from arrangement_lab.errors import InternalConsistencyError, UnsupportedDimensionError
@@ -50,7 +51,9 @@ def enumerate_bounded_facets_by_restriction(arr: Arrangement) -> list[Restricted
         restriction = restrict_to_hyperplane(arr, i)
         sub_vertices = enumerate_vertices(restriction.arrangement)
         sub_edges = enumerate_edges(restriction.arrangement, sub_vertices)
-        sub_cells = enumerate_bounded_cells(restriction.arrangement, sub_vertices, sub_edges)
+        sub_cells = enumerate_bounded_cells(
+            restriction.arrangement, sub_vertices, line_steps(sub_vertices, sub_edges)
+        )
         for cell in sub_cells:
             full = [0] * n
             for pos, orig in enumerate(restriction.kept):

@@ -15,6 +15,7 @@ from arrangement_lab.arrangement import (
     enumerate_edges,
     enumerate_vertices,
     hyperplane,
+    line_steps,
     restrict_to_hyperplane,
 )
 from arrangement_lab.constructions import (
@@ -30,7 +31,7 @@ from oracle_arithmetic import embed, evaluate_sign
 def enumerate_all(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, edges)
+    cells = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
     return vertices, edges, cells
 
 
@@ -387,7 +388,7 @@ def test_restriction_requires_dim_three():
 
 def facets_of(arr):
     vertices, edges, _ = enumerate_all(arr)
-    return enumerate_bounded_facets(arr, vertices, edges)
+    return enumerate_bounded_facets(arr, vertices, line_steps(vertices, edges))
 
 
 def test_facet_counts_3d():

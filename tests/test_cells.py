@@ -1,14 +1,18 @@
 """Skeletons, diameters, f-counts, combinatorial classification."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrangement_lab.arrangement import (
     Arrangement,
+    BoundedCell,
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
+    line_steps,
 )
 from arrangement_lab.cells import (
     build_cell_records,
@@ -27,14 +31,16 @@ from arrangement_lab.cells import (
     skeletons_for_cells,
 )
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
+from arrangement_lab.errors import InternalConsistencyError
 from oracle_skeleton import cell_diameter as oracle_cell_diameter, cell_skeleton
 
 
 def records_of(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, edges)
-    return build_cell_records(arr, vertices, edges, cells), vertices, edges, cells
+    cells = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
+    records = build_cell_records(arr, vertices, line_steps(vertices, edges), cells)
+    return records, vertices, edges, cells
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +75,7 @@ def test_triangle_cell_skeleton_is_three_cycle():
     arr = build_cyclic_star(2, 3).arrangement
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    (cell,) = enumerate_bounded_cells(arr, vertices, edges)
+    (cell,) = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
     adj = cell_skeleton(cell, edges, arr.dim)
     assert len(adj) == 3
     assert all(len(nbrs) == 2 for nbrs in adj.values())
@@ -80,10 +86,27 @@ def test_batch_skeletons_match_single_cell_skeletons():
     arr = build_ao3(5).arrangement
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, edges)
-    batch = skeletons_for_cells(cells, vertices, edges, arr.dim)
+    cells = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
+    batch = skeletons_for_cells(cells, line_steps(vertices, edges), arr.dim)
     for cell, adj in zip(cells, batch):
         assert adj == cell_skeleton(cell, edges, arr.dim)
+
+
+def test_skeleton_guards_name_the_cell():
+    arr = build_ao2(6).arrangement
+    vertices = enumerate_vertices(arr)
+    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    cells = enumerate_bounded_cells(arr, vertices, steps)
+    quad = next(c for c in cells if len(c.vertex_ids) == 4)
+    name = re.escape(f"cell {quad.signature}")
+    # only d vertices: too few for a bounded cell
+    too_few = BoundedCell(quad.signature, quad.vertex_ids[:2])
+    with pytest.raises(InternalConsistencyError, match=name + " has only 2 vertices"):
+        skeletons_for_cells([too_few], steps, arr.dim)
+    # one vertex dropped: a step from its neighbours leads out of the cell
+    dropped = BoundedCell(quad.signature, quad.vertex_ids[1:])
+    with pytest.raises(InternalConsistencyError, match=name + ": an edge at vertex"):
+        skeletons_for_cells([dropped], steps, arr.dim)
 
 
 def test_cubical_cell_of_star_36():

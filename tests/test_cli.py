@@ -142,6 +142,20 @@ def test_verify_range_rejected_for_hirsch(capsys):
     assert err.startswith("error: --range does not apply to H or S")
 
 
+@pytest.mark.parametrize("prop, spec", [("P1", "d=2..3"), ("P5", "n=4..5")])
+def test_verify_range_key_the_proposition_does_not_take(prop, spec, capsys):
+    assert run(["verify", "--prop", prop, "--range", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --range key '{spec[0]}' does not apply to {prop}")
+
+
+def test_verify_range_that_leaves_no_instance(capsys):
+    assert run(["verify", "--prop", "P6", "--range", "n=3"]) == 2
+    captured = capsys.readouterr()
+    assert "all pass" not in captured.out
+    assert captured.err.startswith("error: --range leaves the P6 grid empty")
+
+
 def test_verify_seeds_override(tmp_path):
     seeds = tmp_path / "seeds.json"
     seeds.write_text(json.dumps({"d2": [[5, 3]], "d3": [[5, 1]]}))
@@ -234,6 +248,15 @@ def test_export_dimension_mismatch(tmp_path, capsys):
     run(["construct", "--family", "ao2", "-n", 5, "--out", src2])
     assert run(["export", src2, "--format", "off", "--out", tmp_path / "no.off",
                 "--cell", "+++++"]) == 2
+
+
+def test_export_svg_rejects_cell(tmp_path, capsys):
+    src = tmp_path / "a.json"
+    run(["construct", "--family", "ao2", "-n", 5, "--out", src])
+    out = tmp_path / "no.svg"
+    assert run(["export", src, "--format", "svg", "--out", out, "--cell", "+++++"]) == 2
+    assert "--cell applies only to --format off" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_off_requires_cell(tmp_path):

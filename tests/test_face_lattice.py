@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrangement_lab.arrangement import _bounded_faces, enumerate_edges, enumerate_vertices
+from arrangement_lab.arrangement import (
+    _bounded_faces,
+    enumerate_edges,
+    enumerate_vertices,
+    line_steps,
+)
 from arrangement_lab.constructions import (
     build_ao2,
     build_ao3,
@@ -27,7 +32,7 @@ def assert_face_lattice_invariants(arr):
     edges = enumerate_edges(arr, vertices)
     f = []
     for k in range(d + 1):
-        faces = _bounded_faces(vertices, edges, d - k)
+        faces = _bounded_faces(vertices, line_steps(vertices, edges), d - k)
         assert all(sig.count(0) == d - k for sig in faces)
         f.append(len(faces))
     assert f == [comb(n, d - k) * comb(n - d + k - 1, k) for k in range(d + 1)]
@@ -65,7 +70,7 @@ def test_faces_list_exactly_the_vertices_in_their_closure():
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     for codim in range(arr.dim + 1):
-        for sig, vids in _bounded_faces(vertices, edges, codim).items():
+        for sig, vids in _bounded_faces(vertices, line_steps(vertices, edges), codim).items():
             assert vids == [
                 vid for vid, v in enumerate(vertices) if in_closure(v.sign_vector, sig)
             ]

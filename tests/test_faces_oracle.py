@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrangement_lab.arrangement import _bounded_faces, enumerate_edges, enumerate_vertices
+from arrangement_lab.arrangement import (
+    _bounded_faces,
+    enumerate_edges,
+    enumerate_vertices,
+    line_steps,
+)
 from arrangement_lab.constructions import (
     build_ao2,
     build_ao3,
@@ -23,7 +28,8 @@ def assert_matches_oracle(arr):
     edges = enumerate_edges(arr, vertices)
     for codim in range(arr.dim + 1):
         expected = bounded_faces_by_completion(vertices, edges, codim)
-        assert _bounded_faces(vertices, edges, codim) == expected, f"codim {codim}"
+        faces = _bounded_faces(vertices, line_steps(vertices, edges), codim)
+        assert faces == expected, f"codim {codim}"
 
 
 @settings(deadline=None, max_examples=25)

@@ -13,6 +13,7 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_facets,
     enumerate_edges,
     enumerate_vertices,
+    line_steps,
 )
 from arrangement_lab.constructions import (
     build_ao2,
@@ -25,7 +26,8 @@ from oracle_facets import enumerate_bounded_facets_by_restriction
 
 def facets_of(arr):
     vertices = enumerate_vertices(arr)
-    return enumerate_bounded_facets(arr, vertices, enumerate_edges(arr, vertices))
+    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    return enumerate_bounded_facets(arr, vertices, steps)
 
 
 def key(rec):
@@ -62,5 +64,5 @@ def test_planar_facets_are_the_segments(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     segments = sorted((e.line_set[0], e.sign_vector) for e in edges if e.is_segment)
-    facets = enumerate_bounded_facets(arr, vertices, edges)
+    facets = enumerate_bounded_facets(arr, vertices, line_steps(vertices, edges))
     assert [(rec.hyperplane, rec.signature) for rec in facets] == segments

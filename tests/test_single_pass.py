@@ -1,0 +1,59 @@
+"""Each fact is computed once: one line-step table per census or export,
+and one linear solve per d-subset of a constructed instance.
+
+A counter replaces the function at every module binding, because `census`,
+`export` and `constructions` import what they call by name.
+"""
+
+import sys
+from math import comb
+
+import pytest
+
+from arrangement_lab import arrangement, rational
+from arrangement_lab.census import census
+from arrangement_lab.constructions import build_ao2, build_ao3
+from arrangement_lab.export import render_off, render_svg
+from arrangement_lab.verify import construction_census
+
+
+def count_calls(monkeypatch, fn) -> list[int]:
+    """Wrap `fn` wherever an arrangement_lab module binds it; the returned
+    one-element list holds the number of calls so far."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "arrangement_lab":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda: census(build_ao3(6).arrangement),
+        lambda: render_svg(build_ao2(6).arrangement),
+        lambda: render_off(build_ao3(6).arrangement, (1, 1, 1, 1, 1, -1)),
+    ],
+    ids=["census-3d", "render_svg", "render_off"],
+)
+def test_one_line_step_table_per_use(monkeypatch, render):
+    calls = count_calls(monkeypatch, arrangement.line_steps)
+    render()
+    assert calls[0] == 1
+
+
+def test_constructed_instance_solves_each_subset_once(monkeypatch):
+    calls = count_calls(monkeypatch, rational.solve_integer_system)
+    construction_census.cache_clear()
+    try:
+        construction_census("ao3", 3, 8, None, None)
+    finally:
+        construction_census.cache_clear()
+    assert calls[0] == comb(8, 3)

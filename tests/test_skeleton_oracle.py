@@ -16,6 +16,7 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
+    line_steps,
 )
 from arrangement_lab.cells import build_cell_records, cell_diameter, skeletons_for_cells
 from arrangement_lab.census import average_diameter
@@ -30,10 +31,10 @@ from arrangement_lab.constructions import (
 def assert_matches_oracle(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, edges)
+    cells = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
     expected = oracle.skeletons_for_cells(cells, edges, arr.dim)
-    assert skeletons_for_cells(cells, vertices, edges, arr.dim) == expected
-    records = build_cell_records(arr, vertices, edges, cells)
+    assert skeletons_for_cells(cells, line_steps(vertices, edges), arr.dim) == expected
+    records = build_cell_records(arr, vertices, line_steps(vertices, edges), cells)
     diameters = []
     for rec, adj in zip(records, expected):
         assert rec.adjacency_dict() == adj

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from arrangement_lab import verify
+from arrangement_lab.constructions import build_ao3
 from arrangement_lab.errors import InputError
 from arrangement_lab.verify import (
     P7_GRID,
@@ -17,6 +19,7 @@ from arrangement_lab.verify import (
     prop6_lower_bound,
     prop7_lower_bound,
     run_suite,
+    verify_identity_2d,
     verify_proposition,
 )
 
@@ -158,3 +161,12 @@ def test_census_cache_shares_keys_across_checks():
 def test_run_suite_rejects_range_for_default_instance_checks(prop):
     with pytest.raises(InputError, match="default instances"):
         run_suite([prop], {"n": [4, 5]})
+
+
+def test_identity_2d_rejects_other_dimensions_before_enumerating(monkeypatch):
+    def no_census(*_args, **_kwargs):
+        raise AssertionError("census ran before the dimension check")
+
+    monkeypatch.setattr(verify, "census", no_census)
+    with pytest.raises(InputError, match="d = 2"):
+        verify_identity_2d(build_ao3(6).arrangement)
