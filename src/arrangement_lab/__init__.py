@@ -32,6 +32,7 @@ from .cells import (
     cell_diameter,
     cell_f_counts,
     classify_cell,
+    product_factors,
     shell_canonical_forms,
 )
 from .census import (

@@ -8,25 +8,28 @@ with the other's on every coordinate where the smaller face is not tight.
 
 One walk finds the bounded faces of every dimension.  Dropping one of a
 vertex's d tight hyperplanes leaves a line through it, and the segment or
-ray on that line to either side of the dropped hyperplane is a step;
-`line_steps` reads the step table off the segments of `enumerate_edges`,
-once per census, and the walk and the cell skeletons share it.  Lexicographic
-order on points is a generic linear order, so a bounded face has exactly
-one lex-min vertex, and every edge of the face leaves it upward.  At each
-vertex and for each c of its zeros kept zero, setting the other zeros to
-their upward sides names the one face of codimension c that can have that
-vertex as its minimum; walking its steps visits its vertices, or reaches a
-ray and shows it unbounded.  Bounded cells are c = 0 and bounded facets
-c = 1.  This is reverse search (Avis-Fukuda 1996) without linear
-programming, because the vertices are already known; no floating point
-anywhere.
+ray on that line to either side of the dropped hyperplane is a step.
+`line_steps(arr, vertices)` builds the step table once per census straight
+from each line's vertices in lexicographic order, sorted by an integer key
+(`_line_orders`, which `enumerate_edges` shares, so both keep one order
+contract).  Lexicographic order on points is a generic linear order, so a
+bounded face has exactly one lex-min vertex, and every edge of the face
+leaves it upward.  At each vertex and for each c of its zeros kept zero,
+setting the other zeros to their upward sides names the one face of
+codimension c that can have that vertex as its minimum; walking its steps
+visits its vertices and records its skeleton, or reaches a ray and shows it
+unbounded.  Bounded cells are c = 0, and each carries the skeleton of its
+walk; bounded facets are c = 1.  This is reverse search (Avis-Fukuda 1996)
+without linear programming, because the vertices are already known; no
+floating point anywhere.
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
 its orientation; a vertex is integer numerators p over a positive common
 denominator q in lowest terms, and the sign of a hyperplane at it is the
 sign of a·p − b·q.  Fractions appear only in `Vertex.point`, the boundary
-value that edge ordering, reports and exports read.
+value that reports and exports read; line orders read its numerators and
+denominators as integers.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Iterator, Optional
 
@@ -57,6 +60,7 @@ from .rational import (
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
 Steps = list[dict[int, list]]  # steps[v][k] = [w-, w+, up], from `line_steps`
+Skeleton = dict[int, tuple[int, ...]]  # vertex -> sorted neighbours, from `_walk`
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,9 @@ class ArrangementEdge:
 class BoundedCell:
     signature: SignVector        # zero-free, length n
     vertex_ids: tuple[int, ...]  # sorted
+    # (vertex, sorted neighbours) for each vertex id in order, as the walk
+    # that found the cell stepped; empty on a cell built by hand
+    skeleton: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -231,37 +238,55 @@ def _with_sign(signs: SignVector, index: int, sign: Sign) -> SignVector:
     return signs[:index] + (sign,) + signs[index + 1:]
 
 
-def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[ArrangementEdge]:
-    """Decompose every line (each (d-1)-subset of hyperplanes) into its
-    bounded segments between consecutive vertices plus the two extreme rays.
+def _line_orders(
+    arr: Arrangement, vertices: list[Vertex]
+) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Every line (each (d-1)-subset of hyperplanes) with its vertices as
+    (vertex id, j), j the one index tight there off the line, in increasing
+    lexicographic order of their points.
 
-    Everything follows from the vertex sign vectors.  A vertex on a line is
-    tight on exactly one hyperplane j off the line, which crosses the line
-    there and nowhere else.  The vertices of a line are collinear, so the
-    first coordinate in which two of them differ orders them strictly.  The
-    segment from u to its neighbour w has u's signs with u's index j set to
-    w's sign at j; the ray leaving an extreme vertex v away from its
-    neighbour w has v's signs with v's index j set to minus w's sign at j.
-    Lines come in sorted order, each as a ray, its segments, then a ray.
-
-    Order contract, which the face walk relies on: along each line the
-    vertices come in increasing lexicographic order of their points, so
-    every segment runs from tail to head with vertices[tail].point <
-    vertices[head].point, the line's first ray leaves its lex-min vertex
-    and its last ray leaves its lex-max vertex.
+    A vertex on a line is tight on exactly one hyperplane j off the line,
+    which crosses the line there and nowhere else.  The vertices of a line
+    are collinear, so the first coordinate in which two of them differ
+    orders them all strictly.  The sort key is that coordinate as an
+    integer, its numerator scaled to the lcm of its denominators along the
+    line, so no Fraction is compared.
     """
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for vid, v in enumerate(vertices):
         tight = v.tight_set
         for k, j in enumerate(tight):
             lines.setdefault(tight[:k] + tight[k + 1:], []).append((vid, j))
+    for on_line in lines.values():
+        p, q = vertices[on_line[0][0]].point, vertices[on_line[1][0]].point
+        axis = next(c for c in range(arr.dim) if p[c] != q[c])
+        coords = [vertices[vid].point[axis] for vid, _ in on_line]
+        scale = lcm(*(c.denominator for c in coords))
+        keys = [c.numerator * (scale // c.denominator) for c in coords]
+        on_line[:] = [item for _, item in sorted(zip(keys, on_line))]
+    return lines
 
+
+def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[ArrangementEdge]:
+    """Decompose every line (each (d-1)-subset of hyperplanes) into its
+    bounded segments between consecutive vertices plus the two extreme rays.
+
+    Everything follows from the vertex sign vectors and `_line_orders`.
+    The segment from u to its neighbour w has u's signs with u's index j set
+    to w's sign at j; the ray leaving an extreme vertex v away from its
+    neighbour w has v's signs with v's index j set to minus w's sign at j.
+    Lines come in sorted order, each as a ray, its segments, then a ray.
+
+    Order contract, shared with `line_steps`: along each line the vertices
+    come in increasing lexicographic order of their points, so every
+    segment runs from tail to head with vertices[tail].point <
+    vertices[head].point, the line's first ray leaves its lex-min vertex
+    and its last ray leaves its lex-max vertex.
+    """
+    lines = _line_orders(arr, vertices)
     edges: list[ArrangementEdge] = []
     for line_set in sorted(lines):
         on_line = lines[line_set]
-        p, q = vertices[on_line[0][0]].point, vertices[on_line[1][0]].point
-        axis = next(c for c in range(arr.dim) if p[c] != q[c])
-        on_line.sort(key=lambda item: vertices[item[0]].point[axis])
         signs = [vertices[vid].sign_vector for vid, _ in on_line]
 
         first, j = on_line[0]
@@ -275,86 +300,106 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     return edges
 
 
-def line_steps(vertices: list[Vertex], edges: list[ArrangementEdge]) -> Steps:
-    """Every vertex's line steps, read off the segments: the table that the
-    face walk and the cell skeletons read, built once per census.
+def line_steps(arr: Arrangement, vertices: list[Vertex]) -> Steps:
+    """Every vertex's line steps: the table that the face walk reads, built
+    once per census straight from the line orders of `_line_orders`.
 
     `steps[v][k]` is [w-, w+, up] for each k tight at v: the neighbours of v
     on the line that drops k, on the - and the + side of k (None where a ray
-    leaves v), and the side of k that lies lexicographically above v.  For a
-    segment at v, k is the one index of v's tight set where its sign is
-    nonzero.  Segments run from tail to head in increasing lexicographic
-    order, so up is the segment's sign at its tail and the opposite at its
-    head; every line carries at least one segment, so up is always set.
+    leaves v), and the side of k that lies lexicographically above v.  For
+    consecutive vertices u < w on a line, w lies on its own side of u's
+    index j off the line, which is up from u; u lies on its own side of w's
+    index, which is down from w, so w's up side is the opposite one.  Every
+    line carries at least two vertices, so up is always set.
     """
     steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]
-    for edge in edges:
-        if edge.is_segment:
-            signs = edge.sign_vector
-            for v, w, up in ((edge.tail, edge.head, 1), (edge.head, edge.tail, -1)):
-                for k, step in steps[v].items():
-                    if signs[k]:  # v's one tight index off the segment's line
-                        step[signs[k] > 0], step[2] = w, up * signs[k]
-                        break
+    for on_line in _line_orders(arr, vertices).values():
+        for (u, ju), (w, jw) in zip(on_line, on_line[1:]):
+            side = vertices[w].sign_vector[ju]
+            step = steps[u][ju]
+            step[side > 0], step[2] = w, side
+            side = vertices[u].sign_vector[jw]
+            step = steps[w][jw]
+            step[side > 0], step[2] = u, -side
     return steps
 
 
-def _walk(steps: Steps, start: int, face: SignVector) -> Optional[list[int]]:
-    """The vertices of `face`, in increasing order, reached from `start`,
-    which must lie in its closure, by the steps toward the face's side of
-    every hyperplane it is not on; None as soon as a step is a ray, i.e.
-    when the face is unbounded."""
+def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Skeleton]:
+    """The skeleton of `face`, reached from `start`, which must lie in its
+    closure, by the steps toward the face's side of every hyperplane it is
+    not on: {vertex: sorted neighbours}, in increasing vertex order.  Those
+    steps at a vertex are exactly the face's edges there.  None as soon as
+    a step is a ray, i.e. when the face is unbounded."""
+    adjacent: Skeleton = {}
     seen, todo = {start}, [start]
     for v in todo:
+        nbrs = []
         for k, step in steps[v].items():
-            if face[k]:
-                w = step[face[k] > 0]
+            side = face[k]
+            if side:
+                w = step[side > 0]
                 if w is None:
                     return None
+                nbrs.append(w)
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
-    return sorted(seen)
+        nbrs.sort()
+        adjacent[v] = tuple(nbrs)
+    return {v: adjacent[v] for v in sorted(adjacent)}
 
 
-def _bounded_faces(
+def _bounded_face_skeletons(
     vertices: list[Vertex], steps: Steps, codim: int
-) -> dict[SignVector, list[int]]:
-    """Bounded faces of codimension `codim`, as {signature: vertex ids}.
+) -> dict[SignVector, Skeleton]:
+    """Bounded faces of codimension `codim`, as {signature: skeleton}.
 
     For each vertex v and each `codim`-subset K of its tight set, the
     candidate is v's signs with every other tight index set to its up side:
     the one face zero on K whose edges at v all go up, so the one that can
     have v as its lex-min vertex.  Each bounded face is found exactly once,
     from its own minimum; a candidate whose walk reaches a ray is unbounded
-    and dropped.  Vertex ids come in increasing order.
+    and dropped.  Each skeleton is keyed by vertex id in increasing order.
     """
-    faces: dict[SignVector, list[int]] = {}
+    faces: dict[SignVector, Skeleton] = {}
     for vid, v in enumerate(vertices):
         for kept in itertools.combinations(v.tight_set, codim):
             face = list(v.sign_vector)
             for k, step in steps[vid].items():
                 if k not in kept:
                     face[k] = step[2]
-            members = _walk(steps, vid, face)
-            if members is not None:
-                faces[tuple(face)] = members
+            skeleton = _walk(steps, vid, face)
+            if skeleton is not None:
+                faces[tuple(face)] = skeleton
     return faces
+
+
+def _bounded_faces(
+    vertices: list[Vertex], steps: Steps, codim: int
+) -> dict[SignVector, list[int]]:
+    """Bounded faces of codimension `codim`, as {signature: increasing
+    vertex ids}; the skeletons of `_bounded_face_skeletons` without edges."""
+    return {sig: list(skeleton) for sig, skeleton in
+            _bounded_face_skeletons(vertices, steps, codim).items()}
 
 
 def enumerate_bounded_cells(
     arr: Arrangement, vertices: list[Vertex], steps: Steps
 ) -> list[BoundedCell]:
-    """Bounded cells, the zero-free bounded faces, sorted by signature.
-    The count must equal C(n-1, d)."""
+    """Bounded cells, the zero-free bounded faces, sorted by signature, each
+    with the skeleton its walk stepped along.  The count must equal
+    C(n-1, d)."""
     d, n = arr.dim, arr.n
-    members = _bounded_faces(vertices, steps, 0)
+    skeletons = _bounded_face_skeletons(vertices, steps, 0)
     expected = comb(n - 1, d)
-    if len(members) != expected:
+    if len(skeletons) != expected:
         raise InternalConsistencyError(
-            f"found {len(members)} bounded cells, expected C({n - 1},{d}) = {expected}"
+            f"found {len(skeletons)} bounded cells, expected C({n - 1},{d}) = {expected}"
         )
-    return [BoundedCell(sig, tuple(members[sig])) for sig in sorted(members)]
+    return [
+        BoundedCell(sig, tuple(skeletons[sig]), tuple(skeletons[sig].items()))
+        for sig in sorted(skeletons)
+    ]
 
 
 def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:

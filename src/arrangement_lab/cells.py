@@ -1,32 +1,56 @@
-"""Per-cell analytics: skeleton graphs, diameters, f-counts, classification.
+"""Per-cell analytics: skeletons, diameters, f-counts, classification.
 
-Skeletons come from the vertex line steps, the table that
-`arrangement.line_steps` builds once per census and the face walk also
-reads.  A vertex v is tight on d hyperplanes; dropping one of them, k,
-leaves a line through v, and the segment or ray on that line leaving v to
-side s of hyperplane k is v's step (k, s).  A bounded cell's
-closure is a simple polytope whose edge at v on that line is the one on the
-cell's side of k, so the skeleton of cell C is v -> {step (k, C[k]) for k
-tight at v}, one table lookup per edge end.
-Diameters use one reach bitmask per vertex: each round ORs the neighbours'
-masks in, and the number of rounds until every mask is full is the diameter.
+Skeletons come from the face walk in `arrangement`: each bounded cell
+carries the {vertex: neighbours} its walk stepped along.  A vertex v is
+tight on d hyperplanes; dropping one of them, k, leaves a line through v,
+and the closure of a bounded cell is a simple polytope whose edge at v on
+that line is the one on the cell's side of k.  `skeletons_for_cells`
+rebuilds the same skeletons from the step table alone, with guards on each
+cell, for tests and tracing.
 
-Classification is purely combinatorial, a function of the skeleton's
-isomorphism type plus the facet count, with the documented precedence
-simplex > cube > simplex product > shell > other.  The cube and
-clique-product tests construct an explicit isomorphism (coordinate codes
-from BFS distances, clique decomposition), so a positive answer is a
-verified certificate rather than an invariant heuristic.  A generic
-canonical form (iterative refinement with exhaustive individualization) is
-also provided; it is used to record shell skeletons for inspection and as an
-independent cross-check in the test suite.
+Classification and diameter come from a certificate on the vertex-facet
+incidences.  The facets of a cell are the union of its vertices' tight
+sets; `product_factors` splits them into groups F_1, ..., F_m of sizes
+g_1, ..., g_m, and accepts when within each group the sets of vertices
+missing each facet are pairwise disjoint and cover the cell, and the vertex
+count is g_1 ⋯ g_m.  That certifies the cell as the product of simplices
+Δ_{g_1-1} × ... × Δ_{g_m-1}:
+
+* Each vertex misses exactly one facet of each group, so it names a
+  transversal, one facet per group, and lies on every facet but those.
+* Distinct vertices of a simple arrangement have distinct tight sets, so
+  distinct vertices name distinct transversals; there are g_1 ⋯ g_m
+  transversals and as many vertices, so the vertices are exactly the
+  transversals.
+* A vertex of Δ_{g_1-1} × ... × Δ_{g_m-1} is one vertex of each simplex,
+  and it misses exactly the facet opposite that vertex in each factor.  So
+  the cell's vertex-facet incidences equal the product's, and incidences
+  fix the combinatorial type, since every face is the set of vertices on
+  some facets.
+
+The graph of the product is the Hamming graph K_{g_1} × ... × K_{g_m},
+whose diameter is m.  Every cell of the cyclic star is such a product, as
+are ao3's tetrahedra, prisms and cubes.  Only the cells the certificate
+rejects (the ao2 n-gon, the ao3 shell, irregular random cells) have their
+diameter measured, by one reach bitmask per vertex: each round ORs the
+neighbours' masks in, and the number of rounds until every mask is full is
+the diameter.
+
+`classify_cell` reads the factor sizes, with the documented precedence
+simplex > cube > simplex product > shell > other: one factor is a simplex,
+d factors of size 2 a cube, two factors a simplex product; any other cell
+is a shell or other by its counts, and every cell of the plane is a
+polygon.  A generic canonical form (iterative refinement with exhaustive
+individualization) is also provided; it records shell skeletons for
+inspection and cross-checks the classes in the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
+from math import prod
+from typing import Optional
 
 from .arrangement import Arrangement, BoundedCell, Steps, Vertex
 from .errors import InternalConsistencyError
@@ -168,10 +192,11 @@ def cell_diameter(adj: Adjacency) -> int:
     return rounds
 
 
-def cell_f_counts(cell: BoundedCell, vertices: list[Vertex], adj: Adjacency) -> tuple[int, int, int]:
-    """(V, E, F): graph counts plus the number of distinct tight hyperplanes."""
+def cell_f_counts(cell: BoundedCell, vertices: list[Vertex]) -> tuple[int, int, int]:
+    """(V, E, F): counts of the cell's skeleton plus the number of distinct
+    tight hyperplanes."""
     v = len(cell.vertex_ids)
-    e = sum(len(nbrs) for nbrs in adj.values()) // 2
+    e = sum(len(nbrs) for _, nbrs in cell.skeleton) // 2
     facets: set[int] = set()
     for vid in cell.vertex_ids:
         facets.update(vertices[vid].tight_set)
@@ -182,145 +207,63 @@ def cell_f_counts(cell: BoundedCell, vertices: list[Vertex], adj: Adjacency) -> 
 # classification
 # ---------------------------------------------------------------------------
 
-def classify_cell(v: int, e: int, f: int, adj: Adjacency, dim: int) -> CellClass:
+def product_factors(tight_sets: list[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    """The simplex factor sizes (g_1, ..., g_m), increasing, of a cell whose
+    vertices have these tight sets, or None when the cell is not certified
+    as a product of simplices Δ_{g_1-1} × ... × Δ_{g_m-1}.
+
+    The facets are the union of the tight sets, and each facet gets the
+    bitmask of the vertices not on it.  Unassigned facets whose masks miss
+    the first unassigned facet's mask join its factor.  Within a factor the
+    masks must be pairwise disjoint and cover every vertex, and the vertex
+    count must equal g_1 ⋯ g_m; the module docstring shows why these checks
+    certify the product, however the factors were grouped.
+    """
+    on: dict[int, int] = {}
+    for i, tight in enumerate(tight_sets):
+        for k in tight:
+            on[k] = on.get(k, 0) | 1 << i
+    full = (1 << len(tight_sets)) - 1
+    missing = [full ^ mask for mask in on.values()]
+    sizes = []
+    while missing:
+        seed, rest = missing[0], []
+        covered, size = seed, 1
+        for mask in missing[1:]:
+            if mask & seed:
+                rest.append(mask)
+            elif mask & covered:
+                return None
+            else:
+                covered |= mask
+                size += 1
+        if covered != full:
+            return None
+        sizes.append(size)
+        missing = rest
+    if prod(sizes) != len(tight_sets):
+        return None
+    return tuple(sorted(sizes))
+
+
+def classify_cell(
+    v: int, e: int, f: int, factors: Optional[tuple[int, ...]], dim: int
+) -> CellClass:
+    """Class of a cell with counts (V, E, F) and the certificate of
+    `product_factors`, with the precedence simplex > cube > simplex
+    product > shell > other; every cell of the plane is a polygon."""
     if dim == 2:
         return polygon(v)
-    if v == dim + 1:
-        return simplex(dim)
-    if v == 2 ** dim and f == 2 * dim and is_hypercube_graph(adj, dim):
-        return cube(dim)
-    if f == dim + 2:
-        for k in range(1, dim // 2 + 1):
-            if (k + 1) * (dim - k + 1) == v and is_clique_product_graph(adj, k + 1, dim - k + 1):
-                return simplex_product(k, dim - k)
+    if factors is not None:
+        if len(factors) == 1:
+            return simplex(dim)
+        if factors == (2,) * dim:
+            return cube(dim)
+        if len(factors) == 2:
+            return simplex_product(factors[0] - 1, factors[1] - 1)
     if dim == 3 and v == 2 * (f - 2):
         return shell(f)
     return other(v, e, f)
-
-
-def is_hypercube_graph(adj: Adjacency, d: int) -> bool:
-    """Exact test for the d-cube graph, by reconstructing binary coordinates.
-
-    Pick a root and its d neighbours; bit i of a vertex is set iff it is
-    closer to neighbour i than to the root.  The graph is a d-cube iff the
-    codes are a bijection onto {0,1}^d and every edge flips exactly one bit.
-    """
-    nodes = sorted(adj)
-    if len(nodes) != 2 ** d:
-        return False
-    if any(len(adj[v]) != d for v in nodes):
-        return False
-    root = nodes[0]
-    dist_root = _bfs_distances(adj, root)
-    if dist_root is None:
-        return False
-    basis = sorted(adj[root])
-    dist_basis = []
-    for u in basis:
-        du = _bfs_distances(adj, u)
-        if du is None:
-            return False
-        dist_basis.append(du)
-    codes: dict[int, int] = {}
-    for w in nodes:
-        bits = 0
-        for i, du in enumerate(dist_basis):
-            delta = du[w] - dist_root[w]
-            if delta == -1:
-                bits |= 1 << i
-            elif delta != 1:
-                return False  # cube distances to adjacent roots differ by exactly 1
-        codes[w] = bits
-    if len(set(codes.values())) != 2 ** d:
-        return False
-    for w in nodes:
-        flips = {codes[w] ^ codes[x] for x in adj[w]}
-        if len(flips) != d or any(bin(fl).count("1") != 1 for fl in flips):
-            return False
-    return True
-
-
-def is_clique_product_graph(adj: Adjacency, a: int, b: int) -> bool:
-    """Exact test for K_a x K_b (cartesian product; rows and columns).
-
-    Maximal cliques of the product are its a rows (size b) and b columns
-    (size a); every vertex lies in exactly one of each and every edge in
-    exactly one.  Growing the unique maximal clique through every edge and
-    checking that structure certifies the isomorphism.
-    """
-    if a > b:
-        a, b = b, a
-    nodes = sorted(adj)
-    if len(nodes) != a * b or a < 2:
-        return False
-    if any(len(adj[v]) != a + b - 2 for v in nodes):
-        return False
-
-    neighbours = {v: set(adj[v]) for v in nodes}
-    cliques: set[frozenset[int]] = set()
-    edge_clique: dict[tuple[int, int], frozenset[int]] = {}
-    for v in nodes:
-        for w in adj[v]:
-            if w < v:
-                continue
-            grown = {v, w}
-            candidates = sorted(neighbours[v] & neighbours[w])
-            for x in candidates:
-                if grown <= neighbours[x] | {x}:
-                    grown.add(x)
-            clique = frozenset(grown)
-            edge_clique[(v, w)] = clique
-            cliques.add(clique)
-
-    # every edge in exactly one clique, every vertex in exactly two
-    by_vertex: dict[int, list[frozenset[int]]] = {v: [] for v in nodes}
-    for clique in cliques:
-        for v in clique:
-            by_vertex[v].append(clique)
-        for v, w in itertools.combinations(sorted(clique), 2):
-            if edge_clique.get((v, w)) != clique:
-                return False
-    if any(len(cs) != 2 for cs in by_vertex.values()):
-        return False
-
-    # cliques split into two sides: pairwise disjoint within a side,
-    # intersecting in exactly one vertex across sides
-    ordered = sorted(cliques, key=sorted)
-    sides: dict[frozenset[int], int] = {ordered[0]: 0}
-    queue = deque([ordered[0]])
-    while queue:
-        c = queue.popleft()
-        for o in ordered:
-            if o is c or o in sides and sides[o] == sides[c]:
-                continue
-            expected_side = sides[c] if not (c & o) else 1 - sides[c]
-            if o in sides:
-                if sides[o] != expected_side:
-                    return False
-            else:
-                sides[o] = expected_side
-                queue.append(o)
-    group0 = [c for c in ordered if sides.get(c) == 0]
-    group1 = [c for c in ordered if sides.get(c) == 1]
-    if len(sides) != len(ordered):
-        return False
-    for c, o in itertools.combinations(group0, 2):
-        if c & o:
-            return False
-    for c, o in itertools.combinations(group1, 2):
-        if c & o:
-            return False
-    for c in group0:
-        for o in group1:
-            if len(c & o) != 1:
-                return False
-    size0 = {len(c) for c in group0}
-    size1 = {len(c) for c in group1}
-    if len(size0) != 1 or len(size1) != 1:
-        return False
-    # rows: a cliques of size b; columns: b cliques of size a
-    shape = sorted(((len(group0), size0.pop()), (len(group1), size1.pop())))
-    return shape == sorted(((a, b), (b, a)))
 
 
 def canonical_form(adj: Adjacency) -> tuple:
@@ -386,23 +329,28 @@ def build_cell_records(
     steps: Steps,
     cells: list[BoundedCell],
 ) -> list[CellRecord]:
+    """One record per cell, from the skeleton its walk recorded.  A cell the
+    product certificate accepts has diameter m, its number of factors;
+    only the others are measured by `cell_diameter`.  `steps` is not read:
+    the walk that found the cells has already stepped every edge."""
     records = []
-    for cell, adj in zip(cells, skeletons_for_cells(cells, steps, arr.dim)):
-        v, e, f = cell_f_counts(cell, vertices, adj)
+    for cell in cells:
+        v, e, f = cell_f_counts(cell, vertices)
         if arr.dim == 3 and (v - e + f != 2 or 2 * e != 3 * v):
             raise InternalConsistencyError(
                 f"cell {cell.signature}: (V,E,F)=({v},{e},{f}) violates 3D count identities"
             )
+        factors = product_factors([vertices[vid].tight_set for vid in cell.vertex_ids])
         records.append(
             CellRecord(
                 signature=cell.signature,
                 vertex_ids=cell.vertex_ids,
-                adjacency=tuple(sorted((vid, nbrs) for vid, nbrs in adj.items())),
+                adjacency=cell.skeleton,
                 vertex_count=v,
                 edge_count=e,
                 facet_count=f,
-                diameter=cell_diameter(adj),
-                cell_class=classify_cell(v, e, f, adj, arr.dim),
+                diameter=len(factors) if factors else cell_diameter(dict(cell.skeleton)),
+                cell_class=classify_cell(v, e, f, factors, arr.dim),
             )
         )
     return records

@@ -15,7 +15,6 @@ from .arrangement import (
     Arrangement,
     enumerate_bounded_cells,
     enumerate_bounded_facets,
-    enumerate_edges,
     enumerate_vertices,
     line_steps,
 )
@@ -49,10 +48,10 @@ class CensusReport:
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     """Full aggregate over the bounded cells of a simple arrangement; vertex
     enumeration raises NotSimpleError for any other input.  The line-step
-    table is built once and read by the cell walk, the skeletons and the
-    facet walk."""
+    table is built once and read by the cell walk, which also records the
+    skeletons, and by the facet walk."""
     vertices = enumerate_vertices(arr)
-    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    steps = line_steps(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, steps)
     records = build_cell_records(arr, vertices, steps, cells)
     counts = Counter(rec.cell_class for rec in records)

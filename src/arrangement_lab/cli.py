@@ -21,6 +21,7 @@ from .jsonio import (
     atomic_write_text,
     canonical_dumps,
     census_to_obj,
+    json_integer,
     load_arrangement,
     signature_from_str,
     suite_to_obj,
@@ -113,14 +114,22 @@ def _parse_range(spec: str) -> dict[str, list[int]]:
     return ranges
 
 
+def _pool(obj: dict, key: str, default) -> tuple[tuple[int, int], ...]:
+    """The [n, seed] pairs of one pool, each a JSON integer as given."""
+    return tuple(
+        (json_integer(n, f"{key} pool n"), json_integer(seed, f"{key} pool seed"))
+        for n, seed in obj.get(key, default)
+    )
+
+
 def _load_pools(path: str):
     try:
         with open(path) as handle:
             obj = json.load(handle)
         if not isinstance(obj, dict):
             raise TypeError('top level must be an object with "d2" and/or "d3" pools')
-        d2 = tuple((int(n), int(s)) for n, s in obj.get("d2", RANDOM_2D_POOL))
-        d3 = tuple((int(n), int(s)) for n, s in obj.get("d3", RANDOM_3D_POOL))
+        d2 = _pool(obj, "d2", RANDOM_2D_POOL)
+        d3 = _pool(obj, "d3", RANDOM_3D_POOL)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read seeds file {path}: {exc}") from exc
     return d2, d3

@@ -15,7 +15,6 @@ from .arrangement import (
     BoundedCell,
     _walk,
     enumerate_bounded_cells,
-    enumerate_edges,
     enumerate_vertices,
     line_steps,
 )
@@ -57,7 +56,7 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     if arr.dim != 2:
         raise UnsupportedDimensionError("SVG export requires a 2-dimensional arrangement")
     vertices = enumerate_vertices(arr)
-    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    steps = line_steps(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, steps)
     records = build_cell_records(arr, vertices, steps, cells)
 
@@ -74,6 +73,9 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     def to_px(x: Fraction, y: Fraction) -> tuple[float, float]:
         return (float(x - x0) * scale, (float(y1 - y) * scale))
 
+    # each vertex converted and formatted once, for its polygons and its dot
+    pixels = [tuple(f"{c:.3f}" for c in to_px(*v.point)) for v in vertices]
+
     max_diameter = max(rec.diameter for rec in records)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -81,10 +83,7 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     ]
     for rec in records:
         adj = rec.adjacency_dict()
-        points = []
-        for vid in _cycle_order(adj):
-            px, py = to_px(*vertices[vid].point)
-            points.append(f"{px:.3f},{py:.3f}")
+        points = [",".join(pixels[vid]) for vid in _cycle_order(adj)]
         parts.append(
             f'<polygon points="{" ".join(points)}" '
             f'fill="{diameter_color(rec.diameter, max_diameter)}" '
@@ -103,9 +102,8 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
             f'<line x1="{pax:.3f}" y1="{pay:.3f}" x2="{pbx:.3f}" y2="{pby:.3f}" '
             f'stroke="#333333" stroke-width="1.2"/>'
         )
-    for v in vertices:
-        px, py = to_px(*v.point)
-        parts.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="3" fill="#000000"/>')
+    for px, py in pixels:
+        parts.append(f'<circle cx="{px}" cy="{py}" r="3" fill="#000000"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -144,14 +142,15 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
         raise InputError(
             f"signature length {len(signature)} does not match n = {arr.n}"
         )
-    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    steps = line_steps(arr, vertices)
     start = next((vid for vid, v in enumerate(vertices) if 0 not in signature
                   and all(s in (0, c) for s, c in zip(v.sign_vector, signature))), None)
-    vids = start is not None and _walk(steps, start, signature)
-    if not vids:
+    skeleton = start is not None and _walk(steps, start, signature)
+    if not skeleton:
         raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
-    (record,) = build_cell_records(arr, vertices, steps, [BoundedCell(signature, tuple(vids))])
-    adj = record.adjacency_dict()
+    vids = tuple(skeleton)
+    cell = BoundedCell(signature, vids, tuple(skeleton.items()))
+    (record,) = build_cell_records(arr, vertices, steps, [cell])
 
     local = {vid: i for i, vid in enumerate(vids)}
     facet_planes = sorted({index for vid in vids for index in vertices[vid].tight_set})
@@ -160,7 +159,7 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
         members = [vid for vid in vids if plane in vertices[vid].tight_set]
         member_set = set(members)
         ring_adj = {
-            vid: tuple(w for w in adj[vid] if w in member_set) for vid in members
+            vid: tuple(w for w in skeleton[vid] if w in member_set) for vid in members
         }
         facets.append([local[vid] for vid in _cycle_order(ring_adj)])
 

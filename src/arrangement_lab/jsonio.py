@@ -80,14 +80,36 @@ def arrangement_to_obj(arr: Arrangement, metadata: Optional[dict] = None) -> dic
     return obj
 
 
+def json_integer(value, what: str) -> int:
+    """A JSON integer read as exactly that; a boolean, a float or anything
+    else raises InputError naming the value."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _coefficient(value) -> Fraction:
+    """A coefficient given exactly: a rational string or a JSON integer.  A
+    JSON float is already rounded to binary, so it is refused, as are
+    booleans."""
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise InputError(
+            f'coefficient must be a rational string such as "1/10" or a JSON integer, '
+            f"got {value!r}"
+        )
+    return parse_rational(value)
+
+
 def arrangement_from_obj(obj: dict) -> tuple[Arrangement, dict]:
     try:
-        dim = int(obj["dim"])
+        dim = json_integer(obj["dim"], '"dim"')
         rows = obj["hyperplanes"]
         planes = tuple(
             Hyperplane(
-                tuple(parse_rational(c) for c in row["a"]),
-                parse_rational(row["b"]),
+                tuple(_coefficient(c) for c in row["a"]),
+                _coefficient(row["b"]),
             )
             for row in rows
         )

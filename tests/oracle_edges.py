@@ -7,6 +7,10 @@ hyperplanes at an interior point (a segment midpoint, or one direction step
 beyond the extreme vertex).  Slow, but it derives each sign vector from the
 geometry instead of from the vertex sign vectors, so it checks the
 combinatorial kernel independently.
+
+`line_steps_from_edges` is the step-table builder that reading the line
+orders directly replaced: it fills the table from the segments of
+`enumerate_edges`, so it checks `line_steps` through a second route.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from arrangement_lab.arrangement import (
     Arrangement,
     ArrangementEdge,
     SignVector,
+    Steps,
     Vertex,
 )
 from arrangement_lab.errors import InternalConsistencyError
@@ -103,3 +108,23 @@ def enumerate_edges_by_probing(arr: Arrangement, vertices: list[Vertex]) -> list
         probe = vec_add(vertices[last].point, direction)
         edges.append(ArrangementEdge(line_set, face_signs(arr, line_set, probe), last))
     return edges
+
+
+def line_steps_from_edges(vertices: list[Vertex], edges: list[ArrangementEdge]) -> Steps:
+    """The table of `arrangement.line_steps`, read off the segments.
+
+    For a segment at v, the line drops the one index of v's tight set where
+    the segment's sign is nonzero.  Segments run from tail to head in
+    increasing lexicographic order, so up is the segment's sign at its tail
+    and the opposite at its head.
+    """
+    steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]
+    for edge in edges:
+        if edge.is_segment:
+            signs = edge.sign_vector
+            for v, w, up in ((edge.tail, edge.head, 1), (edge.head, edge.tail, -1)):
+                for k, step in steps[v].items():
+                    if signs[k]:  # v's one tight index off the segment's line
+                        step[signs[k] > 0], step[2] = w, up * signs[k]
+                        break
+    return steps

@@ -18,7 +18,6 @@ from arrangement_lab.arrangement import (
     Arrangement,
     SignVector,
     enumerate_bounded_cells,
-    enumerate_edges,
     enumerate_vertices,
     line_steps,
     restrict_to_hyperplane,
@@ -50,9 +49,9 @@ def enumerate_bounded_facets_by_restriction(arr: Arrangement) -> list[Restricted
     for i in range(n):
         restriction = restrict_to_hyperplane(arr, i)
         sub_vertices = enumerate_vertices(restriction.arrangement)
-        sub_edges = enumerate_edges(restriction.arrangement, sub_vertices)
         sub_cells = enumerate_bounded_cells(
-            restriction.arrangement, sub_vertices, line_steps(sub_vertices, sub_edges)
+            restriction.arrangement, sub_vertices,
+            line_steps(restriction.arrangement, sub_vertices),
         )
         for cell in sub_cells:
             full = [0] * n

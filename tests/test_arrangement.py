@@ -31,7 +31,7 @@ from oracle_arithmetic import embed, evaluate_sign
 def enumerate_all(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
+    cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
     return vertices, edges, cells
 
 
@@ -388,7 +388,7 @@ def test_restriction_requires_dim_three():
 
 def facets_of(arr):
     vertices, edges, _ = enumerate_all(arr)
-    return enumerate_bounded_facets(arr, vertices, line_steps(vertices, edges))
+    return enumerate_bounded_facets(arr, vertices, line_steps(arr, vertices))
 
 
 def test_facet_counts_3d():

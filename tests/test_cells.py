@@ -18,10 +18,7 @@ from arrangement_lab.cells import (
     build_cell_records,
     canonical_form,
     cell_diameter,
-    classify_cell,
     cube,
-    is_clique_product_graph,
-    is_hypercube_graph,
     other,
     polygon,
     shell,
@@ -32,14 +29,15 @@ from arrangement_lab.cells import (
 )
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import InternalConsistencyError
+from oracle_classify import classify_cell, is_clique_product_graph, is_hypercube_graph
 from oracle_skeleton import cell_diameter as oracle_cell_diameter, cell_skeleton
 
 
 def records_of(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
-    records = build_cell_records(arr, vertices, line_steps(vertices, edges), cells)
+    cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    records = build_cell_records(arr, vertices, line_steps(arr, vertices), cells)
     return records, vertices, edges, cells
 
 
@@ -75,7 +73,7 @@ def test_triangle_cell_skeleton_is_three_cycle():
     arr = build_cyclic_star(2, 3).arrangement
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    (cell,) = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
+    (cell,) = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
     adj = cell_skeleton(cell, edges, arr.dim)
     assert len(adj) == 3
     assert all(len(nbrs) == 2 for nbrs in adj.values())
@@ -86,8 +84,8 @@ def test_batch_skeletons_match_single_cell_skeletons():
     arr = build_ao3(5).arrangement
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
-    batch = skeletons_for_cells(cells, line_steps(vertices, edges), arr.dim)
+    cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    batch = skeletons_for_cells(cells, line_steps(arr, vertices), arr.dim)
     for cell, adj in zip(cells, batch):
         assert adj == cell_skeleton(cell, edges, arr.dim)
 
@@ -95,7 +93,7 @@ def test_batch_skeletons_match_single_cell_skeletons():
 def test_skeleton_guards_name_the_cell():
     arr = build_ao2(6).arrangement
     vertices = enumerate_vertices(arr)
-    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    steps = line_steps(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, steps)
     quad = next(c for c in cells if len(c.vertex_ids) == 4)
     name = re.escape(f"cell {quad.signature}")

@@ -208,6 +208,42 @@ def test_verify_seeds_file_not_an_object(tmp_path, capsys):
     assert err.startswith("error: cannot read seeds file") and "top level" in err
 
 
+@pytest.mark.parametrize(
+    "entry, shown",
+    [([5.7, 3], "d2 pool n must be a JSON integer, got 5.7"),
+     ([5, True], "d2 pool seed must be a JSON integer, got True")],
+    ids=["fractional-pool-entry", "boolean-pool-entry"],
+)
+def test_verify_seeds_must_be_json_integers(tmp_path, capsys, entry, shown):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"d2": [entry]}))
+    assert run(["verify", "--prop", "P2", "--range", "n=5..5", "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read seeds file") and shown in err
+
+
+@pytest.mark.parametrize(
+    "dim, first_a, shown",
+    [(2, [0.1, 0], "got 0.1"),
+     (2, [True, 0], "got True"),
+     (2.5, ["1", "0"], '"dim" must be a JSON integer, got 2.5')],
+    ids=["float-coefficient", "boolean-coefficient", "fractional-dim"],
+)
+def test_analyze_reads_only_exact_numbers(tmp_path, capsys, dim, first_a, shown):
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps({
+        "dim": dim,
+        "hyperplanes": [
+            {"a": first_a, "b": "0"},
+            {"a": ["0", "1"], "b": "0"},
+            {"a": ["1", "1"], "b": "1"},
+        ],
+    }))
+    assert run(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed arrangement JSON") and shown in err
+
+
 def test_export_svg_heptagon_color(tmp_path):
     src = tmp_path / "a27.json"
     svg = tmp_path / "a27.svg"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from arrangement_lab.arrangement import (
     _bounded_faces,
-    enumerate_edges,
     enumerate_vertices,
     line_steps,
 )
@@ -29,10 +28,9 @@ from arrangement_lab.constructions import (
 def assert_face_lattice_invariants(arr):
     d, n = arr.dim, arr.n
     vertices = enumerate_vertices(arr)
-    edges = enumerate_edges(arr, vertices)
     f = []
     for k in range(d + 1):
-        faces = _bounded_faces(vertices, line_steps(vertices, edges), d - k)
+        faces = _bounded_faces(vertices, line_steps(arr, vertices), d - k)
         assert all(sig.count(0) == d - k for sig in faces)
         f.append(len(faces))
     assert f == [comb(n, d - k) * comb(n - d + k - 1, k) for k in range(d + 1)]
@@ -68,9 +66,8 @@ def in_closure(vertex_signs, face_signs):
 def test_faces_list_exactly_the_vertices_in_their_closure():
     arr = build_ao3(6).arrangement
     vertices = enumerate_vertices(arr)
-    edges = enumerate_edges(arr, vertices)
     for codim in range(arr.dim + 1):
-        for sig, vids in _bounded_faces(vertices, line_steps(vertices, edges), codim).items():
+        for sig, vids in _bounded_faces(vertices, line_steps(arr, vertices), codim).items():
             assert vids == [
                 vid for vid, v in enumerate(vertices) if in_closure(v.sign_vector, sig)
             ]

@@ -28,7 +28,7 @@ def assert_matches_oracle(arr):
     edges = enumerate_edges(arr, vertices)
     for codim in range(arr.dim + 1):
         expected = bounded_faces_by_completion(vertices, edges, codim)
-        faces = _bounded_faces(vertices, line_steps(vertices, edges), codim)
+        faces = _bounded_faces(vertices, line_steps(arr, vertices), codim)
         assert faces == expected, f"codim {codim}"
 
 

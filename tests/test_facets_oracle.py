@@ -26,7 +26,7 @@ from oracle_facets import enumerate_bounded_facets_by_restriction
 
 def facets_of(arr):
     vertices = enumerate_vertices(arr)
-    steps = line_steps(vertices, enumerate_edges(arr, vertices))
+    steps = line_steps(arr, vertices)
     return enumerate_bounded_facets(arr, vertices, steps)
 
 
@@ -64,5 +64,5 @@ def test_planar_facets_are_the_segments(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     segments = sorted((e.line_set[0], e.sign_vector) for e in edges if e.is_segment)
-    facets = enumerate_bounded_facets(arr, vertices, line_steps(vertices, edges))
+    facets = enumerate_bounded_facets(arr, vertices, line_steps(arr, vertices))
     assert [(rec.hyperplane, rec.signature) for rec in facets] == segments

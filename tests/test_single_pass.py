@@ -1,5 +1,7 @@
 """Each fact is computed once: one line-step table per census or export,
-and one linear solve per d-subset of a constructed instance.
+skeletons from the cell walk alone, diameters measured only on cells the
+product certificate rejects, and one linear solve per d-subset of a
+constructed instance.
 
 A counter replaces the function at every module binding, because `census`,
 `export` and `constructions` import what they call by name.
@@ -10,9 +12,9 @@ from math import comb
 
 import pytest
 
-from arrangement_lab import arrangement, rational
+from arrangement_lab import arrangement, cells, rational
 from arrangement_lab.census import census
-from arrangement_lab.constructions import build_ao2, build_ao3
+from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.export import render_off, render_svg
 from arrangement_lab.verify import construction_census
 
@@ -47,6 +49,19 @@ def test_one_line_step_table_per_use(monkeypatch, render):
     calls = count_calls(monkeypatch, arrangement.line_steps)
     render()
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize(
+    "built, measured",
+    [(build_ao3(16), 1), (build_cyclic_star(6, 12), 0), (build_ao2(40), 1)],
+    ids=["ao3-16-shell", "cyclic-6-12", "ao2-40-gon"],
+)
+def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
+    skeleton_calls = count_calls(monkeypatch, cells.skeletons_for_cells)
+    edge_calls = count_calls(monkeypatch, arrangement.enumerate_edges)
+    diameter_calls = count_calls(monkeypatch, cells.cell_diameter)
+    census(built.arrangement)
+    assert (skeleton_calls[0], edge_calls[0], diameter_calls[0]) == (0, 0, measured)
 
 
 def test_constructed_instance_solves_each_subset_once(monkeypatch):

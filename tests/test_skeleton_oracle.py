@@ -31,10 +31,10 @@ from arrangement_lab.constructions import (
 def assert_matches_oracle(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, line_steps(vertices, edges))
+    cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
     expected = oracle.skeletons_for_cells(cells, edges, arr.dim)
-    assert skeletons_for_cells(cells, line_steps(vertices, edges), arr.dim) == expected
-    records = build_cell_records(arr, vertices, line_steps(vertices, edges), cells)
+    assert skeletons_for_cells(cells, line_steps(arr, vertices), arr.dim) == expected
+    records = build_cell_records(arr, vertices, line_steps(arr, vertices), cells)
     diameters = []
     for rec, adj in zip(records, expected):
         assert rec.adjacency_dict() == adj
