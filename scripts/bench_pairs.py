@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Compare two source trees on the benchmark, in concurrent pairs.
+
+Usage:
+    python scripts/bench_pairs.py BASE CHANGE [--seeds 1-10] [--seconds 20]
+                                  [--workload NAME ...]
+
+BASE and CHANGE are checkouts of the repository, for example an exported
+copy of the parent commit and the working tree.  For each workload and seed
+the two trees run `perfbench/run.py` at the same time, one process each, so
+both sides of a pair see the same phase of the machine.  For every
+end-to-end metric of BENCHMARK.json (read from CHANGE) the script prints
+each pair's ratio CHANGE / BASE, each side's median and quartiles, how many
+pairs CHANGE won, and whether the gap between the medians exceeds BASE's
+interquartile range.
+
+Exit codes: 0 when every run was correct, 1 when a run failed or reported
+incorrect outputs, 2 when a tree has no src/arrangement_lab or the
+arguments are invalid.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+
+def parse_seeds(spec: str) -> list[int]:
+    """"1-10" or "1,4,7" (or a mix) as a list of seeds."""
+    seeds: list[int] = []
+    for chunk in spec.split(","):
+        lo, _, hi = chunk.strip().partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds or min(seeds) < 0:
+        raise ValueError(f"no non-negative seeds in {spec!r}")
+    return seeds
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) as `perfbench/spread.py` computes them."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def summarise(base: list[float], change: list[float], better: str) -> dict:
+    """Pairwise comparison of one metric; `better` is "higher" or "lower"."""
+    ratios = [c / b for b, c in zip(base, change)]
+    if better == "higher":
+        wins = sum(c > b for b, c in zip(base, change))
+    else:
+        wins = sum(c < b for b, c in zip(base, change))
+    base_q = quartiles(base)
+    change_q = quartiles(change)
+    return {
+        "ratios": ratios,
+        "ratio_median": statistics.median(ratios),
+        "base": base_q,
+        "change": change_q,
+        "wins": wins,
+        "pairs": len(ratios),
+        "gap_exceeds_base_iqr": abs(change_q[1] - base_q[1]) > base_q[2] - base_q[0],
+    }
+
+
+def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{tree} {workload} seed {seed}: outputs not correct")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", default="1-10")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--workload", action="append", default=None)
+    args = parser.parse_args(argv)
+
+    for tree in (args.base, args.change):
+        if not (tree / "src" / "arrangement_lab").is_dir():
+            print(f"error: {tree} has no src/arrangement_lab", file=sys.stderr)
+            return 2
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        print(f"error: --seeds: {exc}", file=sys.stderr)
+        return 2
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+
+    failed = False
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for workload in workloads:
+            runs: dict[str, list[dict]] = {"base": [], "change": []}
+            for seed in seeds:
+                sides = {side: pool.submit(run_one, tree, workload, seed, args.seconds)
+                         for side, tree in (("base", args.base), ("change", args.change))}
+                try:
+                    results = {side: future.result() for side, future in sides.items()}
+                except RuntimeError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    failed = True
+                    continue
+                for side, metrics in results.items():
+                    runs[side].append(metrics)
+                print(f"{workload} seed {seed}: " + "  ".join(
+                    f"{m['name']} {results['base'][m['name']]:.4g} -> "
+                    f"{results['change'][m['name']]:.4g}" for m in spec["end_to_end"]),
+                    flush=True)
+            if not runs["base"]:
+                continue
+            print(f"{workload}: {len(runs['base'])} pairs")
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                s = summarise([r[name] for r in runs["base"]],
+                              [r[name] for r in runs["change"]], metric["better"])
+                print(f"  {name:12s} ({metric['better']} is better) "
+                      f"base {s['base'][1]:.5g} [{s['base'][0]:.5g}-{s['base'][2]:.5g}]  "
+                      f"change {s['change'][1]:.5g} [{s['change'][0]:.5g}-{s['change'][2]:.5g}]  "
+                      f"ratio median {s['ratio_median']:.3f} "
+                      f"(range {min(s['ratios']):.3f}-{max(s['ratios']):.3f})  "
+                      f"wins {s['wins']}/{s['pairs']}  "
+                      f"gap > base IQR: {'yes' if s['gap_exceeds_base_iqr'] else 'no'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

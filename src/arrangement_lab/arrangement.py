@@ -6,16 +6,43 @@ hyperplanes, and a face of codimension c is a sign vector with c zeros.  A
 face belongs to the closure of another exactly when its sign vector agrees
 with the other's on every coordinate where the smaller face is not tight.
 
-One walk finds the bounded faces of every dimension.  Dropping one of a
-vertex's d tight hyperplanes leaves a line through it, and the segment or
-ray on that line to either side of the dropped hyperplane is a step.
-`line_steps(arr, vertices)` builds the step table once per census straight
-from each line's vertices in lexicographic order, sorted by an integer key
-(`_line_orders`, which `enumerate_edges` shares, so both keep one order
-contract).  Lexicographic order on points is a generic linear order, so a
-bounded face has exactly one lex-min vertex, and every edge of the face
-leaves it upward.  At each vertex and for each c of its zeros kept zero,
-setting the other zeros to their upward sides names the one face of
+`enumerate_vertices` finds every vertex in one pass:
+
+* Solve.  The d-subsets are walked depth-first in lexicographic order, and
+  each level reduces its new row once against its prefix's echelon rows
+  (`rational.reduce_row`), so a subset costs one row reduction plus a
+  back-substitution.  The walk raises at the first singular subset or
+  repeated point.
+* Order.  Dropping one of a vertex's d tight hyperplanes leaves a line
+  through it.  Each line's vertices are sorted once, in lexicographic order
+  of their points, by an integer key, and each vertex keeps its lower and
+  upper neighbour on each of its lines (`Vertex.line_neighbours`).
+* Signs.  All n signs are evaluated at the first vertex only.  Consecutive
+  vertices u < w on a line differ in sign only at their own indices off the
+  line, since no other hyperplane crosses the segment between them; so w's
+  signs are u's with u's index set to w's side of it (one dot product) and
+  w's index set to 0.  The signs spread over these pairs breadth-first.
+
+That last step needs the vertices to be simple, with no point on more than
+d hyperplanes, and the solve pass already proves it.  If the point x of a
+subset S lies on a hyperplane j outside S, the normals of S are a basis, so
+a_j = Σ c_i a_i over i in S, and b_j = Σ c_i b_i because x lies on all of
+them.  Some c_i is nonzero, and swapping that i for j gives a nonsingular
+subset with the same point x, which the solve pass reports as a repeat (or
+it stops earlier).  So a pass that raises nothing has no extra
+hyperplanes.  When it does raise, the points solved so far are checked
+against all n hyperplanes in lexicographic order, and the first that lies
+on an extra one is reported instead, naming every hyperplane through it:
+the error of the first defective subset, as a subset-by-subset check would
+give.
+
+The segment or ray on a vertex's line to either side of the dropped
+hyperplane is a step.  `line_steps(arr, vertices)` turns each vertex's line
+neighbours into its steps, once per census, and `enumerate_edges` reads the
+same neighbours.  Lexicographic order on points is a generic linear order,
+so a bounded face has exactly one lex-min vertex, and every edge of the
+face leaves it upward.  At each vertex and for each c of its zeros kept
+zero, setting the other zeros to their upward sides names the one face of
 codimension c that can have that vertex as its minimum; walking its steps
 visits its vertices and records its skeleton, or reaches a ray and shows it
 unbounded.  Bounded cells are c = 0, and each carries the skeleton of its
@@ -27,9 +54,8 @@ The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
 its orientation; a vertex is integer numerators p over a positive common
 denominator q in lowest terms, and the sign of a hyperplane at it is the
-sign of a·p − b·q.  Fractions appear only in `Vertex.point`, the boundary
-value that reports and exports read; line orders read its numerators and
-denominators as integers.
+sign of a·p − b·q.  Fractions appear only in `Vertex.point`, built on its
+first read, which only reports and exports make.
 """
 
 from __future__ import annotations
@@ -37,9 +63,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from operator import mul
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -51,9 +78,10 @@ from .rational import (
     IntPoint,
     IntRow,
     Vec,
+    back_substitute,
     dot,
     integer_row,
-    solve_integer_system,
+    reduce_row,
     vector,
 )
 
@@ -106,9 +134,26 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class Vertex:
-    point: Vec
+    """A vertex as the vertex pass finds it: its point as integers
+    numerators / denominator (positive, in lowest terms), the d hyperplanes
+    through it, its signs, and its neighbours along each of its d lines.
+
+    `line_neighbours[k]` is the (lex-lower, lex-upper) pair of vertex ids
+    next to it on the line that drops `tight_set[k]`, None where a ray
+    leaves instead.
+    """
+
+    numerators: tuple[int, ...]
+    denominator: int
     tight_set: tuple[int, ...]   # exactly d hyperplane indices, sorted
     sign_vector: SignVector      # zeros exactly on tight_set
+    line_neighbours: tuple[tuple[Optional[int], Optional[int]], ...]
+
+    @cached_property
+    def point(self) -> Vec:
+        """The point as Fractions, built on first read (reports, exports)."""
+        q = self.denominator
+        return tuple(Fraction(p, q) for p in self.numerators)
 
 
 @dataclass(frozen=True)
@@ -170,8 +215,7 @@ def check_simple(arr: Arrangement) -> SimplicityReport:
     """Decide simplicity by the definition: n >= d+1, every d-subset of
     hyperplanes meets in a unique point, and all such points are distinct."""
     try:
-        for _ in _subset_points(arr, _integer_rows(arr)):
-            pass
+        _solve_subsets(_integer_rows(arr), arr.dim, [])
     except NotSimpleError as exc:
         return exc.report
     return SimplicityReport(True)
@@ -187,91 +231,186 @@ def _integer_rows(arr: Arrangement) -> list[IntRow]:
     return [integer_row((*h.a, h.b)) for h in arr.hyperplanes]
 
 
-def _subset_points(
-    arr: Arrangement, rows: list[IntRow]
-) -> Iterator[tuple[tuple[int, ...], IntPoint]]:
-    """Yield (subset, (p, q)) for every d-subset in lexicographic order,
-    raising NotSimpleError at the first singular subset or repeated point.
-    `rows` are the hyperplanes as integers, from `_integer_rows`."""
-    d, n = arr.dim, arr.n
+def _solve_subsets(
+    rows: Sequence[IntRow], d: int, solved: list[tuple[tuple[int, ...], IntPoint]]
+) -> None:
+    """Append (subset, (p, q)) to `solved` for every d-subset of the integer
+    rows (a, b) in lexicographic order, raising NotSimpleError at the first
+    singular subset or repeated point.
+
+    The subsets are walked depth-first, so each prefix is reduced once
+    and its echelon rows serve every subset that extends it.  A prefix
+    whose normals are dependent makes every subset below it singular, and
+    the first of them in lexicographic order is reported.
+    """
+    n = len(rows)
     if n < d + 1:
         raise _not_simple(None, f"need at least {d + 1} hyperplanes, got {n}")
-    seen: dict[IntPoint, tuple[int, ...]] = {}
-    for subset in itertools.combinations(range(n), d):
-        point = solve_integer_system([rows[i] for i in subset])
-        if point is None:
-            raise _not_simple(subset, "hyperplanes do not meet in a single point")
-        if point in seen:
-            raise _not_simple(
-                subset, f"intersection point coincides with subset {seen[point]}"
-            )
-        seen[point] = subset
-        yield subset, point
+    _extend_prefix(rows, d, [], [], [], {}, solved)
 
 
-def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
-    """All C(n,d) vertices, sorted by tight set.  This is the simplicity
-    check of every enumeration: it raises NotSimpleError, with the report
-    attached, on a singular subset, a repeated point, or a point lying on
-    more than d hyperplanes (the witness then names all of them).
+def _extend_prefix(
+    rows: Sequence[IntRow],
+    d: int,
+    prefix: list[int],
+    echelon: list[Sequence[int]],
+    pivots: list[int],
+    seen: dict[IntPoint, tuple[int, ...]],
+    solved: list[tuple[tuple[int, ...], IntPoint]],
+) -> None:
+    """Every subset that extends `prefix`, whose rows reduced to `echelon`
+    with `pivots`, for `_solve_subsets`; `seen` maps each point solved so
+    far to its subset."""
+    level = len(prefix)
+    start = prefix[-1] + 1 if prefix else 0
+    for i in range(start, len(rows) - d + level + 1):
+        row, col = reduce_row(rows[i], echelon, pivots)
+        if col is None:
+            raise _not_simple((*prefix, *range(i, i + d - level)),
+                              "hyperplanes do not meet in a single point")
+        echelon.append(row)
+        pivots.append(col)
+        if level == d - 1:
+            subset = (*prefix, i)
+            point = back_substitute(echelon, pivots)
+            if point in seen:
+                raise _not_simple(
+                    subset, f"intersection point coincides with subset {seen[point]}"
+                )
+            seen[point] = subset
+            solved.append((subset, point))
+        else:
+            prefix.append(i)
+            _extend_prefix(rows, d, prefix, echelon, pivots, seen, solved)
+            prefix.pop()
+        echelon.pop()
+        pivots.pop()
 
-    Every sign is sign(a·p − b·q) in integers; the Fraction point is built
-    once per vertex, after its signs.
-    """
-    rows = _integer_rows(arr)
+
+def _extra_plane_error(
+    rows: list[IntRow], solved: list[tuple[tuple[int, ...], IntPoint]]
+) -> Optional[NotSimpleError]:
+    """The error for the first solved point, in lexicographic order of its
+    subset, that lies on a hyperplane outside its subset; None if none
+    does.  It names every hyperplane through the point."""
     planes = [(row[:-1], row[-1]) for row in rows]
-    vertices: list[Vertex] = []
-    for subset, (p, q) in _subset_points(arr, rows):
-        values = [sum(map(mul, a, p)) - b * q for a, b in planes]
-        signs = tuple((v > 0) - (v < 0) for v in values)
-        zeros = tuple(i for i, s in enumerate(signs) if s == 0)
+    for subset, (p, q) in solved:
+        zeros = tuple(i for i, (a, b) in enumerate(planes) if sum(map(mul, a, p)) == b * q)
         if zeros != subset:
-            raise _not_simple(
+            return _not_simple(
                 zeros, f"point of subset {subset} lies on extra hyperplanes "
                 f"{sorted(set(zeros) - set(subset))}"
             )
-        vertices.append(Vertex(tuple(Fraction(c, q) for c in p), subset, signs))
-    return vertices
+    return None
+
+
+def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
+    """All C(n,d) vertices, sorted by tight set, each with its signs and
+    its line neighbours.  This is the simplicity check of every enumeration:
+    it raises NotSimpleError, with the report attached, on a singular
+    subset, a repeated point, or a point lying on more than d hyperplanes
+    (the witness then names all of them), whichever subset comes first.
+
+    The pass and its soundness are described in the module docstring.
+    """
+    d = arr.dim
+    rows = _integer_rows(arr)
+    solved: list[tuple[tuple[int, ...], IntPoint]] = []
+    try:
+        _solve_subsets(rows, d, solved)
+    except NotSimpleError:
+        extra = _extra_plane_error(rows, solved)
+        if extra is None:
+            raise
+        raise extra from None
+
+    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for vid, (tight, _) in enumerate(solved):
+        for k in range(d):
+            lines.setdefault(tight[:k] + tight[k + 1:], []).append((vid, k))
+    neighbours: list[list] = [[None] * d for _ in solved]
+    for on_line in lines.values():
+        _sort_line(solved, on_line)
+        ids = [None, *(vid for vid, _ in on_line), None]
+        for t, (vid, k) in enumerate(on_line):
+            neighbours[vid][k] = (ids[t], ids[t + 2])
+    signs = _carry_signs(rows, solved, neighbours)
+    return [
+        Vertex(p, q, tight, signs[vid], tuple(neighbours[vid]))
+        for vid, (tight, (p, q)) in enumerate(solved)
+    ]
+
+
+def _sort_line(
+    solved: list[tuple[tuple[int, ...], IntPoint]], on_line: list[tuple[int, int]]
+) -> None:
+    """Sort one line's (vertex id, k) entries, k the position in the
+    vertex's tight set of the one index off the line, into increasing
+    lexicographic order of their points.
+
+    The vertices of a line are collinear, so the first coordinate in which
+    two of them differ orders them all strictly.  The sort key is that
+    coordinate as an integer, its numerator scaled to the lcm of the
+    denominators along the line.
+    """
+    points = [solved[vid][1] for vid, _ in on_line]
+    (p, q), (r, s) = points[0], points[1]
+    axis = 0
+    while p[axis] * s == r[axis] * q:
+        axis += 1
+    scale = lcm(*[q for _, q in points])
+    keys = [p[axis] * (scale // q) for p, q in points]
+    on_line[:] = [on_line[t] for t in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _carry_signs(
+    rows: list[IntRow],
+    solved: list[tuple[tuple[int, ...], IntPoint]],
+    neighbours: list[list],
+) -> list[SignVector]:
+    """Every vertex's sign vector, carried breadth-first along the lines
+    from one full evaluation at vertex 0 (see the module docstring).  The
+    vertex graph of a simple arrangement is connected, so every vertex is
+    reached."""
+    planes = [(row[:-1], row[-1]) for row in rows]
+    p, q = solved[0][1]
+    values = [sum(map(mul, a, p)) - b * q for a, b in planes]
+    signs: list[Optional[SignVector]] = [None] * len(solved)
+    signs[0] = tuple((v > 0) - (v < 0) for v in values)
+    # w's index off the line it shares with u: the line is u's tight set
+    # without j, so w's index is the sum of w's tight set minus the line's
+    totals = [sum(tight) for tight, _ in solved]
+    todo = [0]
+    for u in todo:
+        su, base = signs[u], totals[u]
+        for j, pair in zip(solved[u][0], neighbours[u]):
+            for w in pair:
+                if w is None or signs[w] is not None:
+                    continue
+                a, b = planes[j]
+                p, q = solved[w][1]
+                value = sum(map(mul, a, p)) - b * q
+                sw = list(su)
+                sw[j] = (value > 0) - (value < 0)
+                sw[totals[w] - base + j] = 0
+                signs[w] = tuple(sw)
+                todo.append(w)
+    if len(todo) != len(solved):
+        raise InternalConsistencyError(
+            f"signs reached {len(todo)} of {len(solved)} vertices along the lines"
+        )
+    return signs
 
 
 def _with_sign(signs: SignVector, index: int, sign: Sign) -> SignVector:
     return signs[:index] + (sign,) + signs[index + 1:]
 
 
-def _line_orders(
-    arr: Arrangement, vertices: list[Vertex]
-) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-    """Every line (each (d-1)-subset of hyperplanes) with its vertices as
-    (vertex id, j), j the one index tight there off the line, in increasing
-    lexicographic order of their points.
-
-    A vertex on a line is tight on exactly one hyperplane j off the line,
-    which crosses the line there and nowhere else.  The vertices of a line
-    are collinear, so the first coordinate in which two of them differ
-    orders them all strictly.  The sort key is that coordinate as an
-    integer, its numerator scaled to the lcm of its denominators along the
-    line, so no Fraction is compared.
-    """
-    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for vid, v in enumerate(vertices):
-        tight = v.tight_set
-        for k, j in enumerate(tight):
-            lines.setdefault(tight[:k] + tight[k + 1:], []).append((vid, j))
-    for on_line in lines.values():
-        p, q = vertices[on_line[0][0]].point, vertices[on_line[1][0]].point
-        axis = next(c for c in range(arr.dim) if p[c] != q[c])
-        coords = [vertices[vid].point[axis] for vid, _ in on_line]
-        scale = lcm(*(c.denominator for c in coords))
-        keys = [c.numerator * (scale // c.denominator) for c in coords]
-        on_line[:] = [item for _, item in sorted(zip(keys, on_line))]
-    return lines
-
-
 def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[ArrangementEdge]:
     """Decompose every line (each (d-1)-subset of hyperplanes) into its
     bounded segments between consecutive vertices plus the two extreme rays.
 
-    Everything follows from the vertex sign vectors and `_line_orders`.
+    Everything follows from the vertex sign vectors and line neighbours.
     The segment from u to its neighbour w has u's signs with u's index j set
     to w's sign at j; the ray leaving an extreme vertex v away from its
     neighbour w has v's signs with v's index j set to minus w's sign at j.
@@ -283,10 +422,21 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     vertices[head].point, the line's first ray leaves its lex-min vertex
     and its last ray leaves its lex-max vertex.
     """
-    lines = _line_orders(arr, vertices)
+    starts = []
+    for vid, v in enumerate(vertices):
+        tight = v.tight_set
+        for k, (below, _) in enumerate(v.line_neighbours):
+            if below is None:
+                starts.append((tight[:k] + tight[k + 1:], vid))
     edges: list[ArrangementEdge] = []
-    for line_set in sorted(lines):
-        on_line = lines[line_set]
+    for line_set, first in sorted(starts):
+        on_line = []  # (vertex id, its index off the line), going up
+        vid = first
+        while vid is not None:
+            tight = vertices[vid].tight_set
+            k = next(k for k, j in enumerate(tight) if j not in line_set)
+            on_line.append((vid, tight[k]))
+            vid = vertices[vid].line_neighbours[k][1]
         signs = [vertices[vid].sign_vector for vid, _ in on_line]
 
         first, j = on_line[0]
@@ -302,25 +452,25 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
 
 def line_steps(arr: Arrangement, vertices: list[Vertex]) -> Steps:
     """Every vertex's line steps: the table that the face walk reads, built
-    once per census straight from the line orders of `_line_orders`.
+    once per census from the line neighbours of the vertex pass.
 
     `steps[v][k]` is [w-, w+, up] for each k tight at v: the neighbours of v
     on the line that drops k, on the - and the + side of k (None where a ray
-    leaves v), and the side of k that lies lexicographically above v.  For
-    consecutive vertices u < w on a line, w lies on its own side of u's
-    index j off the line, which is up from u; u lies on its own side of w's
-    index, which is down from w, so w's up side is the opposite one.  Every
-    line carries at least two vertices, so up is always set.
+    leaves v), and the side of k that lies lexicographically above v.  The
+    upper neighbour lies on the up side, so up is its sign at k; at the
+    lex-max vertex of a line, up is minus the lower neighbour's sign at k.
+    Every line carries at least two vertices, so one of them is set.
     """
-    steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]
-    for on_line in _line_orders(arr, vertices).values():
-        for (u, ju), (w, jw) in zip(on_line, on_line[1:]):
-            side = vertices[w].sign_vector[ju]
-            step = steps[u][ju]
-            step[side > 0], step[2] = w, side
-            side = vertices[u].sign_vector[jw]
-            step = steps[w][jw]
-            step[side > 0], step[2] = u, -side
+    steps: Steps = []
+    for v in vertices:
+        row = {}
+        for k, (below, above) in zip(v.tight_set, v.line_neighbours):
+            if above is not None:
+                up = vertices[above].sign_vector[k]
+            else:
+                up = -vertices[below].sign_vector[k]
+            row[k] = [below, above, 1] if up > 0 else [above, below, -1]
+        steps.append(row)
     return steps
 
 

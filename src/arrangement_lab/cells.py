@@ -324,15 +324,11 @@ def canonical_form(adj: Adjacency) -> tuple:
 # ---------------------------------------------------------------------------
 
 def build_cell_records(
-    arr: Arrangement,
-    vertices: list[Vertex],
-    steps: Steps,
-    cells: list[BoundedCell],
+    arr: Arrangement, vertices: list[Vertex], cells: list[BoundedCell]
 ) -> list[CellRecord]:
     """One record per cell, from the skeleton its walk recorded.  A cell the
     product certificate accepts has diameter m, its number of factors;
-    only the others are measured by `cell_diameter`.  `steps` is not read:
-    the walk that found the cells has already stepped every edge."""
+    only the others are measured by `cell_diameter`."""
     records = []
     for cell in cells:
         v, e, f = cell_f_counts(cell, vertices)

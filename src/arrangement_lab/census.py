@@ -53,7 +53,7 @@ def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     vertices = enumerate_vertices(arr)
     steps = line_steps(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, steps)
-    records = build_cell_records(arr, vertices, steps, cells)
+    records = build_cell_records(arr, vertices, cells)
     counts = Counter(rec.cell_class for rec in records)
     delta = Fraction(sum(rec.diameter for rec in records), len(records))
 

@@ -3,6 +3,10 @@
 Exit codes: 0 success (or all checks pass), 1 verification failure,
 2 invalid input or parameters.  Output files are canonical JSON (or SVG/OFF
 text) written atomically, so identical invocations give identical bytes.
+
+`analyze`, `export` and `verify` enumerate C(n,d) vertices per instance, so
+before building anything they check that count against a size budget
+(`--max-vertices`, default `DEFAULT_MAX_VERTICES`) and exit 2 above it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from .census import census
 from .constructions import build_ao2, build_ao3, build_cyclic_star, random_simple_arrangement
@@ -27,7 +32,16 @@ from .jsonio import (
     suite_to_obj,
 )
 from .rational import decimal_display, format_rational
-from .verify import RANDOM_2D_POOL, RANDOM_3D_POOL, RANDOM_COEFF_BOUND, run_suite
+from .verify import (
+    RANDOM_2D_POOL,
+    RANDOM_3D_POOL,
+    RANDOM_COEFF_BOUND,
+    run_suite,
+    suite_instances,
+)
+
+# The largest C(n,d) vertex count an instance may have without --max-vertices.
+DEFAULT_MAX_VERTICES = 1_000_000
 
 
 def _check_thread_cap() -> None:
@@ -42,6 +56,24 @@ def _check_thread_cap() -> None:
         raise InputError(f"ARRANGEMENT_LAB_THREADS must be an integer, got {raw!r}")
     if cap < 1:
         raise InputError("ARRANGEMENT_LAB_THREADS must be >= 1")
+
+
+def _add_size_budget(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+        help=f"refuse instances with more than this many vertices C(n,d) "
+        f"(default {DEFAULT_MAX_VERTICES})",
+    )
+
+
+def _check_size(instance: str, n: int, d: int, limit: int) -> None:
+    """Raise InputError when the instance has more than `limit` vertices."""
+    vertices = comb(n, d)
+    if vertices > limit:
+        raise InputError(
+            f"{instance} has C({n},{d}) = {vertices} vertices, above the limit of "
+            f"{limit}; raise it with --max-vertices"
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,6 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("input", help="arrangement JSON file")
     p_analyze.add_argument("--report", default=None, help="write the census JSON here")
     p_analyze.add_argument("--cells", action="store_true", help="include per-cell records")
+    _add_size_budget(p_analyze)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument(
@@ -80,12 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seeds", default=None,
                           help="JSON file overriding the random pools")
     p_verify.add_argument("--out", default=None, help="write the summary JSON here")
+    _add_size_budget(p_verify)
 
     p_export = sub.add_parser("export", help="render SVG (d=2) or OFF (d=3)")
     p_export.add_argument("input")
     p_export.add_argument("--format", required=True, choices=("svg", "off"))
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--cell", default=None, help="cell signature for OFF export")
+    _add_size_budget(p_export)
 
     return parser
 
@@ -167,6 +202,7 @@ def _cmd_random(args) -> int:
 
 def _cmd_analyze(args) -> int:
     arr, metadata = load_arrangement(args.input)
+    _check_size(args.input, arr.n, arr.dim, args.max_vertices)
     report = census(arr, metadata=metadata)
     print(
         f"n={report.n} d={report.dim} I={report.cell_count} "
@@ -186,6 +222,9 @@ def _cmd_verify(args) -> int:
     pools_2d, pools_3d = (RANDOM_2D_POOL, RANDOM_3D_POOL)
     if args.seeds:
         pools_2d, pools_3d = _load_pools(args.seeds)
+    for family, d, n, seed, _ in suite_instances(args.prop, ranges, pools_2d, pools_3d):
+        instance = f"{family} d={d} n={n}" + ("" if seed is None else f" seed={seed}")
+        _check_size(instance, n, d, args.max_vertices)
     summary = run_suite(args.prop, ranges, pools_2d, pools_3d)
     for result in summary.results:
         params = " ".join(f"{k}={v}" for k, v in result.params.items())
@@ -200,6 +239,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     arr, _ = load_arrangement(args.input)
+    _check_size(args.input, arr.n, arr.dim, args.max_vertices)
     if args.format == "svg":
         if args.cell is not None:
             raise InputError("--cell applies only to --format off")

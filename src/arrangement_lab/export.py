@@ -58,7 +58,7 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     vertices = enumerate_vertices(arr)
     steps = line_steps(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, steps)
-    records = build_cell_records(arr, vertices, steps, cells)
+    records = build_cell_records(arr, vertices, cells)
 
     xs = [v.point[0] for v in vertices]
     ys = [v.point[1] for v in vertices]
@@ -150,7 +150,7 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
         raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
     vids = tuple(skeleton)
     cell = BoundedCell(signature, vids, tuple(skeleton.items()))
-    (record,) = build_cell_records(arr, vertices, steps, [cell])
+    (record,) = build_cell_records(arr, vertices, [cell])
 
     local = {vid: i for i, vid in enumerate(vids)}
     facet_planes = sorted({index for vid in vids for index in vertices[vid].tight_set})

@@ -1,12 +1,18 @@
 """Exact rational scalars and small dense linear algebra.
 
-Exactness comes from plain integers.  The one linear-system kernel,
-`solve_integer_system`, runs fraction-free (Bareiss) elimination on integer
-rows (A | b) and returns the solution as integer numerators over a positive
-common denominator, in lowest terms; singularity detection is exact, since a
-system is singular exactly when some pivot column vanishes.  `integer_row`
-scales a rational row by a positive factor to coprime integers, which keeps
-the sign of every affine functional it describes.
+Exactness comes from plain integers.  Linear systems are solved by
+fraction-free (Bareiss 1968) elimination on integer rows (A | b), in two
+helpers that hold the one Bareiss formula: `reduce_row` reduces a new row
+against the echelon rows before it and picks its pivot column, so rows
+never move, and `back_substitute` turns d echelon rows into the solution
+as integer numerators over a positive common denominator, in lowest terms.
+`solve_integer_system` chains them over one system; the vertex pass of
+`arrangement` chains them over a depth-first walk of subsets, so that
+subsets sharing a prefix share its echelon rows.  Singularity detection is
+exact, since a row is dependent exactly when it reduces to zero on every
+column of A.  `integer_row` scales a rational row by a positive factor to
+coprime integers, which keeps the sign of every affine functional it
+describes.
 
 `fractions.Fraction` is the boundary type: vectors are tuples of Fractions
 and matrices tuples of row tuples, for input, reports and exports.
@@ -19,6 +25,7 @@ from __future__ import annotations
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError
@@ -53,51 +60,82 @@ def integer_row(values: Sequence) -> IntRow:
     return tuple(v // g for v in ints)
 
 
+def reduce_row(
+    row: Sequence[int], echelon: Sequence[Sequence[int]], pivots: Sequence[int]
+) -> tuple[Sequence[int], Optional[int]]:
+    """One Bareiss level: `row` (a_1, ..., a_d, b) reduced against the
+    echelon rows before it, and the column it pivots on.
+
+    `echelon[t]` is the t-th row as this function returned it, which is zero
+    on the pivot columns `pivots[:t]` and nonzero on `pivots[t]`.  Each step
+    is Bareiss's update with the previous pivot as exact divisor, taken in
+    the column order the pivots chose, so no row ever moves; where the row
+    is already zero in the step's pivot column, the update only rescales
+    it.  The result is zero on every earlier pivot column; its pivot is the
+    first other column of A where it is nonzero, or None when its normal
+    depends on the echelon rows' normals.
+    """
+    reduced = row
+    prev = 1
+    for e, c in zip(echelon, pivots):
+        pivot, lead = e[c], reduced[c]
+        if lead:
+            reduced = [(x * pivot - lead * y) // prev for x, y in zip(reduced, e)]
+        elif pivot != prev:
+            reduced = [x * pivot // prev for x in reduced]
+        prev = pivot
+    for c in range(len(reduced) - 1):
+        if reduced[c]:
+            return reduced, c
+    return reduced, None
+
+
+def back_substitute(echelon: Sequence[Sequence[int]], pivots: Sequence[int]) -> IntPoint:
+    """The solution of d echelon rows from `reduce_row`, one pivot each, as
+    (numerators, denominator) in lowest terms with a positive denominator.
+
+    The last pivot is ±det(A), so x·det(A) is an integer vector by Cramer's
+    rule; each row, from the last, fixes its pivot coordinate of that
+    vector from the later ones, dividing exactly.
+    """
+    d = len(echelon)
+    det = echelon[-1][pivots[-1]] if echelon else 1
+    x = [0] * d
+    for t in range(d - 1, -1, -1):
+        e, c = echelon[t], pivots[t]
+        x[c] = (det * e[d] - sum(map(mul, e, x))) // e[c]
+    if det < 0:
+        det = -det
+        x = [-v for v in x]
+    g = gcd(det, *x)
+    if g != 1:
+        det //= g
+        x = [v // g for v in x]
+    return tuple(x), det
+
+
 def solve_integer_system(rows: Sequence[IntRow]) -> Optional[IntPoint]:
     """Solve the integer augmented system (A | b) with d rows of d+1 entries.
 
     Returns None when A is singular, otherwise (numerators, denominator)
     with x_i = numerators[i] / denominator, the denominator positive and
     gcd(numerators..., denominator) = 1, so equal points have equal results.
-
-    Bareiss elimination keeps every intermediate value an integer: each
-    update divides exactly by the previous pivot, and the last pivot is
-    ±det(A).  Back-substitution then works on x·det(A), which is an integer
-    vector by Cramer's rule, so it divides exactly as well.
+    Each row is reduced by `reduce_row` against those before it, then
+    `back_substitute` solves; the vertex pass of `arrangement` shares both
+    helpers, reusing the rows of a common prefix of subsets.
     """
     d = len(rows)
     if any(len(row) != d + 1 for row in rows):
         raise DimensionMismatchError(f"expected {d} rows of {d + 1} entries")
-    m = [list(row) for row in rows]
-
-    prev = 1
-    for k in range(d):
-        pivot = next((r for r in range(k, d) if m[r][k] != 0), None)
-        if pivot is None:
+    echelon: list[Sequence[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        reduced, col = reduce_row(row, echelon, pivots)
+        if col is None:
             return None
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-        pk = m[k][k]
-        for i in range(k + 1, d):
-            rik = m[i][k]
-            for j in range(k + 1, d + 1):
-                m[i][j] = (m[i][j] * pk - rik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pk
-
-    det = prev
-    x = [0] * d
-    for i in reversed(range(d)):
-        row = m[i]
-        acc = det * row[d]
-        for j in range(i + 1, d):
-            acc -= row[j] * x[j]
-        x[i] = acc // row[i]
-    if det < 0:
-        det = -det
-        x = [-v for v in x]
-    g = gcd(det, *x)
-    return tuple(v // g for v in x), det // g
+        echelon.append(reduced)
+        pivots.append(col)
+    return back_substitute(echelon, pivots)
 
 
 def solve_linear_system(m: Mat, rhs: Vec) -> Optional[Vec]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .arrangement import Arrangement
 from .cells import CellClass, cube, polygon, shell, simplex, simplex_product
@@ -545,22 +545,18 @@ def verify_proposition(prop: str, **params) -> VerificationResult:
     raise InputError(f"unknown proposition id {prop!r}")
 
 
-def run_suite(
-    props: Sequence[str] = ("all",),
-    ranges: Optional[dict] = None,
-    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
-    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
-    bound: int = RANDOM_COEFF_BOUND,
-) -> SuiteSummary:
-    """Run the requested checks over their grids, in id order.
+Instance = tuple  # (family, d, n, seed, bound), the key of construction_census
 
-    `ranges` ({"n": [...]} and/or {"d": [...]}) restricts the grid and is only
-    accepted when a single proposition other than H or S is selected, with
-    keys that proposition takes (`RANGE_KEYS`), and when it leaves at least
-    one instance; the default grids are the documented acceptance grids.
-    The random pools and their coefficient bound feed P2, P4, H and S; H and
-    S check them beside every default-grid construction.
-    """
+
+def _plan(
+    props: Sequence[str],
+    ranges: Optional[dict],
+    random_2d: Sequence[tuple[int, int]],
+    random_3d: Sequence[tuple[int, int]],
+    bound: int,
+) -> list[tuple[Callable[..., VerificationResult], tuple, list[Instance]]]:
+    """The checks `run_suite` makes, in order, as (check, arguments, the
+    instances it censuses); raises InputError on a bad selection."""
     requested = {p.upper() for p in props}
     if "ALL" in requested:
         requested = set(PROP_IDS)
@@ -585,33 +581,66 @@ def run_suite(
 
     ns = list(ranges.get("n", ())) if ranges else []
     ds = list(ranges.get("d", ())) if ranges else []
+    pool_2d = [("random", 2, n, seed, bound) for n, seed in random_2d]
+    pool_3d = [("random", 3, n, seed, bound) for n, seed in random_3d]
 
-    results: list[VerificationResult] = []
+    plan: list[tuple] = []
     if "P1" in requested:
-        for n in ns or P1_RANGE:
-            results.append(_verify_p1(n))
+        plan += [(_verify_p1, (n,), [("ao2", 2, n, None, None)]) for n in ns or P1_RANGE]
     if "P2" in requested:
-        for n in ns or P2_RANGE:
-            results.append(_verify_p2(n))
-        results.append(_verify_p2_random(random_2d, bound))
+        plan += [(_verify_p2, (n,), [("ao2", 2, n, None, None)]) for n in ns or P2_RANGE]
+        plan.append((_verify_p2_random, (random_2d, bound), pool_2d))
     if "P3" in requested:
-        for n in ns or P3_RANGE:
-            results.append(_verify_p3(n))
+        plan += [(_verify_p3, (n,), [("ao3", 3, n, None, None)]) for n in ns or P3_RANGE]
     if "P4" in requested:
-        for n in ns or P4_RANGE:
-            results.append(_verify_p4(n))
-        results.append(_verify_p4_random(random_3d, bound))
+        plan += [(_verify_p4, (n,), [("ao3", 3, n, None, None)]) for n in ns or P4_RANGE]
+        plan.append((_verify_p4_random, (random_3d, bound), pool_3d))
     if "P5" in requested:
-        for d in ds or P5_RANGE:
-            results.append(_verify_p5(d))
+        plan += [(_verify_p5, (d,), [("cyclic", d, d + 2, None, None)]) for d in ds or P5_RANGE]
     for prop, check, grid in (("P6", _verify_p6, P6_GRID), ("P7", _verify_p7, P7_GRID)):
         if prop in requested:
-            results.extend(check(d, n) for d, n in _pair_grid(prop, ds, ns, grid))
+            plan += [(check, (d, n), [("cyclic", d, n, None, None)])
+                     for d, n in _pair_grid(prop, ds, ns, grid)]
     instances = default_instances(random_2d, random_3d, bound)
     if "H" in requested:
-        results.append(_verify_hirsch(instances))
+        plan.append((_verify_hirsch, (instances,), [k for k in instances if k[1] in (2, 3)]))
     if "S" in requested:
-        results.append(_verify_simplex_floor(instances))
+        plan.append((_verify_simplex_floor, (instances,), instances))
+    return plan
+
+
+def suite_instances(
+    props: Sequence[str] = ("all",),
+    ranges: Optional[dict] = None,
+    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
+    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
+    bound: int = RANDOM_COEFF_BOUND,
+) -> list[Instance]:
+    """The (family, d, n, seed, bound) keys of every instance `run_suite`
+    would census with these arguments, each once, in first-seen order,
+    without building any of them; raises InputError as `run_suite` does."""
+    plan = _plan(props, ranges, random_2d, random_3d, bound)
+    return list(dict.fromkeys(key for _, _, keys in plan for key in keys))
+
+
+def run_suite(
+    props: Sequence[str] = ("all",),
+    ranges: Optional[dict] = None,
+    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
+    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
+    bound: int = RANDOM_COEFF_BOUND,
+) -> SuiteSummary:
+    """Run the requested checks over their grids, in id order.
+
+    `ranges` ({"n": [...]} and/or {"d": [...]}) restricts the grid and is only
+    accepted when a single proposition other than H or S is selected, with
+    keys that proposition takes (`RANGE_KEYS`), and when it leaves at least
+    one instance; the default grids are the documented acceptance grids.
+    The random pools and their coefficient bound feed P2, P4, H and S; H and
+    S check them beside every default-grid construction.
+    """
+    plan = _plan(props, ranges, random_2d, random_3d, bound)
+    results = [check(*args) for check, args, _ in plan]
     return SuiteSummary(results, all(r.passed for r in results), random_2d, random_3d, bound)
 
 

@@ -2,22 +2,30 @@
 
 Every d-subset is solved by Gauss-Jordan elimination on Fractions, repeated
 points are found by comparing Fraction tuples, and all n signs are evaluated
-with `evaluate_sign` (`sign_affine` on Fractions).  The solve is kept here
-instead of calling `solve_linear_system`, which now adapts the integer
-kernel, so no arithmetic is shared with the code under test.  The defects
-are checked in the same order and reported with the same witness and reason
-as the kernel.
+at every vertex with `evaluate_sign` (`sign_affine` on Fractions).  The
+solve is kept here instead of calling `solve_linear_system`, which now
+adapts the integer kernel, so no arithmetic is shared with the code under
+test.  The defects are checked subset by subset in lexicographic order
+(singular, repeated point, extra hyperplane) and reported with the same
+witness and reason as the kernel.
+
+`line_orders` is the earlier per-line sort over the Fraction points, and
+`line_steps_from_orders` the step table built from it; the kernel's line
+neighbours and `line_steps` must reproduce both.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 from arrangement_lab.arrangement import (
     Arrangement,
     SimplicityReport,
+    Steps,
     Vertex,
 )
 from arrangement_lab.errors import NotSimpleError
@@ -86,5 +94,62 @@ def enumerate_vertices_by_fractions(arr: Arrangement) -> list[Vertex]:
                 zeros, f"point of subset {subset} lies on extra hyperplanes "
                 f"{sorted(set(zeros) - set(subset))}"
             )
-        vertices.append(Vertex(point, subset, signs))
-    return vertices
+        q = lcm(*(c.denominator for c in point))
+        vertices.append(Vertex(tuple(int(c * q) for c in point), q, subset, signs, ()))
+    return with_line_neighbours(arr, vertices)
+
+
+def line_orders(
+    arr: Arrangement, vertices: list[Vertex]
+) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Every line (each (d-1)-subset of hyperplanes) with its vertices as
+    (vertex id, j), j the one index tight there off the line, in increasing
+    lexicographic order of their Fraction points: the first coordinate in
+    which two of them differ orders a line strictly, compared as its
+    numerator scaled to the lcm of its denominators along the line."""
+    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for vid, v in enumerate(vertices):
+        tight = v.tight_set
+        for k, j in enumerate(tight):
+            lines.setdefault(tight[:k] + tight[k + 1:], []).append((vid, j))
+    for on_line in lines.values():
+        p, q = vertices[on_line[0][0]].point, vertices[on_line[1][0]].point
+        axis = next(c for c in range(arr.dim) if p[c] != q[c])
+        coords = [vertices[vid].point[axis] for vid, _ in on_line]
+        scale = lcm(*(c.denominator for c in coords))
+        keys = [c.numerator * (scale // c.denominator) for c in coords]
+        on_line[:] = [item for _, item in sorted(zip(keys, on_line))]
+    return lines
+
+
+def line_neighbours_from_orders(arr: Arrangement, vertices: list[Vertex]) -> list[tuple]:
+    """Each vertex's (lower, upper) neighbour pairs, one per tight index,
+    read off `line_orders`."""
+    pairs = [[None] * len(v.tight_set) for v in vertices]
+    for on_line in line_orders(arr, vertices).values():
+        ids = [None, *(vid for vid, _ in on_line), None]
+        for t, (vid, j) in enumerate(on_line):
+            pairs[vid][vertices[vid].tight_set.index(j)] = (ids[t], ids[t + 2])
+    return [tuple(p) for p in pairs]
+
+
+def with_line_neighbours(arr: Arrangement, vertices: list[Vertex]) -> list[Vertex]:
+    return [replace(v, line_neighbours=pairs)
+            for v, pairs in zip(vertices, line_neighbours_from_orders(arr, vertices))]
+
+
+def line_steps_from_orders(arr: Arrangement, vertices: list[Vertex]) -> Steps:
+    """The step table from consecutive vertices of each line in
+    `line_orders`: for u < w, w lies on its own side of u's index j off the
+    line, which is up from u, and w's up side is the opposite of u's side
+    of w's index."""
+    steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]
+    for on_line in line_orders(arr, vertices).values():
+        for (u, ju), (w, jw) in zip(on_line, on_line[1:]):
+            side = vertices[w].sign_vector[ju]
+            step = steps[u][ju]
+            step[side > 0], step[2] = w, side
+            side = vertices[u].sign_vector[jw]
+            step = steps[w][jw]
+            step[side > 0], step[2] = u, -side
+    return steps

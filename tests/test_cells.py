@@ -37,7 +37,7 @@ def records_of(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
-    records = build_cell_records(arr, vertices, line_steps(arr, vertices), cells)
+    records = build_cell_records(arr, vertices, cells)
     return records, vertices, edges, cells
 
 

@@ -49,7 +49,7 @@ def assert_kernels_match_references(arr):
     walked = [dict(cell.skeleton) for cell in cells]
     assert walked == skeletons_for_cells(cells, steps, arr.dim)
     assert walked == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)
-    for rec, adj in zip(build_cell_records(arr, vertices, steps, cells), walked):
+    for rec, adj in zip(build_cell_records(arr, vertices, cells), walked):
         v, e, f = rec.vertex_count, rec.edge_count, rec.facet_count
         assert rec.cell_class == oracle_classify.classify_cell(v, e, f, adj, arr.dim), rec.signature
         assert rec.diameter == oracle_skeleton.cell_diameter(adj), rec.signature
@@ -140,7 +140,7 @@ def test_ao3_5_shell_certifies_as_the_prism():
         cells = enumerate_bounded_cells(arr, vertices, steps)
         (cell,) = [c for c in cells if c.signature == (1,) * (n - 1) + (-1,)]
         factors = product_factors([vertices[vid].tight_set for vid in cell.vertex_ids])
-        (rec,) = build_cell_records(arr, vertices, steps, [cell])
+        (rec,) = build_cell_records(arr, vertices, [cell])
         if n == 5:
             assert factors == (2, 3)
             assert rec.cell_class == simplex_product(1, 2) and rec.diameter == 2

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -367,3 +368,46 @@ def test_render_guards():
         render_off(build_ao2(5).arrangement, (1,) * 5)
     with pytest.raises(InputError):
         render_off(build_cyclic_star(3, 6).arrangement, (1, 1, 1))  # wrong length
+
+
+# ---------------------------------------------------------------------------
+# size budget: C(n,d) is checked before anything is enumerated
+# ---------------------------------------------------------------------------
+
+def test_analyze_refuses_an_instance_over_the_default_budget(tmp_path, capsys):
+    out = tmp_path / "c840.json"
+    assert run(["construct", "--family", "cyclic", "-d", 8, "-n", 40, "--out", out]) == 0
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert run(["analyze", out]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert "C(40,8) = 76904685" in err and "1000000" in err and str(out) in err
+
+
+def test_verify_refuses_a_range_over_the_budget(capsys):
+    started = time.perf_counter()
+    assert run(["verify", "--prop", "P1", "--range", "n=4..2000"]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ao2 d=2 n=1415 has C(1415,2) = 1000405 vertices")
+
+
+def test_verify_budget_covers_the_seeds_pools(tmp_path, capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"d2": [[5, 3], [50, 1]]}))
+    argv = ["verify", "--prop", "P2", "--range", "n=5..5", "--seeds", seeds]
+    assert run([*argv, "--max-vertices", 1000]) == 2
+    assert "random d=2 n=50 seed=1 has C(50,2) = 1225 vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_max_vertices_sets_the_budget(tmp_path, capsys, command):
+    arr = tmp_path / "a27.json"
+    run(["construct", "--family", "ao2", "-n", 7, "--out", arr])
+    argv = [command, arr]
+    if command == "export":
+        argv += ["--format", "svg", "--out", tmp_path / "a27.svg"]
+    assert run([*argv, "--max-vertices", 20]) == 2
+    assert "C(7,2) = 21 vertices, above the limit of 20" in capsys.readouterr().err
+    assert run([*argv, "--max-vertices", 21]) == 0

@@ -137,7 +137,7 @@ def test_constructions_simple_across_grids():
 def test_ao2_4_cells():
     arr = build_ao2(4).arrangement
     vertices, edges, cells = bounded_cells_of(arr)
-    records = build_cell_records(arr, vertices, line_steps(arr, vertices), cells)
+    records = build_cell_records(arr, vertices, cells)
     classes = sorted(r.cell_class for r in records)
     assert classes == [polygon(3), polygon(3), polygon(4)]
     assert Fraction(sum(r.diameter for r in records), len(records)) == Fraction(4, 3)
@@ -156,7 +156,7 @@ def test_ao2_first_lines_form_smaller_star():
         full = build_ao2(n).arrangement
         prefix = Arrangement(2, full.hyperplanes[: n - 1])
         vertices, edges, cells = bounded_cells_of(prefix)
-        records = build_cell_records(prefix, vertices, line_steps(prefix, vertices), cells)
+        records = build_cell_records(prefix, vertices, cells)
         triangles = sum(1 for r in records if r.cell_class == polygon(3))
         squares = sum(1 for r in records if r.cell_class == polygon(4))
         assert triangles == n - 3
@@ -210,7 +210,7 @@ def test_random_35_census_is_forced():
     built = random_simple_arrangement(3, 5, seed=7)
     arr = built.arrangement
     vertices, edges, cells = bounded_cells_of(arr)
-    records = build_cell_records(arr, vertices, line_steps(arr, vertices), cells)
+    records = build_cell_records(arr, vertices, cells)
     counts = {}
     for rec in records:
         counts[rec.cell_class] = counts.get(rec.cell_class, 0) + 1

@@ -39,3 +39,36 @@ def test_inspect_shells_prints_the_ao3_7_shell(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     shells = [line for line in lines if line.startswith("ao3(7) cell ")]
     assert len(shells) == 1 and shells[0].endswith(", 10 vertices")
+
+
+def bench_pairs():
+    """The functions of scripts/bench_pairs.py, without running it."""
+    return runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+
+
+def test_bench_pairs_summary_arithmetic():
+    summarise = bench_pairs()["summarise"]
+    base, change = [10.0, 20.0, 30.0, 40.0], [12.0, 18.0, 33.0, 44.0]
+    higher = summarise(base, change, "higher")
+    assert higher["ratios"] == pytest.approx([1.2, 0.9, 1.1, 1.1])
+    assert higher["ratio_median"] == pytest.approx(1.1)
+    assert higher["base"] == pytest.approx((12.5, 25.0, 37.5))      # statistics.quantiles
+    assert higher["change"] == pytest.approx((13.5, 25.5, 41.25))
+    assert (higher["wins"], higher["pairs"]) == (3, 4)
+    assert not higher["gap_exceeds_base_iqr"]                       # 0.5 against 25
+    assert summarise(base, change, "lower")["wins"] == 1
+    clear = summarise([10.0, 11.0, 12.0, 13.0], [20.0, 21.0, 22.0, 23.0], "higher")
+    assert clear["gap_exceeds_base_iqr"] and clear["wins"] == 4
+
+
+def test_bench_pairs_parses_seed_lists():
+    parse_seeds = bench_pairs()["parse_seeds"]
+    assert parse_seeds("1-3,7") == [1, 2, 3, 7]
+    with pytest.raises(ValueError):
+        parse_seeds("-1")
+
+
+def test_bench_pairs_refuses_a_tree_without_the_package(monkeypatch, tmp_path, capsys):
+    repo = SCRIPTS.parent
+    assert run_script(monkeypatch, "bench_pairs.py", tmp_path, repo) == 2
+    assert f"{tmp_path} has no src/arrangement_lab" in capsys.readouterr().err

@@ -34,7 +34,7 @@ def assert_matches_oracle(arr):
     cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
     expected = oracle.skeletons_for_cells(cells, edges, arr.dim)
     assert skeletons_for_cells(cells, line_steps(arr, vertices), arr.dim) == expected
-    records = build_cell_records(arr, vertices, line_steps(arr, vertices), cells)
+    records = build_cell_records(arr, vertices, cells)
     diameters = []
     for rec, adj in zip(records, expected):
         assert rec.adjacency_dict() == adj
