@@ -45,10 +45,10 @@ face leaves it upward.  At each vertex and for each c of its zeros kept
 zero, setting the other zeros to their upward sides names the one face of
 codimension c that can have that vertex as its minimum; walking its steps
 visits its vertices and records its skeleton, or reaches a ray and shows it
-unbounded.  Bounded cells are c = 0, and each carries the skeleton of its
-walk; bounded facets are c = 1.  This is reverse search (Avis-Fukuda 1996)
-without linear programming, because the vertices are already known; no
-floating point anywhere.
+unbounded.  A census walks only the bounded cells, c = 0, each with its
+skeleton, and reads the bounded facets off them.  This is reverse search
+(Avis-Fukuda 1996) without linear programming, because the vertices are
+already known; no floating point anywhere.
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
@@ -190,9 +190,9 @@ class SimplicityReport:
 class FacetRecord:
     """A bounded (d-1)-face of a d-dimensional arrangement."""
 
-    hyperplane: int                       # index of the carrying hyperplane
-    signature: SignVector                 # full length n, zero at `hyperplane`
-    incident: tuple[SignVector, SignVector]   # carrier set to -, then +
+    hyperplane: int              # index of the carrying hyperplane
+    signature: SignVector        # full length n, zero at `hyperplane`
+    cells: tuple[int, ...]       # positions of the 1 or 2 bounded cells it bounds
 
 
 @dataclass(frozen=True)
@@ -597,24 +597,21 @@ def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:
 
 
 def enumerate_bounded_facets(
-    arr: Arrangement, vertices: list[Vertex], steps: Steps
+    arr: Arrangement, vertices: list[Vertex], cells: list[BoundedCell]
 ) -> list[FacetRecord]:
-    """All bounded (d-1)-faces, sorted by carrier and then signature.
-
-    A facet has one zero, at its carrier; its two incident full-dimensional
-    cells set the carrier to - and +.  The count must be n*C(n-2,d-1).
-    """
+    """All bounded (d-1)-faces, sorted by carrier and then signature, read
+    off the bounded cells: a cell has a facet on each hyperplane through one
+    of its vertices.  The bounded complex of a simple arrangement is pure
+    (Dong, JCTA 2008); the count n*C(n-2,d-1) checks that none is missed."""
     d, n = arr.dim, arr.n
-    records: list[FacetRecord] = []
-    for sig in _bounded_faces(vertices, steps, 1):
-        carrier = sig.index(0)
-        records.append(FacetRecord(
-            carrier, sig, (_with_sign(sig, carrier, -1), _with_sign(sig, carrier, 1))
-        ))
+    bounding: dict[SignVector, list[int]] = {}
+    for index, cell in enumerate(cells):
+        for k in {k for vid in cell.vertex_ids for k in vertices[vid].tight_set}:
+            bounding.setdefault(_with_sign(cell.signature, k, 0), []).append(index)
     expected = n * comb(n - 2, d - 1)
-    if len(records) != expected:
+    if len(bounding) != expected:
         raise InternalConsistencyError(
-            f"found {len(records)} bounded facets, expected n*C(n-2,{d - 1}) = {expected}"
+            f"found {len(bounding)} bounded facets, expected n*C(n-2,{d - 1}) = {expected}"
         )
-    records.sort(key=lambda rec: (rec.hyperplane, rec.signature))
-    return records
+    return sorted((FacetRecord(sig.index(0), sig, tuple(ids)) for sig, ids in bounding.items()),
+                  key=lambda rec: (rec.hyperplane, rec.signature))

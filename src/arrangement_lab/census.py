@@ -48,8 +48,8 @@ class CensusReport:
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     """Full aggregate over the bounded cells of a simple arrangement; vertex
     enumeration raises NotSimpleError for any other input.  The line-step
-    table is built once and read by the cell walk, which also records the
-    skeletons, and by the facet walk."""
+    table is built once and read by the one face walk, which finds the cells
+    with their skeletons; the facets are read off the cells."""
     vertices = enumerate_vertices(arr)
     steps = line_steps(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, steps)
@@ -61,10 +61,9 @@ def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     # read by P2 and P4 only, and None for d >= 4
     f_bounded = f_external = p_odd = None
     if arr.dim in (2, 3):
-        facets = enumerate_bounded_facets(arr, vertices, steps)
-        bounded = {cell.signature for cell in cells}
+        facets = enumerate_bounded_facets(arr, vertices, cells)
         f_bounded = len(facets)
-        f_external = sum(sum(sig in bounded for sig in rec.incident) == 1 for rec in facets)
+        f_external = sum(len(rec.cells) == 1 for rec in facets)
     if arr.dim == 2:
         p_odd = sum(1 for rec in records if rec.vertex_count % 2 == 1)
 

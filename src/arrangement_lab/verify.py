@@ -591,7 +591,9 @@ def _plan(
         plan += [(_verify_p2, (n,), [("ao2", 2, n, None, None)]) for n in ns or P2_RANGE]
         plan.append((_verify_p2_random, (random_2d, bound), pool_2d))
     if "P3" in requested:
-        plan += [(_verify_p3, (n,), [("ao3", 3, n, None, None)]) for n in ns or P3_RANGE]
+        # at n = 6 the note also reads the cyclic star of six planes
+        plan += [(_verify_p3, (n,), [("ao3", 3, n, None, None)]
+                  + [("cyclic", 3, 6, None, None)] * (n == 6)) for n in ns or P3_RANGE]
     if "P4" in requested:
         plan += [(_verify_p4, (n,), [("ao3", 3, n, None, None)]) for n in ns or P4_RANGE]
         plan.append((_verify_p4_random, (random_3d, bound), pool_3d))

@@ -26,6 +26,7 @@ from arrangement_lab.constructions import (
 )
 from arrangement_lab.errors import NotSimpleError, UnsupportedDimensionError
 from oracle_arithmetic import embed, evaluate_sign
+from oracle_facets import enumerate_bounded_facets_by_restriction
 
 
 def enumerate_all(arr):
@@ -387,8 +388,8 @@ def test_restriction_requires_dim_three():
 
 
 def facets_of(arr):
-    vertices, edges, _ = enumerate_all(arr)
-    return enumerate_bounded_facets(arr, vertices, line_steps(arr, vertices))
+    vertices, _, cells = enumerate_all(arr)
+    return enumerate_bounded_facets(arr, vertices, cells)
 
 
 def test_facet_counts_3d():
@@ -397,12 +398,21 @@ def test_facet_counts_3d():
 
 
 def test_facet_records_have_two_incident_signatures():
-    facets = facets_of(build_ao3(5).arrangement)
-    for rec in facets:
-        assert len(rec.incident) == 2
-        minus, plus = rec.incident
+    # the oracle's two incident cells set the carrier to - and +; the
+    # record names the bounded ones among them, by position in the cells
+    arr = build_ao3(5).arrangement
+    vertices, _, cells = enumerate_all(arr)
+    bounded = [cell.signature for cell in cells]
+    facets = enumerate_bounded_facets(arr, vertices, cells)
+    oracle = enumerate_bounded_facets_by_restriction(arr)
+    assert [(rec.hyperplane, rec.signature) for rec in facets] == \
+        [(ref.hyperplane, ref.signature) for ref in oracle]
+    for rec, ref in zip(facets, oracle):
+        minus, plus = ref.incident
         assert minus[rec.hyperplane] == -1 and plus[rec.hyperplane] == 1
         assert rec.signature[rec.hyperplane] == 0
+        assert [bounded[i] for i in rec.cells] == [s for s in ref.incident if s in bounded]
+    assert {len(rec.cells) for rec in facets} == {1, 2}
 
 
 def test_facet_counts_2d():

@@ -1,8 +1,11 @@
-"""The combinatorial facet kernel against the restriction oracle.
+"""The bounded facets read off the cells, against two references.
 
-Both list the bounded facets sorted by carrier and then signature, so the
-lists of (carrier, signature, incident cells) must agree item by item.  In
-the plane the bounded facets are exactly the bounded segments.
+The restriction oracle and the kernel both list the bounded facets sorted by
+carrier and then signature, so their (carrier, signature) lists must agree
+item by item, and each record's cells must be exactly the bounded ones among
+the oracle's two incident cells.  The codimension-1 face walk must find the
+same signatures.  In the plane the bounded facets are exactly the bounded
+segments.
 """
 
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrangement_lab.arrangement import (
+    _bounded_faces,
+    enumerate_bounded_cells,
     enumerate_bounded_facets,
     enumerate_edges,
     enumerate_vertices,
@@ -21,22 +26,33 @@ from arrangement_lab.constructions import (
     build_cyclic_star,
     random_simple_arrangement,
 )
+from arrangement_lab.verify import default_instances
 from oracle_facets import enumerate_bounded_facets_by_restriction
 
 
-def facets_of(arr):
+def cells_and_facets(arr):
     vertices = enumerate_vertices(arr)
     steps = line_steps(arr, vertices)
-    return enumerate_bounded_facets(arr, vertices, steps)
+    cells = enumerate_bounded_cells(arr, vertices, steps)
+    return vertices, steps, cells, enumerate_bounded_facets(arr, vertices, cells)
 
 
-def key(rec):
-    return rec.hyperplane, rec.signature, rec.incident
+def key(rec, bounded):
+    """(carrier, signature, signatures of its bounded cells); `bounded` lists
+    the cell signatures in the order the kernel indexes them."""
+    return rec.hyperplane, rec.signature, tuple(bounded[i] for i in rec.cells)
+
+
+def oracle_key(ref, bounded):
+    return ref.hyperplane, ref.signature, tuple(s for s in ref.incident if s in bounded)
 
 
 def assert_matches_oracle(arr):
+    _, _, cells, facets = cells_and_facets(arr)
+    bounded = [cell.signature for cell in cells]
     oracle = enumerate_bounded_facets_by_restriction(arr)
-    assert [key(rec) for rec in facets_of(arr)] == [key(rec) for rec in oracle]
+    assert [key(rec, bounded) for rec in facets] == \
+        [oracle_key(ref, set(bounded)) for ref in oracle]
 
 
 @settings(deadline=None, max_examples=20)
@@ -54,6 +70,40 @@ def test_constructions_match_oracle(built):
     assert_matches_oracle(built.arrangement)
 
 
+def assert_matches_facet_walk(arr):
+    vertices, steps, cells, facets = cells_and_facets(arr)
+    walked = _bounded_faces(vertices, steps, 1)
+    assert [rec.signature for rec in facets] == sorted(walked, key=lambda s: (s.index(0), s))
+    position = {cell.signature: i for i, cell in enumerate(cells)}
+    for rec in facets:
+        incident = [rec.signature[:rec.hyperplane] + (side,) + rec.signature[rec.hyperplane + 1:]
+                    for side in (-1, 1)]
+        assert rec.cells == tuple(position[s] for s in incident if s in position)
+
+
+def build(family, d, n, seed, bound):
+    if family == "random":
+        return random_simple_arrangement(d, n, seed, bound)
+    if family == "cyclic":
+        return build_cyclic_star(d, n)
+    return {"ao2": build_ao2, "ao3": build_ao3}[family](n)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [instance for instance in default_instances() if instance[1] in (2, 3)],
+    ids=lambda instance: "-".join(str(part) for part in instance if part is not None),
+)
+def test_default_instances_match_facet_walk(instance):
+    assert_matches_facet_walk(build(*instance).arrangement)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(4, 9))
+def test_random_arrangements_match_facet_walk(seed, d, n):
+    assert_matches_facet_walk(random_simple_arrangement(d, n, seed=seed).arrangement)
+
+
 @pytest.mark.parametrize(
     "arr",
     [build_ao2(9).arrangement, build_cyclic_star(2, 7).arrangement,
@@ -61,8 +111,7 @@ def test_constructions_match_oracle(built):
     ids=["ao2-9", "cyclic-2-7", "random-2-8-3"],
 )
 def test_planar_facets_are_the_segments(arr):
-    vertices = enumerate_vertices(arr)
+    vertices, _, _, facets = cells_and_facets(arr)
     edges = enumerate_edges(arr, vertices)
     segments = sorted((e.line_set[0], e.sign_vector) for e in edges if e.is_segment)
-    facets = enumerate_bounded_facets(arr, vertices, line_steps(arr, vertices))
     assert [(rec.hyperplane, rec.signature) for rec in facets] == segments

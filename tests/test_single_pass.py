@@ -1,7 +1,7 @@
 """Each fact is computed once: one line-step table per census or export,
-skeletons from the cell walk alone, diameters measured only on cells the
-product certificate rejects, and one linear solve per d-subset of a
-constructed instance.
+one face walk per census, skeletons from the cell walk alone, diameters
+measured only on cells the product certificate rejects, and one linear
+solve per d-subset of a constructed instance.
 
 A counter replaces the function at every module binding, because `census`,
 `export` and `constructions` import what they call by name.
@@ -49,6 +49,21 @@ def test_one_line_step_table_per_use(monkeypatch, render):
     calls = count_calls(monkeypatch, arrangement.line_steps)
     render()
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize("built", [build_ao2(7), build_ao3(7)], ids=["ao2-7", "ao3-7"])
+def test_census_walks_once(monkeypatch, built):
+    # the walk in codimension 0 finds the cells; the facets are read off them
+    codims = []
+    walk = arrangement._bounded_face_skeletons
+
+    def spy(vertices, steps, codim):
+        codims.append(codim)
+        return walk(vertices, steps, codim)
+
+    monkeypatch.setattr(arrangement, "_bounded_face_skeletons", spy)
+    census(built.arrangement)
+    assert codims == [0]
 
 
 @pytest.mark.parametrize(

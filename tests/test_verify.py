@@ -9,6 +9,7 @@ from arrangement_lab.constructions import build_ao3
 from arrangement_lab.errors import InputError
 from arrangement_lab.verify import (
     P7_GRID,
+    PROP_IDS,
     _verify_hirsch,
     _verify_p1,
     construction_census,
@@ -19,6 +20,7 @@ from arrangement_lab.verify import (
     prop6_lower_bound,
     prop7_lower_bound,
     run_suite,
+    suite_instances,
     verify_identity_2d,
     verify_proposition,
 )
@@ -170,3 +172,19 @@ def test_identity_2d_rejects_other_dimensions_before_enumerating(monkeypatch):
     monkeypatch.setattr(verify, "census", no_census)
     with pytest.raises(InputError, match="d = 2"):
         verify_identity_2d(build_ao3(6).arrangement)
+
+
+@pytest.mark.parametrize("prop", PROP_IDS)
+def test_suite_instances_lists_every_instance_censused(monkeypatch, prop):
+    # the --max-vertices check reads suite_instances, so it must name every
+    # instance the checks census, in the order they first census it
+    censused = []
+    real = verify.construction_census
+
+    def spy(*key):
+        censused.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(verify, "construction_census", spy)
+    run_suite([prop])
+    assert list(dict.fromkeys(censused)) == suite_instances([prop])
