@@ -30,7 +30,6 @@ from .cells import (
     build_cell_records,
     canonical_form,
     cell_diameter,
-    cell_f_counts,
     classify_cell,
     product_factors,
     shell_canonical_forms,

@@ -66,7 +66,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -84,6 +84,9 @@ from .rational import (
     reduce_row,
     vector,
 )
+
+if TYPE_CHECKING:
+    from .cells import CellRecord
 
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
@@ -596,18 +599,17 @@ def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:
     )
 
 
-def enumerate_bounded_facets(
-    arr: Arrangement, vertices: list[Vertex], cells: list[BoundedCell]
-) -> list[FacetRecord]:
+def enumerate_bounded_facets(arr: Arrangement, records: list[CellRecord]) -> list[FacetRecord]:
     """All bounded (d-1)-faces, sorted by carrier and then signature, read
-    off the bounded cells: a cell has a facet on each hyperplane through one
-    of its vertices.  The bounded complex of a simple arrangement is pure
-    (Dong, JCTA 2008); the count n*C(n-2,d-1) checks that none is missed."""
+    off the records of the bounded cells: a cell has a facet on each
+    hyperplane through one of its vertices, as `CellRecord.facets` lists
+    them.  The bounded complex of a simple arrangement is pure (Dong, JCTA
+    2008); the count n*C(n-2,d-1) checks that none is missed."""
     d, n = arr.dim, arr.n
     bounding: dict[SignVector, list[int]] = {}
-    for index, cell in enumerate(cells):
-        for k in {k for vid in cell.vertex_ids for k in vertices[vid].tight_set}:
-            bounding.setdefault(_with_sign(cell.signature, k, 0), []).append(index)
+    for index, record in enumerate(records):
+        for k in record.facets:
+            bounding.setdefault(_with_sign(record.signature, k, 0), []).append(index)
     expected = n * comb(n - 2, d - 1)
     if len(bounding) != expected:
         raise InternalConsistencyError(

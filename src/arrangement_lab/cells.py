@@ -106,9 +106,13 @@ class CellRecord:
     adjacency: tuple[tuple[int, tuple[int, ...]], ...]  # sorted, immutable
     vertex_count: int
     edge_count: int
-    facet_count: int
+    facets: tuple[int, ...]  # the hyperplanes its facets lie on, increasing
     diameter: int
     cell_class: CellClass
+
+    @property
+    def facet_count(self) -> int:
+        return len(self.facets)
 
     def adjacency_dict(self) -> Adjacency:
         return {v: nbrs for v, nbrs in self.adjacency}
@@ -190,17 +194,6 @@ def cell_diameter(adj: Adjacency) -> int:
             raise ValueError("diameter of a disconnected graph")
         reach, rounds = grown, rounds + 1
     return rounds
-
-
-def cell_f_counts(cell: BoundedCell, vertices: list[Vertex]) -> tuple[int, int, int]:
-    """(V, E, F): counts of the cell's skeleton plus the number of distinct
-    tight hyperplanes."""
-    v = len(cell.vertex_ids)
-    e = sum(len(nbrs) for _, nbrs in cell.skeleton) // 2
-    facets: set[int] = set()
-    for vid in cell.vertex_ids:
-        facets.update(vertices[vid].tight_set)
-    return v, e, len(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +319,20 @@ def canonical_form(adj: Adjacency) -> tuple:
 def build_cell_records(
     arr: Arrangement, vertices: list[Vertex], cells: list[BoundedCell]
 ) -> list[CellRecord]:
-    """One record per cell, from the skeleton its walk recorded.  A cell the
-    product certificate accepts has diameter m, its number of factors;
-    only the others are measured by `cell_diameter`."""
+    """One record per cell, from the skeleton its walk recorded; its facets
+    lie on the hyperplanes its vertices are tight at.  A cell the product
+    certificate accepts has diameter m, its number of factors; only the
+    others are measured by `cell_diameter`."""
     records = []
     for cell in cells:
-        v, e, f = cell_f_counts(cell, vertices)
+        tight_sets = [vertices[vid].tight_set for vid in cell.vertex_ids]
+        facets = tuple(sorted({k for tight in tight_sets for k in tight}))
+        v, e, f = len(tight_sets), sum(len(nbrs) for _, nbrs in cell.skeleton) // 2, len(facets)
         if arr.dim == 3 and (v - e + f != 2 or 2 * e != 3 * v):
             raise InternalConsistencyError(
                 f"cell {cell.signature}: (V,E,F)=({v},{e},{f}) violates 3D count identities"
             )
-        factors = product_factors([vertices[vid].tight_set for vid in cell.vertex_ids])
+        factors = product_factors(tight_sets)
         records.append(
             CellRecord(
                 signature=cell.signature,
@@ -344,7 +340,7 @@ def build_cell_records(
                 adjacency=cell.skeleton,
                 vertex_count=v,
                 edge_count=e,
-                facet_count=f,
+                facets=facets,
                 diameter=len(factors) if factors else cell_diameter(dict(cell.skeleton)),
                 cell_class=classify_cell(v, e, f, factors, arr.dim),
             )

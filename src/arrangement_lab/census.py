@@ -61,7 +61,7 @@ def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     # read by P2 and P4 only, and None for d >= 4
     f_bounded = f_external = p_odd = None
     if arr.dim in (2, 3):
-        facets = enumerate_bounded_facets(arr, vertices, cells)
+        facets = enumerate_bounded_facets(arr, records)
         f_bounded = len(facets)
         f_external = sum(len(rec.cells) == 1 for rec in facets)
     if arr.dim == 2:

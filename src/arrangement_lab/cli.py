@@ -4,9 +4,9 @@ Exit codes: 0 success (or all checks pass), 1 verification failure,
 2 invalid input or parameters.  Output files are canonical JSON (or SVG/OFF
 text) written atomically, so identical invocations give identical bytes.
 
-`analyze`, `export` and `verify` enumerate C(n,d) vertices per instance, so
-before building anything they check that count against a size budget
-(`--max-vertices`, default `DEFAULT_MAX_VERTICES`) and exit 2 above it.
+`random`, `analyze`, `export` and `verify` solve C(n,d) vertices per
+instance, so before building anything they check that count against a size
+budget (`--max-vertices`, default `DEFAULT_MAX_VERTICES`) and exit 2 above it.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def _add_size_budget(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_size(instance: str, n: int, d: int, limit: int) -> None:
-    """Raise InputError when the instance has more than `limit` vertices."""
-    vertices = comb(n, d)
+    """Raise InputError when the instance has more than `limit` vertices; a
+    negative n is left to the builder's own parameter check."""
+    vertices = comb(max(n, 0), d)
     if vertices > limit:
         raise InputError(
             f"{instance} has C({n},{d}) = {vertices} vertices, above the limit of "
@@ -96,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_random.add_argument("--seed", type=int, required=True)
     p_random.add_argument("--bound", type=int, default=RANDOM_COEFF_BOUND)
     p_random.add_argument("--out", required=True)
+    _add_size_budget(p_random)
 
     p_analyze = sub.add_parser("analyze", help="census and diameter statistics")
     p_analyze.add_argument("input", help="arrangement JSON file")
@@ -193,6 +195,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    _check_size(f"random d={args.d} n={args.n} seed={args.seed}", args.n, args.d,
+                args.max_vertices)
     built = random_simple_arrangement(args.d, args.n, args.seed, args.bound)
     text = canonical_dumps(arrangement_to_obj(built.arrangement, built.metadata()))
     atomic_write_text(args.out, text)

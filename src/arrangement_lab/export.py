@@ -153,9 +153,8 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
     (record,) = build_cell_records(arr, vertices, [cell])
 
     local = {vid: i for i, vid in enumerate(vids)}
-    facet_planes = sorted({index for vid in vids for index in vertices[vid].tight_set})
     facets = []
-    for plane in facet_planes:
+    for plane in record.facets:
         members = [vid for vid in vids if plane in vertices[vid].tight_set]
         member_set = set(members)
         ring_adj = {

@@ -15,6 +15,10 @@ Check ids (the CLI vocabulary):
 Every comparison is an exact rational or integer equality/inequality; there
 are no tolerances anywhere in this module.
 
+Each gridded check (P1-P7) is declared once, in `_GRIDDED`.  `_plan` checks
+every grid point against its check's condition before the CLI's size budget
+or any census sees it; `run_suite` and `verify_proposition` both run its rows.
+
 The d = 2 rows of the P7 grid are exercised but expected to fail: in the
 plane, a prism over a 1-simplex *is* a combinatorial square, i.e. the same
 cell the cubical count already books, so the disjoint tally (n-d)(n-d-1)
@@ -29,8 +33,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arrangement import Arrangement
 from .cells import CellClass, cube, polygon, shell, simplex, simplex_product
@@ -64,11 +69,8 @@ P6_GRID = ((2, 6), (2, 8), (3, 6), (3, 8), (4, 8), (4, 9), (5, 10), (5, 11))
 P7_GRID = tuple(pair for pair in P6_GRID if pair[0] >= 3)
 
 PROP_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "H", "S")
-# the --range keys each gridded check takes; H and S take none
-RANGE_KEYS = {
-    "P1": ("n",), "P2": ("n",), "P3": ("n",), "P4": ("n",), "P5": ("d",),
-    "P6": ("d", "n"), "P7": ("d", "n"),
-}
+
+Instance = tuple  # (family, d, n, seed, bound), the key of construction_census
 
 
 @dataclass
@@ -276,7 +278,7 @@ def _violations_result(
 
 
 # ---------------------------------------------------------------------------
-# the individual checks
+# the individual checks; each receives the censuses of its `_plan` keys
 # ---------------------------------------------------------------------------
 
 def verify_identity_2d(arr: Arrangement) -> VerificationResult:
@@ -301,17 +303,11 @@ def verify_identity_2d(arr: Arrangement) -> VerificationResult:
     )
 
 
-def _verify_p1(n: int) -> VerificationResult:
-    if n < 4:
-        raise InputError("P1 requires n >= 4")
-    report = construction_census("ao2", 2, n, None, None)
+def _verify_p1(n: int, report: CensusReport) -> VerificationResult:
     return _census_result("P1", {"n": n}, report, expected_census_2d(n), delta_formula_2d(n))
 
 
-def _verify_p2(n: int) -> VerificationResult:
-    if n < 4:
-        raise InputError("P2 requires n >= 4")
-    report = construction_census("ao2", 2, n, None, None)
+def _verify_p2(n: int, report: CensusReport) -> VerificationResult:
     p_odd_expected = n - 2 if n % 2 == 0 else n - 1
     expected = {
         "delta": delta_formula_2d(n),
@@ -331,12 +327,11 @@ def _verify_p2(n: int) -> VerificationResult:
     return VerificationResult("P2", {"n": n}, expected, computed, _verdict(ok))
 
 
-def _verify_p2_random(pool: Sequence[tuple[int, int]], bound: int) -> VerificationResult:
+def _verify_p2_random(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:
     """On each random 2D instance: the identity holds, delta never beats the
     ao2 value, the simplex floor holds and external edges are >= 2(n-1)."""
     failures: list[str] = []
-    for n, seed in pool:
-        report = construction_census("random", 2, n, seed, bound)
+    for (_, _, n, seed, _), report in zip(keys, reports):
         if _identity_residual(report) != 0:
             failures.append(f"identity n={n} seed={seed}")
         if report.delta > delta_formula_2d(n):
@@ -345,20 +340,18 @@ def _verify_p2_random(pool: Sequence[tuple[int, int]], bound: int) -> Verificati
             failures.append(f"triangles n={n} seed={seed}")
         if report.f_external < 2 * (n - 1):
             failures.append(f"external n={n} seed={seed}")
-    return _violations_result("P2", {"pool": "random-2d", "instances": len(pool)}, failures)
+    return _violations_result("P2", {"pool": "random-2d", "instances": len(keys)}, failures)
 
 
-def _verify_p3(n: int) -> VerificationResult:
-    if n < 5:
-        raise InputError("P3 requires n >= 5")
-    report = construction_census("ao3", 3, n, None, None)
+def _verify_p3(
+    n: int, report: CensusReport, star: Optional[CensusReport] = None
+) -> VerificationResult:
     delta_expected = delta_formula_3d(n)
     if n == 6:
         # The closed form gives 19/10 at n = 6 while the independently
         # documented value is 1.8 = 9/5, which matches the cyclic-star
         # arrangement of six planes instead; report both, assert neither
         # census nor the 1.8.
-        star = construction_census("cyclic", 3, 6, None, None)
         ok = report.delta == delta_expected
         notes = [
             "n=6 closed form: 19/10; documented alternative value: 1.8 (= 9/5)",
@@ -409,11 +402,7 @@ def _p4_checks(report: CensusReport) -> list[str]:
     return failures
 
 
-def _verify_p4(n: int) -> VerificationResult:
-    if n < 5:
-        raise InputError("P4 requires n >= 5 (the bound fails below that: a lone"
-                         " simplex already beats it at n = 4)")
-    report = construction_census("ao3", 3, n, None, None)
+def _verify_p4(n: int, report: CensusReport) -> VerificationResult:
     return _violations_result(
         "P4",
         {"n": n},
@@ -428,29 +417,21 @@ def _verify_p4(n: int) -> VerificationResult:
     )
 
 
-def _verify_p4_random(pool: Sequence[tuple[int, int]], bound: int) -> VerificationResult:
+def _verify_p4_random(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:
     failures: list[str] = []
-    for n, seed in pool:
-        report = construction_census("random", 3, n, seed, bound)
+    for (_, _, n, seed, _), report in zip(keys, reports):
         for what in _p4_checks(report):
             failures.append(f"n={n} seed={seed}: {what}")
-    return _violations_result("P4", {"pool": "random-3d", "instances": len(pool)}, failures)
+    return _violations_result("P4", {"pool": "random-3d", "instances": len(keys)}, failures)
 
 
-def _verify_p5(d: int) -> VerificationResult:
-    if d < 2:
-        raise InputError("P5 requires d >= 2")
-    n = d + 2
-    report = construction_census("cyclic", d, n, None, None)
+def _verify_p5(d: int, report: CensusReport) -> VerificationResult:
     return _census_result(
-        "P5", {"d": d, "n": n}, report, expected_census_dplus2(d), Fraction(2 * d, d + 1)
+        "P5", {"d": d, "n": d + 2}, report, expected_census_dplus2(d), Fraction(2 * d, d + 1)
     )
 
 
-def _verify_p6(d: int, n: int) -> VerificationResult:
-    if d < 2 or n < 2 * d:
-        raise InputError("P6 requires d >= 2 and n >= 2d")
-    report = construction_census("cyclic", d, n, None, None)
+def _verify_p6(d: int, n: int, report: CensusReport) -> VerificationResult:
     bound = prop6_lower_bound(d, n)
     expected = {"cubical_cells": comb(n - d, d), "delta_at_least": bound}
     computed = {"cubical_cells": cube_count(report), "delta": report.delta}
@@ -461,10 +442,7 @@ def _verify_p6(d: int, n: int) -> VerificationResult:
     return VerificationResult("P6", {"d": d, "n": n}, expected, computed, _verdict(ok), notes)
 
 
-def _verify_p7(d: int, n: int) -> VerificationResult:
-    if d < 2 or n < 2 * d:
-        raise InputError("P7 requires d >= 2 and n >= 2d")
-    report = construction_census("cyclic", d, n, None, None)
+def _verify_p7(d: int, n: int, report: CensusReport) -> VerificationResult:
     bound = prop7_lower_bound(d, n)
     expected = {
         "simplices": n - d,
@@ -492,61 +470,78 @@ def _verify_p7(d: int, n: int) -> VerificationResult:
     return VerificationResult("P7", {"d": d, "n": n}, expected, computed, _verdict(ok), notes)
 
 
-def _verify_hirsch(instances: Sequence[tuple]) -> VerificationResult:
-    failures = []
-    tested = 0
-    for family, d, n, seed, bound in instances:
-        if d not in (2, 3):
-            continue
-        report = construction_census(family, d, n, seed, bound)
-        tested += 1
-        if report.delta > hirsch_bound(d, n):
-            failures.append(f"{family} d={d} n={n} seed={seed}")
-    return _violations_result("H", {"instances": tested}, failures)
+def _verify_hirsch(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:
+    failures = [f"{family} d={d} n={n} seed={seed}"
+                for (family, d, n, seed, _), report in zip(keys, reports)
+                if report.delta > hirsch_bound(d, n)]
+    return _violations_result("H", {"instances": len(keys)}, failures)
 
 
-def _verify_simplex_floor(instances: Sequence[tuple]) -> VerificationResult:
-    failures = []
-    for family, d, n, seed, bound in instances:
-        report = construction_census(family, d, n, seed, bound)
-        if simplex_count(report) < n - d:
-            failures.append(f"{family} d={d} n={n} seed={seed}")
-    return _violations_result("S", {"instances": len(instances)}, failures)
+def _verify_simplex_floor(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:
+    failures = [f"{family} d={d} n={n} seed={seed}"
+                for (family, d, n, seed, _), report in zip(keys, reports)
+                if simplex_count(report) < n - d]
+    return _violations_result("S", {"instances": len(keys)}, failures)
+
+
+# ---------------------------------------------------------------------------
+# the gridded checks, declared once
+# ---------------------------------------------------------------------------
+
+class _Gridded(NamedTuple):
+    """A check over a grid of points, run as check(*point, *reports), where
+    the reports are the censuses of keys(*point)."""
+    check: Callable[..., VerificationResult]
+    names: tuple[str, ...]              # the parameters, which are also the --range keys
+    grid: tuple[tuple[int, ...], ...]   # the default points
+    admits: Callable[..., bool]         # the parameter condition ...
+    condition: str                      # ... and the InputError message when it fails
+    keys: Callable[..., list[Instance]]
+
+
+# tuple(zip(r)) turns a range of values into its one-parameter points
+_GRIDDED = {
+    "P1": _Gridded(_verify_p1, ("n",), tuple(zip(P1_RANGE)), lambda n: n >= 4,
+                   "P1 requires n >= 4", lambda n: [("ao2", 2, n, None, None)]),
+    "P2": _Gridded(_verify_p2, ("n",), tuple(zip(P2_RANGE)), lambda n: n >= 4,
+                   "P2 requires n >= 4", lambda n: [("ao2", 2, n, None, None)]),
+    # at n = 6 the note also reads the cyclic star of six planes
+    "P3": _Gridded(_verify_p3, ("n",), tuple(zip(P3_RANGE)), lambda n: n >= 5,
+                   "P3 requires n >= 5", lambda n: [("ao3", 3, n, None, None)]
+                   + [("cyclic", 3, 6, None, None)] * (n == 6)),
+    "P4": _Gridded(_verify_p4, ("n",), tuple(zip(P4_RANGE)), lambda n: n >= 5,
+                   "P4 requires n >= 5 (the bound fails below that: a lone"
+                   " simplex already beats it at n = 4)", lambda n: [("ao3", 3, n, None, None)]),
+    "P5": _Gridded(_verify_p5, ("d",), tuple(zip(P5_RANGE)), lambda d: d >= 2,
+                   "P5 requires d >= 2", lambda d: [("cyclic", d, d + 2, None, None)]),
+    "P6": _Gridded(_verify_p6, ("d", "n"), P6_GRID, lambda d, n: d >= 2 and n >= 2 * d,
+                   "P6 requires d >= 2 and n >= 2d", lambda d, n: [("cyclic", d, n, None, None)]),
+    "P7": _Gridded(_verify_p7, ("d", "n"), P7_GRID, lambda d, n: d >= 2 and n >= 2 * d,
+                   "P7 requires d >= 2 and n >= 2d", lambda d, n: [("cyclic", d, n, None, None)]),
+}
+
+
+def _grid(prop: str, ranges: Optional[dict]) -> list[tuple[int, ...]]:
+    """The points of a gridded check: every combination of the `ranges`
+    values when they give each parameter, keeping n >= 2d of (d, n) pairs,
+    else the default points whose values they admit; raises InputError when
+    that leaves none."""
+    spec = _GRIDDED[prop]
+    given = [(ranges or {}).get(name) for name in spec.names]
+    if all(given):
+        points = [p for p in product(*given) if spec.names != ("d", "n") or p[1] >= 2 * p[0]]
+    else:
+        points = [p for p in spec.grid
+                  if all(not values or v in values for v, values in zip(p, given))]
+    if not points:
+        # only a (d, n) grid can be left empty: a one-parameter range is never filtered
+        raise InputError(f"--range leaves the {prop} grid empty: no (d, n) pair to check")
+    return points
 
 
 # ---------------------------------------------------------------------------
 # public dispatch
 # ---------------------------------------------------------------------------
-
-def verify_proposition(prop: str, **params) -> VerificationResult:
-    """Run one check; raises InputError for unknown ids or bad parameters."""
-    prop = prop.upper()
-    try:
-        if prop == "P1":
-            return _verify_p1(int(params["n"]))
-        if prop == "P2":
-            return _verify_p2(int(params["n"]))
-        if prop == "P3":
-            return _verify_p3(int(params["n"]))
-        if prop == "P4":
-            return _verify_p4(int(params["n"]))
-        if prop == "P5":
-            return _verify_p5(int(params["d"]))
-        if prop == "P6":
-            return _verify_p6(int(params["d"]), int(params["n"]))
-        if prop == "P7":
-            return _verify_p7(int(params["d"]), int(params["n"]))
-        if prop == "H":
-            return _verify_hirsch(default_instances())
-        if prop == "S":
-            return _verify_simplex_floor(default_instances())
-    except KeyError as exc:
-        raise InputError(f"{prop} is missing parameter {exc}") from exc
-    raise InputError(f"unknown proposition id {prop!r}")
-
-
-Instance = tuple  # (family, d, n, seed, bound), the key of construction_census
-
 
 def _plan(
     props: Sequence[str],
@@ -554,9 +549,11 @@ def _plan(
     random_2d: Sequence[tuple[int, int]],
     random_3d: Sequence[tuple[int, int]],
     bound: int,
+    point: Optional[tuple[int, ...]] = None,
 ) -> list[tuple[Callable[..., VerificationResult], tuple, list[Instance]]]:
     """The checks `run_suite` makes, in order, as (check, arguments, the
-    instances it censuses); raises InputError on a bad selection."""
+    instances it censuses); `point` replaces the grid of the one gridded
+    check selected.  Raises InputError on a bad selection or grid point."""
     requested = {p.upper() for p in props}
     if "ALL" in requested:
         requested = set(PROP_IDS)
@@ -573,42 +570,53 @@ def _plan(
     if ranges:
         (prop,) = requested
         for key in sorted(ranges):
-            if key not in RANGE_KEYS[prop]:
-                takes = " or ".join(RANGE_KEYS[prop])
+            if key not in _GRIDDED[prop].names:
+                takes = " or ".join(_GRIDDED[prop].names)
                 raise InputError(
                     f"--range key {key!r} does not apply to {prop}, which takes {takes}"
                 )
 
-    ns = list(ranges.get("n", ())) if ranges else []
-    ds = list(ranges.get("d", ())) if ranges else []
-    pool_2d = [("random", 2, n, seed, bound) for n, seed in random_2d]
-    pool_3d = [("random", 3, n, seed, bound) for n, seed in random_3d]
-
-    plan: list[tuple] = []
-    if "P1" in requested:
-        plan += [(_verify_p1, (n,), [("ao2", 2, n, None, None)]) for n in ns or P1_RANGE]
-    if "P2" in requested:
-        plan += [(_verify_p2, (n,), [("ao2", 2, n, None, None)]) for n in ns or P2_RANGE]
-        plan.append((_verify_p2_random, (random_2d, bound), pool_2d))
-    if "P3" in requested:
-        # at n = 6 the note also reads the cyclic star of six planes
-        plan += [(_verify_p3, (n,), [("ao3", 3, n, None, None)]
-                  + [("cyclic", 3, 6, None, None)] * (n == 6)) for n in ns or P3_RANGE]
-    if "P4" in requested:
-        plan += [(_verify_p4, (n,), [("ao3", 3, n, None, None)]) for n in ns or P4_RANGE]
-        plan.append((_verify_p4_random, (random_3d, bound), pool_3d))
-    if "P5" in requested:
-        plan += [(_verify_p5, (d,), [("cyclic", d, d + 2, None, None)]) for d in ds or P5_RANGE]
-    for prop, check, grid in (("P6", _verify_p6, P6_GRID), ("P7", _verify_p7, P7_GRID)):
-        if prop in requested:
-            plan += [(check, (d, n), [("cyclic", d, n, None, None)])
-                     for d, n in _pair_grid(prop, ds, ns, grid)]
     instances = default_instances(random_2d, random_3d, bound)
-    if "H" in requested:
-        plan.append((_verify_hirsch, (instances,), [k for k in instances if k[1] in (2, 3)]))
-    if "S" in requested:
-        plan.append((_verify_simplex_floor, (instances,), instances))
+    hirsch = [key for key in instances if key[1] in (2, 3)]
+    # the checks that read a list of instances, each after its grid if it has one
+    listed = {
+        "P2": (_verify_p2_random, [("random", 2, n, seed, bound) for n, seed in random_2d]),
+        "P4": (_verify_p4_random, [("random", 3, n, seed, bound) for n, seed in random_3d]),
+        "H": (_verify_hirsch, hirsch),
+        "S": (_verify_simplex_floor, instances),
+    }
+    plan: list[tuple] = []
+    for prop in (p for p in PROP_IDS if p in requested):
+        spec = _GRIDDED.get(prop)
+        if spec is not None:
+            points = [point] if point else _grid(prop, ranges)
+            if not all(spec.admits(*p) for p in points):
+                raise InputError(spec.condition)
+            plan += [(spec.check, p, spec.keys(*p)) for p in points]
+        if prop in listed:
+            check, keys = listed[prop]
+            plan.append((check, (keys,), keys))
     return plan
+
+
+def _run(row: tuple) -> VerificationResult:
+    check, args, keys = row
+    return check(*args, *(construction_census(*key) for key in keys))
+
+
+def verify_proposition(prop: str, **params) -> VerificationResult:
+    """Run one check; raises InputError for unknown ids or bad parameters."""
+    prop = prop.upper()
+    if prop not in PROP_IDS:
+        raise InputError(f"unknown proposition id {prop!r}")
+    names = _GRIDDED[prop].names if prop in _GRIDDED else ()
+    try:
+        point = tuple(int(params[name]) for name in names)
+    except KeyError as exc:
+        raise InputError(f"{prop} is missing parameter {exc}") from exc
+    # the first row is the check at `point`, or H or S; P2's and P4's pool rows follow it
+    first, *_ = _plan([prop], None, RANDOM_2D_POOL, RANDOM_3D_POOL, RANDOM_COEFF_BOUND, point)
+    return _run(first)
 
 
 def suite_instances(
@@ -636,24 +644,12 @@ def run_suite(
 
     `ranges` ({"n": [...]} and/or {"d": [...]}) restricts the grid and is only
     accepted when a single proposition other than H or S is selected, with
-    keys that proposition takes (`RANGE_KEYS`), and when it leaves at least
-    one instance; the default grids are the documented acceptance grids.
+    keys that proposition takes (its parameter names), when it leaves at least
+    one instance, and when every point it gives meets the check's condition;
+    the default grids are the documented acceptance grids.
     The random pools and their coefficient bound feed P2, P4, H and S; H and
     S check them beside every default-grid construction.
     """
     plan = _plan(props, ranges, random_2d, random_3d, bound)
-    results = [check(*args) for check, args, _ in plan]
+    results = [_run(row) for row in plan]
     return SuiteSummary(results, all(r.passed for r in results), random_2d, random_3d, bound)
-
-
-def _pair_grid(prop: str, ds: list[int], ns: list[int], default: tuple) -> list[tuple[int, int]]:
-    """The (d, n) pairs of a P6/P7 grid: every pair with n >= 2d when `ds`
-    and `ns` are both given, else the default pairs that the one given (or
-    neither) admits; raises InputError when that leaves none."""
-    if ds and ns:
-        pairs = [(d, n) for d in ds for n in ns if n >= 2 * d]
-    else:
-        pairs = [(d, n) for d, n in default if (not ds or d in ds) and (not ns or n in ns)]
-    if not pairs:
-        raise InputError(f"--range leaves the {prop} grid empty: no (d, n) pair to check")
-    return pairs

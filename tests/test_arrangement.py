@@ -18,6 +18,7 @@ from arrangement_lab.arrangement import (
     line_steps,
     restrict_to_hyperplane,
 )
+from arrangement_lab.cells import build_cell_records
 from arrangement_lab.constructions import (
     build_ao2,
     build_ao3,
@@ -389,7 +390,7 @@ def test_restriction_requires_dim_three():
 
 def facets_of(arr):
     vertices, _, cells = enumerate_all(arr)
-    return enumerate_bounded_facets(arr, vertices, cells)
+    return enumerate_bounded_facets(arr, build_cell_records(arr, vertices, cells))
 
 
 def test_facet_counts_3d():
@@ -403,7 +404,7 @@ def test_facet_records_have_two_incident_signatures():
     arr = build_ao3(5).arrangement
     vertices, _, cells = enumerate_all(arr)
     bounded = [cell.signature for cell in cells]
-    facets = enumerate_bounded_facets(arr, vertices, cells)
+    facets = enumerate_bounded_facets(arr, build_cell_records(arr, vertices, cells))
     oracle = enumerate_bounded_facets_by_restriction(arr)
     assert [(rec.hyperplane, rec.signature) for rec in facets] == \
         [(ref.hyperplane, ref.signature) for ref in oracle]

@@ -9,6 +9,7 @@ import pytest
 
 from arrangement_lab.arrangement import enumerate_edges, enumerate_vertices
 from arrangement_lab.census import census
+from arrangement_lab import verify
 from arrangement_lab.cli import main
 from arrangement_lab.constructions import build_ao2, build_cyclic_star
 from arrangement_lab.export import diameter_color, render_off, render_svg
@@ -155,6 +156,21 @@ def test_verify_range_that_leaves_no_instance(capsys):
     captured = capsys.readouterr()
     assert "all pass" not in captured.out
     assert captured.err.startswith("error: --range leaves the P6 grid empty")
+
+
+@pytest.mark.parametrize("prop, spec, message", [
+    ("P1", "n=-3..5", "P1 requires n >= 4"),
+    ("P5", "d=-1", "P5 requires d >= 2"),
+    ("P6", "d=-1,n=3", "P6 requires d >= 2 and n >= 2d"),
+])
+def test_verify_bad_range_point_exits_with_the_check_condition(monkeypatch, capsys, prop,
+                                                               spec, message):
+    # the parameters are checked before the size budget or any census sees them
+    censused = []
+    monkeypatch.setattr(verify, "construction_census", lambda *key: censused.append(key))
+    assert run(["verify", "--prop", prop, "--range", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert censused == []
 
 
 def test_verify_seeds_override(tmp_path):
@@ -399,6 +415,24 @@ def test_verify_budget_covers_the_seeds_pools(tmp_path, capsys):
     argv = ["verify", "--prop", "P2", "--range", "n=5..5", "--seeds", seeds]
     assert run([*argv, "--max-vertices", 1000]) == 2
     assert "random d=2 n=50 seed=1 has C(50,2) = 1225 vertices" in capsys.readouterr().err
+
+
+def test_random_refuses_an_instance_over_the_budget(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert run(["random", "-d", 2, "-n", 1500, "--seed", 0, "--out", out]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith(
+        "error: random d=2 n=1500 seed=0 has C(1500,2) = 1124250 vertices, above the limit"
+        " of 1000000")
+    assert not out.exists()
+    argv = ["random", "-d", 3, "-n", 7, "--seed", 0, "--out", out]
+    assert run([*argv, "--max-vertices", 34]) == 2
+    assert "C(7,3) = 35 vertices, above the limit of 34" in capsys.readouterr().err
+    assert run([*argv, "--max-vertices", 35]) == 0
+    # a bad n still gets the generator's own message, not the budget's
+    assert run(["random", "-d", 2, "-n", -3, "--seed", 0, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: random arrangement requires n >= d+1 = 3\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "export"])

@@ -20,6 +20,7 @@ from arrangement_lab.arrangement import (
     enumerate_vertices,
     line_steps,
 )
+from arrangement_lab.cells import build_cell_records
 from arrangement_lab.constructions import (
     build_ao2,
     build_ao3,
@@ -34,7 +35,8 @@ def cells_and_facets(arr):
     vertices = enumerate_vertices(arr)
     steps = line_steps(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices, steps)
-    return vertices, steps, cells, enumerate_bounded_facets(arr, vertices, cells)
+    records = build_cell_records(arr, vertices, cells)
+    return vertices, steps, cells, enumerate_bounded_facets(arr, records)
 
 
 def key(rec, bounded):

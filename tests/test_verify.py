@@ -8,10 +8,14 @@ from arrangement_lab import verify
 from arrangement_lab.constructions import build_ao3
 from arrangement_lab.errors import InputError
 from arrangement_lab.verify import (
+    P1_RANGE,
+    P2_RANGE,
+    P3_RANGE,
+    P4_RANGE,
+    P5_RANGE,
+    P6_GRID,
     P7_GRID,
     PROP_IDS,
-    _verify_hirsch,
-    _verify_p1,
     construction_census,
     delta_formula_2d,
     delta_formula_3d,
@@ -151,12 +155,51 @@ def test_suite_results_are_deterministic():
 
 
 def test_census_cache_shares_keys_across_checks():
-    # P1 and H must hit the same cache entry for the same instance
+    # P1 and P2 must hit the same cache entry for the same instance
     construction_census.cache_clear()
-    _verify_p1(5)
-    _verify_hirsch([("ao2", 2, 5, None, None)])
+    verify_proposition("P1", n=5)
+    verify_proposition("P2", n=5)
     info = construction_census.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    # the gridded checks' keys come from the plan table, H's and S's from
+    # default_instances; the two sources must name the same instances
+    assert set(suite_instances(["P1"])) <= set(suite_instances(["H"]))
+    everything = set(suite_instances(["S"]))
+    assert all(set(suite_instances([prop])) <= everything for prop in PROP_IDS)
+
+
+DEFAULT_GRIDS = {"P1": P1_RANGE, "P2": P2_RANGE, "P3": P3_RANGE, "P4": P4_RANGE,
+                 "P5": P5_RANGE, "P6": P6_GRID, "P7": P7_GRID}
+
+
+@pytest.mark.parametrize("prop", PROP_IDS)
+def test_verify_proposition_matches_the_suite_row(prop):
+    # one dispatcher: a check run alone at a default grid point gives the
+    # result that run_suite gives for the same point
+    rows = [r for r in run_suite([prop]).results if "pool" not in r.params]
+    if prop in ("H", "S"):
+        assert rows == [verify_proposition(prop)]
+        return
+    assert len(rows) == len(DEFAULT_GRIDS[prop])
+    for row in rows:
+        point = {key: value for key, value in row.params.items() if key in ("d", "n")}
+        assert verify_proposition(prop, **point) == row
+
+
+@pytest.mark.parametrize("prop, params, message", [
+    ("P1", {"n": 3}, "P1 requires n >= 4"),
+    ("P3", {"n": 4}, "P3 requires n >= 5"),
+    ("P5", {"d": -1}, "P5 requires d >= 2"),
+    ("P7", {"d": 3, "n": 5}, "P7 requires d >= 2 and n >= 2d"),
+])
+def test_verify_proposition_checks_the_point_before_any_census(monkeypatch, prop, params,
+                                                               message):
+    censused = []
+    monkeypatch.setattr(verify, "construction_census", lambda *key: censused.append(key))
+    with pytest.raises(InputError) as excinfo:
+        verify_proposition(prop, **params)
+    assert str(excinfo.value) == message
+    assert censused == []
 
 
 @pytest.mark.parametrize("prop", ["H", "S"])
