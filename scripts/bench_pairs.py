@@ -12,7 +12,10 @@ both sides of a pair see the same phase of the machine.  For every
 end-to-end metric of BENCHMARK.json (read from CHANGE) the script prints
 each pair's ratio CHANGE / BASE, each side's median and quartiles, how many
 pairs CHANGE won, and whether the gap between the medians exceeds BASE's
-interquartile range.
+interquartile range.  Two verdicts follow for each metric and workload:
+"gain holds" when CHANGE won at least 9 of every 10 pairs and its median is
+better by more than that range, and "worse than bound" when its median is
+worse than BASE's by more than the metric's BENCHMARK.json bound.
 
 Exit codes: 0 when every run was correct, 1 when a run failed or reported
 incorrect outputs, 2 when a tree has no src/arrangement_lab or the
@@ -49,8 +52,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarise(base: list[float], change: list[float], better: str) -> dict:
-    """Pairwise comparison of one metric; `better` is "higher" or "lower"."""
+def summarise(base: list[float], change: list[float], better: str,
+              bound: float | None = None) -> dict:
+    """Pairwise comparison of one metric; `better` is "higher" or "lower",
+    `bound` the relative worsening BENCHMARK.json allows it.
+
+    "gain_holds": CHANGE won at least 9 of every 10 pairs and its median is
+    better than BASE's by more than BASE's interquartile range.
+    "worse_than_bound": CHANGE's median is worse than BASE's by more than
+    `bound` times BASE's median (None without a bound)."""
     ratios = [c / b for b, c in zip(base, change)]
     if better == "higher":
         wins = sum(c > b for b, c in zip(base, change))
@@ -58,6 +68,8 @@ def summarise(base: list[float], change: list[float], better: str) -> dict:
         wins = sum(c < b for b, c in zip(base, change))
     base_q = quartiles(base)
     change_q = quartiles(change)
+    gain = change_q[1] - base_q[1] if better == "higher" else base_q[1] - change_q[1]
+    iqr = base_q[2] - base_q[0]
     return {
         "ratios": ratios,
         "ratio_median": statistics.median(ratios),
@@ -65,8 +77,14 @@ def summarise(base: list[float], change: list[float], better: str) -> dict:
         "change": change_q,
         "wins": wins,
         "pairs": len(ratios),
-        "gap_exceeds_base_iqr": abs(change_q[1] - base_q[1]) > base_q[2] - base_q[0],
+        "gap_exceeds_base_iqr": abs(change_q[1] - base_q[1]) > iqr,
+        "gain_holds": 10 * wins >= 9 * len(ratios) and gain > iqr,
+        "worse_than_bound": None if bound is None else -gain > bound * abs(base_q[1]),
     }
+
+
+def yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -130,14 +148,18 @@ def main(argv=None) -> int:
             for metric in spec["end_to_end"]:
                 name = metric["name"]
                 s = summarise([r[name] for r in runs["base"]],
-                              [r[name] for r in runs["change"]], metric["better"])
+                              [r[name] for r in runs["change"]], metric["better"],
+                              metric.get("bound"))
                 print(f"  {name:12s} ({metric['better']} is better) "
                       f"base {s['base'][1]:.5g} [{s['base'][0]:.5g}-{s['base'][2]:.5g}]  "
                       f"change {s['change'][1]:.5g} [{s['change'][0]:.5g}-{s['change'][2]:.5g}]  "
                       f"ratio median {s['ratio_median']:.3f} "
                       f"(range {min(s['ratios']):.3f}-{max(s['ratios']):.3f})  "
                       f"wins {s['wins']}/{s['pairs']}  "
-                      f"gap > base IQR: {'yes' if s['gap_exceeds_base_iqr'] else 'no'}")
+                      f"gap > base IQR: {yes_no(s['gap_exceeds_base_iqr'])}")
+                bound = "" if s["worse_than_bound"] is None else \
+                    f"  worse than bound {metric['bound']}: {yes_no(s['worse_than_bound'])}"
+                print(f"  {'':12s} gain holds: {yes_no(s['gain_holds'])}{bound}")
     return 1 if failed else 0
 
 

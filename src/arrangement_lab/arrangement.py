@@ -44,11 +44,11 @@ so a bounded face has exactly one lex-min vertex, and every edge of the
 face leaves it upward.  At each vertex and for each c of its zeros kept
 zero, setting the other zeros to their upward sides names the one face of
 codimension c that can have that vertex as its minimum; walking its steps
-visits its vertices and records its skeleton, or reaches a ray and shows it
-unbounded.  A census walks only the bounded cells, c = 0, each with its
-skeleton, and reads the bounded facets off them.  This is reverse search
-(Avis-Fukuda 1996) without linear programming, because the vertices are
-already known; no floating point anywhere.
+visits its vertices, their neighbours and each hyperplane's mask of them,
+or reaches a ray and shows it unbounded.  A census walks only the bounded
+cells, c = 0, builds each record as its walk ends, and reads the bounded
+facets off the records.  This is reverse search (Avis-Fukuda 1996) without
+linear programming, as the vertices are known; no floating point anywhere.
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
@@ -65,8 +65,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from operator import mul
-from typing import TYPE_CHECKING, Optional, Sequence
+from operator import attrgetter, mul
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -91,7 +91,7 @@ if TYPE_CHECKING:
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
 Steps = list[dict[int, list]]  # steps[v][k] = [w-, w+, up], from `line_steps`
-Skeleton = dict[int, tuple[int, ...]]  # vertex -> sorted neighbours, from `_walk`
+Walk = tuple[list[int], list[tuple[int, ...]], list[int]]  # from `_walk`
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,6 @@ class ArrangementEdge:
 class BoundedCell:
     signature: SignVector        # zero-free, length n
     vertex_ids: tuple[int, ...]  # sorted
-    # (vertex, sorted neighbours) for each vertex id in order, as the walk
-    # that found the cell stepped; empty on a cell built by hand
-    skeleton: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -477,17 +474,19 @@ def line_steps(arr: Arrangement, vertices: list[Vertex]) -> Steps:
     return steps
 
 
-def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Skeleton]:
-    """The skeleton of `face`, reached from `start`, which must lie in its
-    closure, by the steps toward the face's side of every hyperplane it is
-    not on: {vertex: sorted neighbours}, in increasing vertex order.  Those
-    steps at a vertex are exactly the face's edges there.  None as soon as
-    a step is a ray, i.e. when the face is unbounded."""
-    adjacent: Skeleton = {}
-    seen, todo = {start}, [start]
-    for v in todo:
+def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Walk]:
+    """Walk `face` from `start`, in its closure, by the steps toward the
+    face's side of every hyperplane it is not on, which are its edges: the
+    vertices in the order reached, the sorted neighbours of each, and each
+    hyperplane's bitmask of those on it (bit i for the i-th).  None as soon
+    as a step is a ray, i.e. when the face is unbounded."""
+    order, rows, on = [start], [], [0] * len(face)
+    seen = {start}
+    for v in order:
+        bit = 1 << len(rows)
         nbrs = []
         for k, step in steps[v].items():
+            on[k] |= bit
             side = face[k]
             if side:
                 w = step[side > 0]
@@ -496,63 +495,59 @@ def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Skeleton]:
                 nbrs.append(w)
                 if w not in seen:
                     seen.add(w)
-                    todo.append(w)
+                    order.append(w)
         nbrs.sort()
-        adjacent[v] = tuple(nbrs)
-    return {v: adjacent[v] for v in sorted(adjacent)}
+        rows.append(tuple(nbrs))
+    return order, rows, on
 
 
-def _bounded_face_skeletons(
+def _face_walks(
     vertices: list[Vertex], steps: Steps, codim: int
-) -> dict[SignVector, Skeleton]:
-    """Bounded faces of codimension `codim`, as {signature: skeleton}.
+) -> Iterator[tuple[SignVector, Walk]]:
+    """Bounded faces of codimension `codim`, one (signature, walk) at a time.
 
     For each vertex v and each `codim`-subset K of its tight set, the
     candidate is v's signs with every other tight index set to its up side:
     the one face zero on K whose edges at v all go up, so the one that can
     have v as its lex-min vertex.  Each bounded face is found exactly once,
     from its own minimum; a candidate whose walk reaches a ray is unbounded
-    and dropped.  Each skeleton is keyed by vertex id in increasing order.
+    and dropped.
     """
-    faces: dict[SignVector, Skeleton] = {}
     for vid, v in enumerate(vertices):
         for kept in itertools.combinations(v.tight_set, codim):
             face = list(v.sign_vector)
             for k, step in steps[vid].items():
                 if k not in kept:
                     face[k] = step[2]
-            skeleton = _walk(steps, vid, face)
-            if skeleton is not None:
-                faces[tuple(face)] = skeleton
-    return faces
+            walk = _walk(steps, vid, face)
+            if walk is not None:
+                yield tuple(face), walk
 
 
 def _bounded_faces(
     vertices: list[Vertex], steps: Steps, codim: int
 ) -> dict[SignVector, list[int]]:
-    """Bounded faces of codimension `codim`, as {signature: increasing
-    vertex ids}; the skeletons of `_bounded_face_skeletons` without edges."""
-    return {sig: list(skeleton) for sig, skeleton in
-            _bounded_face_skeletons(vertices, steps, codim).items()}
+    """Bounded faces of codimension `codim`, as {signature: increasing vertex ids}."""
+    return {sig: sorted(walk[0]) for sig, walk in _face_walks(vertices, steps, codim)}
 
 
 def enumerate_bounded_cells(
     arr: Arrangement, vertices: list[Vertex], steps: Steps
-) -> list[BoundedCell]:
+) -> list[CellRecord]:
     """Bounded cells, the zero-free bounded faces, sorted by signature, each
-    with the skeleton its walk stepped along.  The count must equal
-    C(n-1, d)."""
+    a `cells.CellRecord` built as soon as its walk ends.  The count must
+    equal C(n-1, d)."""
+    from .cells import cell_record  # cells imports this module
+
     d, n = arr.dim, arr.n
-    skeletons = _bounded_face_skeletons(vertices, steps, 0)
+    cells = [cell_record(d, sig, walk) for sig, walk in _face_walks(vertices, steps, 0)]
     expected = comb(n - 1, d)
-    if len(skeletons) != expected:
+    if len(cells) != expected:
         raise InternalConsistencyError(
-            f"found {len(skeletons)} bounded cells, expected C({n - 1},{d}) = {expected}"
+            f"found {len(cells)} bounded cells, expected C({n - 1},{d}) = {expected}"
         )
-    return [
-        BoundedCell(sig, tuple(skeletons[sig]), tuple(skeletons[sig].items()))
-        for sig in sorted(skeletons)
-    ]
+    cells.sort(key=attrgetter("signature"))
+    return cells
 
 
 def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:

@@ -1,20 +1,19 @@
-"""Per-cell analytics: skeletons, diameters, f-counts, classification.
+"""Per-cell analytics: records, diameters, f-counts, classification.
 
-Skeletons come from the face walk in `arrangement`: each bounded cell
-carries the {vertex: neighbours} its walk stepped along.  A vertex v is
-tight on d hyperplanes; dropping one of them, k, leaves a line through v,
-and the closure of a bounded cell is a simple polytope whose edge at v on
-that line is the one on the cell's side of k.  `skeletons_for_cells`
-rebuilds the same skeletons from the step table alone, with guards on each
-cell, for tests and tracing.
+`cell_record` builds each record from the walk in `arrangement` that found
+its cell.  A vertex v is tight on d hyperplanes; dropping one of them, k,
+leaves a line through v, and the cell's edge at v on that line is the one
+on its side of k.  The walk keeps those edges as sorted neighbours, the
+skeleton, and each hyperplane's mask of the cell's vertices on it, nonzero
+exactly on the cell's facets.  `skeletons_for_cells` rebuilds the skeletons
+from the step table alone, with guards on each cell, for tests and tracing.
 
 Classification and diameter come from a certificate on the vertex-facet
-incidences.  The facets of a cell are the union of its vertices' tight
-sets; `product_factors` splits them into groups F_1, ..., F_m of sizes
-g_1, ..., g_m, and accepts when within each group the sets of vertices
-missing each facet are pairwise disjoint and cover the cell, and the vertex
-count is g_1 ⋯ g_m.  That certifies the cell as the product of simplices
-Δ_{g_1-1} × ... × Δ_{g_m-1}:
+incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
+of sizes g_1, ..., g_m, and accepts when within each group the sets of
+vertices missing each facet are pairwise disjoint and cover the cell, and
+the vertex count is g_1 ⋯ g_m.  That certifies the cell as the product of
+simplices Δ_{g_1-1} × ... × Δ_{g_m-1}:
 
 * Each vertex misses exactly one facet of each group, so it names a
   transversal, one facet per group, and lies on every facet but those.
@@ -49,10 +48,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from math import prod
 from typing import Optional
 
-from .arrangement import Arrangement, BoundedCell, Steps, Vertex
+from .arrangement import Arrangement, BoundedCell, Steps, Vertex, Walk, _walk, line_steps
 from .errors import InternalConsistencyError
 
 Adjacency = dict[int, tuple[int, ...]]
@@ -216,8 +216,13 @@ def product_factors(tight_sets: list[tuple[int, ...]]) -> Optional[tuple[int, ..
     for i, tight in enumerate(tight_sets):
         for k in tight:
             on[k] = on.get(k, 0) | 1 << i
-    full = (1 << len(tight_sets)) - 1
-    missing = [full ^ mask for mask in on.values()]
+    return _factor_sizes(list(on.values()), len(tight_sets))
+
+
+def _factor_sizes(masks: list[int], count: int) -> Optional[tuple[int, ...]]:
+    """`product_factors` from each facet's mask of the `count` vertices on it."""
+    full = (1 << count) - 1
+    missing = [full ^ mask for mask in masks]
     sizes = []
     while missing:
         seed, rest = missing[0], []
@@ -234,7 +239,7 @@ def product_factors(tight_sets: list[tuple[int, ...]]) -> Optional[tuple[int, ..
             return None
         sizes.append(size)
         missing = rest
-    if prod(sizes) != len(tight_sets):
+    if prod(sizes) != count:
         return None
     return tuple(sorted(sizes))
 
@@ -316,35 +321,37 @@ def canonical_form(adj: Adjacency) -> tuple:
 # record assembly
 # ---------------------------------------------------------------------------
 
+def cell_record(dim: int, signature: tuple[int, ...], walk: Walk) -> CellRecord:
+    """The record of a cell from the walk that found it.  A cell the product
+    certificate on its masks accepts has diameter m, its number of factors;
+    only the others are measured by `cell_diameter`."""
+    order, rows, on = walk
+    adjacency = tuple(sorted(zip(order, rows)))
+    facets = tuple(compress(range(len(on)), on))
+    v, e, f = len(order), sum(map(len, rows)) // 2, len(facets)
+    if dim == 3 and (v - e + f != 2 or 2 * e != 3 * v):
+        raise InternalConsistencyError(
+            f"cell {signature}: (V,E,F)=({v},{e},{f}) violates 3D count identities"
+        )
+    factors = _factor_sizes(list(filter(None, on)), v)
+    diameter = len(factors) if factors else cell_diameter(dict(adjacency))
+    return CellRecord(signature, tuple(sorted(order)), adjacency, v, e, facets, diameter,
+                      classify_cell(v, e, f, factors, dim))
+
+
 def build_cell_records(
     arr: Arrangement, vertices: list[Vertex], cells: list[BoundedCell]
 ) -> list[CellRecord]:
-    """One record per cell, from the skeleton its walk recorded; its facets
-    lie on the hyperplanes its vertices are tight at.  A cell the product
-    certificate accepts has diameter m, its number of factors; only the
-    others are measured by `cell_diameter`."""
+    """Records of cells known by signature and vertex ids, each walked from
+    its first vertex; `enumerate_bounded_cells` gives records directly.
+    Raises InternalConsistencyError on a cell whose walk reaches a ray."""
+    steps = line_steps(arr, vertices)
     records = []
     for cell in cells:
-        tight_sets = [vertices[vid].tight_set for vid in cell.vertex_ids]
-        facets = tuple(sorted({k for tight in tight_sets for k in tight}))
-        v, e, f = len(tight_sets), sum(len(nbrs) for _, nbrs in cell.skeleton) // 2, len(facets)
-        if arr.dim == 3 and (v - e + f != 2 or 2 * e != 3 * v):
-            raise InternalConsistencyError(
-                f"cell {cell.signature}: (V,E,F)=({v},{e},{f}) violates 3D count identities"
-            )
-        factors = product_factors(tight_sets)
-        records.append(
-            CellRecord(
-                signature=cell.signature,
-                vertex_ids=cell.vertex_ids,
-                adjacency=cell.skeleton,
-                vertex_count=v,
-                edge_count=e,
-                facets=facets,
-                diameter=len(factors) if factors else cell_diameter(dict(cell.skeleton)),
-                cell_class=classify_cell(v, e, f, factors, arr.dim),
-            )
-        )
+        walk = _walk(steps, cell.vertex_ids[0], cell.signature)
+        if walk is None:
+            raise InternalConsistencyError(f"cell {cell.signature} is not bounded")
+        records.append(cell_record(arr.dim, cell.signature, walk))
     return records
 
 

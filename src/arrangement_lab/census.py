@@ -21,7 +21,6 @@ from .arrangement import (
 from .cells import (
     CellClass,
     CellRecord,
-    build_cell_records,
     cube,
     polygon,
     simplex,
@@ -48,12 +47,10 @@ class CensusReport:
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     """Full aggregate over the bounded cells of a simple arrangement; vertex
     enumeration raises NotSimpleError for any other input.  The line-step
-    table is built once and read by the one face walk, which finds the cells
-    with their skeletons; the facets are read off the cells."""
+    table is built once and read by the one face walk, which builds each
+    cell's record as it finds it; the facets are read off the records."""
     vertices = enumerate_vertices(arr)
-    steps = line_steps(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, steps)
-    records = build_cell_records(arr, vertices, cells)
+    records = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
     counts = Counter(rec.cell_class for rec in records)
     delta = Fraction(sum(rec.diameter for rec in records), len(records))
 

@@ -12,13 +12,12 @@ from fractions import Fraction
 
 from .arrangement import (
     Arrangement,
-    BoundedCell,
     _walk,
     enumerate_bounded_cells,
     enumerate_vertices,
     line_steps,
 )
-from .cells import build_cell_records
+from .cells import cell_record
 from .errors import InputError, UnsupportedDimensionError
 from .jsonio import signature_str
 from .rational import decimal_display
@@ -56,16 +55,12 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     if arr.dim != 2:
         raise UnsupportedDimensionError("SVG export requires a 2-dimensional arrangement")
     vertices = enumerate_vertices(arr)
-    steps = line_steps(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, steps)
-    records = build_cell_records(arr, vertices, cells)
+    records = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
 
-    xs = [v.point[0] for v in vertices]
-    ys = [v.point[1] for v in vertices]
-    pad_x = (max(xs) - min(xs)) * Fraction(1, 5)
-    pad_y = (max(ys) - min(ys)) * Fraction(1, 5)
-    x0, x1 = min(xs) - pad_x, max(xs) + pad_x
-    y0, y1 = min(ys) - pad_y, max(ys) + pad_y
+    (x_lo, x_hi), (y_lo, y_hi) = ((min(c), max(c)) for c in zip(*(v.point for v in vertices)))
+    pad_x, pad_y = (x_hi - x_lo) * Fraction(1, 5), (y_hi - y_lo) * Fraction(1, 5)
+    x0, x1 = x_lo - pad_x, x_hi + pad_x
+    y0, y1 = y_lo - pad_y, y_hi + pad_y
 
     scale = width / float(x1 - x0)
     height = float(y1 - y0) * scale
@@ -73,8 +68,12 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     def to_px(x: Fraction, y: Fraction) -> tuple[float, float]:
         return (float(x - x0) * scale, (float(y1 - y) * scale))
 
-    # each vertex converted and formatted once, for its polygons and its dot
-    pixels = [tuple(f"{c:.3f}" for c in to_px(*v.point)) for v in vertices]
+    # each vertex converted and formatted once, for its polygons and its dot,
+    # x - x0 and y1 - y as int / int, which rounds as float(Fraction) does
+    a, b, c, e = x0.numerator, x0.denominator, y1.numerator, y1.denominator
+    pixels = [(f"{(p * b - a * q) / (q * b) * scale:.3f}",
+               f"{(c * q - r * e) / (q * e) * scale:.3f}")
+              for (p, r), q in ((v.numerators, v.denominator) for v in vertices)]
 
     max_diameter = max(rec.diameter for rec in records)
     parts = [
@@ -145,21 +144,17 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
     steps = line_steps(arr, vertices)
     start = next((vid for vid, v in enumerate(vertices) if 0 not in signature
                   and all(s in (0, c) for s, c in zip(v.sign_vector, signature))), None)
-    skeleton = start is not None and _walk(steps, start, signature)
-    if not skeleton:
+    walk = start is not None and _walk(steps, start, signature)
+    if not walk:
         raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
-    vids = tuple(skeleton)
-    cell = BoundedCell(signature, vids, tuple(skeleton.items()))
-    (record,) = build_cell_records(arr, vertices, [cell])
+    record = cell_record(arr.dim, signature, walk)
+    vids, skeleton = record.vertex_ids, record.adjacency_dict()
 
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []
     for plane in record.facets:
-        members = [vid for vid in vids if plane in vertices[vid].tight_set]
-        member_set = set(members)
-        ring_adj = {
-            vid: tuple(w for w in skeleton[vid] if w in member_set) for vid in members
-        }
+        members = {vid for vid in vids if plane in vertices[vid].tight_set}
+        ring_adj = {vid: tuple(w for w in skeleton[vid] if w in members) for vid in members}
         facets.append([local[vid] for vid in _cycle_order(ring_adj)])
 
     lines = ["OFF", f"{record.vertex_count} {record.facet_count} {record.edge_count}"]

@@ -3,8 +3,9 @@
 One parser, many emitters.  Rationals travel as "p/q" strings ("p" when the
 denominator is 1); every emitter goes through `canonical_dumps` (sorted keys,
 fixed indentation, trailing newline) so identical inputs give byte-identical
-files.  Files are written atomically: temp file in the target directory,
-then rename.
+files; it writes Fractions and keys as text in its one walk, so emitters
+pass their values as they are.  Files are written atomically: temp file in
+the target directory, then rename.
 """
 
 from __future__ import annotations
@@ -23,19 +24,32 @@ from .rational import decimal_display, format_rational, parse_rational
 from .verify import SuiteSummary, VerificationResult
 
 
-def jsonify(value):
-    """Recursively convert to JSON-ready structures; Fractions become strings."""
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    return value
+_encode_str = json.encoder.encode_basestring_ascii
+_SIGN_CHARS = {1: "+", -1: "-"}
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\n"`, in one walk that
+    makes every key `str(key)` and every Fraction `format_rational`."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(value, newline: str) -> str:
+    if isinstance(value, str):
+        return _encode_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        parts, ends = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in items], "{}"
+    elif isinstance(value, (list, tuple)):
+        parts, ends = [_dumps(v, inner) for v in value], "[]"
+    elif isinstance(value, Fraction):
+        return _encode_str(format_rational(value))
+    else:
+        return json.dumps(value)  # None, booleans, floats; TypeError for the rest
+    return ends[0] + inner + ("," + inner).join(parts) + newline + ends[1] if parts else ends
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -52,9 +66,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def signature_str(signature) -> str:
-    if any(s == 0 for s in signature):
-        raise ValueError("cell signatures are zero-free")
-    return "".join("+" if s > 0 else "-" for s in signature)
+    try:
+        return "".join([_SIGN_CHARS[s] for s in signature])
+    except KeyError:
+        raise ValueError("cell signatures are zero-free") from None
 
 
 def signature_from_str(text: str) -> tuple[int, ...]:
@@ -68,15 +83,9 @@ def signature_from_str(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def arrangement_to_obj(arr: Arrangement, metadata: Optional[dict] = None) -> dict:
-    obj = {
-        "dim": arr.dim,
-        "hyperplanes": [
-            {"a": [format_rational(c) for c in h.a], "b": format_rational(h.b)}
-            for h in arr.hyperplanes
-        ],
-    }
+    obj = {"dim": arr.dim, "hyperplanes": [{"a": h.a, "b": h.b} for h in arr.hyperplanes]}
     if metadata:
-        obj["metadata"] = jsonify(metadata)
+        obj["metadata"] = metadata
     return obj
 
 
@@ -144,14 +153,12 @@ def cell_record_to_obj(rec: CellRecord) -> dict:
 
 def census_to_obj(report: CensusReport, include_cells: bool = False) -> dict:
     obj = {
-        "metadata": jsonify(report.metadata),
+        "metadata": report.metadata,
         "dim": report.dim,
         "n": report.n,
         "vertex_count": report.vertex_count,
         "I": report.cell_count,
-        "class_counts": {
-            cls.label: count for cls, count in sorted(report.class_counts.items())
-        },
+        "class_counts": {cls.label: count for cls, count in report.class_counts.items()},
         "delta": format_rational(report.delta),
         "delta_decimal": decimal_display(report.delta),
         "f_bounded": report.f_bounded,
@@ -164,14 +171,8 @@ def census_to_obj(report: CensusReport, include_cells: bool = False) -> dict:
 
 
 def verification_to_obj(result: VerificationResult) -> dict:
-    return {
-        "prop": result.prop,
-        "params": jsonify(result.params),
-        "expected": jsonify(result.expected),
-        "computed": jsonify(result.computed),
-        "verdict": result.verdict,
-        "notes": list(result.notes),
-    }
+    """Every field by name: prop, params, expected, computed, verdict, notes."""
+    return dict(vars(result))
 
 
 def suite_to_obj(summary: SuiteSummary) -> dict:

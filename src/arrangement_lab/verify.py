@@ -192,21 +192,13 @@ def default_instances(
     random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
     bound: int = RANDOM_COEFF_BOUND,
 ) -> list[tuple]:
-    """(family, d, n, seed, bound) keys of every default-grid construction
-    and of the random pools, each key once, in first-seen order."""
-    instances: list[tuple] = []
-    for n in P1_RANGE:
-        instances.append(("ao2", 2, n, None, None))
-    for n in P3_RANGE:
-        instances.append(("ao3", 3, n, None, None))
-    for d in P5_RANGE:
-        instances.append(("cyclic", d, d + 2, None, None))
-    for d, n in P6_GRID:
-        instances.append(("cyclic", d, n, None, None))
-    for n, seed in random_2d:
-        instances.append(("random", 2, n, seed, bound))
-    for n, seed in random_3d:
-        instances.append(("random", 3, n, seed, bound))
+    """(family, d, n, seed, bound) keys of every default grid point that
+    `_GRIDDED` declares and of the random pools, each key once, in
+    first-seen order."""
+    instances = [key for spec in _GRIDDED.values() for point in spec.grid
+                 for key in spec.keys(*point)]
+    instances += [("random", 2, n, seed, bound) for n, seed in random_2d]
+    instances += [("random", 3, n, seed, bound) for n, seed in random_3d]
     return list(dict.fromkeys(instances))
 
 
@@ -543,6 +535,15 @@ def _grid(prop: str, ranges: Optional[dict]) -> list[tuple[int, ...]]:
 # public dispatch
 # ---------------------------------------------------------------------------
 
+def _check_keys(prop: str, keys) -> None:
+    """Raise InputError at the first of `keys`, sorted, that `prop` does not take."""
+    names = _GRIDDED[prop].names if prop in _GRIDDED else ()
+    for key in sorted(keys):
+        if key not in names:
+            takes = " or ".join(names) or "no parameters"
+            raise InputError(f"--range key {key!r} does not apply to {prop}, which takes {takes}")
+
+
 def _plan(
     props: Sequence[str],
     ranges: Optional[dict],
@@ -569,12 +570,7 @@ def _plan(
         )
     if ranges:
         (prop,) = requested
-        for key in sorted(ranges):
-            if key not in _GRIDDED[prop].names:
-                takes = " or ".join(_GRIDDED[prop].names)
-                raise InputError(
-                    f"--range key {key!r} does not apply to {prop}, which takes {takes}"
-                )
+        _check_keys(prop, ranges)
 
     instances = default_instances(random_2d, random_3d, bound)
     hirsch = [key for key in instances if key[1] in (2, 3)]
@@ -605,15 +601,17 @@ def _run(row: tuple) -> VerificationResult:
 
 
 def verify_proposition(prop: str, **params) -> VerificationResult:
-    """Run one check; raises InputError for unknown ids or bad parameters."""
+    """Run one check; raises InputError for an unknown id, a missing or bad
+    parameter, and any key the check does not take."""
     prop = prop.upper()
     if prop not in PROP_IDS:
         raise InputError(f"unknown proposition id {prop!r}")
-    names = _GRIDDED[prop].names if prop in _GRIDDED else ()
+    spec = _GRIDDED.get(prop)
     try:
-        point = tuple(int(params[name]) for name in names)
+        point = tuple(int(params[name]) for name in (spec.names if spec else ()))
     except KeyError as exc:
         raise InputError(f"{prop} is missing parameter {exc}") from exc
+    _check_keys(prop, params)
     # the first row is the check at `point`, or H or S; P2's and P4's pool rows follow it
     first, *_ = _plan([prop], None, RANDOM_2D_POOL, RANDOM_3D_POOL, RANDOM_COEFF_BOUND, point)
     return _run(first)

@@ -46,7 +46,7 @@ def assert_kernels_match_references(arr):
     steps = line_steps(arr, vertices)
     assert steps == line_steps_from_edges(vertices, edges)
     cells = enumerate_bounded_cells(arr, vertices, steps)
-    walked = [dict(cell.skeleton) for cell in cells]
+    walked = [dict(cell.adjacency) for cell in cells]
     assert walked == skeletons_for_cells(cells, steps, arr.dim)
     assert walked == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)
     for rec, adj in zip(build_cell_records(arr, vertices, cells), walked):

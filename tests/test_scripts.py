@@ -72,3 +72,27 @@ def test_bench_pairs_refuses_a_tree_without_the_package(monkeypatch, tmp_path, c
     repo = SCRIPTS.parent
     assert run_script(monkeypatch, "bench_pairs.py", tmp_path, repo) == 2
     assert f"{tmp_path} has no src/arrangement_lab" in capsys.readouterr().err
+
+
+def test_bench_pairs_gain_verdict():
+    summarise = bench_pairs()["summarise"]
+    base = [100.0 + i for i in range(10)]                  # IQR 5.5
+    nine = [110.0 + i for i in range(9)] + [100.0]         # 9/10 wins
+    assert summarise(base, nine, "higher")["gain_holds"]
+    eight = [110.0 + i for i in range(8)] + [100.0, 101.0]
+    assert not summarise(base, eight, "higher")["gain_holds"]        # 8/10 wins
+    close = [b + 1.0 for b in base]                                  # 10/10, gap 1
+    assert not summarise(base, close, "higher")["gain_holds"]
+    assert summarise(base, [b - 20.0 for b in base], "lower")["gain_holds"]
+    assert not summarise(base, nine, "lower")["gain_holds"]
+
+
+def test_bench_pairs_bound_verdict():
+    summarise = bench_pairs()["summarise"]
+    base = [1.0, 1.0, 1.0, 1.0]
+    assert summarise(base, [1.3] * 4, "lower", 0.25)["worse_than_bound"]
+    assert not summarise(base, [1.2] * 4, "lower", 0.25)["worse_than_bound"]
+    assert summarise(base, [0.7] * 4, "higher", 0.25)["worse_than_bound"]
+    assert not summarise(base, [0.8] * 4, "higher", 0.25)["worse_than_bound"]
+    assert not summarise(base, [0.5] * 4, "lower", 0.25)["worse_than_bound"]   # better
+    assert summarise(base, [1.3] * 4, "lower")["worse_than_bound"] is None

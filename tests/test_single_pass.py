@@ -53,15 +53,16 @@ def test_one_line_step_table_per_use(monkeypatch, render):
 
 @pytest.mark.parametrize("built", [build_ao2(7), build_ao3(7)], ids=["ao2-7", "ao3-7"])
 def test_census_walks_once(monkeypatch, built):
-    # the walk in codimension 0 finds the cells; the facets are read off them
+    # the walk in codimension 0 finds the cells and builds their records;
+    # the facets are read off the records
     codims = []
-    walk = arrangement._bounded_face_skeletons
+    walk = arrangement._face_walks
 
     def spy(vertices, steps, codim):
         codims.append(codim)
         return walk(vertices, steps, codim)
 
-    monkeypatch.setattr(arrangement, "_bounded_face_skeletons", spy)
+    monkeypatch.setattr(arrangement, "_face_walks", spy)
     census(built.arrangement)
     assert codims == [0]
 

@@ -16,7 +16,11 @@ from arrangement_lab.verify import (
     P6_GRID,
     P7_GRID,
     PROP_IDS,
+    RANDOM_2D_POOL,
+    RANDOM_3D_POOL,
+    RANDOM_COEFF_BOUND,
     construction_census,
+    default_instances,
     delta_formula_2d,
     delta_formula_3d,
     expected_census_dplus2,
@@ -182,7 +186,7 @@ def test_verify_proposition_matches_the_suite_row(prop):
         return
     assert len(rows) == len(DEFAULT_GRIDS[prop])
     for row in rows:
-        point = {key: value for key, value in row.params.items() if key in ("d", "n")}
+        point = {key: row.params[key] for key in verify._GRIDDED[prop].names}
         assert verify_proposition(prop, **point) == row
 
 
@@ -231,3 +235,42 @@ def test_suite_instances_lists_every_instance_censused(monkeypatch, prop):
     monkeypatch.setattr(verify, "construction_census", spy)
     run_suite([prop])
     assert list(dict.fromkeys(censused)) == suite_instances([prop])
+
+
+@pytest.mark.parametrize("prop, params, message", [
+    ("P1", {"n": 5, "d": 99, "m": 1}, "--range key 'd' does not apply to P1, which takes n"),
+    ("P6", {"d": 3, "n": 8, "seed": 1},
+     "--range key 'seed' does not apply to P6, which takes d or n"),
+    ("P1", {"n": 5, "d": 2}, "--range key 'd' does not apply to P1, which takes n"),
+    ("P3", {"n": 7, "d": 3}, "--range key 'd' does not apply to P3, which takes n"),
+    ("P5", {"d": 3, "n": 7}, "--range key 'n' does not apply to P5, which takes d"),
+    ("P5", {"d": 3, "n": 5}, "--range key 'n' does not apply to P5, which takes d"),
+    ("H", {"n": 3}, "--range key 'n' does not apply to H, which takes no parameters"),
+])
+def test_verify_proposition_rejects_parameters_the_check_does_not_take(monkeypatch, prop,
+                                                                       params, message):
+    def no_census(*_args, **_kwargs):
+        raise AssertionError("census ran before the parameters were checked")
+
+    monkeypatch.setattr(verify, "construction_census", no_census)
+    with pytest.raises(InputError) as refused:
+        verify_proposition(prop, **params)
+    assert str(refused.value) == message
+
+
+def test_default_instances_follow_the_grid_table(monkeypatch):
+    # the default grids' constructions, then the pools: 28 + 50 + 20 keys
+    grids = [("ao2", 2, n, None, None) for n in P1_RANGE]
+    grids += [("ao3", 3, n, None, None) for n in P3_RANGE]
+    grids += [("cyclic", d, d + 2, None, None) for d in P5_RANGE]
+    grids += [("cyclic", d, n, None, None) for d, n in P6_GRID]
+    pools = [("random", 2, n, seed, RANDOM_COEFF_BOUND) for n, seed in RANDOM_2D_POOL]
+    pools += [("random", 3, n, seed, RANDOM_COEFF_BOUND) for n, seed in RANDOM_3D_POOL]
+    keys = default_instances()
+    assert len(keys) == len(set(keys)) == 98
+    assert set(keys) == set(grids) | set(pools)
+    # a grid edited in the table changes what H and S check, with no second list
+    spec = verify._GRIDDED["P1"]
+    monkeypatch.setitem(verify._GRIDDED, "P1", spec._replace(grid=spec.grid + ((13,),)))
+    assert ("ao2", 2, 13, None, None) in default_instances()
+    assert ("ao2", 2, 13, None, None) in suite_instances(["S"])
