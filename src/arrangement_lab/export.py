@@ -22,6 +22,7 @@ from .errors import InputError, UnsupportedDimensionError
 from .jsonio import signature_str
 from .rational import decimal_display
 
+_SVG_WIDTH = 900.0
 _RAMP_LOW = (255, 255, 204)
 _RAMP_HIGH = (177, 0, 38)
 
@@ -49,7 +50,7 @@ def _cycle_order(adj: dict[int, tuple[int, ...]]) -> list[int]:
         previous, current = current, nxt
 
 
-def render_svg(arr: Arrangement, width: float = 900.0) -> str:
+def render_svg(arr: Arrangement) -> str:
     """All lines clipped to the padded vertex bounding box, bounded cells
     filled on a diameter color ramp, vertices as dots."""
     if arr.dim != 2:
@@ -62,23 +63,23 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
     x0, x1 = x_lo - pad_x, x_hi + pad_x
     y0, y1 = y_lo - pad_y, y_hi + pad_y
 
-    scale = width / float(x1 - x0)
+    scale = _SVG_WIDTH / float(x1 - x0)
     height = float(y1 - y0) * scale
-
-    def to_px(x: Fraction, y: Fraction) -> tuple[float, float]:
-        return (float(x - x0) * scale, (float(y1 - y) * scale))
-
-    # each vertex converted and formatted once, for its polygons and its dot,
-    # x - x0 and y1 - y as int / int, which rounds as float(Fraction) does
     a, b, c, e = x0.numerator, x0.denominator, y1.numerator, y1.denominator
-    pixels = [(f"{(p * b - a * q) / (q * b) * scale:.3f}",
-               f"{(c * q - r * e) / (q * e) * scale:.3f}")
-              for (p, r), q in ((v.numerators, v.denominator) for v in vertices)]
+
+    # (p/q, r/q) in pixels, as text; x - x0 and y1 - y as int / int, which
+    # rounds as float(Fraction) does
+    def pixel(p: int, r: int, q: int) -> tuple[str, str]:
+        return (f"{(p * b - a * q) / (q * b) * scale:.3f}",
+                f"{(c * q - r * e) / (q * e) * scale:.3f}")
+
+    # each vertex converted and formatted once, for its polygons and its dot
+    pixels = [pixel(*v.numerators, v.denominator) for v in vertices]
 
     max_diameter = max(rec.diameter for rec in records)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH:.0f}" '
+        f'height="{height:.2f}" viewBox="0 0 {_SVG_WIDTH:.2f} {height:.2f}">'
     ]
     for rec in records:
         adj = rec.adjacency_dict()
@@ -94,11 +95,10 @@ def render_svg(arr: Arrangement, width: float = 900.0) -> str:
         clipped = _clip_line(h.a, h.b, x0, x1, y0, y1)
         if clipped is None:
             continue
-        (ax, ay), (bx, by) = clipped
-        pax, pay = to_px(ax, ay)
-        pbx, pby = to_px(bx, by)
+        (pax, pay), (pbx, pby) = (pixel(x.numerator * y.denominator, y.numerator * x.denominator,
+                                        x.denominator * y.denominator) for x, y in clipped)
         parts.append(
-            f'<line x1="{pax:.3f}" y1="{pay:.3f}" x2="{pbx:.3f}" y2="{pby:.3f}" '
+            f'<line x1="{pax}" y1="{pay}" x2="{pbx}" y2="{pby}" '
             f'stroke="#333333" stroke-width="1.2"/>'
         )
     for px, py in pixels:

@@ -5,7 +5,9 @@ denominator is 1); every emitter goes through `canonical_dumps` (sorted keys,
 fixed indentation, trailing newline) so identical inputs give byte-identical
 files; it writes Fractions and keys as text in its one walk, so emitters
 pass their values as they are.  Files are written atomically: temp file in
-the target directory, then rename.
+the target directory, then rename; a path that cannot be written is an
+InputError naming it.  A result's verdict is written beside the numbers it
+is read off.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .census import CensusReport
 from .cells import CellRecord
 from .errors import InputError
 from .rational import decimal_display, format_rational, parse_rational
-from .verify import SuiteSummary, VerificationResult
+from .verify import RANDOM_COEFF_BOUND, SuiteSummary, VerificationResult
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -53,16 +55,21 @@ def _dumps(value, newline: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Raises InputError naming `path` when it cannot be written, and leaves
+    no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def signature_str(signature) -> str:
@@ -171,8 +178,9 @@ def census_to_obj(report: CensusReport, include_cells: bool = False) -> dict:
 
 
 def verification_to_obj(result: VerificationResult) -> dict:
-    """Every field by name: prop, params, expected, computed, verdict, notes."""
-    return dict(vars(result))
+    """Every field by name (prop, params, expected, computed, notes) and the
+    verdict that the pass rule reads off expected and computed."""
+    return {**vars(result), "verdict": result.verdict}
 
 
 def suite_to_obj(summary: SuiteSummary) -> dict:
@@ -184,6 +192,6 @@ def suite_to_obj(summary: SuiteSummary) -> dict:
         "random_pools": {
             "d2": sorted(summary.random_2d, key=lambda row: (row[1], row[0])),
             "d3": sorted(summary.random_3d, key=lambda row: (row[1], row[0])),
-            "coefficient_bound": summary.bound,
+            "coefficient_bound": RANDOM_COEFF_BOUND,
         },
     }

@@ -13,7 +13,9 @@ Check ids (the CLI vocabulary):
   S   simplex floor: every simple arrangement has >= n-d simplex cells
 
 Every comparison is an exact rational or integer equality/inequality; there
-are no tolerances anywhere in this module.
+are no tolerances anywhere in this module.  No check writes its verdict: one
+rule, `VerificationResult.passed`, reads it off the result's own `expected`
+and `computed`, so every verdict in a summary JSON can be recomputed from it.
 
 Each gridded check (P1-P7) is declared once, in `_GRIDDED`.  `_plan` checks
 every grid point against its check's condition before the CLI's size budget
@@ -79,21 +81,32 @@ class VerificationResult:
     params: dict
     expected: dict
     computed: dict
-    verdict: str
     notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        """Every expected `<key>_at_least` is at most computed `<key>`, and every
+        other expected key that `computed` has is equal there; the rest is context."""
+        return all(
+            self.computed[key.removesuffix("_at_least")] >= value
+            if key.endswith("_at_least") else self.computed.get(key, value) == value
+            for key, value in self.expected.items()
+        )
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 @dataclass
 class SuiteSummary:
     results: list[VerificationResult]
-    all_pass: bool
-    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL   # the pools that were used
-    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL
-    bound: int = RANDOM_COEFF_BOUND
+    random_2d: Sequence[tuple[int, int]]   # the pools that were used
+    random_3d: Sequence[tuple[int, int]]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(r.passed for r in self.results)
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +203,18 @@ def construction_census(
 def default_instances(
     random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
     random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
-    bound: int = RANDOM_COEFF_BOUND,
 ) -> list[tuple]:
     """(family, d, n, seed, bound) keys of every default grid point that
     `_GRIDDED` declares and of the random pools, each key once, in
     first-seen order."""
     instances = [key for spec in _GRIDDED.values() for point in spec.grid
                  for key in spec.keys(*point)]
-    instances += [("random", 2, n, seed, bound) for n, seed in random_2d]
-    instances += [("random", 3, n, seed, bound) for n, seed in random_3d]
+    instances += _pool_keys(2, random_2d) + _pool_keys(3, random_3d)
     return list(dict.fromkeys(instances))
+
+
+def _pool_keys(d: int, pool: Sequence[tuple[int, int]]) -> list[Instance]:
+    return [("random", d, n, seed, RANDOM_COEFF_BOUND) for n, seed in pool]
 
 
 def _labels(counts: dict[CellClass, int]) -> dict[str, int]:
@@ -216,10 +231,6 @@ def _identity_residual(report: CensusReport) -> Fraction:
 # result shapes
 # ---------------------------------------------------------------------------
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
-
-
 def _census_result(
     prop: str,
     params: dict,
@@ -231,11 +242,6 @@ def _census_result(
     """Compare the census, delta and cell count C(n-1, d) of a report with
     their closed forms."""
     cell_count = comb(report.n - 1, report.dim)
-    ok = (
-        report.class_counts == expected_counts
-        and report.delta == delta
-        and report.cell_count == cell_count
-    )
     return VerificationResult(
         prop,
         params,
@@ -245,7 +251,6 @@ def _census_result(
             "delta": report.delta,
             "cell_count": report.cell_count,
         },
-        _verdict(ok),
         list(notes),
     )
 
@@ -264,7 +269,6 @@ def _violations_result(
         params,
         {"violations": 0, **(expected or {})},
         {"violations": len(failures), **(computed or {})},
-        _verdict(not failures),
         failures[:10],
     )
 
@@ -277,21 +281,17 @@ def verify_identity_2d(arr: Arrangement) -> VerificationResult:
     if arr.dim != 2:
         raise InputError("the edge identity is defined for d = 2")
     report = census(arr)
-    residual = _identity_residual(report)
-    f1_expected = report.n * (report.n - 2)
-    ok = residual == 0 and report.f_bounded == f1_expected
     return VerificationResult(
         prop="identity-2d",
         params={"n": report.n},
-        expected={"identity_residual": Fraction(0), "f1": f1_expected},
+        expected={"identity_residual": Fraction(0), "f1": report.n * (report.n - 2)},
         computed={
-            "identity_residual": residual,
+            "identity_residual": _identity_residual(report),
             "f1": report.f_bounded,
             "f1_external": report.f_external,
             "p_odd": report.p_odd,
             "delta": report.delta,
         },
-        verdict=_verdict(ok),
     )
 
 
@@ -315,8 +315,7 @@ def _verify_p2(n: int, report: CensusReport) -> VerificationResult:
         "p_odd": report.p_odd,
         "identity_residual": _identity_residual(report),
     }
-    ok = all(computed[key] == expected[key] for key in expected)
-    return VerificationResult("P2", {"n": n}, expected, computed, _verdict(ok))
+    return VerificationResult("P2", {"n": n}, expected, computed)
 
 
 def _verify_p2_random(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:
@@ -344,23 +343,22 @@ def _verify_p3(
         # documented value is 1.8 = 9/5, which matches the cyclic-star
         # arrangement of six planes instead; report both, assert neither
         # census nor the 1.8.
-        ok = report.delta == delta_expected
         notes = [
             "n=6 closed form: 19/10; documented alternative value: 1.8 (= 9/5)",
             f"enumerated delta of the ao3 arrangement: {report.delta}",
             f"enumerated delta of the cyclic star with 6 planes: {star.delta}",
             f"enumerated ao3 census: {_labels(report.class_counts)}",
         ]
-        if not ok:
-            notes.append("deviation: enumerated delta differs from the closed form")
-        return VerificationResult(
+        result = VerificationResult(
             "P3",
             {"n": n},
             {"delta": delta_expected},
             {"delta": report.delta, "census": _labels(report.class_counts)},
-            _verdict(ok),
             notes,
         )
+        if not result.passed:
+            result.notes.append("deviation: enumerated delta differs from the closed form")
+        return result
     notes = []
     if n == 5:
         notes.append(
@@ -375,8 +373,11 @@ def _p4_checks(report: CensusReport) -> list[str]:
     failures = []
     if report.delta > prop4_upper_bound(n):
         failures.append("delta exceeds the 3D upper bound")
-    if any(rec.diameter > (2 * rec.facet_count) // 3 - 1 for rec in report.records):
-        failures.append("a cell exceeds floor(2F/3) - 1")
+    for i, rec in enumerate(report.records):
+        if rec.diameter > (2 * rec.facet_count) // 3 - 1:
+            failures.append(f"a cell exceeds floor(2F/3) - 1: cell {i} in --cells order"
+                            f" has diameter {rec.diameter} and F = {rec.facet_count}")
+            break
     if simplex_count(report) < n - 3:
         failures.append("fewer than n-3 simplices")
     if report.f_bounded != n * comb(n - 2, 2):
@@ -424,33 +425,25 @@ def _verify_p5(d: int, report: CensusReport) -> VerificationResult:
 
 
 def _verify_p6(d: int, n: int, report: CensusReport) -> VerificationResult:
-    bound = prop6_lower_bound(d, n)
-    expected = {"cubical_cells": comb(n - d, d), "delta_at_least": bound}
+    expected = {"cubical_cells": comb(n - d, d), "delta_at_least": prop6_lower_bound(d, n)}
     computed = {"cubical_cells": cube_count(report), "delta": report.delta}
-    ok = cube_count(report) == expected["cubical_cells"] and report.delta >= bound
     notes = []
     if d == 2:
         notes.append("in the plane the cubical cells are the quadrilaterals")
-    return VerificationResult("P6", {"d": d, "n": n}, expected, computed, _verdict(ok), notes)
+    return VerificationResult("P6", {"d": d, "n": n}, expected, computed, notes)
 
 
 def _verify_p7(d: int, n: int, report: CensusReport) -> VerificationResult:
-    bound = prop7_lower_bound(d, n)
     expected = {
         "simplices": n - d,
         "simplex_prisms": (n - d) * (n - d - 1),
-        "delta_at_least": bound,
+        "delta_at_least": prop7_lower_bound(d, n),
     }
     computed = {
         "simplices": simplex_count(report),
         "simplex_prisms": prism_count(report),
         "delta": report.delta,
     }
-    ok = (
-        computed["simplices"] == expected["simplices"]
-        and computed["simplex_prisms"] == expected["simplex_prisms"]
-        and report.delta >= bound
-    )
     notes = []
     if d == 2:
         notes.append(
@@ -459,7 +452,7 @@ def _verify_p7(d: int, n: int, report: CensusReport) -> VerificationResult:
             " (n-d)(n-d-1) double-counts and the bound overshoots; the honest"
             " counts are reported instead"
         )
-    return VerificationResult("P7", {"d": d, "n": n}, expected, computed, _verdict(ok), notes)
+    return VerificationResult("P7", {"d": d, "n": n}, expected, computed, notes)
 
 
 def _verify_hirsch(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:
@@ -549,7 +542,6 @@ def _plan(
     ranges: Optional[dict],
     random_2d: Sequence[tuple[int, int]],
     random_3d: Sequence[tuple[int, int]],
-    bound: int,
     point: Optional[tuple[int, ...]] = None,
 ) -> list[tuple[Callable[..., VerificationResult], tuple, list[Instance]]]:
     """The checks `run_suite` makes, in order, as (check, arguments, the
@@ -572,12 +564,12 @@ def _plan(
         (prop,) = requested
         _check_keys(prop, ranges)
 
-    instances = default_instances(random_2d, random_3d, bound)
+    instances = default_instances(random_2d, random_3d)
     hirsch = [key for key in instances if key[1] in (2, 3)]
     # the checks that read a list of instances, each after its grid if it has one
     listed = {
-        "P2": (_verify_p2_random, [("random", 2, n, seed, bound) for n, seed in random_2d]),
-        "P4": (_verify_p4_random, [("random", 3, n, seed, bound) for n, seed in random_3d]),
+        "P2": (_verify_p2_random, _pool_keys(2, random_2d)),
+        "P4": (_verify_p4_random, _pool_keys(3, random_3d)),
         "H": (_verify_hirsch, hirsch),
         "S": (_verify_simplex_floor, instances),
     }
@@ -613,7 +605,7 @@ def verify_proposition(prop: str, **params) -> VerificationResult:
         raise InputError(f"{prop} is missing parameter {exc}") from exc
     _check_keys(prop, params)
     # the first row is the check at `point`, or H or S; P2's and P4's pool rows follow it
-    first, *_ = _plan([prop], None, RANDOM_2D_POOL, RANDOM_3D_POOL, RANDOM_COEFF_BOUND, point)
+    first, *_ = _plan([prop], None, RANDOM_2D_POOL, RANDOM_3D_POOL, point)
     return _run(first)
 
 
@@ -622,12 +614,11 @@ def suite_instances(
     ranges: Optional[dict] = None,
     random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
     random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
-    bound: int = RANDOM_COEFF_BOUND,
 ) -> list[Instance]:
     """The (family, d, n, seed, bound) keys of every instance `run_suite`
     would census with these arguments, each once, in first-seen order,
     without building any of them; raises InputError as `run_suite` does."""
-    plan = _plan(props, ranges, random_2d, random_3d, bound)
+    plan = _plan(props, ranges, random_2d, random_3d)
     return list(dict.fromkeys(key for _, _, keys in plan for key in keys))
 
 
@@ -636,7 +627,6 @@ def run_suite(
     ranges: Optional[dict] = None,
     random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
     random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
-    bound: int = RANDOM_COEFF_BOUND,
 ) -> SuiteSummary:
     """Run the requested checks over their grids, in id order.
 
@@ -645,9 +635,9 @@ def run_suite(
     keys that proposition takes (its parameter names), when it leaves at least
     one instance, and when every point it gives meets the check's condition;
     the default grids are the documented acceptance grids.
-    The random pools and their coefficient bound feed P2, P4, H and S; H and
-    S check them beside every default-grid construction.
+    The random pools, with coefficients bounded by RANDOM_COEFF_BOUND, feed
+    P2, P4, H and S; H and S check them beside every default-grid
+    construction.
     """
-    plan = _plan(props, ranges, random_2d, random_3d, bound)
-    results = [_run(row) for row in plan]
-    return SuiteSummary(results, all(r.passed for r in results), random_2d, random_3d, bound)
+    plan = _plan(props, ranges, random_2d, random_3d)
+    return SuiteSummary([_run(row) for row in plan], random_2d, random_3d)

@@ -445,3 +445,23 @@ def test_max_vertices_sets_the_budget(tmp_path, capsys, command):
     assert run([*argv, "--max-vertices", 20]) == 2
     assert "C(7,2) = 21 vertices, above the limit of 20" in capsys.readouterr().err
     assert run([*argv, "--max-vertices", 21]) == 0
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "verify", "export"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, command, target):
+    source = tmp_path / "ao2.json"
+    assert run(["construct", "--family", "ao2", "-n", 5, "--out", source]) == 0
+    out = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path / "taken"
+    if target == "directory":
+        out.mkdir()
+    args = {
+        "construct": ["construct", "--family", "ao2", "-n", 5, "--out", out],
+        "analyze": ["analyze", source, "--report", out],
+        "verify": ["verify", "--prop", "P1", "--range", "n=5", "--out", out],
+        "export": ["export", source, "--format", "svg", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(args) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".tmp-*"))
