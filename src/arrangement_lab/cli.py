@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import comb
 
 from .census import census
-from .constructions import build_ao2, build_ao3, build_cyclic_star, random_simple_arrangement
+from .constructions import build, random_simple_arrangement
 from .errors import InputError, NotSimpleError
 from .export import render_off, render_svg
 from .jsonio import (
@@ -26,6 +25,7 @@ from .jsonio import (
     atomic_write_text,
     canonical_dumps,
     census_to_obj,
+    check_writable,
     json_integer,
     load_arrangement,
     signature_from_str,
@@ -42,20 +42,6 @@ from .verify import (
 
 # The largest C(n,d) vertex count an instance may have without --max-vertices.
 DEFAULT_MAX_VERTICES = 1_000_000
-
-
-def _check_thread_cap() -> None:
-    # Optional cap on engine parallelism; computation is sequential, which
-    # satisfies any positive cap, but the value must still be sane.
-    raw = os.environ.get("ARRANGEMENT_LAB_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"ARRANGEMENT_LAB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InputError("ARRANGEMENT_LAB_THREADS must be >= 1")
 
 
 def _add_size_budget(parser: argparse.ArgumentParser) -> None:
@@ -173,18 +159,7 @@ def _load_pools(path: str):
 
 
 def _cmd_construct(args) -> int:
-    if args.family == "cyclic":
-        if args.d is None:
-            raise InputError("cyclic construction requires -d")
-        built = build_cyclic_star(args.d, args.n)
-    elif args.family == "ao2":
-        if args.d not in (None, 2):
-            raise InputError("ao2 is 2-dimensional")
-        built = build_ao2(args.n)
-    else:
-        if args.d not in (None, 3):
-            raise InputError("ao3 is 3-dimensional")
-        built = build_ao3(args.n)
+    built = build(args.family, args.d, args.n)
     text = canonical_dumps(arrangement_to_obj(built.arrangement, built.metadata()))
     atomic_write_text(args.out, text)
     print(
@@ -222,6 +197,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.out:
+        check_writable(args.out)
     ranges = _parse_range(args.range_spec) if args.range_spec else None
     pools_2d, pools_3d = (RANDOM_2D_POOL, RANDOM_3D_POOL)
     if args.seeds:
@@ -270,7 +247,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_cap()
         return _COMMANDS[args.command](args)
     except NotSimpleError as exc:
         witness = ""

@@ -1,16 +1,14 @@
 """Explicit arrangement families with exact rational coordinates.
 
-Three deterministic families:
+Three deterministic families, all built on one star of hyperplanes:
 
   * cyclic star  A*(d,n): the d coordinate hyperplanes plus n-d hyperplanes
     given by axis intercepts 1+(d-i)(k-d-1)*eps on axis i < d and
     1-(k-d-1)*eps on axis d, for k = d+1..n.
-  * ao2  A(2,n): the two axes plus lines through (1+(k-3)eps, 0) and
-    (0, 1-(k-3)eps) for k = 3..n-1, closed off by a line through (2, 0) and
-    (0, 2+eps) that keeps every vertex on one side.
-  * ao3  A(3,n): the three coordinate planes plus planes with axis
-    intercepts (1+2(k-4)eps, 1+(k-4)eps, 1-(k-4)eps) for k = 4..n-1, closed
-    off by the plane with intercepts (3, 2, 3+eps).
+  * ao2  A(2,n) and ao3  A(3,n): the closed cyclic star, that is the first
+    n-1 hyperplanes of A*(d,n) closed off by one hyperplane with axis
+    intercepts (d, d-1, ..., 2, d+eps), which keeps every vertex on one
+    side: (2, 2+eps) in the plane, (3, 2, 3+eps) in space.
 
 One epsilon rule covers every family: eps = 1/(n-d), which satisfies the
 strict requirement 0 < eps < 1/(n-d-1) whenever that constraint is
@@ -22,7 +20,8 @@ and export, raises NotSimpleError on any non-simple input.
 
 Random simple arrangements draw integer coefficients from a SplitMix64
 stream so that identical (d, n, seed, bound) inputs reproduce bit-identical
-output on any platform.
+output on any platform.  `build` is the one place a family name picks its
+builder.
 """
 
 from __future__ import annotations
@@ -70,52 +69,45 @@ def _intercept_hyperplane(intercepts: list[Fraction]) -> Hyperplane:
     return hyperplane(ints[:-1], ints[-1])
 
 
+def _star_planes(d: int, count: int, eps: Fraction) -> list[Hyperplane]:
+    """The first `count` hyperplanes of the cyclic star: x_d = 0, ..., x_1 = 0,
+    then the shifted intercept hyperplanes k = d+1..count."""
+    planes = [_coordinate_hyperplane(d, d - k) for k in range(1, d + 1)]
+    for k in range(d + 1, count + 1):
+        shift = (k - d - 1) * eps
+        intercepts = [1 + (d - i) * shift for i in range(1, d)]
+        intercepts.append(1 - shift)
+        planes.append(_intercept_hyperplane(intercepts))
+    return planes
+
+
 def build_cyclic_star(d: int, n: int) -> Construction:
     if d < 2:
         raise InputError("cyclic star requires d >= 2")
     if n < d + 1:
         raise InputError(f"cyclic star requires n >= d+1 = {d + 1}, got n = {n}")
     eps = Fraction(1, n - d)
-    planes = [_coordinate_hyperplane(d, d - k) for k in range(1, d + 1)]  # x_{d+1-k} = 0
-    for k in range(d + 1, n + 1):
-        shift = (k - d - 1) * eps
-        intercepts = [1 + (d - i) * shift for i in range(1, d)]
-        intercepts.append(1 - shift)
-        planes.append(_intercept_hyperplane(intercepts))
-    arr = Arrangement(d, tuple(planes))
+    arr = Arrangement(d, tuple(_star_planes(d, n, eps)))
     return Construction(arr, "cyclic", d, n, epsilon=eps)
 
 
+def _closed_star(family: str, d: int, n: int) -> Construction:
+    """The cyclic star's first n-1 hyperplanes and the closing hyperplane with
+    axis intercepts (d, d-1, ..., 2, d+eps)."""
+    if n < d + 2:
+        raise InputError(f"{family} requires n >= {d + 2}, got n = {n}")
+    eps = Fraction(1, n - d)
+    closing = _intercept_hyperplane([*range(d, 1, -1), d + eps])
+    arr = Arrangement(d, tuple(_star_planes(d, n - 1, eps)) + (closing,))
+    return Construction(arr, family, d, n, epsilon=eps)
+
+
 def build_ao2(n: int) -> Construction:
-    if n < 4:
-        raise InputError(f"ao2 requires n >= 4, got n = {n}")
-    eps = Fraction(1, n - 2)
-    lines = [
-        _coordinate_hyperplane(2, 1),  # the x1 axis: x2 = 0
-        _coordinate_hyperplane(2, 0),  # the x2 axis: x1 = 0
-    ]
-    for k in range(3, n):
-        lines.append(_intercept_hyperplane([1 + (k - 3) * eps, 1 - (k - 3) * eps]))
-    lines.append(_intercept_hyperplane([Fraction(2), 2 + eps]))
-    arr = Arrangement(2, tuple(lines))
-    return Construction(arr, "ao2", 2, n, epsilon=eps)
+    return _closed_star("ao2", 2, n)
 
 
 def build_ao3(n: int) -> Construction:
-    if n < 5:
-        raise InputError(f"ao3 requires n >= 5, got n = {n}")
-    eps = Fraction(1, n - 3)
-    planes = [
-        _coordinate_hyperplane(3, 2),  # x3 = 0
-        _coordinate_hyperplane(3, 1),  # x2 = 0
-        _coordinate_hyperplane(3, 0),  # x1 = 0
-    ]
-    for k in range(4, n):
-        shift = (k - 4) * eps
-        planes.append(_intercept_hyperplane([1 + 2 * shift, 1 + shift, 1 - shift]))
-    planes.append(_intercept_hyperplane([Fraction(3), Fraction(2), 3 + eps]))
-    arr = Arrangement(3, tuple(planes))
-    return Construction(arr, "ao3", 3, n, epsilon=eps)
+    return _closed_star("ao3", 3, n)
 
 
 class SplitMix64:
@@ -200,3 +192,27 @@ def _extends_simply(
         points[point] = subset
         added.append(point)
     return True
+
+
+def build(
+    family: str, d: Optional[int], n: int,
+    seed: Optional[int] = None, bound: Optional[int] = None,
+) -> Construction:
+    """The construction of a family name: `d` is required for cyclic and
+    random and, when given, must match ao2's and ao3's; `seed` and `bound`
+    are read for random only.  Raises InputError on any other name."""
+    if family == "cyclic":
+        if d is None:
+            raise InputError("cyclic construction requires -d")
+        return build_cyclic_star(d, n)
+    if family == "ao2":
+        if d not in (None, 2):
+            raise InputError("ao2 is 2-dimensional")
+        return build_ao2(n)
+    if family == "ao3":
+        if d not in (None, 3):
+            raise InputError("ao3 is 3-dimensional")
+        return build_ao3(n)
+    if family == "random":
+        return random_simple_arrangement(d, n, seed, bound)
+    raise InputError(f"unknown family {family!r}")

@@ -12,6 +12,7 @@ is read off.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -69,7 +70,25 @@ def atomic_write_text(path: str, text: str) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _cannot_write(path, exc.strerror or exc) from exc
+
+
+def check_writable(path: str) -> None:
+    """Raise the InputError `atomic_write_text(path, ...)` would give for a
+    missing or unwritable directory or a directory in the way, before any
+    work is done, and leave nothing behind."""
+    if os.path.isdir(path):
+        raise _cannot_write(path, os.strerror(errno.EISDIR))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    except OSError as exc:
+        raise _cannot_write(path, exc.strerror or exc) from exc
+    os.close(fd)
+    os.unlink(tmp)
+
+
+def _cannot_write(path: str, reason) -> InputError:
+    return InputError(f"cannot write {path}: {reason}")
 
 
 def signature_str(signature) -> str:

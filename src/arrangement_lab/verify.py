@@ -48,12 +48,7 @@ from .census import (
     prism_count,
     simplex_count,
 )
-from .constructions import (
-    build_ao2,
-    build_ao3,
-    build_cyclic_star,
-    random_simple_arrangement,
-)
+from .constructions import build
 from .errors import InputError
 
 # Documented random pools: seeds 0..k-1, n cycling through the small range,
@@ -187,16 +182,7 @@ def expected_census_dplus2(d: int) -> dict[CellClass, int]:
 def construction_census(
     family: str, d: int, n: int, seed: Optional[int] = None, bound: Optional[int] = None
 ) -> CensusReport:
-    if family == "ao2":
-        built = build_ao2(n)
-    elif family == "ao3":
-        built = build_ao3(n)
-    elif family == "cyclic":
-        built = build_cyclic_star(d, n)
-    elif family == "random":
-        built = random_simple_arrangement(d, n, seed, bound)
-    else:
-        raise InputError(f"unknown family {family!r}")
+    built = build(family, d, n, seed, bound)
     return census(built.arrangement, metadata=built.metadata())
 
 
@@ -225,6 +211,18 @@ def _identity_residual(report: CensusReport) -> Fraction:
     """I*delta - (2 f1 - f1_0 - p_odd)/2; zero exactly when the identity holds."""
     rhs = Fraction(2 * report.f_bounded - report.f_external - report.p_odd, 2)
     return report.cell_count * report.delta - rhs
+
+
+def _edge_identity_numbers(report: CensusReport) -> dict:
+    """The 2D edge identity's residual and terms, as P2 and
+    `verify_identity_2d` report them."""
+    return {
+        "identity_residual": _identity_residual(report),
+        "f1": report.f_bounded,
+        "f1_external": report.f_external,
+        "p_odd": report.p_odd,
+        "delta": report.delta,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +283,7 @@ def verify_identity_2d(arr: Arrangement) -> VerificationResult:
         prop="identity-2d",
         params={"n": report.n},
         expected={"identity_residual": Fraction(0), "f1": report.n * (report.n - 2)},
-        computed={
-            "identity_residual": _identity_residual(report),
-            "f1": report.f_bounded,
-            "f1_external": report.f_external,
-            "p_odd": report.p_odd,
-            "delta": report.delta,
-        },
+        computed=_edge_identity_numbers(report),
     )
 
 
@@ -308,14 +300,7 @@ def _verify_p2(n: int, report: CensusReport) -> VerificationResult:
         "p_odd": p_odd_expected,
         "identity_residual": Fraction(0),
     }
-    computed = {
-        "delta": report.delta,
-        "f1": report.f_bounded,
-        "f1_external": report.f_external,
-        "p_odd": report.p_odd,
-        "identity_residual": _identity_residual(report),
-    }
-    return VerificationResult("P2", {"n": n}, expected, computed)
+    return VerificationResult("P2", {"n": n}, expected, _edge_identity_numbers(report))
 
 
 def _verify_p2_random(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:

@@ -11,9 +11,9 @@ strict xfails rather than weakened:
     and the lower bound derived from that tally overshoots the true average
     diameter (e.g. 14/5 > 8/5 at (2,6));
   * the counts-sum-to-I check at n = 2d for d in {4,5}: from dimension 4 on,
-    cells that are products of three or more simplices exist (e.g. 18 of the
-    35 cells at (4,8)), so simplices + prisms + cubes < I; equality holds
-    only through dimension 3.
+    cells outside the simplex, prism and cube classes exist (18 of the 35
+    cells at (4,8): six Δ2×Δ2 and twelve Δ2×Δ1×Δ1), so simplices + prisms
+    + cubes < I; equality holds only through dimension 3.
 """
 
 from fractions import Fraction
@@ -174,8 +174,9 @@ def test_criterion_6_delta_max_bound_in_the_plane(n):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="from dimension 4 on, products of three or more simplices appear "
-    "(18 of 35 cells at (4,8)), so simplices+prisms+cubes < I even at n=2d",
+    reason="from dimension 4 on, cells outside the simplex, prism and cube "
+    "classes appear (18 of 35 cells at (4,8): 6 Δ2×Δ2 and 12 Δ2×Δ1×Δ1), so "
+    "simplices+prisms+cubes < I even at n=2d",
 )
 @pytest.mark.parametrize("d,n", [(4, 8), (5, 10)])
 def test_criterion_6_counts_sum_to_cells_at_twice_d(d, n):

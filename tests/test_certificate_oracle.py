@@ -30,12 +30,7 @@ from arrangement_lab.cells import (
     simplex_product,
     skeletons_for_cells,
 )
-from arrangement_lab.constructions import (
-    build_ao2,
-    build_ao3,
-    build_cyclic_star,
-    random_simple_arrangement,
-)
+from arrangement_lab.constructions import build, build_ao3, random_simple_arrangement
 from arrangement_lab.verify import default_instances
 from oracle_edges import line_steps_from_edges
 
@@ -55,16 +50,6 @@ def assert_kernels_match_references(arr):
         assert rec.diameter == oracle_skeleton.cell_diameter(adj), rec.signature
 
 
-def built(family, d, n, seed=None, bound=None):
-    if family == "ao2":
-        return build_ao2(n).arrangement
-    if family == "ao3":
-        return build_ao3(n).arrangement
-    if family == "cyclic":
-        return build_cyclic_star(d, n).arrangement
-    return random_simple_arrangement(d, n, seed, bound).arrangement
-
-
 @pytest.mark.parametrize(
     "key",
     default_instances()
@@ -73,7 +58,7 @@ def built(family, d, n, seed=None, bound=None):
     ids=lambda key: "-".join(str(part) for part in key if part is not None),
 )
 def test_instances_match_references(key):
-    assert_kernels_match_references(built(*key))
+    assert_kernels_match_references(build(*key).arrangement)
 
 
 @settings(deadline=None, max_examples=50)

@@ -15,6 +15,7 @@ from arrangement_lab.constructions import build_ao2, build_cyclic_star
 from arrangement_lab.export import diameter_color, render_off, render_svg
 from arrangement_lab.errors import InputError, UnsupportedDimensionError
 from arrangement_lab.jsonio import (
+    atomic_write_text,
     canonical_dumps,
     census_to_obj,
     load_arrangement,
@@ -49,6 +50,18 @@ def test_construct_cyclic_simple(tmp_path):
 def test_construct_rejects_bad_params(tmp_path):
     out = tmp_path / "x.json"
     assert run(["construct", "--family", "ao3", "-n", 4, "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--family", "ao2", "-d", 3, "-n", 6], "ao2 is 2-dimensional"),
+    (["--family", "ao3", "-d", 2, "-n", 6], "ao3 is 3-dimensional"),
+    (["--family", "cyclic", "-n", 6], "cyclic construction requires -d"),
+])
+def test_construct_refuses_a_dimension_the_family_lacks(tmp_path, capsys, args, message):
+    out = tmp_path / "x.json"
+    assert run(["construct", *args, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -362,13 +375,6 @@ def test_analyze_three_dimensional(tmp_path, capsys):
     assert obj["f_bounded"] == 70 and obj["p_odd"] is None
 
 
-def test_thread_cap_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ARRANGEMENT_LAB_THREADS", "zippy")
-    assert run(["construct", "--family", "ao2", "-n", 5, "--out", tmp_path / "a.json"]) == 2
-    monkeypatch.setenv("ARRANGEMENT_LAB_THREADS", "2")
-    assert run(["construct", "--family", "ao2", "-n", 5, "--out", tmp_path / "a.json"]) == 0
-
-
 def test_signature_parsing():
     assert signature_from_str("+-+") == (1, -1, 1)
     with pytest.raises(InputError):
@@ -464,4 +470,21 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, command, tar
     capsys.readouterr()
     assert run(args) == 2
     assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_verify_refuses_an_unwritable_out_before_any_census(tmp_path, monkeypatch, capsys,
+                                                            target):
+    out = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path / "taken"
+    if target == "directory":
+        out.mkdir()
+    with pytest.raises(InputError) as written:
+        atomic_write_text(str(out), "")
+    censused = []
+    monkeypatch.setattr(verify, "construction_census", lambda *key: censused.append(key))
+    assert run(["verify", "--prop", "all", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {written.value}\n"
+    assert captured.out == "" and censused == []
     assert not list(tmp_path.rglob(".tmp-*"))

@@ -18,6 +18,7 @@ from arrangement_lab.arrangement import (
 from arrangement_lab.cells import build_cell_records, polygon, simplex, simplex_product
 from arrangement_lab.constructions import (
     SplitMix64,
+    build,
     build_ao2,
     build_ao3,
     build_cyclic_star,
@@ -95,6 +96,28 @@ def test_cyclic_star_coordinate_planes_ordering():
         point = [Fraction(1)] * 4
         point[axis] = ZERO
         assert evaluate_sign(arr.hyperplanes[k - 1], tuple(point)) == 0
+
+
+@pytest.mark.parametrize("d, builder", [(2, build_ao2), (3, build_ao3)])
+def test_ao_is_the_closed_cyclic_star(d, builder):
+    for n in range(d + 2, d + 9):
+        built = builder(n)
+        star = build_cyclic_star(d, n)
+        assert built.epsilon == star.epsilon
+        assert built.arrangement.hyperplanes[:-1] == star.arrangement.hyperplanes[:-1]
+        closing = built.arrangement.hyperplanes[-1]
+        intercepts = [*range(d, 1, -1), d + built.epsilon]
+        for axis, c in enumerate(intercepts):
+            point = [0] * d
+            point[axis] = c
+            assert on_plane(closing, *point)
+
+
+def test_build_picks_the_builder_of_each_family_name():
+    assert build("ao2", None, 7) == build("ao2", 2, 7) == build_ao2(7)
+    assert build("ao3", 3, 7) == build_ao3(7)
+    assert build("cyclic", 4, 8) == build_cyclic_star(4, 8)
+    assert build("random", 2, 6, 3, 100) == random_simple_arrangement(2, 6, 3, 100)
 
 
 def test_epsilon_rule_and_recorded_bounds():

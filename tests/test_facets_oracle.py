@@ -22,6 +22,7 @@ from arrangement_lab.arrangement import (
 )
 from arrangement_lab.cells import build_cell_records
 from arrangement_lab.constructions import (
+    build,
     build_ao2,
     build_ao3,
     build_cyclic_star,
@@ -81,14 +82,6 @@ def assert_matches_facet_walk(arr):
         incident = [rec.signature[:rec.hyperplane] + (side,) + rec.signature[rec.hyperplane + 1:]
                     for side in (-1, 1)]
         assert rec.cells == tuple(position[s] for s in incident if s in position)
-
-
-def build(family, d, n, seed, bound):
-    if family == "random":
-        return random_simple_arrangement(d, n, seed, bound)
-    if family == "cyclic":
-        return build_cyclic_star(d, n)
-    return {"ao2": build_ao2, "ao3": build_ao3}[family](n)
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,12 @@ def test_verify_proposition_rejects_unknown():
         verify_proposition("P6", d=3, n=5)  # needs n >= 2d
 
 
+def test_construction_census_rejects_an_unknown_family():
+    with pytest.raises(InputError) as refused:
+        verify.construction_census("ao4", 4, 8, None, None)
+    assert str(refused.value) == "unknown family 'ao4'"
+
+
 def test_run_suite_single_prop_with_range():
     summary = run_suite(["P1"], {"n": list(range(4, 9))})
     assert summary.all_pass

@@ -29,12 +29,7 @@ from arrangement_lab.arrangement import (
     hyperplane,
     line_steps,
 )
-from arrangement_lab.constructions import (
-    build_ao2,
-    build_ao3,
-    build_cyclic_star,
-    random_simple_arrangement,
-)
+from arrangement_lab.constructions import build, build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import NotSimpleError
 from arrangement_lab.rational import solve_integer_system
 from arrangement_lab.verify import default_instances
@@ -124,14 +119,6 @@ def assert_lines_match_oracle(arr):
     pairs = line_neighbours_from_orders(arr, vertices)
     assert [v.line_neighbours for v in vertices] == pairs
     assert line_steps(arr, vertices) == line_steps_from_orders(arr, vertices)
-
-
-def build(family, d, n, seed, bound):
-    if family == "random":
-        return random_simple_arrangement(d, n, seed, bound)
-    if family == "cyclic":
-        return build_cyclic_star(d, n)
-    return {"ao2": build_ao2, "ao3": build_ao3}[family](n)
 
 
 @pytest.mark.parametrize("key", default_instances(), ids=str)
