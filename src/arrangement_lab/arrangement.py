@@ -44,11 +44,13 @@ so a bounded face has exactly one lex-min vertex, and every edge of the
 face leaves it upward.  At each vertex and for each c of its zeros kept
 zero, setting the other zeros to their upward sides names the one face of
 codimension c that can have that vertex as its minimum; walking its steps
-visits its vertices, their neighbours and each hyperplane's mask of them,
-or reaches a ray and shows it unbounded.  A census walks only the bounded
-cells, c = 0, builds each record as its walk ends, and reads the bounded
-facets off the records.  This is reverse search (Avis-Fukuda 1996) without
-linear programming, as the vertices are known; no floating point anywhere.
+visits its vertices and each hyperplane's mask of them, or reaches a ray
+and shows it unbounded.  A cell has E = V·d/2, and skeletons are built
+only where read (`cells.skeletons_for_cells`).  A census walks only the
+bounded cells, c = 0, builds each record as its walk ends, and reads the
+bounded facets off the records.  This is reverse search (Avis-Fukuda
+1996) without linear programming, as the vertices are known; no floating
+point anywhere.
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
@@ -91,7 +93,7 @@ if TYPE_CHECKING:
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
 Steps = list[dict[int, list]]  # steps[v][k] = [w-, w+, up], from `line_steps`
-Walk = tuple[list[int], list[tuple[int, ...]], list[int]]  # from `_walk`
+Walk = tuple[list[int], list[int]]  # (order, masks), from `_walk`
 
 
 @dataclass(frozen=True)
@@ -477,14 +479,13 @@ def line_steps(arr: Arrangement, vertices: list[Vertex]) -> Steps:
 def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Walk]:
     """Walk `face` from `start`, in its closure, by the steps toward the
     face's side of every hyperplane it is not on, which are its edges: the
-    vertices in the order reached, the sorted neighbours of each, and each
-    hyperplane's bitmask of those on it (bit i for the i-th).  None as soon
-    as a step is a ray, i.e. when the face is unbounded."""
-    order, rows, on = [start], [], [0] * len(face)
+    vertices in the order reached and each hyperplane's bitmask of those on
+    it (bit i for the i-th).  None as soon as a step is a ray, i.e. when the
+    face is unbounded."""
+    order, on = [start], [0] * len(face)
     seen = {start}
+    bit = 1
     for v in order:
-        bit = 1 << len(rows)
-        nbrs = []
         for k, step in steps[v].items():
             on[k] |= bit
             side = face[k]
@@ -492,13 +493,11 @@ def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Walk]:
                 w = step[side > 0]
                 if w is None:
                     return None
-                nbrs.append(w)
                 if w not in seen:
                     seen.add(w)
                     order.append(w)
-        nbrs.sort()
-        rows.append(tuple(nbrs))
-    return order, rows, on
+        bit <<= 1
+    return order, on
 
 
 def _face_walks(
@@ -540,7 +539,7 @@ def enumerate_bounded_cells(
     from .cells import cell_record  # cells imports this module
 
     d, n = arr.dim, arr.n
-    cells = [cell_record(d, sig, walk) for sig, walk in _face_walks(vertices, steps, 0)]
+    cells = [cell_record(d, sig, walk, steps) for sig, walk in _face_walks(vertices, steps, 0)]
     expected = comb(n - 1, d)
     if len(cells) != expected:
         raise InternalConsistencyError(

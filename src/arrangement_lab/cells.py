@@ -1,12 +1,10 @@
 """Per-cell analytics: records, diameters, f-counts, classification.
 
-`cell_record` builds each record from the walk in `arrangement` that found
-its cell.  A vertex v is tight on d hyperplanes; dropping one of them, k,
-leaves a line through v, and the cell's edge at v on that line is the one
-on its side of k.  The walk keeps those edges as sorted neighbours, the
-skeleton, and each hyperplane's mask of the cell's vertices on it, nonzero
-exactly on the cell's facets.  `skeletons_for_cells` rebuilds the skeletons
-from the step table alone, with guards on each cell, for tests and tracing.
+`cell_record` builds each record from the walk that found its cell: its
+vertices, and each hyperplane's mask of those on it, nonzero exactly on the
+facets.  A vertex is tight on d hyperplanes and has one cell edge on the
+line that drops each, so E = V·d/2.  `skeletons_for_cells` builds skeletons
+from the step table only where read: uncertified cells, exports, shells.
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -39,9 +37,9 @@ the diameter.
 simplex > cube > simplex product > shell > other: one factor is a simplex,
 d factors of size 2 a cube, two factors a simplex product; any other cell
 is a shell or other by its counts, and every cell of the plane is a
-polygon.  A generic canonical form (iterative refinement with exhaustive
-individualization) is also provided; it records shell skeletons for
-inspection and cross-checks the classes in the test suite.
+polygon.  `canonical_form` (iterative refinement with exhaustive
+individualization) fingerprints shell skeletons for inspection and
+cross-checks the classes in the tests.
 """
 
 from __future__ import annotations
@@ -103,7 +101,6 @@ def other(v: int, e: int, f: int) -> CellClass:
 class CellRecord:
     signature: tuple[int, ...]
     vertex_ids: tuple[int, ...]
-    adjacency: tuple[tuple[int, tuple[int, ...]], ...]  # sorted, immutable
     vertex_count: int
     edge_count: int
     facets: tuple[int, ...]  # the hyperplanes its facets lie on, increasing
@@ -114,36 +111,34 @@ class CellRecord:
     def facet_count(self) -> int:
         return len(self.facets)
 
-    def adjacency_dict(self) -> Adjacency:
-        return {v: nbrs for v, nbrs in self.adjacency}
-
 
 # ---------------------------------------------------------------------------
 # skeletons
 # ---------------------------------------------------------------------------
 
-def skeletons_for_cells(cells: list[BoundedCell], steps: Steps, dim: int) -> list[Adjacency]:
-    """Skeletons of all cells in one pass, by direct lookup in the step table
-    of `arrangement.line_steps`, where `steps[v][k][s > 0]` is v's
-    neighbour on the line that drops k, on side s of k, or None for a ray.
+def skeletons_for_cells(
+    cells: list[BoundedCell | CellRecord], steps: Steps, dim: int
+) -> list[Adjacency]:
+    """Skeletons of bounded faces known by signature and increasing vertex
+    ids, by lookup in the step table of `arrangement.line_steps`.
 
-    The closure of a bounded cell C is a simple polytope, so at each of its
-    vertices v and for each k in v's tight set, C has exactly one edge on
-    the line that drops k, the one on C's side C[k]: v's neighbours in C are
-    its steps (k, C[k]).  Raises InternalConsistencyError, naming the
-    signature, when a step is missing or leaves C, when C has fewer than d+1
-    vertices, or when its skeleton is disconnected.
+    The closure of a bounded face C is a simple polytope, so at each of its
+    vertices v and for each k in v's tight set off C, C has exactly one
+    edge on the line that drops k, on C's side C[k].  Raises
+    InternalConsistencyError, naming the signature, when a step is missing
+    or leaves C, when C has no more vertices than its dimension, or when
+    its skeleton is disconnected.
     """
     skeletons = []
     for cell in cells:
         signature, members = cell.signature, set(cell.vertex_ids)
-        if len(members) < dim + 1:
+        if len(members) <= dim - signature.count(0):
             raise InternalConsistencyError(
                 f"cell {signature} has only {len(members)} vertices"
             )
         adj: Adjacency = {}
         for v in cell.vertex_ids:
-            nbrs = [step[signature[k] > 0] for k, step in steps[v].items()]
+            nbrs = [step[side > 0] for k, step in steps[v].items() if (side := signature[k])]
             if not members.issuperset(nbrs):
                 raise InternalConsistencyError(
                     f"cell {signature}: an edge at vertex {v} is missing or leaves the cell"
@@ -321,21 +316,25 @@ def canonical_form(adj: Adjacency) -> tuple:
 # record assembly
 # ---------------------------------------------------------------------------
 
-def cell_record(dim: int, signature: tuple[int, ...], walk: Walk) -> CellRecord:
+def cell_record(dim: int, signature: tuple[int, ...], walk: Walk, steps: Steps) -> CellRecord:
     """The record of a cell from the walk that found it.  A cell the product
     certificate on its masks accepts has diameter m, its number of factors;
-    only the others are measured by `cell_diameter`."""
-    order, rows, on = walk
-    adjacency = tuple(sorted(zip(order, rows)))
+    only the others get a skeleton, measured by `cell_diameter`."""
+    order, on = walk
+    vertex_ids = tuple(sorted(order))
     facets = tuple(compress(range(len(on)), on))
-    v, e, f = len(order), sum(map(len, rows)) // 2, len(facets)
-    if dim == 3 and (v - e + f != 2 or 2 * e != 3 * v):
+    v, f = len(order), len(facets)
+    e, odd = divmod(v * dim, 2)
+    if odd:
+        raise InternalConsistencyError(f"cell {signature}: V*d = {v}*{dim} is odd")
+    if dim == 3 and v - e + f != 2:
         raise InternalConsistencyError(
-            f"cell {signature}: (V,E,F)=({v},{e},{f}) violates 3D count identities"
+            f"cell {signature}: (V,E,F)=({v},{e},{f}) violates Euler's relation"
         )
     factors = _factor_sizes(list(filter(None, on)), v)
-    diameter = len(factors) if factors else cell_diameter(dict(adjacency))
-    return CellRecord(signature, tuple(sorted(order)), adjacency, v, e, facets, diameter,
+    diameter = len(factors) if factors else cell_diameter(
+        skeletons_for_cells([BoundedCell(signature, vertex_ids)], steps, dim)[0])
+    return CellRecord(signature, vertex_ids, v, e, facets, diameter,
                       classify_cell(v, e, f, factors, dim))
 
 
@@ -343,24 +342,22 @@ def build_cell_records(
     arr: Arrangement, vertices: list[Vertex], cells: list[BoundedCell]
 ) -> list[CellRecord]:
     """Records of cells known by signature and vertex ids, each walked from
-    its first vertex; `enumerate_bounded_cells` gives records directly.
-    Raises InternalConsistencyError on a cell whose walk reaches a ray."""
+    its first vertex.  Raises InternalConsistencyError on a cell whose walk
+    reaches a ray."""
     steps = line_steps(arr, vertices)
     records = []
     for cell in cells:
         walk = _walk(steps, cell.vertex_ids[0], cell.signature)
         if walk is None:
             raise InternalConsistencyError(f"cell {cell.signature} is not bounded")
-        records.append(cell_record(arr.dim, cell.signature, walk))
+        records.append(cell_record(arr.dim, cell.signature, walk, steps))
     return records
 
 
-def shell_canonical_forms(records: list[CellRecord]) -> dict[tuple[int, ...], tuple]:
-    """Canonical skeletons of all shell-classified cells, for inspection;
-    whether shells with equal counts are pairwise isomorphic is not asserted
-    anywhere, this is the data to look at."""
-    return {
-        rec.signature: canonical_form(rec.adjacency_dict())
-        for rec in records
-        if rec.cell_class.kind == "shell"
-    }
+def shell_canonical_forms(records: list[CellRecord], steps: Steps) -> dict[tuple[int, ...], tuple]:
+    """Canonical skeletons of all shell-classified cells (3D only), for
+    inspection; whether shells with equal counts are pairwise isomorphic is
+    not asserted anywhere, this is the data to look at."""
+    shells = [rec for rec in records if rec.cell_class.kind == "shell"]
+    return {rec.signature: canonical_form(adj)
+            for rec, adj in zip(shells, skeletons_for_cells(shells, steps, 3))}

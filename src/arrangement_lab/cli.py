@@ -180,6 +180,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.report:
+        check_writable(args.report)
     arr, metadata = load_arrangement(args.input)
     _check_size(args.input, arr.n, arr.dim, args.max_vertices)
     report = census(arr, metadata=metadata)
@@ -219,6 +221,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    check_writable(args.out)
     arr, _ = load_arrangement(args.input)
     _check_size(args.input, arr.n, arr.dim, args.max_vertices)
     if args.format == "svg":

@@ -17,7 +17,7 @@ from .arrangement import (
     enumerate_vertices,
     line_steps,
 )
-from .cells import cell_record
+from .cells import cell_record, skeletons_for_cells
 from .errors import InputError, UnsupportedDimensionError
 from .jsonio import signature_str
 from .rational import decimal_display
@@ -56,7 +56,8 @@ def render_svg(arr: Arrangement) -> str:
     if arr.dim != 2:
         raise UnsupportedDimensionError("SVG export requires a 2-dimensional arrangement")
     vertices = enumerate_vertices(arr)
-    records = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    steps = line_steps(arr, vertices)
+    records = enumerate_bounded_cells(arr, vertices, steps)
 
     (x_lo, x_hi), (y_lo, y_hi) = ((min(c), max(c)) for c in zip(*(v.point for v in vertices)))
     pad_x, pad_y = (x_hi - x_lo) * Fraction(1, 5), (y_hi - y_lo) * Fraction(1, 5)
@@ -81,8 +82,7 @@ def render_svg(arr: Arrangement) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH:.0f}" '
         f'height="{height:.2f}" viewBox="0 0 {_SVG_WIDTH:.2f} {height:.2f}">'
     ]
-    for rec in records:
-        adj = rec.adjacency_dict()
+    for rec, adj in zip(records, skeletons_for_cells(records, steps, arr.dim)):
         points = [",".join(pixels[vid]) for vid in _cycle_order(adj)]
         parts.append(
             f'<polygon points="{" ".join(points)}" '
@@ -147,8 +147,8 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
     walk = start is not None and _walk(steps, start, signature)
     if not walk:
         raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
-    record = cell_record(arr.dim, signature, walk)
-    vids, skeleton = record.vertex_ids, record.adjacency_dict()
+    record = cell_record(arr.dim, signature, walk, steps)
+    vids, (skeleton,) = record.vertex_ids, skeletons_for_cells([record], steps, arr.dim)
 
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []

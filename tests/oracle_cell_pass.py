@@ -5,9 +5,10 @@ emitter.
 walk built its cell's record: the dict-step walk returns a {vertex: sorted
 neighbours} skeleton, every bounded cell's skeleton is kept until the last
 one is found, and only then are the records built, re-reading each
-vertex's tight set for the facets and for `product_factors`.  It shares the
-step table, `product_factors`, `cell_diameter` and `classify_cell` with the
-kernel, and none of the walk's masks.
+vertex's tight set for the facets and for `product_factors`, and counting
+the edges in the skeleton.  It shares the step table, `product_factors`,
+`cell_diameter` and `classify_cell` with the kernel, and none of the walk's
+masks; it returns the skeletons beside the records, which keep none.
 
 `reference_dumps` is `canonical_dumps` as two walks: `jsonify` makes the
 tree JSON-ready, then `json.dumps` writes it.
@@ -70,9 +71,11 @@ def bounded_face_skeletons(
     return faces
 
 
-def cell_records(arr: Arrangement, vertices: list[Vertex], steps: Steps) -> list[CellRecord]:
-    """One record per bounded cell, built after the last cell is walked;
-    the cell count must equal C(n-1, d)."""
+def cell_records(
+    arr: Arrangement, vertices: list[Vertex], steps: Steps
+) -> tuple[list[CellRecord], list[Skeleton]]:
+    """One record per bounded cell, built after the last cell is walked, and
+    its skeleton; the cell count must equal C(n-1, d)."""
     skeletons = bounded_face_skeletons(vertices, steps, 0)
     expected = comb(arr.n - 1, arr.dim)
     if len(skeletons) != expected:
@@ -89,14 +92,13 @@ def cell_records(arr: Arrangement, vertices: list[Vertex], steps: Steps) -> list
         records.append(CellRecord(
             signature=signature,
             vertex_ids=tuple(skeleton),
-            adjacency=tuple(skeleton.items()),
             vertex_count=v,
             edge_count=e,
             facets=facets,
             diameter=len(factors) if factors else cell_diameter(skeleton),
             cell_class=classify_cell(v, e, f, factors, arr.dim),
         ))
-    return records
+    return records, [skeletons[signature] for signature in sorted(skeletons)]
 
 
 def jsonify(value):

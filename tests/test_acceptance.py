@@ -21,7 +21,10 @@ from math import comb
 
 import pytest
 
+from arrangement_lab.arrangement import enumerate_vertices, line_steps
+from arrangement_lab.cells import skeletons_for_cells
 from arrangement_lab.census import cube_count, prism_count, simplex_count
+from arrangement_lab.constructions import build
 from arrangement_lab.cli import main as cli_main
 from arrangement_lab.verify import (
     P6_GRID,
@@ -194,9 +197,11 @@ def test_criterion_7_structural_universals():
         label = f"{family} d={d} n={n} seed={seed}"
         assert report.vertex_count == comb(n, d), label
         assert report.cell_count == comb(n - 1, d), label
-        for rec in report.records:
-            adj = rec.adjacency_dict()
+        arr = build(family, d, n, seed, bound).arrangement
+        steps = line_steps(arr, enumerate_vertices(arr))
+        for rec, adj in zip(report.records, skeletons_for_cells(report.records, steps, d)):
             assert all(len(nbrs) == d for nbrs in adj.values()), label
+            assert 2 * rec.edge_count == sum(map(len, adj.values())), label
             assert rec.diameter >= 1 or rec.vertex_count == 1, label
             if d == 3:
                 assert rec.vertex_count - rec.edge_count + rec.facet_count == 2, label

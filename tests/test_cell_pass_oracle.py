@@ -3,10 +3,12 @@ references in `oracle_cell_pass`.
 
 Every record the census builds from its walk must equal, field by field, the
 record of the walk-then-records path, and so must the records
-`build_cell_records` builds for cells known only by signature and vertices.
-In every codimension each walk's neighbour rows must give the reference
-skeleton, and each hyperplane's mask must hold exactly the walked vertices
-tight on it.  `canonical_dumps` must write the bytes of `jsonify` plus
+`build_cell_records` builds for cells known only by signature and vertices;
+`skeletons_for_cells` must give the reference skeletons of those records.
+In every codimension each walk must reach the vertices of the reference
+skeleton, `skeletons_for_cells` must give that skeleton, and each
+hyperplane's mask must hold exactly the walked vertices tight on it.
+`canonical_dumps` must write the bytes of `jsonify` plus
 `json.dumps` on any JSON-ready tree.
 """
 
@@ -27,7 +29,7 @@ from arrangement_lab.arrangement import (
     enumerate_vertices,
     line_steps,
 )
-from arrangement_lab.cells import CellRecord, build_cell_records
+from arrangement_lab.cells import CellRecord, build_cell_records, skeletons_for_cells
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import InternalConsistencyError
@@ -46,12 +48,15 @@ def assert_same_records(ours, theirs):
 def assert_pass_matches_reference(arr, records=None):
     vertices = enumerate_vertices(arr)
     steps = line_steps(arr, vertices)
-    expected = oracle.cell_records(arr, vertices, steps)
+    expected, skeletons = oracle.cell_records(arr, vertices, steps)
     if records is None:
         records = enumerate_bounded_cells(arr, vertices, steps)
         known = [BoundedCell(rec.signature, rec.vertex_ids) for rec in records]
-        assert_same_records(build_cell_records(arr, vertices, known), expected)
+        rebuilt = build_cell_records(arr, vertices, known)
+        assert_same_records(rebuilt, expected)
+        assert skeletons_for_cells(rebuilt, steps, arr.dim) == skeletons
     assert_same_records(records, expected)
+    assert skeletons_for_cells(records, steps, arr.dim) == skeletons
 
 
 def assert_walks_match_reference(arr):
@@ -59,8 +64,10 @@ def assert_walks_match_reference(arr):
     steps = line_steps(arr, vertices)
     for codim in range(arr.dim + 1):
         walked = {}
-        for sig, (order, rows, on) in _face_walks(vertices, steps, codim):
-            walked[sig] = dict(sorted(zip(order, rows)))
+        for sig, (order, on) in _face_walks(vertices, steps, codim):
+            face = BoundedCell(sig, tuple(sorted(order)))
+            (walked[sig],) = skeletons_for_cells([face], steps, arr.dim)
+            assert len(order) == len(walked[sig]), sig
             tight = {k for vid in order for k in vertices[vid].tight_set}
             assert {k for k, mask in enumerate(on) if mask} == tight
             for k, mask in enumerate(on):

@@ -18,6 +18,7 @@ from arrangement_lab.cells import (
     build_cell_records,
     canonical_form,
     cell_diameter,
+    cell_record,
     cube,
     other,
     polygon,
@@ -34,11 +35,14 @@ from oracle_skeleton import cell_diameter as oracle_cell_diameter, cell_skeleton
 
 
 def records_of(arr):
+    """The records of `build_cell_records`, their skeletons, and the
+    vertices, edges and census records they came from."""
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    steps = line_steps(arr, vertices)
+    cells = enumerate_bounded_cells(arr, vertices, steps)
     records = build_cell_records(arr, vertices, cells)
-    return records, vertices, edges, cells
+    return records, skeletons_for_cells(records, steps, arr.dim), vertices, edges, cells
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +111,27 @@ def test_skeleton_guards_name_the_cell():
         skeletons_for_cells([dropped], steps, arr.dim)
 
 
+def test_cell_record_checks_the_counts():
+    # a tetrahedron's walk with one vertex dropped: 3 vertices of degree 3
+    # cannot pair up; with 4 vertices but 5 facet masks, V - E + F = 3
+    arr = build_ao3(5).arrangement
+    vertices = enumerate_vertices(arr)
+    steps = line_steps(arr, vertices)
+    tetra = next(c for c in enumerate_bounded_cells(arr, vertices, steps) if c.vertex_count == 4)
+    name = re.escape(f"cell {tetra.signature}")
+    masks = [1 if k in tetra.facets else 0 for k in range(arr.n)]
+    with pytest.raises(InternalConsistencyError, match=name + r": V\*d = 3\*3 is odd"):
+        cell_record(3, tetra.signature, (list(tetra.vertex_ids[:3]), masks), steps)
+    with pytest.raises(InternalConsistencyError, match=name + r": \(V,E,F\)=\(4,6,5\)"):
+        cell_record(3, tetra.signature, (list(tetra.vertex_ids), [1] * 5), steps)
+
+
 def test_cubical_cell_of_star_36():
-    records, *_ = records_of(build_cyclic_star(3, 6).arrangement)
-    cubes = [r for r in records if r.cell_class == cube(3)]
+    records, skeletons, *_ = records_of(build_cyclic_star(3, 6).arrangement)
+    cubes = [(r, adj) for r, adj in zip(records, skeletons) if r.cell_class == cube(3)]
     assert len(cubes) == 1
-    rec = cubes[0]
+    rec, adj = cubes[0]
     assert (rec.vertex_count, rec.edge_count, rec.facet_count) == (8, 12, 6)
-    adj = rec.adjacency_dict()
     assert is_hypercube_graph(adj, 3)
     assert canonical_form(adj) == canonical_form(hypercube_graph(3))
 
@@ -133,10 +151,10 @@ def test_skeletons_connected_and_d_regular():
         build_ao3(6).arrangement,
         build_cyclic_star(4, 6).arrangement,
     ):
-        records, *_ = records_of(arr)
-        for rec in records:
-            adj = rec.adjacency_dict()
+        records, skeletons, *_ = records_of(arr)
+        for rec, adj in zip(records, skeletons):
             assert all(len(nbrs) == arr.dim for nbrs in adj.values())
+            assert 2 * rec.edge_count == sum(map(len, adj.values()))
             assert cell_diameter(adj) >= 1  # BFS reaches everything
 
 
@@ -271,15 +289,13 @@ def test_f_counts_of_known_cells():
 def test_six_facet_shell_counts_match_cube_counts():
     # at n = 6 the shell cell has the cube's (V, E, F) = (8, 12, 6) but is a
     # different combinatorial type; the certificate test tells them apart
-    records, *_ = records_of(build_ao3(6).arrangement)
-    shells = [r for r in records if r.cell_class == shell(6)]
-    cubes = [r for r in records if r.cell_class == cube(3)]
+    records, skeletons, *_ = records_of(build_ao3(6).arrangement)
+    shells = [(r, adj) for r, adj in zip(records, skeletons) if r.cell_class == shell(6)]
+    cubes = [(r, adj) for r, adj in zip(records, skeletons) if r.cell_class == cube(3)]
     assert len(shells) == 1 and len(cubes) == 1
-    for rec in shells + cubes:
+    for rec, _ in shells + cubes:
         assert (rec.vertex_count, rec.edge_count, rec.facet_count) == (8, 12, 6)
-    assert canonical_form(shells[0].adjacency_dict()) != canonical_form(
-        cubes[0].adjacency_dict()
-    )
+    assert canonical_form(shells[0][1]) != canonical_form(cubes[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +315,7 @@ def test_classification_star_35():
 
 
 def test_classification_star_46_middle_product_once():
-    records, *_ = records_of(build_cyclic_star(4, 6).arrangement)
+    records, skeletons, *_ = records_of(build_cyclic_star(4, 6).arrangement)
     counts = {}
     for rec in records:
         counts[rec.cell_class] = counts.get(rec.cell_class, 0) + 1
@@ -308,11 +324,11 @@ def test_classification_star_46_middle_product_once():
         simplex_product(1, 3): 2,
         simplex_product(2, 2): 1,
     }
-    square_product = next(r for r in records if r.cell_class == simplex_product(2, 2))
-    assert square_product.vertex_count == 9 and square_product.facet_count == 6
-    assert canonical_form(square_product.adjacency_dict()) == canonical_form(
-        clique_product_graph(3, 3)
+    square_product, adj = next(
+        (r, adj) for r, adj in zip(records, skeletons) if r.cell_class == simplex_product(2, 2)
     )
+    assert square_product.vertex_count == 9 and square_product.facet_count == 6
+    assert canonical_form(adj) == canonical_form(clique_product_graph(3, 3))
 
 
 def test_recognizers_agree_with_canonical_form_on_reference_graphs():
@@ -341,9 +357,9 @@ def test_certificate_classification_matches_canonical_form_classification():
         simplex_product(1, 2): canonical_form(clique_product_graph(2, 3)),
     }
     for arr in (build_ao3(6).arrangement, build_cyclic_star(3, 7).arrangement):
-        records, *_ = records_of(arr)
-        for rec in records:
-            form = canonical_form(rec.adjacency_dict())
+        records, skeletons, *_ = records_of(arr)
+        for rec, adj in zip(records, skeletons):
+            form = canonical_form(adj)
             matches = [cls for cls, ref in references.items() if ref == form]
             if matches:
                 assert rec.cell_class == matches[0]
@@ -374,8 +390,9 @@ def test_shell_diameters_across_the_grid():
 
 
 def test_shell_canonical_forms_recorded():
-    records, *_ = records_of(build_ao3(7).arrangement)
-    forms = shell_canonical_forms(records)
+    arr = build_ao3(7).arrangement
+    records, *_ = records_of(arr)
+    forms = shell_canonical_forms(records, line_steps(arr, enumerate_vertices(arr)))
     assert len(forms) == 1
     (form,) = forms.values()
     assert form[0] == 10  # vertex count of the 7-facet shell

@@ -1,12 +1,13 @@
-"""The vertex-facet product certificate, the walk skeletons and the
+"""The vertex-facet product certificate, the step-table skeletons and the
 integer line orders against the retained references.
 
 On every cell, the class must equal the graph classifier's
 (`oracle_classify`), the diameter the all-sources BFS (`oracle_skeleton`),
-and the skeleton the walk recorded must equal both `skeletons_for_cells` and
-the completion-lookup builder.  The step table must equal the one read off
-the segments of `enumerate_edges`.  The hand-built tight-set families below
-exercise each rejection branch of `product_factors`.
+the edge count E = V·d/2 the skeleton's, and the skeleton of
+`skeletons_for_cells` the completion-lookup builder's.  The step table
+must equal the one read off the segments of `enumerate_edges`.  The
+hand-built tight-set families below exercise each rejection branch of
+`product_factors`.
 """
 
 import itertools
@@ -41,11 +42,11 @@ def assert_kernels_match_references(arr):
     steps = line_steps(arr, vertices)
     assert steps == line_steps_from_edges(vertices, edges)
     cells = enumerate_bounded_cells(arr, vertices, steps)
-    walked = [dict(cell.adjacency) for cell in cells]
-    assert walked == skeletons_for_cells(cells, steps, arr.dim)
-    assert walked == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)
-    for rec, adj in zip(build_cell_records(arr, vertices, cells), walked):
+    skeletons = skeletons_for_cells(cells, steps, arr.dim)
+    assert skeletons == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)
+    for rec, adj in zip(build_cell_records(arr, vertices, cells), skeletons):
         v, e, f = rec.vertex_count, rec.edge_count, rec.facet_count
+        assert 2 * e == sum(map(len, adj.values())), rec.signature
         assert rec.cell_class == oracle_classify.classify_cell(v, e, f, adj, arr.dim), rec.signature
         assert rec.diameter == oracle_skeleton.cell_diameter(adj), rec.signature
 

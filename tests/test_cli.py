@@ -9,7 +9,7 @@ import pytest
 
 from arrangement_lab.arrangement import enumerate_edges, enumerate_vertices
 from arrangement_lab.census import census
-from arrangement_lab import verify
+from arrangement_lab import cli, verify
 from arrangement_lab.cli import main
 from arrangement_lab.constructions import build_ao2, build_cyclic_star
 from arrangement_lab.export import diameter_color, render_off, render_svg
@@ -487,4 +487,33 @@ def test_verify_refuses_an_unwritable_out_before_any_census(tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert captured.err == f"error: {written.value}\n"
     assert captured.out == "" and censused == []
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "export-svg", "export-off"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_analyze_and_export_refuse_an_unwritable_path_before_any_work(
+        tmp_path, monkeypatch, capsys, command, target):
+    family, cell = ("ao3", "+++++-") if command == "export-off" else ("ao2", None)
+    source = tmp_path / f"{family}.json"
+    assert run(["construct", "--family", family, "-n", 6, "--out", source]) == 0
+    out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path / "taken"
+    if target == "directory":
+        out.mkdir()
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("census", "render_svg", "render_off"):
+        monkeypatch.setattr(cli, name, never)
+    args = {
+        "analyze": ["analyze", source, "--cells", "--report", out],
+        "export-svg": ["export", source, "--format", "svg", "--out", out],
+        "export-off": ["export", source, "--format", "off", "--cell", cell, "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
     assert not list(tmp_path.rglob(".tmp-*"))

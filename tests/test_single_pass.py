@@ -1,7 +1,8 @@
 """Each fact is computed once: one line-step table per census or export,
-one face walk per census, skeletons from the cell walk alone, diameters
-measured only on cells the product certificate rejects, and one linear
-solve per d-subset of a constructed instance.
+one face walk per census, edge counts from the vertex counts (E = V·d/2),
+skeletons built and diameters measured only for the cells the product
+certificate rejects, and one linear solve per d-subset of a constructed
+instance.
 
 A counter replaces the function at every module binding, because `census`,
 `export` and `constructions` import what they call by name.
@@ -73,11 +74,24 @@ def test_census_walks_once(monkeypatch, built):
     ids=["ao3-16-shell", "cyclic-6-12", "ao2-40-gon"],
 )
 def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
-    skeleton_calls = count_calls(monkeypatch, cells.skeletons_for_cells)
+    # one skeleton per cell the certificate rejects, and none for the others
+    skeletons = []
+    build_skeletons = cells.skeletons_for_cells
+
+    def spy(faces, steps, dim):
+        skeletons.extend(face.signature for face in faces)
+        return build_skeletons(faces, steps, dim)
+
+    monkeypatch.setattr(cells, "skeletons_for_cells", spy)
     edge_calls = count_calls(monkeypatch, arrangement.enumerate_edges)
     diameter_calls = count_calls(monkeypatch, cells.cell_diameter)
-    census(built.arrangement)
-    assert (skeleton_calls[0], edge_calls[0], diameter_calls[0]) == (0, 0, measured)
+    report = census(built.arrangement)
+    assert (len(skeletons), edge_calls[0], diameter_calls[0]) == (measured, 0, measured)
+    vertices = arrangement.enumerate_vertices(built.arrangement)
+    rejected = [rec.signature for rec in report.records if cells.product_factors(
+        [vertices[vid].tight_set for vid in rec.vertex_ids]) is None]
+    assert skeletons == rejected
+    assert all(2 * rec.edge_count == rec.vertex_count * built.d for rec in report.records)
 
 
 def test_constructed_instance_solves_each_subset_once(monkeypatch):
