@@ -47,10 +47,10 @@ codimension c that can have that vertex as its minimum; walking its steps
 visits its vertices and each hyperplane's mask of them, or reaches a ray
 and shows it unbounded.  A cell has E = V·d/2, and skeletons are built
 only where read (`cells.skeletons_for_cells`).  A census walks only the
-bounded cells, c = 0, builds each record as its walk ends, and reads the
-bounded facets off the records.  This is reverse search (Avis-Fukuda
-1996) without linear programming, as the vertices are known; no floating
-point anywhere.
+bounded cells, c = 0, builds each record as its walk ends, and pairs
+the records across each facet by a sign flip.  This is reverse search
+(Avis-Fukuda 1996) without linear programming, as the vertices are known;
+no floating point anywhere.
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
@@ -193,7 +193,6 @@ class FacetRecord:
     """A bounded (d-1)-face of a d-dimensional arrangement."""
 
     hyperplane: int              # index of the carrying hyperplane
-    signature: SignVector        # full length n, zero at `hyperplane`
     cells: tuple[int, ...]       # positions of the 1 or 2 bounded cells it bounds
 
 
@@ -594,20 +593,26 @@ def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:
 
 
 def enumerate_bounded_facets(arr: Arrangement, records: list[CellRecord]) -> list[FacetRecord]:
-    """All bounded (d-1)-faces, sorted by carrier and then signature, read
-    off the records of the bounded cells: a cell has a facet on each
-    hyperplane through one of its vertices, as `CellRecord.facets` lists
-    them.  The bounded complex of a simple arrangement is pure (Dong, JCTA
-    2008); the count n*C(n-2,d-1) checks that none is missed."""
+    """All bounded (d-1)-faces, sorted by carrier and then first cell: a
+    cell has a facet on each k of `CellRecord.facets`, shared with the cell
+    whose signature flips k, if bounded.  The bounded complex of a simple
+    arrangement is pure (Dong, JCTA 2008); the count n*C(n-2,d-1) checks
+    that none is missed."""
     d, n = arr.dim, arr.n
-    bounding: dict[SignVector, list[int]] = {}
-    for index, record in enumerate(records):
+    position = {record.signature: i for i, record in enumerate(records)}
+    facets = []
+    for i, record in enumerate(records):
+        sig = record.signature
         for k in record.facets:
-            bounding.setdefault(_with_sign(record.signature, k, 0), []).append(index)
+            j = position.get(_with_sign(sig, k, -sig[k]))
+            if j is None:
+                facets.append(FacetRecord(k, (i,)))
+            elif j > i:
+                facets.append(FacetRecord(k, (i, j)))
     expected = n * comb(n - 2, d - 1)
-    if len(bounding) != expected:
+    if len(facets) != expected:
         raise InternalConsistencyError(
-            f"found {len(bounding)} bounded facets, expected n*C(n-2,{d - 1}) = {expected}"
+            f"found {len(facets)} bounded facets, expected n*C(n-2,{d - 1}) = {expected}"
         )
-    return sorted((FacetRecord(sig.index(0), sig, tuple(ids)) for sig, ids in bounding.items()),
-                  key=lambda rec: (rec.hyperplane, rec.signature))
+    facets.sort(key=lambda rec: (rec.hyperplane, rec.cells[0]))
+    return facets

@@ -4,7 +4,7 @@
 vertices, and each hyperplane's mask of those on it, nonzero exactly on the
 facets.  A vertex is tight on d hyperplanes and has one cell edge on the
 line that drops each, so E = V·d/2.  `skeletons_for_cells` builds skeletons
-from the step table only where read: uncertified cells, exports, shells.
+from the step table only where read: uncertified cells and shells.
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -44,7 +44,6 @@ cross-checks the classes in the tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from math import prod
@@ -144,25 +143,17 @@ def skeletons_for_cells(
                     f"cell {signature}: an edge at vertex {v} is missing or leaves the cell"
                 )
             adj[v] = tuple(sorted(nbrs))
-        if _bfs_distances(adj, cell.vertex_ids[0]) is None:
+        reached = [cell.vertex_ids[0]]
+        seen = set(reached)
+        for v in reached:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        if len(reached) != len(adj):
             raise InternalConsistencyError(f"cell {signature} has a disconnected skeleton")
         skeletons.append(adj)
     return skeletons
-
-
-def _bfs_distances(adj: Adjacency, source: int) -> dict[int, int] | None:
-    """Distances from source, or None if some vertex is unreachable."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    if len(dist) != len(adj):
-        return None
-    return dist
 
 
 def cell_diameter(adj: Adjacency) -> int:

@@ -113,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(spec: str) -> dict[str, list[int]]:
-    ranges: dict[str, list[int]] = {}
+def _parse_range(spec: str) -> dict[str, range]:
+    ranges: dict[str, range] = {}
     for chunk in spec.split(","):
         chunk = chunk.strip().lstrip("-")
         if "=" in chunk:
@@ -125,11 +125,8 @@ def _parse_range(spec: str) -> dict[str, list[int]]:
         if key not in ("n", "d") or not value:
             raise InputError(f'malformed range chunk {chunk!r}; use "n=4..12" or "d=2..6"')
         try:
-            if ".." in value:
-                lo, hi = value.split("..", 1)
-                ranges[key] = list(range(int(lo), int(hi) + 1))
-            else:
-                ranges[key] = [int(value)]
+            lo, hi = value.split("..", 1) if ".." in value else (value, value)
+            ranges[key] = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise InputError(f"malformed range bounds in {chunk!r}") from exc
         if not ranges[key]:

@@ -3,7 +3,7 @@
 Exports are terminal artifacts, never re-ingested, so this is the one place
 exact coordinates are allowed to become decimal text.  All element orders,
 colors and number formats are fixed, making output byte-identical for
-identical input.
+identical input.  Polygons are traced on the step table.
 """
 
 from __future__ import annotations
@@ -12,12 +12,15 @@ from fractions import Fraction
 
 from .arrangement import (
     Arrangement,
+    SignVector,
+    Steps,
     _walk,
+    _with_sign,
     enumerate_bounded_cells,
     enumerate_vertices,
     line_steps,
 )
-from .cells import cell_record, skeletons_for_cells
+from .cells import cell_record
 from .errors import InputError, UnsupportedDimensionError
 from .jsonio import signature_str
 from .rational import decimal_display
@@ -35,19 +38,19 @@ def diameter_color(diameter: int, max_diameter: int) -> str:
     return "#%02x%02x%02x" % channels
 
 
-def _cycle_order(adj: dict[int, tuple[int, ...]]) -> list[int]:
-    """Walk a cycle graph deterministically: start at the smallest vertex,
-    step to its smaller neighbour first."""
-    start = min(adj)
-    order = [start]
-    previous, current = None, start
-    while True:
-        a, b = adj[current]
-        nxt = a if a != previous else b
-        if nxt == start:
-            return order
-        order.append(nxt)
-        previous, current = current, nxt
+def _ring(steps: Steps, face: SignVector, start: int) -> list[int]:
+    """A bounded 2-face's vertices in cyclic order: at each vertex its two
+    edges step to its side of the two tight hyperplanes it is not on.
+    Starts at `start`, its smallest vertex, toward the smaller neighbour."""
+    def ends(v):
+        return [step[face[k] > 0] for k, step in steps[v].items() if face[k]]
+
+    ring, previous, current = [start], start, min(ends(start))
+    while current != start:
+        ring.append(current)
+        a, b = ends(current)
+        previous, current = current, b if a == previous else a
+    return ring
 
 
 def render_svg(arr: Arrangement) -> str:
@@ -82,8 +85,8 @@ def render_svg(arr: Arrangement) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH:.0f}" '
         f'height="{height:.2f}" viewBox="0 0 {_SVG_WIDTH:.2f} {height:.2f}">'
     ]
-    for rec, adj in zip(records, skeletons_for_cells(records, steps, arr.dim)):
-        points = [",".join(pixels[vid]) for vid in _cycle_order(adj)]
+    for rec in records:
+        points = [",".join(pixels[vid]) for vid in _ring(steps, rec.signature, rec.vertex_ids[0])]
         parts.append(
             f'<polygon points="{" ".join(points)}" '
             f'fill="{diameter_color(rec.diameter, max_diameter)}" '
@@ -148,14 +151,12 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
     if not walk:
         raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
     record = cell_record(arr.dim, signature, walk, steps)
-    vids, (skeleton,) = record.vertex_ids, skeletons_for_cells([record], steps, arr.dim)
-
+    vids = record.vertex_ids
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []
     for plane in record.facets:
-        members = {vid for vid in vids if plane in vertices[vid].tight_set}
-        ring_adj = {vid: tuple(w for w in skeleton[vid] if w in members) for vid in members}
-        facets.append([local[vid] for vid in _cycle_order(ring_adj)])
+        first = next(vid for vid in vids if plane in steps[vid])
+        facets.append([local[vid] for vid in _ring(steps, _with_sign(signature, plane, 0), first)])
 
     lines = ["OFF", f"{record.vertex_count} {record.facet_count} {record.edge_count}"]
     for vid in vids:

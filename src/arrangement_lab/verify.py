@@ -35,9 +35,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import takewhile
 from math import comb
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .arrangement import Arrangement
 from .cells import CellClass, cube, polygon, shell, simplex, simplex_product
@@ -491,22 +491,28 @@ _GRIDDED = {
 }
 
 
-def _grid(prop: str, ranges: Optional[dict]) -> list[tuple[int, ...]]:
-    """The points of a gridded check: every combination of the `ranges`
-    values when they give each parameter, keeping n >= 2d of (d, n) pairs,
-    else the default points whose values they admit; raises InputError when
-    that leaves none."""
+def _grid(prop: str, ranges: Optional[dict]) -> Iterator[tuple[int, ...]]:
+    """The points of a gridded check, lazily: every combination of the
+    ascending `ranges` values when they give each parameter, keeping n >= 2d
+    of (d, n) pairs up to the first d over max(n)/2, else the default points
+    whose values they admit; raises InputError when that leaves none."""
     spec = _GRIDDED[prop]
     given = [(ranges or {}).get(name) for name in spec.names]
-    if all(given):
-        points = [p for p in product(*given) if spec.names != ("d", "n") or p[1] >= 2 * p[0]]
+    if not all(given):
+        points = (p for p in spec.grid
+                  if all(not values or v in values for v, values in zip(p, given)))
+    elif len(given) == 1:
+        points = zip(given[0])
     else:
-        points = [p for p in spec.grid
-                  if all(not values or v in values for v, values in zip(p, given))]
-    if not points:
+        top = given[1][-1]
+        points = ((d, n) for d in takewhile(lambda d: 2 * d <= top, given[0])
+                  for n in given[1] if n >= 2 * d)
+    count = 0
+    for count, p in enumerate(points, 1):
+        yield p
+    if not count:
         # only a (d, n) grid can be left empty: a one-parameter range is never filtered
         raise InputError(f"--range leaves the {prop} grid empty: no (d, n) pair to check")
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +534,7 @@ def _plan(
     random_2d: Sequence[tuple[int, int]],
     random_3d: Sequence[tuple[int, int]],
     point: Optional[tuple[int, ...]] = None,
-) -> list[tuple[Callable[..., VerificationResult], tuple, list[Instance]]]:
+) -> Iterator[tuple[Callable[..., VerificationResult], tuple, list[Instance]]]:
     """The checks `run_suite` makes, in order, as (check, arguments, the
     instances it censuses); `point` replaces the grid of the one gridded
     check selected.  Raises InputError on a bad selection or grid point."""
@@ -558,18 +564,16 @@ def _plan(
         "H": (_verify_hirsch, hirsch),
         "S": (_verify_simplex_floor, instances),
     }
-    plan: list[tuple] = []
     for prop in (p for p in PROP_IDS if p in requested):
         spec = _GRIDDED.get(prop)
         if spec is not None:
-            points = [point] if point else _grid(prop, ranges)
-            if not all(spec.admits(*p) for p in points):
-                raise InputError(spec.condition)
-            plan += [(spec.check, p, spec.keys(*p)) for p in points]
+            for p in [point] if point else _grid(prop, ranges):
+                if not spec.admits(*p):
+                    raise InputError(spec.condition)
+                yield spec.check, p, spec.keys(*p)
         if prop in listed:
             check, keys = listed[prop]
-            plan.append((check, (keys,), keys))
-    return plan
+            yield check, (keys,), keys
 
 
 def _run(row: tuple) -> VerificationResult:
@@ -599,12 +603,16 @@ def suite_instances(
     ranges: Optional[dict] = None,
     random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
     random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
-) -> list[Instance]:
+) -> Iterator[Instance]:
     """The (family, d, n, seed, bound) keys of every instance `run_suite`
     would census with these arguments, each once, in first-seen order,
     without building any of them; raises InputError as `run_suite` does."""
-    plan = _plan(props, ranges, random_2d, random_3d)
-    return list(dict.fromkeys(key for _, _, keys in plan for key in keys))
+    seen = set()
+    for _, _, keys in _plan(props, ranges, random_2d, random_3d):
+        for key in keys:
+            if key not in seen:
+                seen.add(key)
+                yield key
 
 
 def run_suite(
@@ -624,5 +632,5 @@ def run_suite(
     P2, P4, H and S; H and S check them beside every default-grid
     construction.
     """
-    plan = _plan(props, ranges, random_2d, random_3d)
+    plan = list(_plan(props, ranges, random_2d, random_3d))  # raises before any census
     return SuiteSummary([_run(row) for row in plan], random_2d, random_3d)

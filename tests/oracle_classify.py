@@ -16,7 +16,6 @@ from collections import deque
 from arrangement_lab.cells import (
     Adjacency,
     CellClass,
-    _bfs_distances,
     cube,
     other,
     polygon,
@@ -24,6 +23,7 @@ from arrangement_lab.cells import (
     simplex,
     simplex_product,
 )
+from oracle_skeleton import bfs_distances
 
 
 def classify_cell(v: int, e: int, f: int, adj: Adjacency, dim: int) -> CellClass:
@@ -56,13 +56,13 @@ def is_hypercube_graph(adj: Adjacency, d: int) -> bool:
     if any(len(adj[v]) != d for v in nodes):
         return False
     root = nodes[0]
-    dist_root = _bfs_distances(adj, root)
+    dist_root = bfs_distances(adj, root)
     if dist_root is None:
         return False
     basis = sorted(adj[root])
     dist_basis = []
     for u in basis:
-        du = _bfs_distances(adj, u)
+        du = bfs_distances(adj, u)
         if du is None:
             return False
         dist_basis.append(du)

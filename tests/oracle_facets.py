@@ -1,12 +1,17 @@
-"""Reference oracle for `enumerate_bounded_facets`: restriction to each plane.
+"""Reference oracles for `enumerate_bounded_facets`.
 
-Each plane of a 3-dimensional arrangement carries the 2-dimensional
-arrangement induced by the others, in an explicit affine chart.  Its
-vertices are solved again in exact arithmetic, and its bounded cells, found
-by the planar enumeration, are the bounded 2-faces on that plane.  Slow, but
-it derives each facet from the geometry of the carrier instead of from the
-ambient vertex sign vectors, so it checks the combinatorial kernel
-independently.
+Restriction to each plane: each plane of a 3-dimensional arrangement
+carries the 2-dimensional arrangement induced by the others, in an explicit
+affine chart.  Its vertices are solved again in exact arithmetic, and its
+bounded cells, found by the planar enumeration, are the bounded 2-faces on
+that plane.  Slow, but it derives each facet from the geometry of the
+carrier instead of from the ambient vertex sign vectors, so it checks the
+combinatorial kernel independently.
+
+Signatures: the kernel as it stood before it paired cells by sign flips.
+Every facet of every cell record is keyed by its own signature, the cell's
+with the carrier set to 0, and the cells listed under each key are the
+ones it bounds.
 """
 
 from __future__ import annotations
@@ -23,6 +28,32 @@ from arrangement_lab.arrangement import (
     restrict_to_hyperplane,
 )
 from arrangement_lab.errors import InternalConsistencyError, UnsupportedDimensionError
+
+
+def facet_signature(facet, signatures: list[SignVector]) -> SignVector:
+    """The signature of a kernel `FacetRecord`: that of its first cell, out
+    of the cell `signatures` the kernel indexed, with the carrier set to 0."""
+    k, cell = facet.hyperplane, signatures[facet.cells[0]]
+    return cell[:k] + (0,) + cell[k + 1:]
+
+
+def enumerate_bounded_facets_by_signature(
+    arr: Arrangement, records: list
+) -> list[tuple[int, SignVector, tuple[int, ...]]]:
+    """Every bounded facet as (carrier, signature, positions of the records
+    of the cells it bounds), sorted by carrier and then signature."""
+    d, n = arr.dim, arr.n
+    bounding: dict[SignVector, list[int]] = {}
+    for index, record in enumerate(records):
+        sig = record.signature
+        for k in record.facets:
+            bounding.setdefault(sig[:k] + (0,) + sig[k + 1:], []).append(index)
+    expected = n * comb(n - 2, d - 1)
+    if len(bounding) != expected:
+        raise InternalConsistencyError(
+            f"found {len(bounding)} bounded facets, expected n*C(n-2,{d - 1}) = {expected}"
+        )
+    return sorted((sig.index(0), sig, tuple(ids)) for sig, ids in bounding.items())
 
 
 @dataclass(frozen=True)

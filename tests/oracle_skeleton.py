@@ -5,18 +5,34 @@ kernel replaced: every bounded segment completes the zeros of its line set
 with +/- in all 2^(d-1) ways and adds itself to each cell it hits.
 `cell_skeleton` takes one cell at a time and tests each segment directly: it
 is an edge of the cell iff its sign vector agrees with the cell signature off
-its line set.  `cell_diameter` runs one BFS from every vertex.  None of them
-uses the step table or the reach masks, so they check the kernel
-independently.
+its line set.  `cell_diameter` runs one BFS (`bfs_distances`) from every
+vertex.  None of them uses the step table or the reach masks, so they check
+the kernel independently.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from arrangement_lab.arrangement import ArrangementEdge, BoundedCell
-from arrangement_lab.cells import Adjacency, _bfs_distances
+from arrangement_lab.cells import Adjacency
 from arrangement_lab.errors import InternalConsistencyError
+
+
+def bfs_distances(adj: Adjacency, source: int) -> dict[int, int] | None:
+    """Distances from source, or None if some vertex is unreachable."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    if len(dist) != len(adj):
+        return None
+    return dist
 
 
 def skeletons_for_cells(
@@ -76,7 +92,7 @@ def _validate_skeleton(adj: Adjacency, dim: int, signature) -> None:
             raise InternalConsistencyError(
                 f"cell {signature}: vertex {v} has degree {len(nbrs)}, expected {dim}"
             )
-    if _bfs_distances(adj, next(iter(sorted(adj)))) is None:
+    if bfs_distances(adj, next(iter(sorted(adj)))) is None:
         raise InternalConsistencyError(f"cell {signature} has a disconnected skeleton")
 
 
@@ -84,7 +100,7 @@ def cell_diameter(adj: Adjacency) -> int:
     """Max over vertex pairs of the shortest-path length (all-sources BFS)."""
     best = 0
     for v in adj:
-        dist = _bfs_distances(adj, v)
+        dist = bfs_distances(adj, v)
         if dist is None:
             raise ValueError("diameter of a disconnected graph")
         best = max(best, max(dist.values()))

@@ -27,7 +27,7 @@ from arrangement_lab.constructions import (
 )
 from arrangement_lab.errors import NotSimpleError, UnsupportedDimensionError
 from oracle_arithmetic import embed, evaluate_sign
-from oracle_facets import enumerate_bounded_facets_by_restriction
+from oracle_facets import enumerate_bounded_facets_by_restriction, facet_signature
 
 
 def enumerate_all(arr):
@@ -405,13 +405,14 @@ def test_facet_records_have_two_incident_signatures():
     vertices, _, cells = enumerate_all(arr)
     bounded = [cell.signature for cell in cells]
     facets = enumerate_bounded_facets(arr, build_cell_records(arr, vertices, cells))
+    facets.sort(key=lambda rec: (rec.hyperplane, facet_signature(rec, bounded)))
     oracle = enumerate_bounded_facets_by_restriction(arr)
-    assert [(rec.hyperplane, rec.signature) for rec in facets] == \
+    assert [(rec.hyperplane, facet_signature(rec, bounded)) for rec in facets] == \
         [(ref.hyperplane, ref.signature) for ref in oracle]
     for rec, ref in zip(facets, oracle):
         minus, plus = ref.incident
         assert minus[rec.hyperplane] == -1 and plus[rec.hyperplane] == 1
-        assert rec.signature[rec.hyperplane] == 0
+        assert facet_signature(rec, bounded)[rec.hyperplane] == 0
         assert [bounded[i] for i in rec.cells] == [s for s in ref.incident if s in bounded]
     assert {len(rec.cells) for rec in facets} == {1, 2}
 

@@ -415,6 +415,25 @@ def test_verify_refuses_a_range_over_the_budget(capsys):
     assert err.startswith("error: ao2 d=2 n=1415 has C(1415,2) = 1000405 vertices")
 
 
+@pytest.mark.parametrize("prop, spec, instance", [
+    ("P1", f"n=4..{10**12}", "ao2 d=2 n=1415"),
+    ("P5", f"d=2..{10**12}", "cyclic d=1413 n=1415"),
+    ("P6", f"d=2..{10**12},n=4..{10**12}", "cyclic d=2 n=1415"),
+])
+def test_verify_refuses_a_huge_range_at_its_first_oversized_instance(monkeypatch, capsys,
+                                                                    prop, spec, instance):
+    # the grid is read lazily, so the size loop stops at the first instance
+    # over the budget without listing the rest of the range
+    def no_census(*key):
+        raise AssertionError(f"census of {key} before the size check")
+
+    monkeypatch.setattr(verify, "construction_census", no_census)
+    started = time.perf_counter()
+    assert run(["verify", "--prop", prop, "--range", spec]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith(f"error: {instance} has C(1415,")
+
+
 def test_verify_budget_covers_the_seeds_pools(tmp_path, capsys):
     seeds = tmp_path / "seeds.json"
     seeds.write_text(json.dumps({"d2": [[5, 3], [50, 1]]}))

@@ -1,11 +1,13 @@
-"""The bounded facets read off the cells, against two references.
+"""The bounded facets read off the cells, against three references.
 
-The restriction oracle and the kernel both list the bounded facets sorted by
-carrier and then signature, so their (carrier, signature) lists must agree
-item by item, and each record's cells must be exactly the bounded ones among
-the oracle's two incident cells.  The codimension-1 face walk must find the
-same signatures.  In the plane the bounded facets are exactly the bounded
-segments.
+The kernel pairs cells by sign flips and lists each facet by its carrier and
+its cells; a facet's signature is its first cell's with the carrier set to
+0.  Sorted by (carrier, signature), the kernel's facets must agree item by
+item with the restriction oracle's, and each record's cells must be exactly
+the bounded ones among the oracle's two incident cells.  The signature-keyed
+kernel that the flips replaced must give the same facets and cells, and the
+codimension-1 face walk the same signatures.  In the plane the bounded
+facets are exactly the bounded segments.
 """
 
 import pytest
@@ -29,7 +31,11 @@ from arrangement_lab.constructions import (
     random_simple_arrangement,
 )
 from arrangement_lab.verify import default_instances
-from oracle_facets import enumerate_bounded_facets_by_restriction
+from oracle_facets import (
+    enumerate_bounded_facets_by_restriction,
+    enumerate_bounded_facets_by_signature,
+    facet_signature,
+)
 
 
 def cells_and_facets(arr):
@@ -43,7 +49,7 @@ def cells_and_facets(arr):
 def key(rec, bounded):
     """(carrier, signature, signatures of its bounded cells); `bounded` lists
     the cell signatures in the order the kernel indexes them."""
-    return rec.hyperplane, rec.signature, tuple(bounded[i] for i in rec.cells)
+    return rec.hyperplane, facet_signature(rec, bounded), tuple(bounded[i] for i in rec.cells)
 
 
 def oracle_key(ref, bounded):
@@ -54,7 +60,7 @@ def assert_matches_oracle(arr):
     _, _, cells, facets = cells_and_facets(arr)
     bounded = [cell.signature for cell in cells]
     oracle = enumerate_bounded_facets_by_restriction(arr)
-    assert [key(rec, bounded) for rec in facets] == \
+    assert sorted(key(rec, bounded) for rec in facets) == \
         [oracle_key(ref, set(bounded)) for ref in oracle]
 
 
@@ -73,15 +79,28 @@ def test_constructions_match_oracle(built):
     assert_matches_oracle(built.arrangement)
 
 
+def by_carrier(signature):
+    return signature.index(0), signature
+
+
 def assert_matches_facet_walk(arr):
     vertices, steps, cells, facets = cells_and_facets(arr)
     walked = _bounded_faces(vertices, steps, 1)
-    assert [rec.signature for rec in facets] == sorted(walked, key=lambda s: (s.index(0), s))
-    position = {cell.signature: i for i, cell in enumerate(cells)}
-    for rec in facets:
-        incident = [rec.signature[:rec.hyperplane] + (side,) + rec.signature[rec.hyperplane + 1:]
-                    for side in (-1, 1)]
+    bounded = [cell.signature for cell in cells]
+    signatures = [facet_signature(rec, bounded) for rec in facets]
+    assert sorted(signatures, key=by_carrier) == sorted(walked, key=by_carrier)
+    position = {sig: i for i, sig in enumerate(bounded)}
+    for rec, sig in zip(facets, signatures):
+        incident = [sig[:rec.hyperplane] + (side,) + sig[rec.hyperplane + 1:] for side in (-1, 1)]
         assert rec.cells == tuple(position[s] for s in incident if s in position)
+    # listed by carrier and then first cell, as (i,) for an external facet
+    # and (i, j), i < j, for one between two bounded cells; the same facets
+    # and cells as the signature-keyed kernel
+    assert [(rec.hyperplane, rec.cells) for rec in facets] == \
+        sorted((rec.hyperplane, rec.cells) for rec in facets)
+    assert all(len(rec.cells) == 1 or rec.cells[0] < rec.cells[1] for rec in facets)
+    assert sorted((rec.hyperplane, sig, rec.cells) for rec, sig in zip(facets, signatures)) == \
+        enumerate_bounded_facets_by_signature(arr, cells)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +125,8 @@ def test_random_arrangements_match_facet_walk(seed, d, n):
     ids=["ao2-9", "cyclic-2-7", "random-2-8-3"],
 )
 def test_planar_facets_are_the_segments(arr):
-    vertices, _, _, facets = cells_and_facets(arr)
+    vertices, _, cells, facets = cells_and_facets(arr)
     edges = enumerate_edges(arr, vertices)
     segments = sorted((e.line_set[0], e.sign_vector) for e in edges if e.is_segment)
-    assert [(rec.hyperplane, rec.signature) for rec in facets] == segments
+    bounded = [cell.signature for cell in cells]
+    assert sorted((rec.hyperplane, facet_signature(rec, bounded)) for rec in facets) == segments

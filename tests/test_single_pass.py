@@ -20,6 +20,15 @@ from arrangement_lab.export import render_off, render_svg
 from arrangement_lab.verify import construction_census
 
 
+def replace_everywhere(monkeypatch, fn, replacement) -> None:
+    """Put `replacement` wherever an arrangement_lab module binds `fn`."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "arrangement_lab":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def count_calls(monkeypatch, fn) -> list[int]:
     """Wrap `fn` wherever an arrangement_lab module binds it; the returned
     one-element list holds the number of calls so far."""
@@ -29,11 +38,7 @@ def count_calls(monkeypatch, fn) -> list[int]:
         calls[0] += 1
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if module is not None and name.split(".")[0] == "arrangement_lab":
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+    replace_everywhere(monkeypatch, fn, counted)
     return calls
 
 
@@ -92,6 +97,28 @@ def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
         [vertices[vid].tight_set for vid in rec.vertex_ids]) is None]
     assert skeletons == rejected
     assert all(2 * rec.edge_count == rec.vertex_count * built.d for rec in report.records)
+
+
+def test_exports_trace_polygons_without_skeletons(monkeypatch):
+    # the SVG and OFF rings are traced on the step table; the only skeleton
+    # left is the one cell_record builds for the ao2 n-gon, which the
+    # product certificate rejects
+    ao3 = build_ao3(16).arrangement
+    certified = next(rec.signature for rec in census(ao3).records
+                     if rec.cell_class.kind != "shell")
+    built = []
+    build_skeletons = cells.skeletons_for_cells
+
+    def spy(faces, steps, dim):
+        built.extend(len(face.vertex_ids) for face in faces)
+        return build_skeletons(faces, steps, dim)
+
+    replace_everywhere(monkeypatch, build_skeletons, spy)
+    render_svg(build_ao2(40).arrangement)
+    assert built == [40]
+    built.clear()
+    render_off(ao3, certified)
+    assert built == []
 
 
 def test_constructed_instance_solves_each_subset_once(monkeypatch):

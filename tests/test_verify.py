@@ -240,7 +240,15 @@ def test_suite_instances_lists_every_instance_censused(monkeypatch, prop):
 
     monkeypatch.setattr(verify, "construction_census", spy)
     run_suite([prop])
-    assert list(dict.fromkeys(censused)) == suite_instances([prop])
+    assert list(dict.fromkeys(censused)) == list(suite_instances([prop]))
+
+
+def test_a_huge_d_range_ends_where_n_leaves_no_pair():
+    # the (d, n) grid reads d in ascending order and stops at the first d
+    # above max(n)/2, instead of filtering every d of the range
+    ranges = {"d": range(2, 10**12), "n": range(4, 6)}
+    assert list(suite_instances(["P6"], ranges)) == [("cyclic", 2, 4, None, None),
+                                                     ("cyclic", 2, 5, None, None)]
 
 
 @pytest.mark.parametrize("prop, params, message", [
