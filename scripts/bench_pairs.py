@@ -8,7 +8,9 @@ Usage:
 BASE and CHANGE are checkouts of the repository, for example an exported
 copy of the parent commit and the working tree.  For each workload and seed
 the two trees run `perfbench/run.py` at the same time, one process each, so
-both sides of a pair see the same phase of the machine.  For every
+both sides of a pair see the same phase of the machine.  BASE is started
+first in even-numbered pairs and CHANGE in odd-numbered ones, so the start
+order does not favour either side.  For every
 end-to-end metric of BENCHMARK.json (read from CHANGE) the script prints
 each pair's ratio CHANGE / BASE, each side's median and quartiles, how many
 pairs CHANGE won, and whether the gap between the medians exceeds BASE's
@@ -87,6 +89,13 @@ def yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def pair_order(index: int, base: Path, change: Path) -> list[tuple[str, Path]]:
+    """The two sides of pair `index` in the order they are started: BASE
+    first when the index is even, CHANGE first when it is odd."""
+    sides = [("base", base), ("change", change)]
+    return sides if index % 2 == 0 else sides[::-1]
+
+
 def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -127,9 +136,9 @@ def main(argv=None) -> int:
     with ThreadPoolExecutor(max_workers=2) as pool:
         for workload in workloads:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
-            for seed in seeds:
+            for index, seed in enumerate(seeds):
                 sides = {side: pool.submit(run_one, tree, workload, seed, args.seconds)
-                         for side, tree in (("base", args.base), ("change", args.change))}
+                         for side, tree in pair_order(index, args.base, args.change)}
                 try:
                     results = {side: future.result() for side, future in sides.items()}
                 except RuntimeError as exc:

@@ -12,7 +12,7 @@ Usage: python scripts/inspect_shells.py [N_MAX]
 import sys
 from collections import defaultdict
 
-from arrangement_lab.arrangement import enumerate_vertices, line_steps
+from arrangement_lab.arrangement import enumerate_vertices
 from arrangement_lab.cells import shell_canonical_forms
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao3
@@ -25,8 +25,8 @@ def main() -> int:
     for n in range(5, n_max + 1):
         arr = build_ao3(n).arrangement
         report = census(arr)
-        steps = line_steps(arr, enumerate_vertices(arr))
-        for signature, form in shell_canonical_forms(report.records, steps).items():
+        vertices = enumerate_vertices(arr)
+        for signature, form in shell_canonical_forms(report.records, vertices).items():
             label = f"ao3({n}) cell {signature_str(signature)}"
             by_form[form].append(label)
             print(f"{label}: canonical form hash {hash(form):#018x}, "

@@ -21,7 +21,6 @@ from .arrangement import (
     enumerate_edges,
     enumerate_vertices,
     hyperplane,
-    line_steps,
     restrict_to_hyperplane,
 )
 from .cells import (

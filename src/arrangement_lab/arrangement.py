@@ -15,15 +15,19 @@ with the other's on every coordinate where the smaller face is not tight.
   repeated point.
 * Order.  Dropping one of a vertex's d tight hyperplanes leaves a line
   through it.  Each line's vertices are sorted once, in lexicographic order
-  of their points, by an integer key, and each vertex keeps its lower and
-  upper neighbour on each of its lines (`Vertex.line_neighbours`).
+  of their points, by an integer key, which gives each vertex its lower and
+  upper neighbour on each of its lines.
 * Signs.  All n signs are evaluated at the first vertex only.  Consecutive
   vertices u < w on a line differ in sign only at their own indices off the
   line, since no other hyperplane crosses the segment between them; so w's
   signs are u's with u's index set to w's side of it (one dot product) and
   w's index set to 0.  The signs spread over these pairs breadth-first.
+* Edges.  The segment or ray on a vertex's line to either side of the
+  dropped hyperplane is a step.  Each neighbour pair becomes, in place, the
+  vertex's step on that line (`Vertex.steps`): its neighbours by side of
+  the dropped hyperplane, and the side that lies lexicographically above.
 
-That last step needs the vertices to be simple, with no point on more than
+Carrying the signs needs the vertices to be simple, with no point on more than
 d hyperplanes, and the solve pass already proves it.  If the point x of a
 subset S lies on a hyperplane j outside S, the normals of S are a basis, so
 a_j = Σ c_i a_i over i in S, and b_j = Σ c_i b_i because x lies on all of
@@ -36,10 +40,8 @@ on an extra one is reported instead, naming every hyperplane through it:
 the error of the first defective subset, as a subset-by-subset check would
 give.
 
-The segment or ray on a vertex's line to either side of the dropped
-hyperplane is a step.  `line_steps(arr, vertices)` turns each vertex's line
-neighbours into its steps, once per census, and `enumerate_edges` reads the
-same neighbours.  Lexicographic order on points is a generic linear order,
+Everything after this pass reads only the vertices: their tight sets,
+signs and steps.  Lexicographic order on points is a generic linear order,
 so a bounded face has exactly one lex-min vertex, and every edge of the
 face leaves it upward.  At each vertex and for each c of its zeros kept
 zero, setting the other zeros to their upward sides names the one face of
@@ -92,7 +94,6 @@ if TYPE_CHECKING:
 
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
-Steps = list[dict[int, list]]  # steps[v][k] = [w-, w+, up], from `line_steps`
 Walk = tuple[list[int], list[int]]  # (order, masks), from `_walk`
 
 
@@ -141,24 +142,29 @@ class Arrangement:
 class Vertex:
     """A vertex as the vertex pass finds it: its point as integers
     numerators / denominator (positive, in lowest terms), the d hyperplanes
-    through it, its signs, and its neighbours along each of its d lines.
+    through it, its signs, and its steps along each of its d lines.
 
-    `line_neighbours[k]` is the (lex-lower, lex-upper) pair of vertex ids
-    next to it on the line that drops `tight_set[k]`, None where a ray
-    leaves instead.
+    `steps[i]` is (w-, w+, up) for the line that drops k = `tight_set[i]`:
+    the neighbours on the - and the + side of k, None where a ray leaves
+    instead, and the side of k that lies lexicographically above.
     """
 
     numerators: tuple[int, ...]
     denominator: int
     tight_set: tuple[int, ...]   # exactly d hyperplane indices, sorted
     sign_vector: SignVector      # zeros exactly on tight_set
-    line_neighbours: tuple[tuple[Optional[int], Optional[int]], ...]
+    steps: tuple[tuple[Optional[int], Optional[int], Sign], ...]
 
     @cached_property
     def point(self) -> Vec:
         """The point as Fractions, built on first read (reports, exports)."""
         q = self.denominator
         return tuple(Fraction(p, q) for p in self.numerators)
+
+    def ends(self, face: SignVector) -> list[Optional[int]]:
+        """The far ends of the edges of `face` at this vertex: the step
+        toward the face's side of each tight hyperplane it is not on."""
+        return [step[face[k] > 0] for k, step in zip(self.tight_set, self.steps) if face[k]]
 
 
 @dataclass(frozen=True)
@@ -307,7 +313,7 @@ def _extra_plane_error(
 
 def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
     """All C(n,d) vertices, sorted by tight set, each with its signs and
-    its line neighbours.  This is the simplicity check of every enumeration:
+    its steps.  This is the simplicity check of every enumeration:
     it raises NotSimpleError, with the report attached, on a singular
     subset, a repeated point, or a point lying on more than d hyperplanes
     (the witness then names all of them), whichever subset comes first.
@@ -336,6 +342,12 @@ def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
         for t, (vid, k) in enumerate(on_line):
             neighbours[vid][k] = (ids[t], ids[t + 2])
     signs = _carry_signs(rows, solved, neighbours)
+    # the upper neighbour lies on the up side; at a line's lex-max vertex,
+    # up is the side away from the lower one
+    for (tight, _), pairs in zip(solved, neighbours):
+        for i, (k, (below, above)) in enumerate(zip(tight, pairs)):
+            up = signs[above][k] if above is not None else -signs[below][k]
+            pairs[i] = (below, above, 1) if up > 0 else (above, below, -1)
     return [
         Vertex(p, q, tight, signs[vid], tuple(neighbours[vid]))
         for vid, (tight, (p, q)) in enumerate(solved)
@@ -411,13 +423,13 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     """Decompose every line (each (d-1)-subset of hyperplanes) into its
     bounded segments between consecutive vertices plus the two extreme rays.
 
-    Everything follows from the vertex sign vectors and line neighbours.
+    Everything follows from the vertex sign vectors and steps.
     The segment from u to its neighbour w has u's signs with u's index j set
     to w's sign at j; the ray leaving an extreme vertex v away from its
     neighbour w has v's signs with v's index j set to minus w's sign at j.
     Lines come in sorted order, each as a ray, its segments, then a ray.
 
-    Order contract, shared with `line_steps`: along each line the vertices
+    Order contract, shared with `Vertex.steps`: along each line the vertices
     come in increasing lexicographic order of their points, so every
     segment runs from tail to head with vertices[tail].point <
     vertices[head].point, the line's first ray leaves its lex-min vertex
@@ -426,8 +438,8 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     starts = []
     for vid, v in enumerate(vertices):
         tight = v.tight_set
-        for k, (below, _) in enumerate(v.line_neighbours):
-            if below is None:
+        for k, step in enumerate(v.steps):
+            if step[step[2] < 0] is None:  # no lower neighbour
                 starts.append((tight[:k] + tight[k + 1:], vid))
     edges: list[ArrangementEdge] = []
     for line_set, first in sorted(starts):
@@ -437,7 +449,8 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
             tight = vertices[vid].tight_set
             k = next(k for k, j in enumerate(tight) if j not in line_set)
             on_line.append((vid, tight[k]))
-            vid = vertices[vid].line_neighbours[k][1]
+            step = vertices[vid].steps[k]
+            vid = step[step[2] > 0]
         signs = [vertices[vid].sign_vector for vid, _ in on_line]
 
         first, j = on_line[0]
@@ -451,31 +464,7 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     return edges
 
 
-def line_steps(arr: Arrangement, vertices: list[Vertex]) -> Steps:
-    """Every vertex's line steps: the table that the face walk reads, built
-    once per census from the line neighbours of the vertex pass.
-
-    `steps[v][k]` is [w-, w+, up] for each k tight at v: the neighbours of v
-    on the line that drops k, on the - and the + side of k (None where a ray
-    leaves v), and the side of k that lies lexicographically above v.  The
-    upper neighbour lies on the up side, so up is its sign at k; at the
-    lex-max vertex of a line, up is minus the lower neighbour's sign at k.
-    Every line carries at least two vertices, so one of them is set.
-    """
-    steps: Steps = []
-    for v in vertices:
-        row = {}
-        for k, (below, above) in zip(v.tight_set, v.line_neighbours):
-            if above is not None:
-                up = vertices[above].sign_vector[k]
-            else:
-                up = -vertices[below].sign_vector[k]
-            row[k] = [below, above, 1] if up > 0 else [above, below, -1]
-        steps.append(row)
-    return steps
-
-
-def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Walk]:
+def _walk(vertices: list[Vertex], start: int, face: SignVector) -> Optional[Walk]:
     """Walk `face` from `start`, in its closure, by the steps toward the
     face's side of every hyperplane it is not on, which are its edges: the
     vertices in the order reached and each hyperplane's bitmask of those on
@@ -485,7 +474,8 @@ def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Walk]:
     seen = {start}
     bit = 1
     for v in order:
-        for k, step in steps[v].items():
+        vertex = vertices[v]
+        for k, step in zip(vertex.tight_set, vertex.steps):
             on[k] |= bit
             side = face[k]
             if side:
@@ -499,9 +489,7 @@ def _walk(steps: Steps, start: int, face: SignVector) -> Optional[Walk]:
     return order, on
 
 
-def _face_walks(
-    vertices: list[Vertex], steps: Steps, codim: int
-) -> Iterator[tuple[SignVector, Walk]]:
+def _face_walks(vertices: list[Vertex], codim: int) -> Iterator[tuple[SignVector, Walk]]:
     """Bounded faces of codimension `codim`, one (signature, walk) at a time.
 
     For each vertex v and each `codim`-subset K of its tight set, the
@@ -514,31 +502,27 @@ def _face_walks(
     for vid, v in enumerate(vertices):
         for kept in itertools.combinations(v.tight_set, codim):
             face = list(v.sign_vector)
-            for k, step in steps[vid].items():
+            for k, step in zip(v.tight_set, v.steps):
                 if k not in kept:
                     face[k] = step[2]
-            walk = _walk(steps, vid, face)
+            walk = _walk(vertices, vid, face)
             if walk is not None:
                 yield tuple(face), walk
 
 
-def _bounded_faces(
-    vertices: list[Vertex], steps: Steps, codim: int
-) -> dict[SignVector, list[int]]:
+def _bounded_faces(vertices: list[Vertex], codim: int) -> dict[SignVector, list[int]]:
     """Bounded faces of codimension `codim`, as {signature: increasing vertex ids}."""
-    return {sig: sorted(walk[0]) for sig, walk in _face_walks(vertices, steps, codim)}
+    return {sig: sorted(walk[0]) for sig, walk in _face_walks(vertices, codim)}
 
 
-def enumerate_bounded_cells(
-    arr: Arrangement, vertices: list[Vertex], steps: Steps
-) -> list[CellRecord]:
+def enumerate_bounded_cells(arr: Arrangement, vertices: list[Vertex]) -> list[CellRecord]:
     """Bounded cells, the zero-free bounded faces, sorted by signature, each
     a `cells.CellRecord` built as soon as its walk ends.  The count must
     equal C(n-1, d)."""
     from .cells import cell_record  # cells imports this module
 
     d, n = arr.dim, arr.n
-    cells = [cell_record(d, sig, walk, steps) for sig, walk in _face_walks(vertices, steps, 0)]
+    cells = [cell_record(d, sig, walk, vertices) for sig, walk in _face_walks(vertices, 0)]
     expected = comb(n - 1, d)
     if len(cells) != expected:
         raise InternalConsistencyError(

@@ -4,7 +4,7 @@
 vertices, and each hyperplane's mask of those on it, nonzero exactly on the
 facets.  A vertex is tight on d hyperplanes and has one cell edge on the
 line that drops each, so E = V·d/2.  `skeletons_for_cells` builds skeletons
-from the step table only where read: uncertified cells and shells.
+from the vertices' steps only where read: uncertified cells and shells.
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -49,7 +49,7 @@ from itertools import compress
 from math import prod
 from typing import Optional
 
-from .arrangement import Arrangement, BoundedCell, Steps, Vertex, Walk, _walk, line_steps
+from .arrangement import Arrangement, BoundedCell, Vertex, Walk, _walk
 from .errors import InternalConsistencyError
 
 Adjacency = dict[int, tuple[int, ...]]
@@ -116,10 +116,10 @@ class CellRecord:
 # ---------------------------------------------------------------------------
 
 def skeletons_for_cells(
-    cells: list[BoundedCell | CellRecord], steps: Steps, dim: int
+    cells: list[BoundedCell | CellRecord], vertices: list[Vertex], dim: int
 ) -> list[Adjacency]:
     """Skeletons of bounded faces known by signature and increasing vertex
-    ids, by lookup in the step table of `arrangement.line_steps`.
+    ids, read off the vertices' steps (`Vertex.ends`).
 
     The closure of a bounded face C is a simple polytope, so at each of its
     vertices v and for each k in v's tight set off C, C has exactly one
@@ -137,7 +137,7 @@ def skeletons_for_cells(
             )
         adj: Adjacency = {}
         for v in cell.vertex_ids:
-            nbrs = [step[side > 0] for k, step in steps[v].items() if (side := signature[k])]
+            nbrs = vertices[v].ends(signature)
             if not members.issuperset(nbrs):
                 raise InternalConsistencyError(
                     f"cell {signature}: an edge at vertex {v} is missing or leaves the cell"
@@ -307,7 +307,9 @@ def canonical_form(adj: Adjacency) -> tuple:
 # record assembly
 # ---------------------------------------------------------------------------
 
-def cell_record(dim: int, signature: tuple[int, ...], walk: Walk, steps: Steps) -> CellRecord:
+def cell_record(
+    dim: int, signature: tuple[int, ...], walk: Walk, vertices: list[Vertex]
+) -> CellRecord:
     """The record of a cell from the walk that found it.  A cell the product
     certificate on its masks accepts has diameter m, its number of factors;
     only the others get a skeleton, measured by `cell_diameter`."""
@@ -324,7 +326,7 @@ def cell_record(dim: int, signature: tuple[int, ...], walk: Walk, steps: Steps) 
         )
     factors = _factor_sizes(list(filter(None, on)), v)
     diameter = len(factors) if factors else cell_diameter(
-        skeletons_for_cells([BoundedCell(signature, vertex_ids)], steps, dim)[0])
+        skeletons_for_cells([BoundedCell(signature, vertex_ids)], vertices, dim)[0])
     return CellRecord(signature, vertex_ids, v, e, facets, diameter,
                       classify_cell(v, e, f, factors, dim))
 
@@ -335,20 +337,21 @@ def build_cell_records(
     """Records of cells known by signature and vertex ids, each walked from
     its first vertex.  Raises InternalConsistencyError on a cell whose walk
     reaches a ray."""
-    steps = line_steps(arr, vertices)
     records = []
     for cell in cells:
-        walk = _walk(steps, cell.vertex_ids[0], cell.signature)
+        walk = _walk(vertices, cell.vertex_ids[0], cell.signature)
         if walk is None:
             raise InternalConsistencyError(f"cell {cell.signature} is not bounded")
-        records.append(cell_record(arr.dim, cell.signature, walk, steps))
+        records.append(cell_record(arr.dim, cell.signature, walk, vertices))
     return records
 
 
-def shell_canonical_forms(records: list[CellRecord], steps: Steps) -> dict[tuple[int, ...], tuple]:
+def shell_canonical_forms(
+    records: list[CellRecord], vertices: list[Vertex]
+) -> dict[tuple[int, ...], tuple]:
     """Canonical skeletons of all shell-classified cells (3D only), for
     inspection; whether shells with equal counts are pairwise isomorphic is
     not asserted anywhere, this is the data to look at."""
     shells = [rec for rec in records if rec.cell_class.kind == "shell"]
     return {rec.signature: canonical_form(adj)
-            for rec, adj in zip(shells, skeletons_for_cells(shells, steps, 3))}
+            for rec, adj in zip(shells, skeletons_for_cells(shells, vertices, 3))}

@@ -16,7 +16,6 @@ from .arrangement import (
     enumerate_bounded_cells,
     enumerate_bounded_facets,
     enumerate_vertices,
-    line_steps,
 )
 from .cells import (
     CellClass,
@@ -46,11 +45,11 @@ class CensusReport:
 
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     """Full aggregate over the bounded cells of a simple arrangement; vertex
-    enumeration raises NotSimpleError for any other input.  The line-step
-    table is built once and read by the one face walk, which builds each
-    cell's record as it finds it; the facets are read off the records."""
+    enumeration raises NotSimpleError for any other input.  The one face
+    walk reads the vertices' steps and builds each cell's record as it
+    finds it; the facets are read off the records."""
     vertices = enumerate_vertices(arr)
-    records = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    records = enumerate_bounded_cells(arr, vertices)
     counts = Counter(rec.cell_class for rec in records)
     delta = Fraction(sum(rec.diameter for rec in records), len(records))
 

@@ -116,11 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_range(spec: str) -> dict[str, range]:
     ranges: dict[str, range] = {}
     for chunk in spec.split(","):
-        chunk = chunk.strip().lstrip("-")
-        if "=" in chunk:
-            key, _, value = chunk.partition("=")
-        else:
-            key, _, value = chunk.partition(" ")
+        chunk = chunk.strip()
+        key, _, value = chunk.partition("=")
         key, value = key.strip(), value.strip()
         if key not in ("n", "d") or not value:
             raise InputError(f'malformed range chunk {chunk!r}; use "n=4..12" or "d=2..6"')

@@ -3,7 +3,7 @@
 Exports are terminal artifacts, never re-ingested, so this is the one place
 exact coordinates are allowed to become decimal text.  All element orders,
 colors and number formats are fixed, making output byte-identical for
-identical input.  Polygons are traced on the step table.
+identical input.  Polygons are traced on the vertices' steps.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from fractions import Fraction
 from .arrangement import (
     Arrangement,
     SignVector,
-    Steps,
+    Vertex,
     _walk,
     _with_sign,
     enumerate_bounded_cells,
     enumerate_vertices,
-    line_steps,
 )
 from .cells import cell_record
 from .errors import InputError, UnsupportedDimensionError
@@ -38,17 +37,14 @@ def diameter_color(diameter: int, max_diameter: int) -> str:
     return "#%02x%02x%02x" % channels
 
 
-def _ring(steps: Steps, face: SignVector, start: int) -> list[int]:
+def _ring(vertices: list[Vertex], face: SignVector, start: int) -> list[int]:
     """A bounded 2-face's vertices in cyclic order: at each vertex its two
     edges step to its side of the two tight hyperplanes it is not on.
     Starts at `start`, its smallest vertex, toward the smaller neighbour."""
-    def ends(v):
-        return [step[face[k] > 0] for k, step in steps[v].items() if face[k]]
-
-    ring, previous, current = [start], start, min(ends(start))
+    ring, previous, current = [start], start, min(vertices[start].ends(face))
     while current != start:
         ring.append(current)
-        a, b = ends(current)
+        a, b = vertices[current].ends(face)
         previous, current = current, b if a == previous else a
     return ring
 
@@ -59,8 +55,7 @@ def render_svg(arr: Arrangement) -> str:
     if arr.dim != 2:
         raise UnsupportedDimensionError("SVG export requires a 2-dimensional arrangement")
     vertices = enumerate_vertices(arr)
-    steps = line_steps(arr, vertices)
-    records = enumerate_bounded_cells(arr, vertices, steps)
+    records = enumerate_bounded_cells(arr, vertices)
 
     (x_lo, x_hi), (y_lo, y_hi) = ((min(c), max(c)) for c in zip(*(v.point for v in vertices)))
     pad_x, pad_y = (x_hi - x_lo) * Fraction(1, 5), (y_hi - y_lo) * Fraction(1, 5)
@@ -86,7 +81,8 @@ def render_svg(arr: Arrangement) -> str:
         f'height="{height:.2f}" viewBox="0 0 {_SVG_WIDTH:.2f} {height:.2f}">'
     ]
     for rec in records:
-        points = [",".join(pixels[vid]) for vid in _ring(steps, rec.signature, rec.vertex_ids[0])]
+        ring = _ring(vertices, rec.signature, rec.vertex_ids[0])
+        points = [",".join(pixels[vid]) for vid in ring]
         parts.append(
             f'<polygon points="{" ".join(points)}" '
             f'fill="{diameter_color(rec.diameter, max_diameter)}" '
@@ -144,19 +140,19 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
         raise InputError(
             f"signature length {len(signature)} does not match n = {arr.n}"
         )
-    steps = line_steps(arr, vertices)
     start = next((vid for vid, v in enumerate(vertices) if 0 not in signature
                   and all(s in (0, c) for s, c in zip(v.sign_vector, signature))), None)
-    walk = start is not None and _walk(steps, start, signature)
+    walk = start is not None and _walk(vertices, start, signature)
     if not walk:
         raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
-    record = cell_record(arr.dim, signature, walk, steps)
+    record = cell_record(arr.dim, signature, walk, vertices)
     vids = record.vertex_ids
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []
     for plane in record.facets:
-        first = next(vid for vid in vids if plane in steps[vid])
-        facets.append([local[vid] for vid in _ring(steps, _with_sign(signature, plane, 0), first)])
+        first = next(vid for vid in vids if plane in vertices[vid].tight_set)
+        ring = _ring(vertices, _with_sign(signature, plane, 0), first)
+        facets.append([local[vid] for vid in ring])
 
     lines = ["OFF", f"{record.vertex_count} {record.facet_count} {record.edge_count}"]
     for vid in vids:

@@ -537,7 +537,8 @@ def _plan(
 ) -> Iterator[tuple[Callable[..., VerificationResult], tuple, list[Instance]]]:
     """The checks `run_suite` makes, in order, as (check, arguments, the
     instances it censuses); `point` replaces the grid of the one gridded
-    check selected.  Raises InputError on a bad selection or grid point."""
+    check selected.  Raises InputError on a bad selection, pool entry or
+    grid point."""
     requested = {p.upper() for p in props}
     if "ALL" in requested:
         requested = set(PROP_IDS)
@@ -554,6 +555,10 @@ def _plan(
     if ranges:
         (prop,) = requested
         _check_keys(prop, ranges)
+    for d, pool in ((2, random_2d), (3, random_3d)):
+        for n, seed in pool:
+            if n < d + 1:
+                raise InputError(f"random pool d{d} entry n={n} seed={seed}: needs n >= {d + 1}")
 
     instances = default_instances(random_2d, random_3d)
     hirsch = [key for key in instances if key[1] in (2, 3)]

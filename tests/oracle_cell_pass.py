@@ -2,11 +2,11 @@
 emitter.
 
 `cell_records` is the walk-then-records path that `census` ran before each
-walk built its cell's record: the dict-step walk returns a {vertex: sorted
+walk built its cell's record: the skeleton walk returns a {vertex: sorted
 neighbours} skeleton, every bounded cell's skeleton is kept until the last
 one is found, and only then are the records built, re-reading each
 vertex's tight set for the facets and for `product_factors`, and counting
-the edges in the skeleton.  It shares the step table, `product_factors`,
+the edges in the skeleton.  It shares `Vertex.steps`, `product_factors`,
 `cell_diameter` and `classify_cell` with the kernel, and none of the walk's
 masks; it returns the skeletons beside the records, which keep none.
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from arrangement_lab.arrangement import Arrangement, SignVector, Steps, Vertex
+from arrangement_lab.arrangement import Arrangement, SignVector, Vertex
 from arrangement_lab.cells import CellRecord, cell_diameter, classify_cell, product_factors
 from arrangement_lab.errors import InternalConsistencyError
 from arrangement_lab.rational import format_rational
@@ -30,7 +30,7 @@ from arrangement_lab.rational import format_rational
 Skeleton = dict[int, tuple[int, ...]]  # vertex -> sorted neighbours
 
 
-def walk(steps: Steps, start: int, face: SignVector) -> Optional[Skeleton]:
+def walk(vertices: list[Vertex], start: int, face: SignVector) -> Optional[Skeleton]:
     """The skeleton of `face`, reached from `start` by the steps toward the
     face's side of every hyperplane it is not on, in increasing vertex
     order; None as soon as a step is a ray."""
@@ -38,7 +38,7 @@ def walk(steps: Steps, start: int, face: SignVector) -> Optional[Skeleton]:
     seen, todo = {start}, [start]
     for v in todo:
         nbrs = []
-        for k, step in steps[v].items():
+        for k, step in zip(vertices[v].tight_set, vertices[v].steps):
             side = face[k]
             if side:
                 w = step[side > 0]
@@ -53,30 +53,28 @@ def walk(steps: Steps, start: int, face: SignVector) -> Optional[Skeleton]:
     return {v: adjacent[v] for v in sorted(adjacent)}
 
 
-def bounded_face_skeletons(
-    vertices: list[Vertex], steps: Steps, codim: int
-) -> dict[SignVector, Skeleton]:
+def bounded_face_skeletons(vertices: list[Vertex], codim: int) -> dict[SignVector, Skeleton]:
     """Bounded faces of codimension `codim`, as {signature: skeleton}, each
     walked from the one candidate at its lex-min vertex."""
     faces: dict[SignVector, Skeleton] = {}
     for vid, v in enumerate(vertices):
         for kept in itertools.combinations(v.tight_set, codim):
             face = list(v.sign_vector)
-            for k, step in steps[vid].items():
+            for k, step in zip(v.tight_set, v.steps):
                 if k not in kept:
                     face[k] = step[2]
-            skeleton = walk(steps, vid, face)
+            skeleton = walk(vertices, vid, face)
             if skeleton is not None:
                 faces[tuple(face)] = skeleton
     return faces
 
 
 def cell_records(
-    arr: Arrangement, vertices: list[Vertex], steps: Steps
+    arr: Arrangement, vertices: list[Vertex]
 ) -> tuple[list[CellRecord], list[Skeleton]]:
     """One record per bounded cell, built after the last cell is walked, and
     its skeleton; the cell count must equal C(n-1, d)."""
-    skeletons = bounded_face_skeletons(vertices, steps, 0)
+    skeletons = bounded_face_skeletons(vertices, 0)
     expected = comb(arr.n - 1, arr.dim)
     if len(skeletons) != expected:
         raise InternalConsistencyError(f"found {len(skeletons)} bounded cells, expected {expected}")

@@ -9,8 +9,8 @@ geometry instead of from the vertex sign vectors, so it checks the
 combinatorial kernel independently.
 
 `line_steps_from_edges` is the step-table builder that reading the line
-orders directly replaced: it fills the table from the segments of
-`enumerate_edges`, so it checks `line_steps` through a second route.
+orders directly replaced: it fills every vertex's steps from the segments
+of `enumerate_edges`, so it checks `Vertex.steps` through a second route.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from arrangement_lab.arrangement import (
     Arrangement,
     ArrangementEdge,
     SignVector,
-    Steps,
     Vertex,
 )
 from arrangement_lab.errors import InternalConsistencyError
@@ -110,8 +109,8 @@ def enumerate_edges_by_probing(arr: Arrangement, vertices: list[Vertex]) -> list
     return edges
 
 
-def line_steps_from_edges(vertices: list[Vertex], edges: list[ArrangementEdge]) -> Steps:
-    """The table of `arrangement.line_steps`, read off the segments.
+def line_steps_from_edges(vertices: list[Vertex], edges: list[ArrangementEdge]) -> list[tuple]:
+    """Every vertex's `Vertex.steps`, read off the segments.
 
     For a segment at v, the line drops the one index of v's tight set where
     the segment's sign is nonzero.  Segments run from tail to head in
@@ -127,4 +126,4 @@ def line_steps_from_edges(vertices: list[Vertex], edges: list[ArrangementEdge]) 
                     if signs[k]:  # v's one tight index off the segment's line
                         step[signs[k] > 0], step[2] = w, up * signs[k]
                         break
-    return steps
+    return [tuple(tuple(row[k]) for k in v.tight_set) for v, row in zip(vertices, steps)]

@@ -24,7 +24,6 @@ from arrangement_lab.arrangement import (
     SignVector,
     enumerate_bounded_cells,
     enumerate_vertices,
-    line_steps,
     restrict_to_hyperplane,
 )
 from arrangement_lab.errors import InternalConsistencyError, UnsupportedDimensionError
@@ -80,10 +79,7 @@ def enumerate_bounded_facets_by_restriction(arr: Arrangement) -> list[Restricted
     for i in range(n):
         restriction = restrict_to_hyperplane(arr, i)
         sub_vertices = enumerate_vertices(restriction.arrangement)
-        sub_cells = enumerate_bounded_cells(
-            restriction.arrangement, sub_vertices,
-            line_steps(restriction.arrangement, sub_vertices),
-        )
+        sub_cells = enumerate_bounded_cells(restriction.arrangement, sub_vertices)
         for cell in sub_cells:
             full = [0] * n
             for pos, orig in enumerate(restriction.kept):

@@ -10,8 +10,8 @@ test.  The defects are checked subset by subset in lexicographic order
 witness and reason as the kernel.
 
 `line_orders` is the earlier per-line sort over the Fraction points, and
-`line_steps_from_orders` the step table built from it; the kernel's line
-neighbours and `line_steps` must reproduce both.
+`line_steps_from_orders` every vertex's steps built from it, which
+`Vertex.steps` must reproduce.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Iterator, Optional
 from arrangement_lab.arrangement import (
     Arrangement,
     SimplicityReport,
-    Steps,
     Vertex,
 )
 from arrangement_lab.errors import NotSimpleError
@@ -96,7 +95,8 @@ def enumerate_vertices_by_fractions(arr: Arrangement) -> list[Vertex]:
             )
         q = lcm(*(c.denominator for c in point))
         vertices.append(Vertex(tuple(int(c * q) for c in point), q, subset, signs, ()))
-    return with_line_neighbours(arr, vertices)
+    return [replace(v, steps=steps)
+            for v, steps in zip(vertices, line_steps_from_orders(arr, vertices))]
 
 
 def line_orders(
@@ -122,27 +122,11 @@ def line_orders(
     return lines
 
 
-def line_neighbours_from_orders(arr: Arrangement, vertices: list[Vertex]) -> list[tuple]:
-    """Each vertex's (lower, upper) neighbour pairs, one per tight index,
-    read off `line_orders`."""
-    pairs = [[None] * len(v.tight_set) for v in vertices]
-    for on_line in line_orders(arr, vertices).values():
-        ids = [None, *(vid for vid, _ in on_line), None]
-        for t, (vid, j) in enumerate(on_line):
-            pairs[vid][vertices[vid].tight_set.index(j)] = (ids[t], ids[t + 2])
-    return [tuple(p) for p in pairs]
-
-
-def with_line_neighbours(arr: Arrangement, vertices: list[Vertex]) -> list[Vertex]:
-    return [replace(v, line_neighbours=pairs)
-            for v, pairs in zip(vertices, line_neighbours_from_orders(arr, vertices))]
-
-
-def line_steps_from_orders(arr: Arrangement, vertices: list[Vertex]) -> Steps:
-    """The step table from consecutive vertices of each line in
-    `line_orders`: for u < w, w lies on its own side of u's index j off the
-    line, which is up from u, and w's up side is the opposite of u's side
-    of w's index."""
+def line_steps_from_orders(arr: Arrangement, vertices: list[Vertex]) -> list[tuple]:
+    """Every vertex's `Vertex.steps` from consecutive vertices of each line
+    in `line_orders`: for u < w, w lies on its own side of u's index j off
+    the line, which is up from u, and w's up side is the opposite of u's
+    side of w's index."""
     steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]
     for on_line in line_orders(arr, vertices).values():
         for (u, ju), (w, jw) in zip(on_line, on_line[1:]):
@@ -152,4 +136,4 @@ def line_steps_from_orders(arr: Arrangement, vertices: list[Vertex]) -> Steps:
             side = vertices[u].sign_vector[jw]
             step = steps[w][jw]
             step[side > 0], step[2] = u, -side
-    return steps
+    return [tuple(tuple(row[k]) for k in v.tight_set) for v, row in zip(vertices, steps)]

@@ -21,7 +21,7 @@ from math import comb
 
 import pytest
 
-from arrangement_lab.arrangement import enumerate_vertices, line_steps
+from arrangement_lab.arrangement import enumerate_vertices
 from arrangement_lab.cells import skeletons_for_cells
 from arrangement_lab.census import cube_count, prism_count, simplex_count
 from arrangement_lab.constructions import build
@@ -198,8 +198,8 @@ def test_criterion_7_structural_universals():
         assert report.vertex_count == comb(n, d), label
         assert report.cell_count == comb(n - 1, d), label
         arr = build(family, d, n, seed, bound).arrangement
-        steps = line_steps(arr, enumerate_vertices(arr))
-        for rec, adj in zip(report.records, skeletons_for_cells(report.records, steps, d)):
+        vertices = enumerate_vertices(arr)
+        for rec, adj in zip(report.records, skeletons_for_cells(report.records, vertices, d)):
             assert all(len(nbrs) == d for nbrs in adj.values()), label
             assert 2 * rec.edge_count == sum(map(len, adj.values())), label
             assert rec.diameter >= 1 or rec.vertex_count == 1, label

@@ -5,19 +5,31 @@ Substituting x = M y + t turns hyperplane a·x = b into (Mᵀa)·y = b − a·t,
 and the sign of the new hyperplane at y is the sign of the old one at
 M y + t.  So the census, every cell's signature, (V, E, F), diameter and
 class, and delta must all come out the same, and so must every skeleton.
+
+Relabelling and reorienting the hyperplanes keeps every point too: the
+census moves with its hyperplanes, and each cell keeps its counts,
+diameter and class under its permuted and flipped signature.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrangement_lab.arrangement import Arrangement, Hyperplane, enumerate_vertices, line_steps
+from arrangement_lab.arrangement import Arrangement, Hyperplane, check_simple, enumerate_vertices
 from arrangement_lab.cells import skeletons_for_cells
 from arrangement_lab.census import census
-from arrangement_lab.constructions import build_ao2, build_ao3, random_simple_arrangement
+from arrangement_lab.constructions import (
+    build_ao2,
+    build_ao3,
+    build_cyclic_star,
+    random_simple_arrangement,
+)
 from arrangement_lab.jsonio import census_to_obj
+from test_vertex_pass import move, relabelled_arrangements
 
 entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -65,7 +77,7 @@ def instances(draw):
 
 
 def skeletons(arr, records):
-    return skeletons_for_cells(records, line_steps(arr, enumerate_vertices(arr)), arr.dim)
+    return skeletons_for_cells(records, enumerate_vertices(arr), arr.dim)
 
 
 @settings(deadline=None, max_examples=30)
@@ -78,3 +90,43 @@ def test_affine_map_preserves_census(data):
     assert census_to_obj(after, include_cells=True) == census_to_obj(before, include_cells=True)
     assert after.delta == before.delta
     assert skeletons(moved, after.records) == skeletons(arr, before.records)
+
+
+# ---------------------------------------------------------------------------
+# relabelling and reorientation
+# ---------------------------------------------------------------------------
+
+def assert_census_moves_with_its_hyperplanes(arr, moved, order, flipped):
+    before, after = census(arr), census(moved)
+
+    def totals(report):
+        return (report.class_counts, report.delta, report.f_bounded, report.f_external,
+                report.p_odd)
+
+    def counts(rec):
+        return rec.vertex_count, rec.edge_count, rec.facet_count, rec.diameter, rec.cell_class
+
+    assert totals(after) == totals(before)
+    by_signature = {rec.signature: rec for rec in after.records}
+    assert len(by_signature) == len(before.records)
+    for rec in before.records:
+        sig = tuple(-rec.signature[i] if i in flipped else rec.signature[i] for i in order)
+        assert counts(by_signature[sig]) == counts(rec), rec.signature
+
+
+@settings(deadline=None, max_examples=40)
+@given(relabelled_arrangements())
+def test_relabelling_and_reorientation_move_the_census(case):
+    arr, moved, order, flipped = case
+    assume(check_simple(arr).is_simple)
+    assert_census_moves_with_its_hyperplanes(arr, moved, order, flipped)
+
+
+@pytest.mark.parametrize(
+    "built", [build_ao3(7), build_cyclic_star(4, 8)], ids=["ao3-7", "cyclic-4-8"]
+)
+def test_constructions_relabelled_and_reoriented_keep_their_census(built):
+    arr = built.arrangement
+    order = random.Random(arr.n).sample(range(arr.n), arr.n)
+    flipped = set(order[::3])
+    assert_census_moves_with_its_hyperplanes(arr, move(arr, order, flipped), order, flipped)

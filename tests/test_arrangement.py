@@ -15,7 +15,6 @@ from arrangement_lab.arrangement import (
     enumerate_edges,
     enumerate_vertices,
     hyperplane,
-    line_steps,
     restrict_to_hyperplane,
 )
 from arrangement_lab.cells import build_cell_records
@@ -33,7 +32,7 @@ from oracle_facets import enumerate_bounded_facets_by_restriction, facet_signatu
 def enumerate_all(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    cells = enumerate_bounded_cells(arr, vertices)
     return vertices, edges, cells
 
 

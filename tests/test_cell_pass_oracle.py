@@ -27,7 +27,6 @@ from arrangement_lab.arrangement import (
     check_simple,
     enumerate_bounded_cells,
     enumerate_vertices,
-    line_steps,
 )
 from arrangement_lab.cells import CellRecord, build_cell_records, skeletons_for_cells
 from arrangement_lab.census import census
@@ -47,33 +46,31 @@ def assert_same_records(ours, theirs):
 
 def assert_pass_matches_reference(arr, records=None):
     vertices = enumerate_vertices(arr)
-    steps = line_steps(arr, vertices)
-    expected, skeletons = oracle.cell_records(arr, vertices, steps)
+    expected, skeletons = oracle.cell_records(arr, vertices)
     if records is None:
-        records = enumerate_bounded_cells(arr, vertices, steps)
+        records = enumerate_bounded_cells(arr, vertices)
         known = [BoundedCell(rec.signature, rec.vertex_ids) for rec in records]
         rebuilt = build_cell_records(arr, vertices, known)
         assert_same_records(rebuilt, expected)
-        assert skeletons_for_cells(rebuilt, steps, arr.dim) == skeletons
+        assert skeletons_for_cells(rebuilt, vertices, arr.dim) == skeletons
     assert_same_records(records, expected)
-    assert skeletons_for_cells(records, steps, arr.dim) == skeletons
+    assert skeletons_for_cells(records, vertices, arr.dim) == skeletons
 
 
 def assert_walks_match_reference(arr):
     vertices = enumerate_vertices(arr)
-    steps = line_steps(arr, vertices)
     for codim in range(arr.dim + 1):
         walked = {}
-        for sig, (order, on) in _face_walks(vertices, steps, codim):
+        for sig, (order, on) in _face_walks(vertices, codim):
             face = BoundedCell(sig, tuple(sorted(order)))
-            (walked[sig],) = skeletons_for_cells([face], steps, arr.dim)
+            (walked[sig],) = skeletons_for_cells([face], vertices, arr.dim)
             assert len(order) == len(walked[sig]), sig
             tight = {k for vid in order for k in vertices[vid].tight_set}
             assert {k for k, mask in enumerate(on) if mask} == tight
             for k, mask in enumerate(on):
                 assert mask == sum(1 << i for i, vid in enumerate(order)
                                    if k in vertices[vid].tight_set), (sig, k)
-        assert walked == oracle.bounded_face_skeletons(vertices, steps, codim)
+        assert walked == oracle.bounded_face_skeletons(vertices, codim)
 
 
 @pytest.mark.parametrize("key", default_instances(), ids=str)
@@ -105,7 +102,7 @@ def test_build_cell_records_names_an_unbounded_cell():
     # cells at its first vertex are unbounded
     arr = build_cyclic_star(2, 3).arrangement
     vertices = enumerate_vertices(arr)
-    (triangle,) = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    (triangle,) = enumerate_bounded_cells(arr, vertices)
     start = triangle.vertex_ids[0]
     tight = vertices[start].tight_set
     for flips in ((0,), (1,), (0, 1)):

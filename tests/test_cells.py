@@ -12,7 +12,6 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
-    line_steps,
 )
 from arrangement_lab.cells import (
     build_cell_records,
@@ -39,10 +38,9 @@ def records_of(arr):
     vertices, edges and census records they came from."""
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    steps = line_steps(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, steps)
+    cells = enumerate_bounded_cells(arr, vertices)
     records = build_cell_records(arr, vertices, cells)
-    return records, skeletons_for_cells(records, steps, arr.dim), vertices, edges, cells
+    return records, skeletons_for_cells(records, vertices, arr.dim), vertices, edges, cells
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +75,7 @@ def test_triangle_cell_skeleton_is_three_cycle():
     arr = build_cyclic_star(2, 3).arrangement
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    (cell,) = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    (cell,) = enumerate_bounded_cells(arr, vertices)
     adj = cell_skeleton(cell, edges, arr.dim)
     assert len(adj) == 3
     assert all(len(nbrs) == 2 for nbrs in adj.values())
@@ -88,8 +86,8 @@ def test_batch_skeletons_match_single_cell_skeletons():
     arr = build_ao3(5).arrangement
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
-    batch = skeletons_for_cells(cells, line_steps(arr, vertices), arr.dim)
+    cells = enumerate_bounded_cells(arr, vertices)
+    batch = skeletons_for_cells(cells, vertices, arr.dim)
     for cell, adj in zip(cells, batch):
         assert adj == cell_skeleton(cell, edges, arr.dim)
 
@@ -97,18 +95,17 @@ def test_batch_skeletons_match_single_cell_skeletons():
 def test_skeleton_guards_name_the_cell():
     arr = build_ao2(6).arrangement
     vertices = enumerate_vertices(arr)
-    steps = line_steps(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, steps)
+    cells = enumerate_bounded_cells(arr, vertices)
     quad = next(c for c in cells if len(c.vertex_ids) == 4)
     name = re.escape(f"cell {quad.signature}")
     # only d vertices: too few for a bounded cell
     too_few = BoundedCell(quad.signature, quad.vertex_ids[:2])
     with pytest.raises(InternalConsistencyError, match=name + " has only 2 vertices"):
-        skeletons_for_cells([too_few], steps, arr.dim)
+        skeletons_for_cells([too_few], vertices, arr.dim)
     # one vertex dropped: a step from its neighbours leads out of the cell
     dropped = BoundedCell(quad.signature, quad.vertex_ids[1:])
     with pytest.raises(InternalConsistencyError, match=name + ": an edge at vertex"):
-        skeletons_for_cells([dropped], steps, arr.dim)
+        skeletons_for_cells([dropped], vertices, arr.dim)
 
 
 def test_cell_record_checks_the_counts():
@@ -116,14 +113,13 @@ def test_cell_record_checks_the_counts():
     # cannot pair up; with 4 vertices but 5 facet masks, V - E + F = 3
     arr = build_ao3(5).arrangement
     vertices = enumerate_vertices(arr)
-    steps = line_steps(arr, vertices)
-    tetra = next(c for c in enumerate_bounded_cells(arr, vertices, steps) if c.vertex_count == 4)
+    tetra = next(c for c in enumerate_bounded_cells(arr, vertices) if c.vertex_count == 4)
     name = re.escape(f"cell {tetra.signature}")
     masks = [1 if k in tetra.facets else 0 for k in range(arr.n)]
     with pytest.raises(InternalConsistencyError, match=name + r": V\*d = 3\*3 is odd"):
-        cell_record(3, tetra.signature, (list(tetra.vertex_ids[:3]), masks), steps)
+        cell_record(3, tetra.signature, (list(tetra.vertex_ids[:3]), masks), vertices)
     with pytest.raises(InternalConsistencyError, match=name + r": \(V,E,F\)=\(4,6,5\)"):
-        cell_record(3, tetra.signature, (list(tetra.vertex_ids), [1] * 5), steps)
+        cell_record(3, tetra.signature, (list(tetra.vertex_ids), [1] * 5), vertices)
 
 
 def test_cubical_cell_of_star_36():
@@ -392,7 +388,7 @@ def test_shell_diameters_across_the_grid():
 def test_shell_canonical_forms_recorded():
     arr = build_ao3(7).arrangement
     records, *_ = records_of(arr)
-    forms = shell_canonical_forms(records, line_steps(arr, enumerate_vertices(arr)))
+    forms = shell_canonical_forms(records, enumerate_vertices(arr))
     assert len(forms) == 1
     (form,) = forms.values()
     assert form[0] == 10  # vertex count of the 7-facet shell

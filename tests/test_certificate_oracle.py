@@ -23,7 +23,6 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
-    line_steps,
 )
 from arrangement_lab.cells import (
     build_cell_records,
@@ -39,10 +38,9 @@ from oracle_edges import line_steps_from_edges
 def assert_kernels_match_references(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    steps = line_steps(arr, vertices)
-    assert steps == line_steps_from_edges(vertices, edges)
-    cells = enumerate_bounded_cells(arr, vertices, steps)
-    skeletons = skeletons_for_cells(cells, steps, arr.dim)
+    assert [v.steps for v in vertices] == line_steps_from_edges(vertices, edges)
+    cells = enumerate_bounded_cells(arr, vertices)
+    skeletons = skeletons_for_cells(cells, vertices, arr.dim)
     assert skeletons == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)
     for rec, adj in zip(build_cell_records(arr, vertices, cells), skeletons):
         v, e, f = rec.vertex_count, rec.edge_count, rec.facet_count
@@ -122,8 +120,7 @@ def test_ao3_5_shell_certifies_as_the_prism():
     for n in (5, 6, 7):
         arr = build_ao3(n).arrangement
         vertices = enumerate_vertices(arr)
-        steps = line_steps(arr, vertices)
-        cells = enumerate_bounded_cells(arr, vertices, steps)
+        cells = enumerate_bounded_cells(arr, vertices)
         (cell,) = [c for c in cells if c.signature == (1,) * (n - 1) + (-1,)]
         factors = product_factors([vertices[vid].tight_set for vid in cell.vertex_ids])
         (rec,) = build_cell_records(arr, vertices, [cell])

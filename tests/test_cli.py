@@ -151,6 +151,13 @@ def test_verify_malformed_range(capsys):
     assert run(["verify", "--prop", "P1", "--range", "m=4..5"]) == 2
 
 
+@pytest.mark.parametrize("chunk", ["n 4..5", "-n=4..5"], ids=["space", "dashes"])
+def test_verify_range_takes_only_key_value_chunks(capsys, chunk):
+    # the "=" form, so that argparse passes "-n=4..5" on as the value
+    assert run(["verify", "--prop", "P1", f"--range={chunk}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed range chunk {chunk!r}")
+
+
 def test_verify_range_rejected_for_hirsch(capsys):
     assert run(["verify", "--prop", "H", "--range", "n=4..5"]) == 2
     err = capsys.readouterr().err
@@ -250,6 +257,30 @@ def test_verify_seeds_must_be_json_integers(tmp_path, capsys, entry, shown):
     assert run(["verify", "--prop", "P2", "--range", "n=5..5", "--seeds", seeds]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read seeds file") and shown in err
+
+
+@pytest.mark.parametrize(
+    "pools, prop, message",
+    [({"d2": [[2, 0]]}, "P2", "random pool d2 entry n=2 seed=0: needs n >= 3"),
+     ({"d3": [[3, 0]]}, "all", "random pool d3 entry n=3 seed=0: needs n >= 4")],
+    ids=["d2-P2", "d3-all"],
+)
+def test_verify_refuses_a_bad_pool_entry_before_any_census(tmp_path, monkeypatch, capsys,
+                                                          pools, prop, message):
+    def no_census(*key):
+        raise AssertionError(f"census of {key} before the pools were checked")
+
+    monkeypatch.setattr(verify, "construction_census", no_census)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(pools))
+    assert run(["verify", "--prop", prop, "--seeds", seeds]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # both entry points of the plan refuse the pool before their first row
+    d2, d3 = pools.get("d2", RANDOM_2D_POOL), pools.get("d3", RANDOM_3D_POOL)
+    with pytest.raises(InputError, match=re.escape(message)):
+        next(verify.suite_instances([prop], None, d2, d3))
+    with pytest.raises(InputError, match=re.escape(message)):
+        verify.run_suite([prop], None, d2, d3)
 
 
 @pytest.mark.parametrize(

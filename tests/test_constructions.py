@@ -13,7 +13,6 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
-    line_steps,
 )
 from arrangement_lab.cells import build_cell_records, polygon, simplex, simplex_product
 from arrangement_lab.constructions import (
@@ -39,7 +38,7 @@ def on_plane(h, *coords):
 def bounded_cells_of(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    return vertices, edges, enumerate_bounded_cells(arr, vertices, line_steps(arr, vertices))
+    return vertices, edges, enumerate_bounded_cells(arr, vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from arrangement_lab.arrangement import (
     _bounded_faces,
     enumerate_vertices,
-    line_steps,
 )
 from arrangement_lab.constructions import (
     build_ao2,
@@ -30,7 +29,7 @@ def assert_face_lattice_invariants(arr):
     vertices = enumerate_vertices(arr)
     f = []
     for k in range(d + 1):
-        faces = _bounded_faces(vertices, line_steps(arr, vertices), d - k)
+        faces = _bounded_faces(vertices, d - k)
         assert all(sig.count(0) == d - k for sig in faces)
         f.append(len(faces))
     assert f == [comb(n, d - k) * comb(n - d + k - 1, k) for k in range(d + 1)]
@@ -67,7 +66,7 @@ def test_faces_list_exactly_the_vertices_in_their_closure():
     arr = build_ao3(6).arrangement
     vertices = enumerate_vertices(arr)
     for codim in range(arr.dim + 1):
-        for sig, vids in _bounded_faces(vertices, line_steps(arr, vertices), codim).items():
+        for sig, vids in _bounded_faces(vertices, codim).items():
             assert vids == [
                 vid for vid, v in enumerate(vertices) if in_closure(v.sign_vector, sig)
             ]

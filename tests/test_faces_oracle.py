@@ -12,7 +12,6 @@ from arrangement_lab.arrangement import (
     _bounded_faces,
     enumerate_edges,
     enumerate_vertices,
-    line_steps,
 )
 from arrangement_lab.constructions import (
     build_ao2,
@@ -28,7 +27,7 @@ def assert_matches_oracle(arr):
     edges = enumerate_edges(arr, vertices)
     for codim in range(arr.dim + 1):
         expected = bounded_faces_by_completion(vertices, edges, codim)
-        faces = _bounded_faces(vertices, line_steps(arr, vertices), codim)
+        faces = _bounded_faces(vertices, codim)
         assert faces == expected, f"codim {codim}"
 
 

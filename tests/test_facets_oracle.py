@@ -20,7 +20,6 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_facets,
     enumerate_edges,
     enumerate_vertices,
-    line_steps,
 )
 from arrangement_lab.cells import build_cell_records
 from arrangement_lab.constructions import (
@@ -40,10 +39,9 @@ from oracle_facets import (
 
 def cells_and_facets(arr):
     vertices = enumerate_vertices(arr)
-    steps = line_steps(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, steps)
+    cells = enumerate_bounded_cells(arr, vertices)
     records = build_cell_records(arr, vertices, cells)
-    return vertices, steps, cells, enumerate_bounded_facets(arr, records)
+    return vertices, cells, enumerate_bounded_facets(arr, records)
 
 
 def key(rec, bounded):
@@ -57,7 +55,7 @@ def oracle_key(ref, bounded):
 
 
 def assert_matches_oracle(arr):
-    _, _, cells, facets = cells_and_facets(arr)
+    _, cells, facets = cells_and_facets(arr)
     bounded = [cell.signature for cell in cells]
     oracle = enumerate_bounded_facets_by_restriction(arr)
     assert sorted(key(rec, bounded) for rec in facets) == \
@@ -84,8 +82,8 @@ def by_carrier(signature):
 
 
 def assert_matches_facet_walk(arr):
-    vertices, steps, cells, facets = cells_and_facets(arr)
-    walked = _bounded_faces(vertices, steps, 1)
+    vertices, cells, facets = cells_and_facets(arr)
+    walked = _bounded_faces(vertices, 1)
     bounded = [cell.signature for cell in cells]
     signatures = [facet_signature(rec, bounded) for rec in facets]
     assert sorted(signatures, key=by_carrier) == sorted(walked, key=by_carrier)
@@ -125,7 +123,7 @@ def test_random_arrangements_match_facet_walk(seed, d, n):
     ids=["ao2-9", "cyclic-2-7", "random-2-8-3"],
 )
 def test_planar_facets_are_the_segments(arr):
-    vertices, _, cells, facets = cells_and_facets(arr)
+    vertices, cells, facets = cells_and_facets(arr)
     edges = enumerate_edges(arr, vertices)
     segments = sorted((e.line_set[0], e.sign_vector) for e in edges if e.is_segment)
     bounded = [cell.signature for cell in cells]

@@ -68,6 +68,15 @@ def test_bench_pairs_parses_seed_lists():
         parse_seeds("-1")
 
 
+def test_bench_pairs_alternates_which_side_starts():
+    pair_order = bench_pairs()["pair_order"]
+    base, change = Path("base"), Path("change")
+    starts = [pair_order(index, base, change) for index in range(4)]
+    assert [[side for side, _ in pair] for pair in starts] == [
+        ["base", "change"], ["change", "base"], ["base", "change"], ["change", "base"]]
+    assert all(dict(pair) == {"base": base, "change": change} for pair in starts)
+
+
 def test_bench_pairs_refuses_a_tree_without_the_package(monkeypatch, tmp_path, capsys):
     repo = SCRIPTS.parent
     assert run_script(monkeypatch, "bench_pairs.py", tmp_path, repo) == 2

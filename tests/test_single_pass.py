@@ -1,8 +1,8 @@
-"""Each fact is computed once: one line-step table per census or export,
-one face walk per census, edge counts from the vertex counts (E = V·d/2),
-skeletons built and diameters measured only for the cells the product
-certificate rejects, and one linear solve per d-subset of a constructed
-instance.
+"""Each fact is computed once: one vertex pass, which writes every step,
+per census or export, one face walk per census, edge counts from the
+vertex counts (E = V·d/2), skeletons built and diameters measured only for
+the cells the product certificate rejects, and one linear solve per
+d-subset of a constructed instance.
 
 A counter replaces the function at every module binding, because `census`,
 `export` and `constructions` import what they call by name.
@@ -52,7 +52,8 @@ def count_calls(monkeypatch, fn) -> list[int]:
     ids=["census-3d", "render_svg", "render_off"],
 )
 def test_one_line_step_table_per_use(monkeypatch, render):
-    calls = count_calls(monkeypatch, arrangement.line_steps)
+    # the steps are written by the vertex pass, so one pass means one table
+    calls = count_calls(monkeypatch, arrangement.enumerate_vertices)
     render()
     assert calls[0] == 1
 
@@ -64,9 +65,9 @@ def test_census_walks_once(monkeypatch, built):
     codims = []
     walk = arrangement._face_walks
 
-    def spy(vertices, steps, codim):
+    def spy(vertices, codim):
         codims.append(codim)
-        return walk(vertices, steps, codim)
+        return walk(vertices, codim)
 
     monkeypatch.setattr(arrangement, "_face_walks", spy)
     census(built.arrangement)
@@ -83,9 +84,9 @@ def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
     skeletons = []
     build_skeletons = cells.skeletons_for_cells
 
-    def spy(faces, steps, dim):
+    def spy(faces, vertices, dim):
         skeletons.extend(face.signature for face in faces)
-        return build_skeletons(faces, steps, dim)
+        return build_skeletons(faces, vertices, dim)
 
     monkeypatch.setattr(cells, "skeletons_for_cells", spy)
     edge_calls = count_calls(monkeypatch, arrangement.enumerate_edges)
@@ -100,7 +101,7 @@ def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
 
 
 def test_exports_trace_polygons_without_skeletons(monkeypatch):
-    # the SVG and OFF rings are traced on the step table; the only skeleton
+    # the SVG and OFF rings are traced on the vertices' steps; the only skeleton
     # left is the one cell_record builds for the ao2 n-gon, which the
     # product certificate rejects
     ao3 = build_ao3(16).arrangement
@@ -109,9 +110,9 @@ def test_exports_trace_polygons_without_skeletons(monkeypatch):
     built = []
     build_skeletons = cells.skeletons_for_cells
 
-    def spy(faces, steps, dim):
+    def spy(faces, vertices, dim):
         built.extend(len(face.vertex_ids) for face in faces)
-        return build_skeletons(faces, steps, dim)
+        return build_skeletons(faces, vertices, dim)
 
     replace_everywhere(monkeypatch, build_skeletons, spy)
     render_svg(build_ao2(40).arrangement)

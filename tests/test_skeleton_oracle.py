@@ -17,7 +17,6 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
-    line_steps,
 )
 from arrangement_lab.cells import build_cell_records, cell_diameter, skeletons_for_cells
 from arrangement_lab.census import average_diameter
@@ -32,12 +31,11 @@ from arrangement_lab.constructions import (
 def assert_matches_oracle(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    steps = line_steps(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices, steps)
+    cells = enumerate_bounded_cells(arr, vertices)
     expected = oracle.skeletons_for_cells(cells, edges, arr.dim)
-    assert skeletons_for_cells(cells, steps, arr.dim) == expected
+    assert skeletons_for_cells(cells, vertices, arr.dim) == expected
     records = build_cell_records(arr, vertices, cells)
-    assert skeletons_for_cells(records, steps, arr.dim) == expected
+    assert skeletons_for_cells(records, vertices, arr.dim) == expected
     diameters = []
     for rec, adj in zip(records, expected):
         assert rec.diameter == cell_diameter(adj) == oracle.cell_diameter(adj)

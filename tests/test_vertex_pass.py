@@ -4,11 +4,11 @@
   stream as `solve_integer_system` run on each d-subset by itself, and stop
   with the same witness and reason, also on rows with zero leading entries
   (which force column pivots) and on dependent rows (singular prefixes).
-* `Vertex.line_neighbours` must equal the line orders sorted over the
-  Fraction points (`oracle_vertices.line_orders`), and `line_steps` the
-  table built from them, on the verify instances, on large constructions
-  and on random rational arrangements, also after relabelling and
-  reorientation.
+* `Vertex.steps` must equal the steps built from the line orders sorted
+  over the Fraction points (`oracle_vertices.line_orders`), on the verify
+  instances, on large constructions and on random rational arrangements,
+  also after relabelling and reorientation, which moves each step with its
+  hyperplane: reorienting k swaps the two sides of k and negates up.
 * An arrangement whose first three subsets hit the three defects in turn
   must report the first of them, as the subset-by-subset oracle does.
 """
@@ -27,17 +27,12 @@ from arrangement_lab.arrangement import (
     check_simple,
     enumerate_vertices,
     hyperplane,
-    line_steps,
 )
 from arrangement_lab.constructions import build, build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import NotSimpleError
 from arrangement_lab.rational import solve_integer_system
 from arrangement_lab.verify import default_instances
-from oracle_vertices import (
-    enumerate_vertices_by_fractions,
-    line_neighbours_from_orders,
-    line_steps_from_orders,
-)
+from oracle_vertices import enumerate_vertices_by_fractions, line_steps_from_orders
 from test_vertices_oracle import outcome
 
 
@@ -111,14 +106,12 @@ def test_prefix_elimination_reports_the_first_leaf_of_a_singular_prefix():
 
 
 # ---------------------------------------------------------------------------
-# line neighbours and the step table
+# the steps
 # ---------------------------------------------------------------------------
 
 def assert_lines_match_oracle(arr):
     vertices = enumerate_vertices(arr)
-    pairs = line_neighbours_from_orders(arr, vertices)
-    assert [v.line_neighbours for v in vertices] == pairs
-    assert line_steps(arr, vertices) == line_steps_from_orders(arr, vertices)
+    assert [v.steps for v in vertices] == line_steps_from_orders(arr, vertices)
 
 
 @pytest.mark.parametrize("key", default_instances(), ids=str)
@@ -139,6 +132,16 @@ def test_large_constructions_lines_match_oracle(built):
 coefficients = st.builds(Fraction, st.integers(-40, 40), st.integers(2, 9))
 
 
+def move(arr, order, flipped):
+    """`arr` with hyperplane order[k] at position k, reoriented if in `flipped`."""
+    moved = []
+    for i in order:
+        h = arr.hyperplanes[i]
+        sign = -1 if i in flipped else 1
+        moved.append(hyperplane([sign * c for c in h.a], sign * h.b))
+    return Arrangement(arr.dim, tuple(moved))
+
+
 @st.composite
 def relabelled_arrangements(draw):
     """A random rational arrangement, and the same hyperplanes permuted by
@@ -146,15 +149,10 @@ def relabelled_arrangements(draw):
     d = draw(st.integers(2, 5))
     n = draw(st.integers(d + 1, d + 3))
     normals = st.lists(coefficients, min_size=d, max_size=d).filter(any)
-    planes = [hyperplane(draw(normals), draw(coefficients)) for _ in range(n)]
+    arr = Arrangement(d, tuple(hyperplane(draw(normals), draw(coefficients)) for _ in range(n)))
     order = draw(st.permutations(range(n)))
     flipped = draw(st.sets(st.integers(0, n - 1)))
-    moved = []
-    for i in order:
-        h = planes[i]
-        sign = -1 if i in flipped else 1
-        moved.append(hyperplane([sign * c for c in h.a], sign * h.b))
-    return Arrangement(d, tuple(planes)), Arrangement(d, tuple(moved)), order, flipped
+    return arr, move(arr, order, flipped), order, flipped
 
 
 @settings(deadline=None, max_examples=60)
@@ -166,7 +164,8 @@ def test_random_arrangements_lines_match_oracle(case):
     assert_lines_match_oracle(moved)
 
     # relabelling and reorientation keep every point, so the neighbours of
-    # a vertex on each line are the same points in both
+    # a vertex on each line are the same points in both; reorienting the
+    # dropped hyperplane swaps its sides and negates up
     before, after = enumerate_vertices(arr), enumerate_vertices(moved)
     position = {i: k for k, i in enumerate(order)}
     by_tight = {v.tight_set: v for v in after}
@@ -179,11 +178,12 @@ def test_random_arrangements_lines_match_oracle(case):
         assert w.point == v.point
         assert all(w.sign_vector[position[i]] == (-s if i in flipped else s)
                    for i, s in enumerate(v.sign_vector))
-        for i, (below, above) in zip(v.tight_set, v.line_neighbours):
-            k = w.tight_set.index(position[i])
-            moved_below, moved_above = w.line_neighbours[k]
-            assert (point(after, moved_below), point(after, moved_above)) == \
-                (point(before, below), point(before, above))
+        for i, (minus, plus, up) in zip(v.tight_set, v.steps):
+            moved_minus, moved_plus, moved_up = w.steps[w.tight_set.index(position[i])]
+            if i in flipped:
+                moved_minus, moved_plus, moved_up = moved_plus, moved_minus, -moved_up
+            assert (point(after, moved_minus), point(after, moved_plus), moved_up) == \
+                (point(before, minus), point(before, plus), up)
 
 
 # ---------------------------------------------------------------------------
