@@ -31,11 +31,12 @@ def main() -> int:
     ]:
         report = census(built.arrangement)
         signature = next(
-            rec.signature for rec in report.records if rec.cell_class.kind == kind
+            signature_str(rec.signature, built.n)
+            for rec in report.records if rec.cell_class.kind == kind
         )
         path = os.path.join(outdir, f"{name}.off")
         atomic_write_text(path, render_off(built.arrangement, signature))
-        print(f"wrote {path} (cell {signature_str(signature)})")
+        print(f"wrote {path} (cell {signature})")
     return 0
 
 

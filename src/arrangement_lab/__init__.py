@@ -27,11 +27,9 @@ from .cells import (
     CellClass,
     CellRecord,
     build_cell_records,
-    canonical_form,
     cell_diameter,
     classify_cell,
     product_factors,
-    shell_canonical_forms,
 )
 from .census import (
     CensusReport,

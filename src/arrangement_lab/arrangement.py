@@ -17,11 +17,12 @@ with the other's on every coordinate where the smaller face is not tight.
   through it.  Each line's vertices are sorted once, in lexicographic order
   of their points, by an integer key, which gives each vertex its lower and
   upper neighbour on each of its lines.
-* Signs.  All n signs are evaluated at the first vertex only.  Consecutive
-  vertices u < w on a line differ in sign only at their own indices off the
-  line, since no other hyperplane crosses the segment between them; so w's
-  signs are u's with u's index set to w's side of it (one dot product) and
-  w's index set to 0.  The signs spread over these pairs breadth-first.
+* Signs.  A vertex keeps them as its plus mask, bit n-1-k set where
+  hyperplane k is positive.  All n signs are evaluated at the first vertex
+  only.  Consecutive vertices u < w on a line differ in sign only at their
+  own indices off the line, since no other hyperplane crosses the segment
+  between them; so w's mask is u's with u's index set to w's side of it
+  (one dot product) and w's index cleared.  The masks spread breadth-first.
 * Edges.  The segment or ray on a vertex's line to either side of the
   dropped hyperplane is a step.  Each neighbour pair becomes, in place, the
   vertex's step on that line (`Vertex.steps`): its neighbours by side of
@@ -41,25 +42,29 @@ the error of the first defective subset, as a subset-by-subset check would
 give.
 
 Everything after this pass reads only the vertices: their tight sets,
-signs and steps.  Lexicographic order on points is a generic linear order,
-so a bounded face has exactly one lex-min vertex, and every edge of the
-face leaves it upward.  At each vertex and for each c of its zeros kept
-zero, setting the other zeros to their upward sides names the one face of
-codimension c that can have that vertex as its minimum; walking its steps
-visits its vertices and each hyperplane's mask of them, or reaches a ray
-and shows it unbounded.  A cell has E = V·d/2, and skeletons are built
-only where read (`cells.skeletons_for_cells`).  A census walks only the
-bounded cells, c = 0, builds each record as its walk ends, and pairs
-the records across each facet by a sign flip.  This is reverse search
-(Avis-Fukuda 1996) without linear programming, as the vertices are known;
-no floating point anywhere.
+plus masks and steps.  A face is one int too, its plus mask with bit
+2n-1-k set where it is zero on k; a cell's is its plus mask, whose integer
+order is lexicographic order on its ±1 tuple.  Lexicographic order on
+points is a generic linear order, so a bounded face has one lex-min and
+one lex-max vertex.  At each vertex and for each c of its zeros kept zero,
+setting the others to their upward (downward) sides names the one face of
+codimension c that can have that vertex as its minimum (maximum); the
+faces named both ways are the bounded ones (`_face_walks`).  Walking a
+face's steps visits its vertices and each hyperplane's mask of them.  A
+cell has E = V·d/2, and skeletons are built only where read
+(`cells.skeletons_for_cells`).  A census walks only the bounded cells,
+c = 0, builds each record as its walk ends, and pairs the records across
+each facet by flipping one bit.  This is reverse search (Avis-Fukuda 1996)
+without linear programming, as the vertices are known; no floating point
+anywhere.  ±1 tuples and +/- strings are built only to be written
+(`signature_str`).
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
 its orientation; a vertex is integer numerators p over a positive common
 denominator q in lowest terms, and the sign of a hyperplane at it is the
-sign of a·p − b·q.  Fractions appear only in `Vertex.point`, built on its
-first read, which only reports and exports make.
+sign of a·p − b·q.  Fractions appear only in `Vertex.point`, built on each
+read, which only reports make.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, lcm
 from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -95,6 +99,8 @@ if TYPE_CHECKING:
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
 Walk = tuple[list[int], list[int]]  # (order, masks), from `_walk`
+_SIGN_CHARS = str.maketrans("01", "-+")
+_SIGN_VALUES = {"+": 1, "-": -1, "0": 0}
 
 
 @dataclass(frozen=True)
@@ -138,11 +144,11 @@ class Arrangement:
         return len(self.hyperplanes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A vertex as the vertex pass finds it: its point as integers
     numerators / denominator (positive, in lowest terms), the d hyperplanes
-    through it, its signs, and its steps along each of its d lines.
+    through it, its plus mask, and its steps along each of its d lines.
 
     `steps[i]` is (w-, w+, up) for the line that drops k = `tight_set[i]`:
     the neighbours on the - and the + side of k, None where a ray leaves
@@ -152,19 +158,21 @@ class Vertex:
     numerators: tuple[int, ...]
     denominator: int
     tight_set: tuple[int, ...]   # exactly d hyperplane indices, sorted
-    sign_vector: SignVector      # zeros exactly on tight_set
+    plus: int                    # bit n-1-k set where hyperplane k is positive
     steps: tuple[tuple[Optional[int], Optional[int], Sign], ...]
 
-    @cached_property
+    @property
     def point(self) -> Vec:
-        """The point as Fractions, built on first read (reports, exports)."""
+        """The point as Fractions, built on each read (OFF export, reports)."""
         q = self.denominator
         return tuple(Fraction(p, q) for p in self.numerators)
 
-    def ends(self, face: SignVector) -> list[Optional[int]]:
+    def ends(self, face: int, n: int) -> list[Optional[int]]:
         """The far ends of the edges of `face` at this vertex: the step
         toward the face's side of each tight hyperplane it is not on."""
-        return [step[face[k] > 0] for k, step in zip(self.tight_set, self.steps) if face[k]]
+        top, zero = n - 1, face >> n
+        return [step[face >> top - k & 1]
+                for k, step in zip(self.tight_set, self.steps) if not zero >> top - k & 1]
 
 
 @dataclass(frozen=True)
@@ -183,7 +191,7 @@ class ArrangementEdge:
 
 @dataclass(frozen=True)
 class BoundedCell:
-    signature: SignVector        # zero-free, length n
+    signature: int               # a face, as in the module docstring
     vertex_ids: tuple[int, ...]  # sorted
 
 
@@ -194,7 +202,7 @@ class SimplicityReport:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacetRecord:
     """A bounded (d-1)-face of a d-dimensional arrangement."""
 
@@ -216,6 +224,18 @@ class Restriction:
     directions: tuple[Vec, ...]
     kept: tuple[int, ...]       # original indices, in induced order
     excluded: tuple[int, ...]   # parallel hyperplanes (empty for simple input)
+
+
+def signature_str(face: int, n: int) -> str:
+    """A face's signs as text, hyperplane 0 first: + and - for its sides,
+    0 for the hyperplanes it lies on."""
+    text, zero = f"{face & ~(-1 << n):0{n}b}".translate(_SIGN_CHARS), face >> n
+    return "".join("0" if z == "1" else c for c, z in zip(text, f"{zero:0{n}b}")) if zero else text
+
+
+def sign_tuple(face: int, n: int) -> SignVector:
+    """A face's signs as a tuple of +1, -1 and 0, for edges and oracles."""
+    return tuple(_SIGN_VALUES[c] for c in signature_str(face, n))
 
 
 def check_simple(arr: Arrangement) -> SimplicityReport:
@@ -336,20 +356,22 @@ def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
         for k in range(d):
             lines.setdefault(tight[:k] + tight[k + 1:], []).append((vid, k))
     neighbours: list[list] = [[None] * d for _ in solved]
-    for on_line in lines.values():
+    while lines:  # each line's list is dropped as soon as it is read
+        on_line = lines.popitem()[1]
         _sort_line(solved, on_line)
         ids = [None, *(vid for vid, _ in on_line), None]
         for t, (vid, k) in enumerate(on_line):
             neighbours[vid][k] = (ids[t], ids[t + 2])
-    signs = _carry_signs(rows, solved, neighbours)
+    bits = [1 << len(rows) - 1 - k for k in range(len(rows))]
+    masks = _carry_signs(rows, solved, neighbours, bits)
     # the upper neighbour lies on the up side; at a line's lex-max vertex,
     # up is the side away from the lower one
     for (tight, _), pairs in zip(solved, neighbours):
         for i, (k, (below, above)) in enumerate(zip(tight, pairs)):
-            up = signs[above][k] if above is not None else -signs[below][k]
-            pairs[i] = (below, above, 1) if up > 0 else (above, below, -1)
+            up = masks[above] & bits[k] if above is not None else not masks[below] & bits[k]
+            pairs[i] = (below, above, 1) if up else (above, below, -1)
     return [
-        Vertex(p, q, tight, signs[vid], tuple(neighbours[vid]))
+        Vertex(p, q, tight, masks[vid], tuple(neighbours[vid]))
         for vid, (tight, (p, q)) in enumerate(solved)
     ]
 
@@ -380,54 +402,48 @@ def _carry_signs(
     rows: list[IntRow],
     solved: list[tuple[tuple[int, ...], IntPoint]],
     neighbours: list[list],
-) -> list[SignVector]:
-    """Every vertex's sign vector, carried breadth-first along the lines
-    from one full evaluation at vertex 0 (see the module docstring).  The
-    vertex graph of a simple arrangement is connected, so every vertex is
-    reached."""
+    bits: list[int],
+) -> list[int]:
+    """Every vertex's plus mask, `bits[k]` standing for hyperplane k,
+    carried breadth-first along the lines from one full evaluation at
+    vertex 0 (see the module docstring).  The vertex graph of a simple
+    arrangement is connected, so every vertex is reached."""
     planes = [(row[:-1], row[-1]) for row in rows]
     p, q = solved[0][1]
-    values = [sum(map(mul, a, p)) - b * q for a, b in planes]
-    signs: list[Optional[SignVector]] = [None] * len(solved)
-    signs[0] = tuple((v > 0) - (v < 0) for v in values)
+    masks: list[Optional[int]] = [None] * len(solved)
+    masks[0] = sum(bit for bit, (a, b) in zip(bits, planes) if sum(map(mul, a, p)) > b * q)
     # w's index off the line it shares with u: the line is u's tight set
     # without j, so w's index is the sum of w's tight set minus the line's
     totals = [sum(tight) for tight, _ in solved]
     todo = [0]
     for u in todo:
-        su, base = signs[u], totals[u]
+        mu, base = masks[u], totals[u]
         for j, pair in zip(solved[u][0], neighbours[u]):
             for w in pair:
-                if w is None or signs[w] is not None:
+                if w is None or masks[w] is not None:
                     continue
                 a, b = planes[j]
                 p, q = solved[w][1]
-                value = sum(map(mul, a, p)) - b * q
-                sw = list(su)
-                sw[j] = (value > 0) - (value < 0)
-                sw[totals[w] - base + j] = 0
-                signs[w] = tuple(sw)
+                mw = mu | bits[j] if sum(map(mul, a, p)) > b * q else mu
+                masks[w] = mw & ~bits[totals[w] - base + j]
                 todo.append(w)
     if len(todo) != len(solved):
         raise InternalConsistencyError(
             f"signs reached {len(todo)} of {len(solved)} vertices along the lines"
         )
-    return signs
-
-
-def _with_sign(signs: SignVector, index: int, sign: Sign) -> SignVector:
-    return signs[:index] + (sign,) + signs[index + 1:]
+    return masks
 
 
 def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[ArrangementEdge]:
     """Decompose every line (each (d-1)-subset of hyperplanes) into its
     bounded segments between consecutive vertices plus the two extreme rays.
 
-    Everything follows from the vertex sign vectors and steps.
-    The segment from u to its neighbour w has u's signs with u's index j set
-    to w's sign at j; the ray leaving an extreme vertex v away from its
-    neighbour w has v's signs with v's index j set to minus w's sign at j.
-    Lines come in sorted order, each as a ray, its segments, then a ray.
+    Everything follows from the vertex plus masks and steps.  The segment
+    from u to its neighbour w has u's signs with u's index j set to w's sign
+    at j (u's plus mask OR w's); the ray leaving an extreme vertex v away
+    from its neighbour w has v's signs with v's index j set to minus w's
+    sign at j.  Lines come in sorted order, each as a ray, its segments,
+    then a ray.
 
     Order contract, shared with `Vertex.steps`: along each line the vertices
     come in increasing lexicographic order of their points, so every
@@ -435,6 +451,8 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     vertices[head].point, the line's first ray leaves its lex-min vertex
     and its last ray leaves its lex-max vertex.
     """
+    n = arr.n
+    bits = [1 << n - 1 - k for k in range(n)]
     starts = []
     for vid, v in enumerate(vertices):
         tight = v.tight_set
@@ -451,85 +469,105 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
             on_line.append((vid, tight[k]))
             step = vertices[vid].steps[k]
             vid = step[step[2] > 0]
-        signs = [vertices[vid].sign_vector for vid, _ in on_line]
+        masks = [vertices[vid].plus for vid, _ in on_line]
+        zero = sum(bits[k] for k in line_set) << n
 
-        first, j = on_line[0]
-        edges.append(ArrangementEdge(line_set, _with_sign(signs[0], j, -signs[1][j]), first))
+        def ray(end: int, inner: int) -> ArrangementEdge:
+            vid, j = on_line[end]
+            face = masks[end] | bits[j] & ~masks[inner] | zero
+            return ArrangementEdge(line_set, sign_tuple(face, n), vid)
+
+        edges.append(ray(0, 1))
         for k in range(len(on_line) - 1):
-            (u, j), (w, _) = on_line[k], on_line[k + 1]
-            sign_vector = _with_sign(signs[k], j, signs[k + 1][j])
-            edges.append(ArrangementEdge(line_set, sign_vector, u, head=w))
-        last, j = on_line[-1]
-        edges.append(ArrangementEdge(line_set, _with_sign(signs[-1], j, -signs[-2][j]), last))
+            (u, _), (w, _) = on_line[k], on_line[k + 1]
+            face = masks[k] | masks[k + 1] | zero
+            edges.append(ArrangementEdge(line_set, sign_tuple(face, n), u, head=w))
+        edges.append(ray(-1, -2))
     return edges
 
 
-def _walk(vertices: list[Vertex], start: int, face: SignVector) -> Optional[Walk]:
+def _walk(vertices: list[Vertex], start: int, n: int, face: int) -> Optional[Walk]:
     """Walk `face` from `start`, in its closure, by the steps toward the
     face's side of every hyperplane it is not on, which are its edges: the
     vertices in the order reached and each hyperplane's bitmask of those on
     it (bit i for the i-th).  None as soon as a step is a ray, i.e. when the
     face is unbounded."""
-    order, on = [start], [0] * len(face)
+    top, zero = n - 1, face >> n
+    order, on = [start], [0] * n
     seen = {start}
     bit = 1
     for v in order:
         vertex = vertices[v]
         for k, step in zip(vertex.tight_set, vertex.steps):
             on[k] |= bit
-            side = face[k]
-            if side:
-                w = step[side > 0]
-                if w is None:
-                    return None
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
+            if zero and zero >> top - k & 1:
+                continue
+            w = step[face >> top - k & 1]
+            if w is None:
+                return None
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
         bit <<= 1
     return order, on
 
 
-def _face_walks(vertices: list[Vertex], codim: int) -> Iterator[tuple[SignVector, Walk]]:
-    """Bounded faces of codimension `codim`, one (signature, walk) at a time.
+def _face_walks(vertices: list[Vertex], n: int, codim: int) -> Iterator[tuple[int, Walk]]:
+    """Bounded faces of codimension `codim`, one (face, walk) at a time.
 
-    For each vertex v and each `codim`-subset K of its tight set, the
-    candidate is v's signs with every other tight index set to its up side:
-    the one face zero on K whose edges at v all go up, so the one that can
-    have v as its lex-min vertex.  Each bounded face is found exactly once,
-    from its own minimum; a candidate whose walk reaches a ray is unbounded
-    and dropped.
+    For each vertex v and each `codim`-subset K of its tight set, v's up
+    candidate sets every other tight bit to its up side, and its down
+    candidate to the other side.  The up candidate is the one face zero on K
+    whose edges at v all go up; they span its cone at v, as v is simple, so
+    v is its lex-min vertex.  Likewise v is its down candidate's lex-max
+    vertex.  A face is bounded exactly when it is both: a polytope has a
+    lex-min and a lex-max vertex; and if a face has lex-min vertex v and
+    lex-max vertex w, the direction r of any ray in it is lexicographically
+    >= 0, as v + r lies in it, and <= 0, as w + r does, so there is none.
+    So the bounded faces are the up candidates that are also down
+    candidates.  Their number is checked against Zaslavsky's
+    C(n, c)·C(n-c-1, d-c) before any walk, and each is walked once, from
+    its minimum.
     """
+    d, top = len(vertices[0].tight_set), n - 1
+    ups, downs = [], set()
     for vid, v in enumerate(vertices):
-        for kept in itertools.combinations(v.tight_set, codim):
-            face = list(v.sign_vector)
-            for k, step in zip(v.tight_set, v.steps):
-                if k not in kept:
-                    face[k] = step[2]
-            walk = _walk(vertices, vid, face)
-            if walk is not None:
-                yield tuple(face), walk
+        bits = [1 << top - k for k in v.tight_set]
+        tight = sum(bits)
+        rise = sum([bit for bit, step in zip(bits, v.steps) if step[2] > 0])
+        for kept in itertools.combinations(bits, codim):
+            zero = sum(kept)
+            face, free = v.plus | zero << n, tight ^ zero
+            ups.append((vid, face | rise & free))
+            downs.add(face | free & ~rise)
+    bounded = [(vid, face) for vid, face in ups if face in downs]
+    del ups, downs
+    expected = comb(n, codim) * comb(n - codim - 1, d - codim)
+    if len(bounded) != expected:
+        raise InternalConsistencyError(
+            f"found {len(bounded)} bounded faces of codimension {codim}, expected "
+            f"C({n},{codim})*C({n - codim - 1},{d - codim}) = {expected}"
+        )
+    for vid, face in bounded:
+        walk = _walk(vertices, vid, n, face)
+        if walk is None:
+            raise InternalConsistencyError(f"bounded face {signature_str(face, n)} has a ray")
+        yield face, walk
 
 
-def _bounded_faces(vertices: list[Vertex], codim: int) -> dict[SignVector, list[int]]:
-    """Bounded faces of codimension `codim`, as {signature: increasing vertex ids}."""
-    return {sig: sorted(walk[0]) for sig, walk in _face_walks(vertices, codim)}
+def _bounded_faces(vertices: list[Vertex], n: int, codim: int) -> dict[int, list[int]]:
+    """Bounded faces of codimension `codim`, as {face: increasing vertex ids}."""
+    return {face: sorted(walk[0]) for face, walk in _face_walks(vertices, n, codim)}
 
 
 def enumerate_bounded_cells(arr: Arrangement, vertices: list[Vertex]) -> list[CellRecord]:
     """Bounded cells, the zero-free bounded faces, sorted by signature, each
-    a `cells.CellRecord` built as soon as its walk ends.  The count must
-    equal C(n-1, d)."""
+    a `cells.CellRecord` built as soon as its walk ends; `_face_walks`
+    checks their count, C(n-1, d), before the first walk."""
     from .cells import cell_record  # cells imports this module
 
-    d, n = arr.dim, arr.n
-    cells = [cell_record(d, sig, walk, vertices) for sig, walk in _face_walks(vertices, 0)]
-    expected = comb(n - 1, d)
-    if len(cells) != expected:
-        raise InternalConsistencyError(
-            f"found {len(cells)} bounded cells, expected C({n - 1},{d}) = {expected}"
-        )
-    cells.sort(key=attrgetter("signature"))
-    return cells
+    return sorted((cell_record(arr.dim, face, walk, vertices)
+                   for face, walk in _face_walks(vertices, arr.n, 0)), key=attrgetter("signature"))
 
 
 def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:
@@ -579,7 +617,7 @@ def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:
 def enumerate_bounded_facets(arr: Arrangement, records: list[CellRecord]) -> list[FacetRecord]:
     """All bounded (d-1)-faces, sorted by carrier and then first cell: a
     cell has a facet on each k of `CellRecord.facets`, shared with the cell
-    whose signature flips k, if bounded.  The bounded complex of a simple
+    whose mask differs in k's bit alone, if bounded.  The bounded complex of a simple
     arrangement is pure (Dong, JCTA 2008); the count n*C(n-2,d-1) checks
     that none is missed."""
     d, n = arr.dim, arr.n
@@ -588,7 +626,7 @@ def enumerate_bounded_facets(arr: Arrangement, records: list[CellRecord]) -> lis
     for i, record in enumerate(records):
         sig = record.signature
         for k in record.facets:
-            j = position.get(_with_sign(sig, k, -sig[k]))
+            j = position.get(sig ^ 1 << n - 1 - k)
             if j is None:
                 facets.append(FacetRecord(k, (i,)))
             elif j > i:

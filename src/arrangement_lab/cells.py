@@ -2,9 +2,11 @@
 
 `cell_record` builds each record from the walk that found its cell: its
 vertices, and each hyperplane's mask of those on it, nonzero exactly on the
-facets.  A vertex is tight on d hyperplanes and has one cell edge on the
-line that drops each, so E = V·d/2.  `skeletons_for_cells` builds skeletons
-from the vertices' steps only where read: uncertified cells and shells.
+facets.  Its signature is the cell's plus mask, one int, bit n-1-k set
+where hyperplane k is positive (`arrangement` module docstring).  A vertex
+is tight on d hyperplanes and has one cell edge on the line that drops
+each, so E = V·d/2.  `skeletons_for_cells` builds skeletons from the
+vertices' steps only for the uncertified cells.
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -37,19 +39,18 @@ the diameter.
 simplex > cube > simplex product > shell > other: one factor is a simplex,
 d factors of size 2 a cube, two factors a simplex product; any other cell
 is a shell or other by its counts, and every cell of the plane is a
-polygon.  `canonical_form` (iterative refinement with exhaustive
-individualization) fingerprints shell skeletons for inspection and
-cross-checks the classes in the tests.
+polygon.  Each class is one shared `CellClass` object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from math import prod
 from typing import Optional
 
-from .arrangement import Arrangement, BoundedCell, Vertex, Walk, _walk
+from .arrangement import Arrangement, BoundedCell, Vertex, Walk, _walk, signature_str
 from .errors import InternalConsistencyError
 
 Adjacency = dict[int, tuple[int, ...]]
@@ -70,35 +71,41 @@ class CellClass:
         return f"{self.kind}-{self.params[0]}"
 
 
+@cache
 def polygon(k: int) -> CellClass:
     return CellClass("polygon", (k,))
 
 
+@cache
 def simplex(d: int) -> CellClass:
     return CellClass("simplex", (d,))
 
 
+@cache
 def cube(d: int) -> CellClass:
     return CellClass("cube", (d,))
 
 
+@cache
 def simplex_product(k: int, j: int) -> CellClass:
     if k > j:
         k, j = j, k
     return CellClass("product", (k, j))
 
 
+@cache
 def shell(n: int) -> CellClass:
     return CellClass("shell", (n,))
 
 
+@cache
 def other(v: int, e: int, f: int) -> CellClass:
     return CellClass("other", (v, e, f))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRecord:
-    signature: tuple[int, ...]
+    signature: int           # its plus mask: bit n-1-k set where hyperplane k is positive
     vertex_ids: tuple[int, ...]
     vertex_count: int
     edge_count: int
@@ -111,15 +118,21 @@ class CellRecord:
         return len(self.facets)
 
 
+def _broken(face: int, n: int, what: str) -> InternalConsistencyError:
+    """The error for a cell or face whose walk or counts are inconsistent."""
+    return InternalConsistencyError(f"cell {signature_str(face, n)}{what}")
+
+
 # ---------------------------------------------------------------------------
 # skeletons
 # ---------------------------------------------------------------------------
 
 def skeletons_for_cells(
-    cells: list[BoundedCell | CellRecord], vertices: list[Vertex], dim: int
+    cells: list[BoundedCell | CellRecord], vertices: list[Vertex], dim: int, n: int
 ) -> list[Adjacency]:
-    """Skeletons of bounded faces known by signature and increasing vertex
-    ids, read off the vertices' steps (`Vertex.ends`).
+    """Skeletons of bounded faces known by signature (a face of the n
+    hyperplanes, as in `arrangement`) and increasing vertex ids, read off
+    the vertices' steps (`Vertex.ends`).
 
     The closure of a bounded face C is a simple polytope, so at each of its
     vertices v and for each k in v's tight set off C, C has exactly one
@@ -130,18 +143,14 @@ def skeletons_for_cells(
     """
     skeletons = []
     for cell in cells:
-        signature, members = cell.signature, set(cell.vertex_ids)
-        if len(members) <= dim - signature.count(0):
-            raise InternalConsistencyError(
-                f"cell {signature} has only {len(members)} vertices"
-            )
+        face, members = cell.signature, set(cell.vertex_ids)
+        if len(members) <= dim - (face >> n).bit_count():
+            raise _broken(face, n, f" has only {len(members)} vertices")
         adj: Adjacency = {}
         for v in cell.vertex_ids:
-            nbrs = vertices[v].ends(signature)
+            nbrs = vertices[v].ends(face, n)
             if not members.issuperset(nbrs):
-                raise InternalConsistencyError(
-                    f"cell {signature}: an edge at vertex {v} is missing or leaves the cell"
-                )
+                raise _broken(face, n, f": an edge at vertex {v} is missing or leaves the cell")
             adj[v] = tuple(sorted(nbrs))
         reached = [cell.vertex_ids[0]]
         seen = set(reached)
@@ -151,7 +160,7 @@ def skeletons_for_cells(
                     seen.add(w)
                     reached.append(w)
         if len(reached) != len(adj):
-            raise InternalConsistencyError(f"cell {signature} has a disconnected skeleton")
+            raise _broken(face, n, " has a disconnected skeleton")
         skeletons.append(adj)
     return skeletons
 
@@ -250,83 +259,27 @@ def classify_cell(
     return other(v, e, f)
 
 
-def canonical_form(adj: Adjacency) -> tuple:
-    """Canonical edge list of the graph, via iterative colour refinement with
-    exhaustive individualization; equal outputs iff graphs are isomorphic.
-
-    Exponential in the worst case, fine for the few-dozen-vertex skeletons
-    that occur here.
-    """
-    nodes = sorted(adj)
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    nbrs = [sorted(index[w] for w in adj[v]) for v in nodes]
-
-    def refine(colors: list[int]) -> list[int]:
-        while True:
-            keys = [(colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(n)]
-            palette = {key: i for i, key in enumerate(sorted(set(keys)))}
-            new = [palette[k] for k in keys]
-            if new == colors:
-                return colors
-            colors = new
-
-    best: list[tuple] = [()]
-
-    def encode(colors: list[int]) -> tuple:
-        order = sorted(range(n), key=lambda v: colors[v])
-        pos = {v: i for i, v in enumerate(order)}
-        return tuple(sorted(
-            (min(pos[v], pos[w]), max(pos[v], pos[w]))
-            for v in range(n)
-            for w in nbrs[v]
-            if v < w
-        ))
-
-    def search(colors: list[int]) -> None:
-        colors = refine(colors)
-        classes: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            classes.setdefault(c, []).append(v)
-        target = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
-        if target is None:
-            enc = encode(colors)
-            if not best[0] or enc < best[0]:
-                best[0] = enc
-            return
-        for v in classes[target]:
-            forked = [c * 2 for c in colors]
-            forked[v] -= 1
-            search(forked)
-
-    search([0] * n)
-    return (n, best[0])
-
-
 # ---------------------------------------------------------------------------
 # record assembly
 # ---------------------------------------------------------------------------
 
-def cell_record(
-    dim: int, signature: tuple[int, ...], walk: Walk, vertices: list[Vertex]
-) -> CellRecord:
+def cell_record(dim: int, signature: int, walk: Walk, vertices: list[Vertex]) -> CellRecord:
     """The record of a cell from the walk that found it.  A cell the product
     certificate on its masks accepts has diameter m, its number of factors;
     only the others get a skeleton, measured by `cell_diameter`."""
     order, on = walk
+    n = len(on)
     vertex_ids = tuple(sorted(order))
-    facets = tuple(compress(range(len(on)), on))
+    facets = tuple(compress(range(n), on))
     v, f = len(order), len(facets)
     e, odd = divmod(v * dim, 2)
     if odd:
-        raise InternalConsistencyError(f"cell {signature}: V*d = {v}*{dim} is odd")
+        raise _broken(signature, n, f": V*d = {v}*{dim} is odd")
     if dim == 3 and v - e + f != 2:
-        raise InternalConsistencyError(
-            f"cell {signature}: (V,E,F)=({v},{e},{f}) violates Euler's relation"
-        )
+        raise _broken(signature, n, f": (V,E,F)=({v},{e},{f}) violates Euler's relation")
     factors = _factor_sizes(list(filter(None, on)), v)
     diameter = len(factors) if factors else cell_diameter(
-        skeletons_for_cells([BoundedCell(signature, vertex_ids)], vertices, dim)[0])
+        skeletons_for_cells([BoundedCell(signature, vertex_ids)], vertices, dim, n)[0])
     return CellRecord(signature, vertex_ids, v, e, facets, diameter,
                       classify_cell(v, e, f, factors, dim))
 
@@ -339,19 +292,8 @@ def build_cell_records(
     reaches a ray."""
     records = []
     for cell in cells:
-        walk = _walk(vertices, cell.vertex_ids[0], cell.signature)
+        walk = _walk(vertices, cell.vertex_ids[0], arr.n, cell.signature)
         if walk is None:
-            raise InternalConsistencyError(f"cell {cell.signature} is not bounded")
+            raise _broken(cell.signature, arr.n, " is not bounded")
         records.append(cell_record(arr.dim, cell.signature, walk, vertices))
     return records
-
-
-def shell_canonical_forms(
-    records: list[CellRecord], vertices: list[Vertex]
-) -> dict[tuple[int, ...], tuple]:
-    """Canonical skeletons of all shell-classified cells (3D only), for
-    inspection; whether shells with equal counts are pairwise isomorphic is
-    not asserted anywhere, this is the data to look at."""
-    shells = [rec for rec in records if rec.cell_class.kind == "shell"]
-    return {rec.signature: canonical_form(adj)
-            for rec, adj in zip(shells, skeletons_for_cells(shells, vertices, 3))}

@@ -28,7 +28,6 @@ from .jsonio import (
     check_writable,
     json_integer,
     load_arrangement,
-    signature_from_str,
     suite_to_obj,
 )
 from .rational import decimal_display, format_rational
@@ -225,7 +224,7 @@ def _cmd_export(args) -> int:
     else:
         if args.cell is None:
             raise InputError("OFF export requires --cell SIGNATURE")
-        text = render_off(arr, signature_from_str(args.cell))
+        text = render_off(arr, args.cell)
     atomic_write_text(args.out, text)
     print(f"wrote {args.format} to {args.out}")
     return 0

@@ -140,13 +140,16 @@ def random_simple_arrangement(d: int, n: int, seed: int, bound: int = 100) -> Co
     """A seed-reproducible simple arrangement with integer coefficients in
     [-bound, bound]; any hyperplane breaking simplicity is redrawn, up to
     1000 attempts each.  `_extends_simply` has then solved every d-subset
-    and seen every point distinct, so the result needs no further check."""
+    and seen every point distinct, so the result needs no further check.
+    The seed must lie in [0, 2^64): SplitMix64 keeps it mod 2^64."""
     if d not in (2, 3):
         raise InputError("random arrangements support d in {2, 3}")
     if n < d + 1:
         raise InputError(f"random arrangement requires n >= d+1 = {d + 1}")
     if bound < 10:
         raise InputError("coefficient bound must be at least 10")
+    if not 0 <= seed <= SplitMix64.MASK:
+        raise InputError(f"seed must lie in [0, 2^64), got {seed}")
     stream = SplitMix64(seed)
     rows: list[IntRow] = []
     points: dict[IntPoint, tuple[int, ...]] = {}

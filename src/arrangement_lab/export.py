@@ -9,19 +9,19 @@ identical input.  Polygons are traced on the vertices' steps.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .arrangement import (
     Arrangement,
-    SignVector,
     Vertex,
     _walk,
-    _with_sign,
     enumerate_bounded_cells,
     enumerate_vertices,
+    signature_str,
 )
 from .cells import cell_record
 from .errors import InputError, UnsupportedDimensionError
-from .jsonio import signature_str
+from .jsonio import signature_from_str
 from .rational import decimal_display
 
 _SVG_WIDTH = 900.0
@@ -37,16 +37,24 @@ def diameter_color(diameter: int, max_diameter: int) -> str:
     return "#%02x%02x%02x" % channels
 
 
-def _ring(vertices: list[Vertex], face: SignVector, start: int) -> list[int]:
+def _ring(vertices: list[Vertex], n: int, face: int, start: int) -> list[int]:
     """A bounded 2-face's vertices in cyclic order: at each vertex its two
     edges step to its side of the two tight hyperplanes it is not on.
     Starts at `start`, its smallest vertex, toward the smaller neighbour."""
-    ring, previous, current = [start], start, min(vertices[start].ends(face))
+    ring, previous, current = [start], start, min(vertices[start].ends(face, n))
     while current != start:
         ring.append(current)
-        a, b = vertices[current].ends(face)
+        a, b = vertices[current].ends(face, n)
         previous, current = current, b if a == previous else a
     return ring
+
+
+def _extremes(vertices: list[Vertex], axis: int) -> list[Fraction]:
+    """The least and the greatest coordinate `axis` of the vertices."""
+    key = cmp_to_key(lambda u, w: u.numerators[axis] * w.denominator
+                     - w.numerators[axis] * u.denominator)
+    return [Fraction(v.numerators[axis], v.denominator)
+            for v in (min(vertices, key=key), max(vertices, key=key))]
 
 
 def render_svg(arr: Arrangement) -> str:
@@ -57,7 +65,7 @@ def render_svg(arr: Arrangement) -> str:
     vertices = enumerate_vertices(arr)
     records = enumerate_bounded_cells(arr, vertices)
 
-    (x_lo, x_hi), (y_lo, y_hi) = ((min(c), max(c)) for c in zip(*(v.point for v in vertices)))
+    (x_lo, x_hi), (y_lo, y_hi) = _extremes(vertices, 0), _extremes(vertices, 1)
     pad_x, pad_y = (x_hi - x_lo) * Fraction(1, 5), (y_hi - y_lo) * Fraction(1, 5)
     x0, x1 = x_lo - pad_x, x_hi + pad_x
     y0, y1 = y_lo - pad_y, y_hi + pad_y
@@ -81,15 +89,16 @@ def render_svg(arr: Arrangement) -> str:
         f'height="{height:.2f}" viewBox="0 0 {_SVG_WIDTH:.2f} {height:.2f}">'
     ]
     for rec in records:
-        ring = _ring(vertices, rec.signature, rec.vertex_ids[0])
+        ring = _ring(vertices, arr.n, rec.signature, rec.vertex_ids[0])
         points = [",".join(pixels[vid]) for vid in ring]
         parts.append(
             f'<polygon points="{" ".join(points)}" '
             f'fill="{diameter_color(rec.diameter, max_diameter)}" '
             f'stroke="#777777" stroke-width="0.6">'
-            f"<title>{signature_str(rec.signature)} diameter {rec.diameter}</title>"
+            f"<title>{signature_str(rec.signature, arr.n)} diameter {rec.diameter}</title>"
             f"</polygon>"
         )
+    del vertices, records  # the rest reads the pixels, so the text is written beside less
     for h in arr.hyperplanes:
         clipped = _clip_line(h.a, h.b, x0, x1, y0, y1)
         if clipped is None:
@@ -102,8 +111,8 @@ def render_svg(arr: Arrangement) -> str:
         )
     for px, py in pixels:
         parts.append(f'<circle cx="{px}" cy="{py}" r="3" fill="#000000"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def _clip_line(a, b, x0, x1, y0, y1):
@@ -126,32 +135,34 @@ def _clip_line(a, b, x0, x1, y0, y1):
     return hits[0], hits[-1]
 
 
-def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
-    """One bounded cell of a 3D arrangement as OFF text: vertices first,
-    facets ordered by hyperplane index with vertices in cyclic order.
+def render_off(arr: Arrangement, cell: str) -> str:
+    """One bounded cell of a 3D arrangement, given as its +/- string, as OFF
+    text: vertices first, facets ordered by hyperplane index with vertices
+    in cyclic order.
 
     Only the requested cell is walked, from the first vertex whose signs
-    agree with the signature off its tight set; raises InputError when no
+    agree with the cell's off its tight set; raises InputError when no
     vertex does or when the walk reaches a ray."""
     if arr.dim != 3:
         raise UnsupportedDimensionError("OFF export requires a 3-dimensional arrangement")
+    signature = signature_from_str(cell)
     vertices = enumerate_vertices(arr)  # raises first on a non-simple input
-    if len(signature) != arr.n:
-        raise InputError(
-            f"signature length {len(signature)} does not match n = {arr.n}"
-        )
-    start = next((vid for vid, v in enumerate(vertices) if 0 not in signature
-                  and all(s in (0, c) for s, c in zip(v.sign_vector, signature))), None)
-    walk = start is not None and _walk(vertices, start, signature)
+    n, top = arr.n, arr.n - 1
+    if len(cell) != n:
+        raise InputError(f"signature length {len(cell)} does not match n = {n}")
+    start = next((vid for vid, v in enumerate(vertices)
+                  if not (v.plus ^ signature) & ~sum(1 << top - k for k in v.tight_set)), None)
+    walk = start is not None and _walk(vertices, start, n, signature)
     if not walk:
-        raise InputError(f"{signature_str(signature)} is not a bounded cell of this arrangement")
+        raise InputError(f"{cell} is not a bounded cell of this arrangement")
     record = cell_record(arr.dim, signature, walk, vertices)
     vids = record.vertex_ids
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []
     for plane in record.facets:
         first = next(vid for vid in vids if plane in vertices[vid].tight_set)
-        ring = _ring(vertices, _with_sign(signature, plane, 0), first)
+        bit = 1 << top - plane
+        ring = _ring(vertices, n, signature & ~bit | bit << n, first)
         facets.append([local[vid] for vid in ring])
 
     lines = ["OFF", f"{record.vertex_count} {record.facet_count} {record.edge_count}"]
@@ -160,4 +171,5 @@ def render_off(arr: Arrangement, signature: tuple[int, ...]) -> str:
         lines.append(" ".join(decimal_display(c) for c in point))
     for facet in facets:
         lines.append(" ".join(str(v) for v in [len(facet)] + facet))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

@@ -19,7 +19,7 @@ import tempfile
 from fractions import Fraction
 from typing import Optional
 
-from .arrangement import Arrangement, Hyperplane
+from .arrangement import Arrangement, Hyperplane, signature_str
 from .census import CensusReport
 from .cells import CellRecord
 from .errors import InputError
@@ -28,31 +28,41 @@ from .verify import RANDOM_COEFF_BOUND, SuiteSummary, VerificationResult
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_SIGN_CHARS = {1: "+", -1: "-"}
+_MASK_BITS = str.maketrans("+-", "10")
 
 
 def canonical_dumps(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2) + "\n"`, in one walk that
     makes every key `str(key)` and every Fraction `format_rational`."""
-    return _dumps(obj, "\n") + "\n"
+    return _dumps(obj, "\n", "\n")
 
 
-def _dumps(value, newline: str) -> str:
+def _dumps(value, newline: str, tail: str = "") -> str:
+    """`value` as text at the indent of `newline`, followed by `tail`; a
+    container joins all its pieces in one step, so its text is made once."""
     if isinstance(value, str):
-        return _encode_str(value)
+        return _encode_str(value) + tail
     if type(value) is int:
-        return int.__repr__(value)
+        return int.__repr__(value) + tail
+    if isinstance(value, Fraction):
+        return _encode_str(format_rational(value)) + tail
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value) + tail  # None, booleans, floats; TypeError for the rest
+    if not value:
+        return ("{}" if isinstance(value, dict) else "[]") + tail
     inner = newline + "  "
+    sep = "," + inner  # between pieces; the first gets `inner` alone
     if isinstance(value, dict):
-        items = sorted({str(k): v for k, v in value.items()}.items())
-        parts, ends = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in items], "{}"
-    elif isinstance(value, (list, tuple)):
-        parts, ends = [_dumps(v, inner) for v in value], "[]"
-    elif isinstance(value, Fraction):
-        return _encode_str(format_rational(value))
+        pieces, close = ["{"], "}"
+        for key, v in sorted({str(k): v for k, v in value.items()}.items()):
+            pieces += (sep, _encode_str(key), ": ", _dumps(v, inner))
     else:
-        return json.dumps(value)  # None, booleans, floats; TypeError for the rest
-    return ends[0] + inner + ("," + inner).join(parts) + newline + ends[1] if parts else ends
+        pieces, close = ["["], "]"
+        for v in value:
+            pieces += (sep, _dumps(v, inner))
+    pieces[1] = inner
+    pieces += (newline, close, tail)
+    return "".join(pieces)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -91,17 +101,12 @@ def _cannot_write(path: str, reason) -> InputError:
     return InputError(f"cannot write {path}: {reason}")
 
 
-def signature_str(signature) -> str:
-    try:
-        return "".join([_SIGN_CHARS[s] for s in signature])
-    except KeyError:
-        raise ValueError("cell signatures are zero-free") from None
-
-
-def signature_from_str(text: str) -> tuple[int, ...]:
+def signature_from_str(text: str) -> int:
+    """A cell's +/- string as its plus mask, the first sign the highest
+    bit; `arrangement.signature_str` writes it back."""
     if not text or any(ch not in "+-" for ch in text):
         raise InputError(f"signature must be a nonempty +/- string, got {text!r}")
-    return tuple(1 if ch == "+" else -1 for ch in text)
+    return int(text.translate(_MASK_BITS), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +171,9 @@ def load_arrangement(path: str) -> tuple[Arrangement, dict]:
 # reports
 # ---------------------------------------------------------------------------
 
-def cell_record_to_obj(rec: CellRecord) -> dict:
+def cell_record_to_obj(rec: CellRecord, n: int) -> dict:
     return {
-        "signature": signature_str(rec.signature),
+        "signature": signature_str(rec.signature, n),
         "V": rec.vertex_count,
         "E": rec.edge_count,
         "F": rec.facet_count,
@@ -192,7 +197,7 @@ def census_to_obj(report: CensusReport, include_cells: bool = False) -> dict:
         "p_odd": report.p_odd,
     }
     if include_cells:
-        obj["cells"] = [cell_record_to_obj(rec) for rec in report.records]
+        obj["cells"] = [cell_record_to_obj(rec, report.n) for rec in report.records]
     return obj
 
 

@@ -48,7 +48,7 @@ from .census import (
     prism_count,
     simplex_count,
 )
-from .constructions import build
+from .constructions import SplitMix64, build
 from .errors import InputError
 
 # Documented random pools: seeds 0..k-1, n cycling through the small range,
@@ -559,6 +559,9 @@ def _plan(
         for n, seed in pool:
             if n < d + 1:
                 raise InputError(f"random pool d{d} entry n={n} seed={seed}: needs n >= {d + 1}")
+            if not 0 <= seed <= SplitMix64.MASK:
+                raise InputError(f"random pool d{d} entry n={n} seed={seed}: "
+                                 f"seeds lie in [0, 2^64)")
 
     instances = default_instances(random_2d, random_3d)
     hirsch = [key for key in instances if key[1] in (2, 3)]

@@ -8,7 +8,9 @@ one is found, and only then are the records built, re-reading each
 vertex's tight set for the facets and for `product_factors`, and counting
 the edges in the skeleton.  It shares `Vertex.steps`, `product_factors`,
 `cell_diameter` and `classify_cell` with the kernel, and none of the walk's
-masks; it returns the skeletons beside the records, which keep none.
+masks; it returns the skeletons beside the records, which keep none.  It
+works on ±1 tuples, sorts the cells by them, and writes each record's
+signature as the mask it stands for (`signs.face_of`).
 
 `reference_dumps` is `canonical_dumps` as two walks: `jsonify` makes the
 tree JSON-ready, then `json.dumps` writes it.
@@ -26,6 +28,7 @@ from arrangement_lab.arrangement import Arrangement, SignVector, Vertex
 from arrangement_lab.cells import CellRecord, cell_diameter, classify_cell, product_factors
 from arrangement_lab.errors import InternalConsistencyError
 from arrangement_lab.rational import format_rational
+from signs import face_of, vertex_signs
 
 Skeleton = dict[int, tuple[int, ...]]  # vertex -> sorted neighbours
 
@@ -53,13 +56,16 @@ def walk(vertices: list[Vertex], start: int, face: SignVector) -> Optional[Skele
     return {v: adjacent[v] for v in sorted(adjacent)}
 
 
-def bounded_face_skeletons(vertices: list[Vertex], codim: int) -> dict[SignVector, Skeleton]:
+def bounded_face_skeletons(
+    vertices: list[Vertex], n: int, codim: int
+) -> dict[SignVector, Skeleton]:
     """Bounded faces of codimension `codim`, as {signature: skeleton}, each
-    walked from the one candidate at its lex-min vertex."""
+    walked from the one candidate at its lex-min vertex; every up candidate
+    is walked, and those that reach a ray are dropped."""
     faces: dict[SignVector, Skeleton] = {}
     for vid, v in enumerate(vertices):
         for kept in itertools.combinations(v.tight_set, codim):
-            face = list(v.sign_vector)
+            face = list(vertex_signs(v, n))
             for k, step in zip(v.tight_set, v.steps):
                 if k not in kept:
                     face[k] = step[2]
@@ -69,12 +75,25 @@ def bounded_face_skeletons(vertices: list[Vertex], codim: int) -> dict[SignVecto
     return faces
 
 
+def lex_candidates(vertices: list[Vertex], n: int, side: int) -> set[SignVector]:
+    """The cells that can have a vertex as their lex-min vertex (side 1) or
+    as their lex-max vertex (side -1): its signs with each tight index set
+    to the side of it that lies that way."""
+    faces = set()
+    for v in vertices:
+        face = list(vertex_signs(v, n))
+        for k, step in zip(v.tight_set, v.steps):
+            face[k] = step[2] * side
+        faces.add(tuple(face))
+    return faces
+
+
 def cell_records(
     arr: Arrangement, vertices: list[Vertex]
 ) -> tuple[list[CellRecord], list[Skeleton]]:
     """One record per bounded cell, built after the last cell is walked, and
     its skeleton; the cell count must equal C(n-1, d)."""
-    skeletons = bounded_face_skeletons(vertices, 0)
+    skeletons = bounded_face_skeletons(vertices, arr.n, 0)
     expected = comb(arr.n - 1, arr.dim)
     if len(skeletons) != expected:
         raise InternalConsistencyError(f"found {len(skeletons)} bounded cells, expected {expected}")
@@ -88,7 +107,7 @@ def cell_records(
             raise InternalConsistencyError(f"cell {signature} violates 3D count identities")
         factors = product_factors(tight_sets)
         records.append(CellRecord(
-            signature=signature,
+            signature=face_of(signature),
             vertex_ids=tuple(skeleton),
             vertex_count=v,
             edge_count=e,

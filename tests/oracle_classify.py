@@ -6,6 +6,11 @@ precedence simplex > cube > simplex product > shell > other, and recognises
 cubes and two-factor products by constructing an explicit isomorphism
 (coordinate codes from BFS distances, clique decomposition).  It never
 looks at tight sets, so it checks the certificate independently.
+
+`canonical_form` (iterative refinement with exhaustive individualization)
+fingerprints a skeleton up to isomorphism; the tests compare cells with
+reference graphs by it, and `scripts/inspect_shells.py` prints the forms of
+the shells.
 """
 
 from __future__ import annotations
@@ -166,3 +171,56 @@ def is_clique_product_graph(adj: Adjacency, a: int, b: int) -> bool:
     # rows: a cliques of size b; columns: b cliques of size a
     shape = sorted(((len(group0), size0.pop()), (len(group1), size1.pop())))
     return shape == sorted(((a, b), (b, a)))
+
+
+def canonical_form(adj: Adjacency) -> tuple:
+    """Canonical edge list of the graph, via iterative colour refinement with
+    exhaustive individualization; equal outputs iff graphs are isomorphic.
+
+    Exponential in the worst case, fine for the few-dozen-vertex skeletons
+    that occur here.
+    """
+    nodes = sorted(adj)
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    nbrs = [sorted(index[w] for w in adj[v]) for v in nodes]
+
+    def refine(colors: list[int]) -> list[int]:
+        while True:
+            keys = [(colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(n)]
+            palette = {key: i for i, key in enumerate(sorted(set(keys)))}
+            new = [palette[k] for k in keys]
+            if new == colors:
+                return colors
+            colors = new
+
+    best: list[tuple] = [()]
+
+    def encode(colors: list[int]) -> tuple:
+        order = sorted(range(n), key=lambda v: colors[v])
+        pos = {v: i for i, v in enumerate(order)}
+        return tuple(sorted(
+            (min(pos[v], pos[w]), max(pos[v], pos[w]))
+            for v in range(n)
+            for w in nbrs[v]
+            if v < w
+        ))
+
+    def search(colors: list[int]) -> None:
+        colors = refine(colors)
+        classes: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            classes.setdefault(c, []).append(v)
+        target = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
+        if target is None:
+            enc = encode(colors)
+            if not best[0] or enc < best[0]:
+                best[0] = enc
+            return
+        for v in classes[target]:
+            forked = [c * 2 for c in colors]
+            forked[v] -= 1
+            search(forked)
+
+    search([0] * n)
+    return (n, best[0])

@@ -13,6 +13,7 @@ import itertools
 from typing import Iterator
 
 from arrangement_lab.arrangement import ArrangementEdge, SignVector, Vertex
+from signs import vertex_signs
 
 
 def _face_completions(
@@ -40,8 +41,9 @@ def bounded_faces_by_completion(
     increasing order.
     """
     members: dict[SignVector, list[int]] = {}
+    n = len(edges[0].sign_vector)
     for vid, v in enumerate(vertices):
-        for sig in _face_completions(v.sign_vector, v.tight_set, codim):
+        for sig in _face_completions(vertex_signs(v, n), v.tight_set, codim):
             members.setdefault(sig, []).append(vid)
 
     unbounded: set[SignVector] = set()

@@ -11,7 +11,7 @@ combinatorial kernel independently.
 Signatures: the kernel as it stood before it paired cells by sign flips.
 Every facet of every cell record is keyed by its own signature, the cell's
 with the carrier set to 0, and the cells listed under each key are the
-ones it bounds.
+ones it bounds.  Both oracles read cell masks as ±1 tuples.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_vertices,
     restrict_to_hyperplane,
+    sign_tuple,
 )
 from arrangement_lab.errors import InternalConsistencyError, UnsupportedDimensionError
 
@@ -44,7 +45,7 @@ def enumerate_bounded_facets_by_signature(
     d, n = arr.dim, arr.n
     bounding: dict[SignVector, list[int]] = {}
     for index, record in enumerate(records):
-        sig = record.signature
+        sig = sign_tuple(record.signature, n)
         for k in record.facets:
             bounding.setdefault(sig[:k] + (0,) + sig[k + 1:], []).append(index)
     expected = n * comb(n - 2, d - 1)
@@ -81,13 +82,14 @@ def enumerate_bounded_facets_by_restriction(arr: Arrangement) -> list[Restricted
         sub_vertices = enumerate_vertices(restriction.arrangement)
         sub_cells = enumerate_bounded_cells(restriction.arrangement, sub_vertices)
         for cell in sub_cells:
+            induced = sign_tuple(cell.signature, restriction.arrangement.n)
             full = [0] * n
             for pos, orig in enumerate(restriction.kept):
-                full[orig] = cell.signature[pos]
+                full[orig] = induced[pos]
             minus, plus = list(full), list(full)
             minus[i], plus[i] = -1, 1
             records.append(
-                RestrictedFacet(i, cell.signature, tuple(full), (tuple(minus), tuple(plus)))
+                RestrictedFacet(i, induced, tuple(full), (tuple(minus), tuple(plus)))
             )
     expected = n * comb(n - 2, 2)
     if len(records) != expected:

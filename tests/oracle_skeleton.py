@@ -7,7 +7,7 @@ with +/- in all 2^(d-1) ways and adds itself to each cell it hits.
 is an edge of the cell iff its sign vector agrees with the cell signature off
 its line set.  `cell_diameter` runs one BFS (`bfs_distances`) from every
 vertex.  None of them uses the step table or the reach masks, so they check
-the kernel independently.
+the kernel independently; they read each cell's mask as its ±1 tuple.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from arrangement_lab.arrangement import ArrangementEdge, BoundedCell
+from arrangement_lab.arrangement import ArrangementEdge, BoundedCell, sign_tuple
 from arrangement_lab.cells import Adjacency
 from arrangement_lab.errors import InternalConsistencyError
 
@@ -39,7 +39,8 @@ def skeletons_for_cells(
     cells: list[BoundedCell], edges: list[ArrangementEdge], dim: int
 ) -> list[Adjacency]:
     """Skeletons of all cells in one pass, via sign-vector completion lookup."""
-    index = {cell.signature: i for i, cell in enumerate(cells)}
+    n = len(edges[0].sign_vector)
+    index = {sign_tuple(cell.signature, n): i for i, cell in enumerate(cells)}
     adjacencies: list[dict[int, set[int]]] = [
         {vid: set() for vid in cell.vertex_ids} for cell in cells
     ]
@@ -66,12 +67,13 @@ def cell_skeleton(cell: BoundedCell, edges: list[ArrangementEdge], dim: int) -> 
     """Skeleton of one bounded cell: segments whose sign vectors agree with
     the cell signature off their line sets."""
     adj: dict[int, set[int]] = {vid: set() for vid in cell.vertex_ids}
+    signature = sign_tuple(cell.signature, len(edges[0].sign_vector))
     for edge in edges:
         if not edge.is_segment:
             continue
         line = set(edge.line_set)
         if all(
-            s == cell.signature[i]
+            s == signature[i]
             for i, s in enumerate(edge.sign_vector)
             if i not in line
         ):

@@ -30,6 +30,7 @@ from arrangement_lab.arrangement import (
 from arrangement_lab.errors import NotSimpleError
 from arrangement_lab.rational import Vec
 from oracle_arithmetic import evaluate_sign
+from signs import face_of, vertex_signs
 
 
 def solve_by_fractions(m, rhs) -> Optional[Vec]:
@@ -94,7 +95,8 @@ def enumerate_vertices_by_fractions(arr: Arrangement) -> list[Vertex]:
                 f"{sorted(set(zeros) - set(subset))}"
             )
         q = lcm(*(c.denominator for c in point))
-        vertices.append(Vertex(tuple(int(c * q) for c in point), q, subset, signs, ()))
+        plus = face_of(signs) & ~(-1 << arr.n)
+        vertices.append(Vertex(tuple(int(c * q) for c in point), q, subset, plus, ()))
     return [replace(v, steps=steps)
             for v, steps in zip(vertices, line_steps_from_orders(arr, vertices))]
 
@@ -128,12 +130,13 @@ def line_steps_from_orders(arr: Arrangement, vertices: list[Vertex]) -> list[tup
     the line, which is up from u, and w's up side is the opposite of u's
     side of w's index."""
     steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]
+    signs = [vertex_signs(v, arr.n) for v in vertices]
     for on_line in line_orders(arr, vertices).values():
         for (u, ju), (w, jw) in zip(on_line, on_line[1:]):
-            side = vertices[w].sign_vector[ju]
+            side = signs[w][ju]
             step = steps[u][ju]
             step[side > 0], step[2] = w, side
-            side = vertices[u].sign_vector[jw]
+            side = signs[u][jw]
             step = steps[w][jw]
             step[side > 0], step[2] = u, -side
     return [tuple(tuple(row[k]) for k in v.tight_set) for v, row in zip(vertices, steps)]

@@ -199,7 +199,7 @@ def test_criterion_7_structural_universals():
         assert report.cell_count == comb(n - 1, d), label
         arr = build(family, d, n, seed, bound).arrangement
         vertices = enumerate_vertices(arr)
-        for rec, adj in zip(report.records, skeletons_for_cells(report.records, vertices, d)):
+        for rec, adj in zip(report.records, skeletons_for_cells(report.records, vertices, d, n)):
             assert all(len(nbrs) == d for nbrs in adj.values()), label
             assert 2 * rec.edge_count == sum(map(len, adj.values())), label
             assert rec.diameter >= 1 or rec.vertex_count == 1, label

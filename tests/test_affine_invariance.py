@@ -29,6 +29,7 @@ from arrangement_lab.constructions import (
     random_simple_arrangement,
 )
 from arrangement_lab.jsonio import census_to_obj
+from signs import face_of, signs_of
 from test_vertex_pass import move, relabelled_arrangements
 
 entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -77,7 +78,7 @@ def instances(draw):
 
 
 def skeletons(arr, records):
-    return skeletons_for_cells(records, enumerate_vertices(arr), arr.dim)
+    return skeletons_for_cells(records, enumerate_vertices(arr), arr.dim, arr.n)
 
 
 @settings(deadline=None, max_examples=30)
@@ -109,9 +110,9 @@ def assert_census_moves_with_its_hyperplanes(arr, moved, order, flipped):
     assert totals(after) == totals(before)
     by_signature = {rec.signature: rec for rec in after.records}
     assert len(by_signature) == len(before.records)
-    for rec in before.records:
-        sig = tuple(-rec.signature[i] if i in flipped else rec.signature[i] for i in order)
-        assert counts(by_signature[sig]) == counts(rec), rec.signature
+    for rec, signs in zip(before.records, signs_of(before.records, arr.n)):
+        sig = tuple(-signs[i] if i in flipped else signs[i] for i in order)
+        assert counts(by_signature[face_of(sig)]) == counts(rec), signs
 
 
 @settings(deadline=None, max_examples=40)

@@ -27,6 +27,7 @@ from arrangement_lab.constructions import (
 from arrangement_lab.errors import NotSimpleError, UnsupportedDimensionError
 from oracle_arithmetic import embed, evaluate_sign
 from oracle_facets import enumerate_bounded_facets_by_restriction, facet_signature
+from signs import signs_of, vertex_signs
 
 
 def enumerate_all(arr):
@@ -88,8 +89,9 @@ def test_vertices_sorted_with_exact_tight_sets():
     tights = [v.tight_set for v in vertices]
     assert tights == sorted(tights)
     for v in vertices:
-        zeros = tuple(i for i, s in enumerate(v.sign_vector) if s == 0)
+        zeros = tuple(i for i, s in enumerate(vertex_signs(v, arr.n)) if s == 0)
         assert zeros == v.tight_set
+        assert v.plus < 1 << arr.n
         for i in v.tight_set:
             assert evaluate_sign(arr.hyperplanes[i], v.point) == 0
 
@@ -275,7 +277,7 @@ def test_bounded_cell_count_formula_on_random_instances():
 def test_cells_sorted_and_zero_free():
     arr = build_ao2(6).arrangement
     _, _, cells = enumerate_all(arr)
-    sigs = [c.signature for c in cells]
+    sigs = signs_of(cells, arr.n)
     assert sigs == sorted(sigs)
     assert all(0 not in sig for sig in sigs)
 
@@ -298,13 +300,13 @@ def test_boundedness_cross_check_against_ray_compatibility():
     # agrees with at least one
     arr = build_ao3(5).arrangement
     vertices, edges, cells = enumerate_all(arr)
-    bounded = {c.signature for c in cells}
+    bounded = set(signs_of(cells, arr.n))
     candidates = set()
     from itertools import product as iproduct
 
     for v in vertices:
         for combo in iproduct((-1, 1), repeat=arr.dim):
-            sig = list(v.sign_vector)
+            sig = list(vertex_signs(v, arr.n))
             for pos, s in zip(v.tight_set, combo):
                 sig[pos] = s
             candidates.add(tuple(sig))
@@ -332,10 +334,10 @@ def test_bounded_flags_invariant_under_hyperplane_permutation():
     _, _, cells_shuffled = enumerate_all(shuffled)
     inverse = {p: j for j, p in enumerate(perm)}
     back_in_base_order = {
-        tuple(c.signature[inverse[i]] for i in range(len(perm)))
-        for c in cells_shuffled
+        tuple(sig[inverse[i]] for i in range(len(perm)))
+        for sig in signs_of(cells_shuffled, shuffled.n)
     }
-    assert back_in_base_order == {c.signature for c in cells_base}
+    assert back_in_base_order == set(signs_of(cells_base, base.n))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +404,7 @@ def test_facet_records_have_two_incident_signatures():
     # record names the bounded ones among them, by position in the cells
     arr = build_ao3(5).arrangement
     vertices, _, cells = enumerate_all(arr)
-    bounded = [cell.signature for cell in cells]
+    bounded = signs_of(cells, arr.n)
     facets = enumerate_bounded_facets(arr, build_cell_records(arr, vertices, cells))
     facets.sort(key=lambda rec: (rec.hyperplane, facet_signature(rec, bounded)))
     oracle = enumerate_bounded_facets_by_restriction(arr)

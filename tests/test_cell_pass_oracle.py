@@ -8,8 +8,11 @@ record of the walk-then-records path, and so must the records
 In every codimension each walk must reach the vertices of the reference
 skeleton, `skeletons_for_cells` must give that skeleton, and each
 hyperplane's mask must hold exactly the walked vertices tight on it.
-`canonical_dumps` must write the bytes of `jsonify` plus
-`json.dumps` on any JSON-ready tree.
+The cells the kernel walks, the up candidates that are also down
+candidates, must be the cells the reference finds by walking every up
+candidate.  `canonical_dumps` must write the bytes of `jsonify` plus
+`json.dumps` on any JSON-ready tree, and cell masks must sort as their ±1
+tuples and read back their +/- strings.
 """
 
 import re
@@ -27,13 +30,21 @@ from arrangement_lab.arrangement import (
     check_simple,
     enumerate_bounded_cells,
     enumerate_vertices,
+    sign_tuple,
 )
 from arrangement_lab.cells import CellRecord, build_cell_records, skeletons_for_cells
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import InternalConsistencyError
-from arrangement_lab.jsonio import canonical_dumps, census_to_obj, signature_str, suite_to_obj
+from arrangement_lab.jsonio import (
+    canonical_dumps,
+    census_to_obj,
+    signature_from_str,
+    signature_str,
+    suite_to_obj,
+)
 from arrangement_lab.verify import construction_census, default_instances, run_suite
+from signs import face_of, signs_of
 from test_vertex_pass import build, relabelled_arrangements
 
 
@@ -52,30 +63,42 @@ def assert_pass_matches_reference(arr, records=None):
         known = [BoundedCell(rec.signature, rec.vertex_ids) for rec in records]
         rebuilt = build_cell_records(arr, vertices, known)
         assert_same_records(rebuilt, expected)
-        assert skeletons_for_cells(rebuilt, vertices, arr.dim) == skeletons
+        assert skeletons_for_cells(rebuilt, vertices, arr.dim, arr.n) == skeletons
     assert_same_records(records, expected)
-    assert skeletons_for_cells(records, vertices, arr.dim) == skeletons
+    assert skeletons_for_cells(records, vertices, arr.dim, arr.n) == skeletons
 
 
 def assert_walks_match_reference(arr):
     vertices = enumerate_vertices(arr)
     for codim in range(arr.dim + 1):
         walked = {}
-        for sig, (order, on) in _face_walks(vertices, codim):
+        for sig, (order, on) in _face_walks(vertices, arr.n, codim):
             face = BoundedCell(sig, tuple(sorted(order)))
-            (walked[sig],) = skeletons_for_cells([face], vertices, arr.dim)
+            (walked[sig],) = skeletons_for_cells([face], vertices, arr.dim, arr.n)
             assert len(order) == len(walked[sig]), sig
             tight = {k for vid in order for k in vertices[vid].tight_set}
             assert {k for k, mask in enumerate(on) if mask} == tight
             for k, mask in enumerate(on):
                 assert mask == sum(1 << i for i, vid in enumerate(order)
                                    if k in vertices[vid].tight_set), (sig, k)
-        assert walked == oracle.bounded_face_skeletons(vertices, codim)
+        reference = oracle.bounded_face_skeletons(vertices, arr.n, codim)
+        assert walked == {face_of(sig): skeleton for sig, skeleton in reference.items()}
 
 
 @pytest.mark.parametrize("key", default_instances(), ids=str)
 def test_census_records_match_reference_on_verify_instances(key):
     assert_pass_matches_reference(build(*key).arrangement, construction_census(*key).records)
+
+
+@pytest.mark.parametrize("key", default_instances(), ids=str)
+def test_bounded_candidates_are_the_walked_cells_on_verify_instances(key):
+    # a cell is bounded iff it is some vertex's up candidate and some
+    # vertex's down candidate; the reference walks every up candidate
+    arr = build(*key).arrangement
+    vertices = enumerate_vertices(arr)
+    both = oracle.lex_candidates(vertices, arr.n, 1) & oracle.lex_candidates(vertices, arr.n, -1)
+    assert both == set(oracle.bounded_face_skeletons(vertices, arr.n, 0))
+    assert sorted(both) == signs_of(construction_census(*key).records, arr.n)
 
 
 @pytest.mark.parametrize(
@@ -106,11 +129,12 @@ def test_build_cell_records_names_an_unbounded_cell():
     start = triangle.vertex_ids[0]
     tight = vertices[start].tight_set
     for flips in ((0,), (1,), (0, 1)):
-        signature = list(triangle.signature)
+        signature = triangle.signature
         for i in flips:
-            signature[tight[i]] *= -1
-        cell = BoundedCell(tuple(signature), (start,))
-        with pytest.raises(InternalConsistencyError, match=re.escape(f"cell {cell.signature} is not bounded")):
+            signature ^= 1 << 2 - tight[i]
+        cell = BoundedCell(signature, (start,))
+        name = signature_str(signature, 3)
+        with pytest.raises(InternalConsistencyError, match=re.escape(f"cell {name} is not bounded")):
             build_cell_records(arr, vertices, [cell])
 
 
@@ -173,7 +197,24 @@ def test_canonical_dumps_refuses_what_json_refuses():
         canonical_dumps({"x": {1, 2}})
 
 
-def test_signature_str_refuses_a_zero():
-    assert signature_str((1, -1, 1)) == "+-+"
-    with pytest.raises(ValueError, match="zero-free"):
-        signature_str((1, 0, -1))
+def test_signature_str_writes_zeros_of_faces():
+    assert signature_str(0b101, 3) == "+-+"
+    assert signature_str(face_of((1, 0, -1)), 3) == "+0-"
+    assert sign_tuple(face_of((0, -1, 1, 0)), 4) == (0, -1, 1, 0)
+
+
+sign_tuples = st.integers(1, 70).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n).map(tuple),
+                       min_size=1, max_size=8))
+
+
+@settings(max_examples=200)
+@given(sign_tuples)
+def test_masks_sort_as_sign_tuples_and_round_trip_their_strings(tuples):
+    n = len(tuples[0])
+    masks = [face_of(t) for t in tuples]
+    assert sorted(tuples) == signs_of(sorted(masks), n)
+    for t, mask in zip(tuples, masks):
+        text = "".join("+" if s > 0 else "-" for s in t)
+        assert signature_str(mask, n) == text
+        assert signature_from_str(text) == mask

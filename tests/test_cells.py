@@ -12,24 +12,28 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
+    signature_str,
 )
 from arrangement_lab.cells import (
     build_cell_records,
-    canonical_form,
     cell_diameter,
     cell_record,
     cube,
     other,
     polygon,
     shell,
-    shell_canonical_forms,
     simplex,
     simplex_product,
     skeletons_for_cells,
 )
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import InternalConsistencyError
-from oracle_classify import classify_cell, is_clique_product_graph, is_hypercube_graph
+from oracle_classify import (
+    canonical_form,
+    classify_cell,
+    is_clique_product_graph,
+    is_hypercube_graph,
+)
 from oracle_skeleton import cell_diameter as oracle_cell_diameter, cell_skeleton
 
 
@@ -40,7 +44,7 @@ def records_of(arr):
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices)
     records = build_cell_records(arr, vertices, cells)
-    return records, skeletons_for_cells(records, vertices, arr.dim), vertices, edges, cells
+    return records, skeletons_for_cells(records, vertices, arr.dim, arr.n), vertices, edges, cells
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,7 @@ def test_batch_skeletons_match_single_cell_skeletons():
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices)
-    batch = skeletons_for_cells(cells, vertices, arr.dim)
+    batch = skeletons_for_cells(cells, vertices, arr.dim, arr.n)
     for cell, adj in zip(cells, batch):
         assert adj == cell_skeleton(cell, edges, arr.dim)
 
@@ -97,15 +101,15 @@ def test_skeleton_guards_name_the_cell():
     vertices = enumerate_vertices(arr)
     cells = enumerate_bounded_cells(arr, vertices)
     quad = next(c for c in cells if len(c.vertex_ids) == 4)
-    name = re.escape(f"cell {quad.signature}")
+    name = re.escape(f"cell {signature_str(quad.signature, arr.n)}")
     # only d vertices: too few for a bounded cell
     too_few = BoundedCell(quad.signature, quad.vertex_ids[:2])
     with pytest.raises(InternalConsistencyError, match=name + " has only 2 vertices"):
-        skeletons_for_cells([too_few], vertices, arr.dim)
+        skeletons_for_cells([too_few], vertices, arr.dim, arr.n)
     # one vertex dropped: a step from its neighbours leads out of the cell
     dropped = BoundedCell(quad.signature, quad.vertex_ids[1:])
     with pytest.raises(InternalConsistencyError, match=name + ": an edge at vertex"):
-        skeletons_for_cells([dropped], vertices, arr.dim)
+        skeletons_for_cells([dropped], vertices, arr.dim, arr.n)
 
 
 def test_cell_record_checks_the_counts():
@@ -114,7 +118,7 @@ def test_cell_record_checks_the_counts():
     arr = build_ao3(5).arrangement
     vertices = enumerate_vertices(arr)
     tetra = next(c for c in enumerate_bounded_cells(arr, vertices) if c.vertex_count == 4)
-    name = re.escape(f"cell {tetra.signature}")
+    name = re.escape(f"cell {signature_str(tetra.signature, arr.n)}")
     masks = [1 if k in tetra.facets else 0 for k in range(arr.n)]
     with pytest.raises(InternalConsistencyError, match=name + r": V\*d = 3\*3 is odd"):
         cell_record(3, tetra.signature, (list(tetra.vertex_ids[:3]), masks), vertices)
@@ -386,11 +390,11 @@ def test_shell_diameters_across_the_grid():
 
 
 def test_shell_canonical_forms_recorded():
-    arr = build_ao3(7).arrangement
-    records, *_ = records_of(arr)
-    forms = shell_canonical_forms(records, enumerate_vertices(arr))
+    records, skeletons, *_ = records_of(build_ao3(7).arrangement)
+    forms = [canonical_form(adj) for rec, adj in zip(records, skeletons)
+             if rec.cell_class.kind == "shell"]
     assert len(forms) == 1
-    (form,) = forms.values()
+    (form,) = forms
     assert form[0] == 10  # vertex count of the 7-facet shell
 
 

@@ -40,7 +40,7 @@ def assert_kernels_match_references(arr):
     edges = enumerate_edges(arr, vertices)
     assert [v.steps for v in vertices] == line_steps_from_edges(vertices, edges)
     cells = enumerate_bounded_cells(arr, vertices)
-    skeletons = skeletons_for_cells(cells, vertices, arr.dim)
+    skeletons = skeletons_for_cells(cells, vertices, arr.dim, arr.n)
     assert skeletons == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)
     for rec, adj in zip(build_cell_records(arr, vertices, cells), skeletons):
         v, e, f = rec.vertex_count, rec.edge_count, rec.facet_count
@@ -121,7 +121,7 @@ def test_ao3_5_shell_certifies_as_the_prism():
         arr = build_ao3(n).arrangement
         vertices = enumerate_vertices(arr)
         cells = enumerate_bounded_cells(arr, vertices)
-        (cell,) = [c for c in cells if c.signature == (1,) * (n - 1) + (-1,)]
+        (cell,) = [c for c in cells if c.signature == (1 << n) - 2]  # + ... + -
         factors = product_factors([vertices[vid].tight_set for vid in cell.vertex_ids])
         (rec,) = build_cell_records(arr, vertices, [cell])
         if n == 5:

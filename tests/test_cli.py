@@ -262,8 +262,11 @@ def test_verify_seeds_must_be_json_integers(tmp_path, capsys, entry, shown):
 @pytest.mark.parametrize(
     "pools, prop, message",
     [({"d2": [[2, 0]]}, "P2", "random pool d2 entry n=2 seed=0: needs n >= 3"),
-     ({"d3": [[3, 0]]}, "all", "random pool d3 entry n=3 seed=0: needs n >= 4")],
-    ids=["d2-P2", "d3-all"],
+     ({"d3": [[3, 0]]}, "all", "random pool d3 entry n=3 seed=0: needs n >= 4"),
+     ({"d2": [[5, -1]]}, "H", "random pool d2 entry n=5 seed=-1: seeds lie in [0, 2^64)"),
+     ({"d3": [[5, 2**64]]}, "P4",
+      f"random pool d3 entry n=5 seed={2**64}: seeds lie in [0, 2^64)")],
+    ids=["d2-P2", "d3-all", "negative-seed", "seed-2-to-the-64"],
 )
 def test_verify_refuses_a_bad_pool_entry_before_any_census(tmp_path, monkeypatch, capsys,
                                                           pools, prop, message):
@@ -328,7 +331,7 @@ def test_export_off_cube(tmp_path):
         rec.signature for rec in report.records if rec.cell_class.kind == "cube"
     )
     assert run(["export", src, "--format", "off", "--out", off,
-                "--cell", signature_str(cube_sig)]) == 0
+                "--cell", signature_str(cube_sig, arr.n)]) == 0
     lines = off.read_text().splitlines()
     assert lines[0] == "OFF"
     assert lines[1] == "8 6 12"
@@ -369,7 +372,7 @@ def test_export_off_rejects_unbounded_and_unrealized_cells(tmp_path, capsys):
     vertices = enumerate_vertices(arr)
     ray = next(e for e in enumerate_edges(arr, vertices) if not e.is_segment)
     # every side of a ray's line set is a cell, and the ray makes it unbounded
-    unbounded = signature_str(tuple(s or 1 for s in ray.sign_vector))
+    unbounded = "".join("-" if s < 0 else "+" for s in ray.sign_vector)
     # below all three coordinate planes every slanted plane (positive
     # intercepts) is negative, so no cell has signs ---+++
     for cell in (unbounded, "---+++"):
@@ -407,7 +410,8 @@ def test_analyze_three_dimensional(tmp_path, capsys):
 
 
 def test_signature_parsing():
-    assert signature_from_str("+-+") == (1, -1, 1)
+    assert signature_from_str("+-+") == 0b101
+    assert signature_from_str("--+-") == 0b0010
     with pytest.raises(InputError):
         signature_from_str("+0-")
     with pytest.raises(InputError):
@@ -418,9 +422,9 @@ def test_render_guards():
     with pytest.raises(UnsupportedDimensionError):
         render_svg(build_cyclic_star(3, 6).arrangement)
     with pytest.raises(UnsupportedDimensionError):
-        render_off(build_ao2(5).arrangement, (1,) * 5)
+        render_off(build_ao2(5).arrangement, "+" * 5)
     with pytest.raises(InputError):
-        render_off(build_cyclic_star(3, 6).arrangement, (1, 1, 1))  # wrong length
+        render_off(build_cyclic_star(3, 6).arrangement, "+++")  # wrong length
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +493,14 @@ def test_random_refuses_an_instance_over_the_budget(tmp_path, capsys):
     # a bad n still gets the generator's own message, not the budget's
     assert run(["random", "-d", 2, "-n", -3, "--seed", 0, "--out", out]) == 2
     assert capsys.readouterr().err == "error: random arrangement requires n >= d+1 = 3\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_random_refuses_a_seed_outside_the_generator_range(tmp_path, capsys, seed):
+    out = tmp_path / "r.json"
+    assert run(["random", "-d", 2, "-n", 5, "--seed", seed, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: seed must lie in [0, 2^64), got {seed}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "export"])

@@ -1,5 +1,6 @@
 """Construction families: coordinates, epsilon rule, determinism, randoms."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -246,6 +247,15 @@ def test_random_parameter_validation():
         random_simple_arrangement(2, 5, seed=0, bound=5)
     with pytest.raises(InputError):
         random_simple_arrangement(2, 2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-the-64"])
+def test_random_refuses_a_seed_outside_the_generator_range(seed):
+    # SplitMix64 keeps seed mod 2^64, so -1 would build seed 2^64 - 1's
+    # arrangement and 2^64 seed 0's, under another name
+    with pytest.raises(InputError, match=re.escape(f"seed must lie in [0, 2^64), got {seed}")):
+        random_simple_arrangement(2, 5, seed=seed)
+    random_simple_arrangement(2, 5, seed=2**64 - 1)
 
 
 def test_random_seeds_differ():

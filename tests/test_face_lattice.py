@@ -22,6 +22,7 @@ from arrangement_lab.constructions import (
     build_cyclic_star,
     random_simple_arrangement,
 )
+from signs import signs_of, vertex_signs
 
 
 def assert_face_lattice_invariants(arr):
@@ -29,8 +30,8 @@ def assert_face_lattice_invariants(arr):
     vertices = enumerate_vertices(arr)
     f = []
     for k in range(d + 1):
-        faces = _bounded_faces(vertices, d - k)
-        assert all(sig.count(0) == d - k for sig in faces)
+        faces = _bounded_faces(vertices, n, d - k)
+        assert all(sig.count(0) == d - k for sig in signs_of(faces, n))
         f.append(len(faces))
     assert f == [comb(n, d - k) * comb(n - d + k - 1, k) for k in range(d + 1)]
     assert sum((-1) ** k * fk for k, fk in enumerate(f)) == 1
@@ -66,7 +67,7 @@ def test_faces_list_exactly_the_vertices_in_their_closure():
     arr = build_ao3(6).arrangement
     vertices = enumerate_vertices(arr)
     for codim in range(arr.dim + 1):
-        for sig, vids in _bounded_faces(vertices, codim).items():
-            assert vids == [
-                vid for vid, v in enumerate(vertices) if in_closure(v.sign_vector, sig)
-            ]
+        faces = _bounded_faces(vertices, arr.n, codim)
+        for sig, vids in zip(signs_of(faces, arr.n), faces.values()):
+            assert vids == [vid for vid, v in enumerate(vertices)
+                            if in_closure(vertex_signs(v, arr.n), sig)]

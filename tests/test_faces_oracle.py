@@ -1,7 +1,7 @@
 """The line-step walk against the sign-vector completion oracle.
 
 For every codimension 0..d both must give the same bounded faces, each with
-the same increasing vertex ids.
+the same increasing vertex ids; the walk's face ints are read as tuples.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from arrangement_lab.constructions import (
     random_simple_arrangement,
 )
 from oracle_faces import bounded_faces_by_completion
+from signs import signs_of
 
 
 def assert_matches_oracle(arr):
@@ -27,8 +28,8 @@ def assert_matches_oracle(arr):
     edges = enumerate_edges(arr, vertices)
     for codim in range(arr.dim + 1):
         expected = bounded_faces_by_completion(vertices, edges, codim)
-        faces = _bounded_faces(vertices, codim)
-        assert faces == expected, f"codim {codim}"
+        faces = _bounded_faces(vertices, arr.n, codim)
+        assert dict(zip(signs_of(faces, arr.n), faces.values())) == expected, f"codim {codim}"
 
 
 @settings(deadline=None, max_examples=25)

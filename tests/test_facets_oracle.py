@@ -35,6 +35,7 @@ from oracle_facets import (
     enumerate_bounded_facets_by_signature,
     facet_signature,
 )
+from signs import signs_of
 
 
 def cells_and_facets(arr):
@@ -56,7 +57,7 @@ def oracle_key(ref, bounded):
 
 def assert_matches_oracle(arr):
     _, cells, facets = cells_and_facets(arr)
-    bounded = [cell.signature for cell in cells]
+    bounded = signs_of(cells, arr.n)
     oracle = enumerate_bounded_facets_by_restriction(arr)
     assert sorted(key(rec, bounded) for rec in facets) == \
         [oracle_key(ref, set(bounded)) for ref in oracle]
@@ -83,8 +84,8 @@ def by_carrier(signature):
 
 def assert_matches_facet_walk(arr):
     vertices, cells, facets = cells_and_facets(arr)
-    walked = _bounded_faces(vertices, 1)
-    bounded = [cell.signature for cell in cells]
+    walked = signs_of(_bounded_faces(vertices, arr.n, 1), arr.n)
+    bounded = signs_of(cells, arr.n)
     signatures = [facet_signature(rec, bounded) for rec in facets]
     assert sorted(signatures, key=by_carrier) == sorted(walked, key=by_carrier)
     position = {sig: i for i, sig in enumerate(bounded)}
@@ -126,5 +127,5 @@ def test_planar_facets_are_the_segments(arr):
     vertices, cells, facets = cells_and_facets(arr)
     edges = enumerate_edges(arr, vertices)
     segments = sorted((e.line_set[0], e.sign_vector) for e in edges if e.is_segment)
-    bounded = [cell.signature for cell in cells]
+    bounded = signs_of(cells, arr.n)
     assert sorted((rec.hyperplane, facet_signature(rec, bounded)) for rec in facets) == segments

@@ -14,6 +14,7 @@ from math import comb
 import pytest
 
 from arrangement_lab import arrangement, cells, rational
+from arrangement_lab.arrangement import signature_str
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.export import render_off, render_svg
@@ -47,7 +48,7 @@ def count_calls(monkeypatch, fn) -> list[int]:
     [
         lambda: census(build_ao3(6).arrangement),
         lambda: render_svg(build_ao2(6).arrangement),
-        lambda: render_off(build_ao3(6).arrangement, (1, 1, 1, 1, 1, -1)),
+        lambda: render_off(build_ao3(6).arrangement, "+++++-"),
     ],
     ids=["census-3d", "render_svg", "render_off"],
 )
@@ -65,9 +66,9 @@ def test_census_walks_once(monkeypatch, built):
     codims = []
     walk = arrangement._face_walks
 
-    def spy(vertices, codim):
+    def spy(vertices, n, codim):
         codims.append(codim)
-        return walk(vertices, codim)
+        return walk(vertices, n, codim)
 
     monkeypatch.setattr(arrangement, "_face_walks", spy)
     census(built.arrangement)
@@ -84,9 +85,9 @@ def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
     skeletons = []
     build_skeletons = cells.skeletons_for_cells
 
-    def spy(faces, vertices, dim):
+    def spy(faces, vertices, dim, n):
         skeletons.extend(face.signature for face in faces)
-        return build_skeletons(faces, vertices, dim)
+        return build_skeletons(faces, vertices, dim, n)
 
     monkeypatch.setattr(cells, "skeletons_for_cells", spy)
     edge_calls = count_calls(monkeypatch, arrangement.enumerate_edges)
@@ -105,14 +106,14 @@ def test_exports_trace_polygons_without_skeletons(monkeypatch):
     # left is the one cell_record builds for the ao2 n-gon, which the
     # product certificate rejects
     ao3 = build_ao3(16).arrangement
-    certified = next(rec.signature for rec in census(ao3).records
+    certified = next(signature_str(rec.signature, ao3.n) for rec in census(ao3).records
                      if rec.cell_class.kind != "shell")
     built = []
     build_skeletons = cells.skeletons_for_cells
 
-    def spy(faces, vertices, dim):
+    def spy(faces, vertices, dim, n):
         built.extend(len(face.vertex_ids) for face in faces)
-        return build_skeletons(faces, vertices, dim)
+        return build_skeletons(faces, vertices, dim, n)
 
     replace_everywhere(monkeypatch, build_skeletons, spy)
     render_svg(build_ao2(40).arrangement)

@@ -33,9 +33,9 @@ def assert_matches_oracle(arr):
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices)
     expected = oracle.skeletons_for_cells(cells, edges, arr.dim)
-    assert skeletons_for_cells(cells, vertices, arr.dim) == expected
+    assert skeletons_for_cells(cells, vertices, arr.dim, arr.n) == expected
     records = build_cell_records(arr, vertices, cells)
-    assert skeletons_for_cells(records, vertices, arr.dim) == expected
+    assert skeletons_for_cells(records, vertices, arr.dim, arr.n) == expected
     diameters = []
     for rec, adj in zip(records, expected):
         assert rec.diameter == cell_diameter(adj) == oracle.cell_diameter(adj)

@@ -33,6 +33,7 @@ from arrangement_lab.errors import NotSimpleError
 from arrangement_lab.rational import solve_integer_system
 from arrangement_lab.verify import default_instances
 from oracle_vertices import enumerate_vertices_by_fractions, line_steps_from_orders
+from signs import vertex_signs
 from test_vertices_oracle import outcome
 
 
@@ -176,8 +177,8 @@ def test_random_arrangements_lines_match_oracle(case):
     for v in before:
         w = by_tight[tuple(sorted(position[i] for i in v.tight_set))]
         assert w.point == v.point
-        assert all(w.sign_vector[position[i]] == (-s if i in flipped else s)
-                   for i, s in enumerate(v.sign_vector))
+        assert all(vertex_signs(w, moved.n)[position[i]] == (-s if i in flipped else s)
+                   for i, s in enumerate(vertex_signs(v, arr.n)))
         for i, (minus, plus, up) in zip(v.tight_set, v.steps):
             moved_minus, moved_plus, moved_up = w.steps[w.tight_set.index(position[i])]
             if i in flipped:
