@@ -512,6 +512,13 @@ def _walk(vertices: list[Vertex], start: int, n: int, face: int) -> Optional[Wal
     return order, on
 
 
+def _bounded_face_count(n: int, d: int, codim: int) -> int:
+    """Zaslavsky's count of the bounded faces of codimension `codim` of a
+    simple arrangement of n hyperplanes in dimension d: C(n, c)·C(n-c-1,
+    d-c), which is n·C(n-2, d-1) for the facets."""
+    return comb(n, codim) * comb(n - codim - 1, d - codim)
+
+
 def _face_walks(vertices: list[Vertex], n: int, codim: int) -> Iterator[tuple[int, Walk]]:
     """Bounded faces of codimension `codim`, one (face, walk) at a time.
 
@@ -525,8 +532,8 @@ def _face_walks(vertices: list[Vertex], n: int, codim: int) -> Iterator[tuple[in
     lex-max vertex w, the direction r of any ray in it is lexicographically
     >= 0, as v + r lies in it, and <= 0, as w + r does, so there is none.
     So the bounded faces are the up candidates that are also down
-    candidates.  Their number is checked against Zaslavsky's
-    C(n, c)·C(n-c-1, d-c) before any walk, and each is walked once, from
+    candidates.  Their number is checked against Zaslavsky's count
+    (`_bounded_face_count`) before any walk, and each is walked once, from
     its minimum.
     """
     d, top = len(vertices[0].tight_set), n - 1
@@ -542,7 +549,7 @@ def _face_walks(vertices: list[Vertex], n: int, codim: int) -> Iterator[tuple[in
             downs.add(face | free & ~rise)
     bounded = [(vid, face) for vid, face in ups if face in downs]
     del ups, downs
-    expected = comb(n, codim) * comb(n - codim - 1, d - codim)
+    expected = _bounded_face_count(n, d, codim)
     if len(bounded) != expected:
         raise InternalConsistencyError(
             f"found {len(bounded)} bounded faces of codimension {codim}, expected "
@@ -631,7 +638,7 @@ def enumerate_bounded_facets(arr: Arrangement, records: list[CellRecord]) -> lis
                 facets.append(FacetRecord(k, (i,)))
             elif j > i:
                 facets.append(FacetRecord(k, (i, j)))
-    expected = n * comb(n - 2, d - 1)
+    expected = _bounded_face_count(n, d, 1)
     if len(facets) != expected:
         raise InternalConsistencyError(
             f"found {len(facets)} bounded facets, expected n*C(n-2,{d - 1}) = {expected}"

@@ -12,15 +12,15 @@ budget (`--max-vertices`, default `DEFAULT_MAX_VERTICES`) and exit 2 above it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import comb
 
 from .census import census
 from .constructions import build, random_simple_arrangement
-from .errors import InputError, NotSimpleError
+from .errors import GenerationError, InputError, NotSimpleError
 from .export import render_off, render_svg
 from .jsonio import (
+    _read_json,
     arrangement_to_obj,
     atomic_write_text,
     canonical_dumps,
@@ -140,13 +140,12 @@ def _pool(obj: dict, key: str, default) -> tuple[tuple[int, int], ...]:
 
 def _load_pools(path: str):
     try:
-        with open(path) as handle:
-            obj = json.load(handle)
+        obj = _read_json(path)
         if not isinstance(obj, dict):
             raise TypeError('top level must be an object with "d2" and/or "d3" pools')
         d2 = _pool(obj, "d2", RANDOM_2D_POOL)
         d3 = _pool(obj, "d3", RANDOM_3D_POOL)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot read seeds file {path}: {exc}") from exc
     return d2, d3
 
@@ -251,8 +250,9 @@ def main(argv=None) -> int:
             witness = f" (hyperplanes {one_based})"
         print(f"error: {exc}{witness}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # InputError and the dimension/parameter errors all derive from ValueError
+    except (ValueError, GenerationError) as exc:
+        # InputError and the dimension/parameter errors all derive from
+        # ValueError; GenerationError is the random generator out of attempts
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

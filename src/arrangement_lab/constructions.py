@@ -20,20 +20,23 @@ and export, raises NotSimpleError on any non-simple input.
 
 Random simple arrangements draw integer coefficients from a SplitMix64
 stream so that identical (d, n, seed, bound) inputs reproduce bit-identical
-output on any platform.  `build` is the one place a family name picks its
-builder.
+output on any platform.  Each drawn row is checked by the vertex pass's
+own walk (`arrangement._extend_prefix`): the fraction-free elimination of
+Bareiss 1968, depth-first over the subsets that contain the new row, with
+the row fixed first so its reduction is shared by all of them.  A row
+that makes a subset singular or a point repeat is redrawn.  `build` is the
+one place a family name picks its builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
-from .arrangement import Arrangement, Hyperplane, hyperplane
-from .errors import GenerationError, InputError
-from .rational import IntPoint, IntRow, integer_row, solve_integer_system
+from .arrangement import Arrangement, Hyperplane, _extend_prefix, hyperplane
+from .errors import GenerationError, InputError, NotSimpleError
+from .rational import IntPoint, IntRow, integer_row, reduce_row
 
 
 @dataclass(frozen=True)
@@ -156,14 +159,13 @@ def random_simple_arrangement(d: int, n: int, seed: int, bound: int = 100) -> Co
     for _ in range(n):
         for attempt in range(1000):
             row = tuple(stream.next_int(-bound, bound) for _ in range(d + 1))
-            if all(c == 0 for c in row[:-1]):
-                continue
             if _extends_simply(rows, row, d, points):
                 rows.append(row)
                 break
         else:
             raise GenerationError(
-                f"could not extend to {len(rows) + 1} hyperplanes after 1000 attempts"
+                f"random d={d} n={n} seed={seed} bound={bound}: could not extend "
+                f"{len(rows)} hyperplanes to {len(rows) + 1} after 1000 attempts"
             )
     arr = Arrangement(d, tuple(hyperplane(row[:-1], row[-1]) for row in rows))
     return Construction(arr, "random", d, n, seed=seed, bound=bound)
@@ -173,27 +175,28 @@ def _extends_simply(
     existing: list[IntRow], candidate: IntRow, d: int,
     points: dict[IntPoint, tuple[int, ...]],
 ) -> bool:
-    """True if adding the integer row `candidate` (a, b) keeps every d-subset
-    nonsingular and all intersection points distinct.
+    """True if adding the integer row `candidate` (a, b) keeps every
+    d-subset nonsingular and all intersection points distinct; a zero
+    normal is refused.
 
-    `points` holds the intersection points of `existing`, as the
-    (numerators, denominator) pairs of `solve_integer_system`, which are
-    already known to be distinct, so only the d-subsets containing the
-    candidate are solved.  Their points are added to `points` when the
-    candidate is accepted and removed again when it is rejected.
+    `points` holds the distinct points of `existing`, so only the subsets
+    containing the candidate are solved, by the vertex pass's walk
+    (`arrangement._extend_prefix`) on the rows [candidate, *existing] below
+    the prefix [0], which adds each point to `points` unless it is there.
+    The walk reduces a prefix only when some subset completes it, so it
+    raises exactly when a subset is singular or a point repeats, as solving
+    each subset on its own would; its points are then removed again.
     """
-    rows = existing + [candidate]
-    last = len(existing)
-    added: list[IntPoint] = []
-    for rest in combinations(range(last), d - 1):
-        subset = rest + (last,)
-        point = solve_integer_system([rows[i] for i in subset])
-        if point is None or point in points:
-            for stale in added:
-                del points[stale]
-            return False
-        points[point] = subset
-        added.append(point)
+    first, col = reduce_row(candidate, [], [])
+    if col is None:
+        return False
+    solved: list[tuple[tuple[int, ...], IntPoint]] = []
+    try:
+        _extend_prefix([candidate, *existing], d, [0], [first], [col], points, solved)
+    except NotSimpleError:
+        for _, point in solved:
+            del points[point]
+        return False
     return True
 
 

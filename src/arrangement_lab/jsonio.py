@@ -28,6 +28,8 @@ from .verify import RANDOM_COEFF_BOUND, SuiteSummary, VerificationResult
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# Input files may nest no deeper: `canonical_dumps` recurses once per level.
+_MAX_DEPTH = 100
 _MASK_BITS = str.maketrans("+-", "10")
 
 
@@ -160,11 +162,30 @@ def arrangement_from_obj(obj: dict) -> tuple[Arrangement, dict]:
 
 def load_arrangement(path: str) -> tuple[Arrangement, dict]:
     try:
-        with open(path) as handle:
-            obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = _read_json(path)
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read arrangement from {path}: {exc}") from exc
     return arrangement_from_obj(obj)
+
+
+def _read_json(path: str):
+    """The JSON value in the file `path`: OSError when it cannot be read,
+    ValueError when it is not JSON or nests containers more than
+    `_MAX_DEPTH` deep.  The depth is measured level by level, so deep input
+    recurses nowhere, before anything else reads the value."""
+    too_deep = f"containers nested more than {_MAX_DEPTH} deep"
+    with open(path) as handle:
+        try:
+            value = json.load(handle)
+        except RecursionError:  # the reader's own stack ran out first
+            raise ValueError(too_deep) from None
+    level = [value]
+    for _ in range(_MAX_DEPTH + 1):
+        level = [c for c in level if isinstance(c, (dict, list))]
+        if not level:
+            return value
+        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)]
+    raise ValueError(too_deep)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ former clears denominators and calls the integer kernel.
 
 from __future__ import annotations
 
+import re
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,6 +35,7 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 IntRow = tuple[int, ...]                # integer row (a_1, ..., a_d, b)
 IntPoint = tuple[tuple[int, ...], int]  # numerators over a positive denominator
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def vector(values: Iterable) -> Vec:
@@ -178,10 +180,16 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    """Read "p/q" or "p", p an optionally signed integer and q a positive
+    one, in ASCII digits.  Any other text (an exponent, a decimal point,
+    underscores, spaces) raises ValueError naming it before a Fraction is
+    built, so no literal can ask for an integer bigger than its digits."""
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational literal: {text!r}")
 
 
 def decimal_display(q: Fraction, places: int = 6) -> str:

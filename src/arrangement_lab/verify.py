@@ -21,9 +21,10 @@ Each gridded check (P1-P7) is declared once, in `_GRIDDED`.  `_plan` checks
 every grid point against its check's condition before the CLI's size budget
 or any census sees it; `run_suite` and `verify_proposition` both run its rows.
 
-The d = 2 rows of the P7 grid are exercised but expected to fail: in the
-plane, a prism over a 1-simplex *is* a combinatorial square, i.e. the same
-cell the cubical count already books, so the disjoint tally (n-d)(n-d-1)
+The P7 grid starts at d = 3.  A plane row runs only through `--range`
+(`verify --prop P7 --range d=2,n=6`), and it fails: in the plane, a prism
+over a 1-simplex *is* a combinatorial square, i.e. the same cell the
+cubical count already books, so the disjoint tally (n-d)(n-d-1)
 double-counts and the derived lower bound overshoots.  The verifier reports
 the honest counts with an explanatory note instead of asserting the
 degenerate claim.

@@ -1,0 +1,34 @@
+"""Reference oracle for `constructions._extends_simply`: every subset on its own.
+
+This is the generator's earlier decision, kept as the reference for the
+walk that replaced it: a candidate row with a zero normal is redrawn, and
+otherwise each (d-1)-subset of the existing rows plus the candidate is
+solved by itself with `solve_integer_system`, in lexicographic order.  The
+candidate is refused at the first singular subset or repeated point, and
+the points it added are removed again; when it is accepted they stay in
+`points`, each mapped to its subset.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from arrangement_lab.rational import solve_integer_system
+
+
+def extends_simply_by_subsets(existing, candidate, d, points) -> bool:
+    if not any(candidate[:-1]):
+        return False
+    rows = existing + [candidate]
+    last = len(existing)
+    added = []
+    for rest in combinations(range(last), d - 1):
+        subset = rest + (last,)
+        point = solve_integer_system([rows[i] for i in subset])
+        if point is None or point in points:
+            for stale in added:
+                del points[stale]
+            return False
+        points[point] = subset
+        added.append(point)
+    return True

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrangement_lab import arrangement
 from arrangement_lab.arrangement import (
     Arrangement,
+    _bounded_face_count,
     check_simple,
     enumerate_bounded_cells,
     enumerate_bounded_facets,
@@ -24,7 +26,11 @@ from arrangement_lab.constructions import (
     build_cyclic_star,
     random_simple_arrangement,
 )
-from arrangement_lab.errors import NotSimpleError, UnsupportedDimensionError
+from arrangement_lab.errors import (
+    InternalConsistencyError,
+    NotSimpleError,
+    UnsupportedDimensionError,
+)
 from oracle_arithmetic import embed, evaluate_sign
 from oracle_facets import enumerate_bounded_facets_by_restriction, facet_signature
 from signs import signs_of, vertex_signs
@@ -421,3 +427,28 @@ def test_facet_records_have_two_incident_signatures():
 def test_facet_counts_2d():
     assert len(facets_of(build_ao2(5).arrangement)) == 5 * 3   # n*(n-2)
     assert len(facets_of(build_ao2(8).arrangement)) == 8 * 6
+
+
+# ---------------------------------------------------------------------------
+# the bounded-face count both checks read
+# ---------------------------------------------------------------------------
+
+def test_bounded_face_count_gives_the_cells_and_the_facets():
+    for d in range(2, 6):
+        for n in range(d + 1, d + 9):
+            assert _bounded_face_count(n, d, 0) == comb(n - 1, d)
+            assert _bounded_face_count(n, d, 1) == n * comb(n - 2, d - 1)
+
+
+def test_bounded_face_counts_are_checked_with_their_messages(monkeypatch):
+    arr = build_ao3(6).arrangement
+    vertices = enumerate_vertices(arr)
+    records = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
+    monkeypatch.setattr(arrangement, "_bounded_face_count", lambda n, d, c: 1)
+    with pytest.raises(InternalConsistencyError) as cells_error:
+        enumerate_bounded_cells(arr, vertices)
+    assert str(cells_error.value) == (
+        "found 10 bounded faces of codimension 0, expected C(6,0)*C(5,3) = 1")
+    with pytest.raises(InternalConsistencyError) as facets_error:
+        enumerate_bounded_facets(arr, records)
+    assert str(facets_error.value) == "found 36 bounded facets, expected n*C(n-2,2) = 1"

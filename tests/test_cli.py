@@ -290,8 +290,13 @@ def test_verify_refuses_a_bad_pool_entry_before_any_census(tmp_path, monkeypatch
     "dim, first_a, shown",
     [(2, [0.1, 0], "got 0.1"),
      (2, [True, 0], "got True"),
-     (2.5, ["1", "0"], '"dim" must be a JSON integer, got 2.5')],
-    ids=["float-coefficient", "boolean-coefficient", "fractional-dim"],
+     (2.5, ["1", "0"], '"dim" must be a JSON integer, got 2.5'),
+     # an exponent would build a 3.3-million-bit integer before anything else
+     (2, ["1e1000000", "0"], "not a rational literal: '1e1000000'"),
+     (2, ["0.5", "0"], "not a rational literal: '0.5'"),
+     (2, ["1_000", "0"], "not a rational literal: '1_000'")],
+    ids=["float-coefficient", "boolean-coefficient", "fractional-dim", "exponent-string",
+         "decimal-string", "underscore-string"],
 )
 def test_analyze_reads_only_exact_numbers(tmp_path, capsys, dim, first_a, shown):
     path = tmp_path / "inexact.json"
@@ -306,6 +311,56 @@ def test_analyze_reads_only_exact_numbers(tmp_path, capsys, dim, first_a, shown)
     assert run(["analyze", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed arrangement JSON") and shown in err
+
+
+def nested(depth):
+    """`depth` lists, one inside the next, as JSON text."""
+    return "[" * depth + "]" * depth
+
+
+def arrangement_text(metadata):
+    return (
+        '{"dim": 2, "hyperplanes": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "b": "0"},'
+        ' {"a": ["1", "1"], "b": "1"}], "metadata": ' + metadata + "}"
+    )
+
+
+@pytest.mark.parametrize("depth", [1_500, 100_000])
+def test_analyze_refuses_json_nested_too_deep_before_any_census(tmp_path, monkeypatch,
+                                                               capsys, depth):
+    # Python 3.11's reader gives up near depth 990, 3.13's reads 1,500 and
+    # `canonical_dumps` then ran out of stack writing the report
+    def no_census(*args, **kwargs):
+        raise AssertionError("census of a file nested too deep")
+
+    monkeypatch.setattr(cli, "census", no_census)
+    path, report = tmp_path / "deep.json", tmp_path / "census.json"
+    path.write_text(arrangement_text(nested(depth)))
+    assert run(["analyze", path, "--report", report]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read arrangement from {path}: containers nested more than 100 deep\n")
+    assert not report.exists()
+
+
+def test_analyze_reads_json_nested_to_the_limit(tmp_path, capsys):
+    # the top-level object and 99 lists of metadata: 100 deep, written back
+    # one level deeper in the report
+    path, report = tmp_path / "deep.json", tmp_path / "census.json"
+    path.write_text(arrangement_text(nested(99)))
+    assert run(["analyze", path, "--report", report]) == 0
+    assert json.loads(report.read_text())["metadata"] == json.loads(nested(99))
+    path.write_text(arrangement_text(nested(100)))
+    assert run(["analyze", path]) == 2
+    assert "containers nested more than 100 deep" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_seeds_file_nested_too_deep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "construction_census", lambda *key: 1 / 0)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('{"d2": ' + nested(100_000) + "}")
+    assert run(["verify", "--prop", "P2", "--seeds", seeds]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read seeds file {seeds}: containers nested more than 100 deep\n")
 
 
 def test_export_svg_heptagon_color(tmp_path):
@@ -500,6 +555,16 @@ def test_random_refuses_a_seed_outside_the_generator_range(tmp_path, capsys, see
     out = tmp_path / "r.json"
     assert run(["random", "-d", 2, "-n", 5, "--seed", seed, "--out", out]) == 2
     assert capsys.readouterr().err == f"error: seed must lie in [0, 2^64), got {seed}\n"
+    assert not out.exists()
+
+
+def test_random_that_runs_out_of_attempts_exits_2_naming_the_instance(tmp_path, capsys):
+    # 86 lines with coefficients in [-10, 10] leave no room for an 87th
+    out = tmp_path / "r.json"
+    assert run(["random", "-d", 2, "-n", 150, "--seed", 0, "--bound", 10, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: random d=2 n=150 seed=0 bound=10: could not extend 86 hyperplanes to 87 "
+        "after 1000 attempts\n")
     assert not out.exists()
 
 

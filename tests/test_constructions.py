@@ -16,8 +16,10 @@ from arrangement_lab.arrangement import (
     enumerate_vertices,
 )
 from arrangement_lab.cells import build_cell_records, polygon, simplex, simplex_product
+from arrangement_lab import constructions
 from arrangement_lab.constructions import (
     SplitMix64,
+    _extends_simply,
     build,
     build_ao2,
     build_ao3,
@@ -26,7 +28,10 @@ from arrangement_lab.constructions import (
 )
 from arrangement_lab.errors import InputError
 from arrangement_lab.jsonio import arrangement_to_obj, canonical_dumps
+from arrangement_lab.rational import solve_integer_system
+from arrangement_lab.verify import RANDOM_2D_POOL, RANDOM_3D_POOL, RANDOM_COEFF_BOUND
 from oracle_arithmetic import evaluate_sign
+from oracle_generation import extends_simply_by_subsets
 from oracle_vertices import check_simple_by_fractions
 
 ZERO = Fraction(0)
@@ -262,3 +267,70 @@ def test_random_seeds_differ():
     a = random_simple_arrangement(2, 5, seed=1).arrangement
     b = random_simple_arrangement(2, 5, seed=2).arrangement
     assert a != b
+
+
+# ---------------------------------------------------------------------------
+# the candidate check against its retained reference
+# ---------------------------------------------------------------------------
+
+# entries are often zero, so pivots land in later columns
+entries = st.one_of(st.just(0), st.integers(-5, 5))
+
+
+@st.composite
+def candidate_streams(draw):
+    """d and up to 14 candidate rows: plain draws, combinations of earlier
+    candidates (dependent normals) and rows through a point the earlier
+    candidates already meet in (repeated points)."""
+    d = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 14 - 3 * (d - 2)))):
+        kind = draw(st.integers(0, 3)) if len(rows) >= d else 0
+        if kind == 1:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append(tuple(s * a + t * b for a, b in zip(rows[i], rows[j])))
+        elif kind == 2:
+            # a row through the point of d earlier rows, if they meet in one
+            subset = draw(st.lists(st.sampled_from(rows), min_size=d, max_size=d))
+            point = solve_integer_system(subset)
+            a = [draw(entries) for _ in range(d)]
+            if point is None:
+                rows.append((*a, draw(entries)))
+            else:
+                p, q = point
+                rows.append((*(c * q for c in a), sum(c * x for c, x in zip(a, p))))
+        else:
+            rows.append(tuple(draw(entries) for _ in range(d + 1)))
+    return d, rows
+
+
+@settings(deadline=None, max_examples=200)
+@given(candidate_streams())
+def test_extends_simply_decides_as_solving_each_subset(case):
+    # each candidate is offered to both checks over the same accepted rows;
+    # they must agree on the verdict and leave the same points behind, and
+    # a refused candidate must leave the points as they were
+    d, candidates = case
+    existing, points, reference = [], {}, {}
+    for candidate in candidates:
+        before = set(points)
+        verdict = _extends_simply(existing, candidate, d, points)
+        assert verdict == extends_simply_by_subsets(existing, candidate, d, reference)
+        assert set(points) == set(reference)
+        if verdict:
+            existing.append(candidate)
+        else:
+            assert set(points) == before
+
+
+def test_random_pools_are_built_as_by_the_reference(monkeypatch):
+    # the 70 default pool arrangements and a few larger ones are the ones
+    # the per-subset check builds; bound 10 forces redraws (56 at n = 40)
+    keys = ([(2, n, seed, RANDOM_COEFF_BOUND) for n, seed in RANDOM_2D_POOL]
+            + [(3, n, seed, RANDOM_COEFF_BOUND) for n, seed in RANDOM_3D_POOL]
+            + [(2, 30, 0, 100), (3, 12, 0, 100), (2, 40, 0, 10), (3, 14, 1, 10)])
+    built = [random_simple_arrangement(*key).arrangement for key in keys]
+    monkeypatch.setattr(constructions, "_extends_simply", extends_simply_by_subsets)
+    assert built == [random_simple_arrangement(*key).arrangement for key in keys]
+

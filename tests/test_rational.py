@@ -1,5 +1,6 @@
 """Exact scalar and linear-algebra layer."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrangement_lab import rational
 from arrangement_lab.errors import DimensionMismatchError
 from arrangement_lab.rational import (
     decimal_display,
@@ -97,6 +99,23 @@ def test_rational_round_trip():
     for text in ["3/4", "-7/5", "12", "0", "-3"]:
         assert format_rational(parse_rational(text)) == text
     assert format_rational(Fraction(6, 8)) == "3/4"
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "0.5", "1_000", " 1", "1 ", "1/-2", "+", "/2",
+                                  "1/2/3", "\u0663", "", "1/0"])
+def test_parse_rational_refuses_other_forms_before_building_a_fraction(monkeypatch, text):
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction built from {text!r}")
+
+    if text != "1/0":  # well-formed, refused by Fraction's zero division
+        monkeypatch.setattr(rational, "Fraction", no_fraction)
+    with pytest.raises(ValueError, match=re.escape(f"not a rational literal: {text!r}")):
+        parse_rational(text)
+
+
+def test_parse_rational_reads_signed_integers_and_quotients():
+    assert [parse_rational(t) for t in ["+4", "-0", "007", "-6/4", "+1/3"]] == [
+        4, 0, 7, Fraction(-3, 2), Fraction(1, 3)]
 
 
 def test_decimal_display_six_digits_half_even():
