@@ -7,10 +7,11 @@ Usage: python scripts/render_figures.py [OUTDIR]
 import os
 import sys
 
+from arrangement_lab.arrangement import signature_str
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.export import render_off, render_svg
-from arrangement_lab.jsonio import atomic_write_text, signature_str
+from arrangement_lab.jsonio import atomic_write_text
 
 
 def main() -> int:

@@ -31,13 +31,7 @@ from .cells import (
     classify_cell,
     product_factors,
 )
-from .census import (
-    CensusReport,
-    average_diameter,
-    census,
-    external_face_count,
-    p_odd_count,
-)
+from .census import CensusReport, census
 from .constructions import (
     Construction,
     SplitMix64,
@@ -51,7 +45,6 @@ from .verify import (
     SuiteSummary,
     VerificationResult,
     run_suite,
-    verify_identity_2d,
     verify_proposition,
 )
 

@@ -57,7 +57,7 @@ c = 0, builds each record as its walk ends, and pairs the records across
 each facet by flipping one bit.  This is reverse search (Avis-Fukuda 1996)
 without linear programming, as the vertices are known; no floating point
 anywhere.  ±1 tuples and +/- strings are built only to be written
-(`signature_str`).
+(`signature_str`) or read back (`signature_from_str`).
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
@@ -78,6 +78,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
+    InputError,
     InternalConsistencyError,
     NotSimpleError,
     UnsupportedDimensionError,
@@ -100,6 +101,7 @@ Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
 Walk = tuple[list[int], list[int]]  # (order, masks), from `_walk`
 _SIGN_CHARS = str.maketrans("01", "-+")
+_MASK_BITS = str.maketrans("+-", "10")
 _SIGN_VALUES = {"+": 1, "-": -1, "0": 0}
 
 
@@ -231,6 +233,14 @@ def signature_str(face: int, n: int) -> str:
     0 for the hyperplanes it lies on."""
     text, zero = f"{face & ~(-1 << n):0{n}b}".translate(_SIGN_CHARS), face >> n
     return "".join("0" if z == "1" else c for c, z in zip(text, f"{zero:0{n}b}")) if zero else text
+
+
+def signature_from_str(text: str) -> int:
+    """A cell's +/- string as its plus mask, the first sign the highest
+    bit; `signature_str` writes it back."""
+    if not text or any(ch not in "+-" for ch in text):
+        raise InputError(f"signature must be a nonempty +/- string, got {text!r}")
+    return int(text.translate(_MASK_BITS), 2)
 
 
 def sign_tuple(face: int, n: int) -> SignVector:

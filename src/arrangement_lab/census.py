@@ -25,7 +25,6 @@ from .cells import (
     simplex,
     simplex_product,
 )
-from .errors import UnsupportedDimensionError
 
 
 @dataclass
@@ -76,29 +75,6 @@ def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
         records=records,
         metadata=metadata or {},
     )
-
-
-# ---------------------------------------------------------------------------
-# single-number views of `census`
-# ---------------------------------------------------------------------------
-
-def average_diameter(arr: Arrangement) -> Fraction:
-    """Exact mean of bounded-cell diameters."""
-    return census(arr).delta
-
-
-def external_face_count(arr: Arrangement) -> int:
-    """Bounded (d-1)-faces incident to exactly one bounded cell."""
-    if arr.dim not in (2, 3):
-        raise UnsupportedDimensionError("external faces are defined for d in {2, 3}")
-    return census(arr).f_external
-
-
-def p_odd_count(arr: Arrangement) -> int:
-    """Bounded cells with an odd number of edges (equivalently vertices)."""
-    if arr.dim != 2:
-        raise UnsupportedDimensionError("odd-cell counting is defined for d = 2")
-    return census(arr).p_odd
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from .arrangement import (
     _walk,
     enumerate_bounded_cells,
     enumerate_vertices,
+    signature_from_str,
     signature_str,
 )
 from .cells import cell_record
 from .errors import InputError, UnsupportedDimensionError
-from .jsonio import signature_from_str
 from .rational import decimal_display
 
 _SVG_WIDTH = 900.0
@@ -142,14 +142,15 @@ def render_off(arr: Arrangement, cell: str) -> str:
 
     Only the requested cell is walked, from the first vertex whose signs
     agree with the cell's off its tight set; raises InputError when no
-    vertex does or when the walk reaches a ray."""
+    vertex does or when the walk reaches a ray, and before any vertex is
+    enumerated when the string's length is not n."""
     if arr.dim != 3:
         raise UnsupportedDimensionError("OFF export requires a 3-dimensional arrangement")
     signature = signature_from_str(cell)
-    vertices = enumerate_vertices(arr)  # raises first on a non-simple input
     n, top = arr.n, arr.n - 1
     if len(cell) != n:
         raise InputError(f"signature length {len(cell)} does not match n = {n}")
+    vertices = enumerate_vertices(arr)
     start = next((vid for vid, v in enumerate(vertices)
                   if not (v.plus ^ signature) & ~sum(1 << top - k for k in v.tight_set)), None)
     walk = start is not None and _walk(vertices, start, n, signature)

@@ -30,7 +30,6 @@ from .verify import RANDOM_COEFF_BOUND, SuiteSummary, VerificationResult
 _encode_str = json.encoder.encode_basestring_ascii
 # Input files may nest no deeper: `canonical_dumps` recurses once per level.
 _MAX_DEPTH = 100
-_MASK_BITS = str.maketrans("+-", "10")
 
 
 def canonical_dumps(obj) -> str:
@@ -101,14 +100,6 @@ def check_writable(path: str) -> None:
 
 def _cannot_write(path: str, reason) -> InputError:
     return InputError(f"cannot write {path}: {reason}")
-
-
-def signature_from_str(text: str) -> int:
-    """A cell's +/- string as its plus mask, the first sign the highest
-    bit; `arrangement.signature_str` writes it back."""
-    if not text or any(ch not in "+-" for ch in text):
-        raise InputError(f"signature must be a nonempty +/- string, got {text!r}")
-    return int(text.translate(_MASK_BITS), 2)
 
 
 # ---------------------------------------------------------------------------

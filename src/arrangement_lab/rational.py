@@ -36,6 +36,7 @@ Mat = tuple[Vec, ...]
 IntRow = tuple[int, ...]                # integer row (a_1, ..., a_d, b)
 IntPoint = tuple[tuple[int, ...], int]  # numerators over a positive denominator
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_SHOWN = 40  # a refused value longer than this is named by its start and length
 
 
 def vector(values: Iterable) -> Vec:
@@ -183,13 +184,17 @@ def parse_rational(text: str) -> Fraction:
     """Read "p/q" or "p", p an optionally signed integer and q a positive
     one, in ASCII digits.  Any other text (an exponent, a decimal point,
     underscores, spaces) raises ValueError naming it before a Fraction is
-    built, so no literal can ask for an integer bigger than its digits."""
+    built, so no literal can ask for an integer bigger than its digits.  A
+    value of more than `_SHOWN` characters is named by its first half of
+    that and its length, so the message stays one short line."""
     if _RATIONAL.fullmatch(text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"not a rational literal: {text!r}")
+    shown = (repr(text) if len(text) <= _SHOWN
+             else f"{text[:_SHOWN // 2]!r}... ({len(text)} characters)")
+    raise ValueError(f"not a rational literal: {shown}")
 
 
 def decimal_display(q: Fraction, places: int = 6) -> str:

@@ -40,7 +40,6 @@ from itertools import takewhile
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .arrangement import Arrangement
 from .cells import CellClass, cube, polygon, shell, simplex, simplex_product
 from .census import (
     CensusReport,
@@ -214,18 +213,6 @@ def _identity_residual(report: CensusReport) -> Fraction:
     return report.cell_count * report.delta - rhs
 
 
-def _edge_identity_numbers(report: CensusReport) -> dict:
-    """The 2D edge identity's residual and terms, as P2 and
-    `verify_identity_2d` report them."""
-    return {
-        "identity_residual": _identity_residual(report),
-        "f1": report.f_bounded,
-        "f1_external": report.f_external,
-        "p_odd": report.p_odd,
-        "delta": report.delta,
-    }
-
-
 # ---------------------------------------------------------------------------
 # result shapes
 # ---------------------------------------------------------------------------
@@ -276,18 +263,6 @@ def _violations_result(
 # the individual checks; each receives the censuses of its `_plan` keys
 # ---------------------------------------------------------------------------
 
-def verify_identity_2d(arr: Arrangement) -> VerificationResult:
-    if arr.dim != 2:
-        raise InputError("the edge identity is defined for d = 2")
-    report = census(arr)
-    return VerificationResult(
-        prop="identity-2d",
-        params={"n": report.n},
-        expected={"identity_residual": Fraction(0), "f1": report.n * (report.n - 2)},
-        computed=_edge_identity_numbers(report),
-    )
-
-
 def _verify_p1(n: int, report: CensusReport) -> VerificationResult:
     return _census_result("P1", {"n": n}, report, expected_census_2d(n), delta_formula_2d(n))
 
@@ -301,7 +276,14 @@ def _verify_p2(n: int, report: CensusReport) -> VerificationResult:
         "p_odd": p_odd_expected,
         "identity_residual": Fraction(0),
     }
-    return VerificationResult("P2", {"n": n}, expected, _edge_identity_numbers(report))
+    computed = {
+        "delta": report.delta,
+        "f1": report.f_bounded,
+        "f1_external": report.f_external,
+        "p_odd": report.p_odd,
+        "identity_residual": _identity_residual(report),
+    }
+    return VerificationResult("P2", {"n": n}, expected, computed)
 
 
 def _verify_p2_random(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:

@@ -31,18 +31,14 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_vertices,
     sign_tuple,
+    signature_from_str,
+    signature_str,
 )
 from arrangement_lab.cells import CellRecord, build_cell_records, skeletons_for_cells
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import InternalConsistencyError
-from arrangement_lab.jsonio import (
-    canonical_dumps,
-    census_to_obj,
-    signature_from_str,
-    signature_str,
-    suite_to_obj,
-)
+from arrangement_lab.jsonio import canonical_dumps, census_to_obj, suite_to_obj
 from arrangement_lab.verify import construction_census, default_instances, run_suite
 from signs import face_of, signs_of
 from test_vertex_pass import build, relabelled_arrangements

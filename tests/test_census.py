@@ -4,12 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrangement_lab.census import (
-    average_diameter,
-    census,
-    external_face_count,
-    p_odd_count,
-)
+from arrangement_lab.census import census
 from arrangement_lab.cells import cube, polygon, simplex, simplex_product
 from arrangement_lab.constructions import (
     build_ao2,
@@ -17,15 +12,14 @@ from arrangement_lab.constructions import (
     build_cyclic_star,
     random_simple_arrangement,
 )
-from arrangement_lab.errors import NotSimpleError, UnsupportedDimensionError
+from arrangement_lab.errors import NotSimpleError
 from arrangement_lab.arrangement import Arrangement, hyperplane
-from arrangement_lab.verify import verify_identity_2d
 
 
-def test_average_diameters():
-    assert average_diameter(build_ao2(7).arrangement) == Fraction(26, 15)
-    assert average_diameter(build_ao3(5).arrangement) == Fraction(3, 2)
-    assert average_diameter(build_cyclic_star(3, 6).arrangement) == Fraction(9, 5)
+def test_census_deltas():
+    assert census(build_ao2(7).arrangement).delta == Fraction(26, 15)
+    assert census(build_ao3(5).arrangement).delta == Fraction(3, 2)
+    assert census(build_cyclic_star(3, 6).arrangement).delta == Fraction(9, 5)
 
 
 def test_census_ao2_6(cached_census):
@@ -66,48 +60,54 @@ def test_census_rejects_non_simple():
 
 
 def test_external_edges_2d():
-    assert external_face_count(build_ao2(6).arrangement) == 10   # 2(n-1)
-    assert external_face_count(build_ao2(9).arrangement) == 16
+    assert census(build_ao2(6).arrangement).f_external == 10   # 2(n-1)
+    assert census(build_ao2(9).arrangement).f_external == 16
 
 
 def test_external_facets_3d_lower_bound():
     arr = random_simple_arrangement(3, 6, seed=4).arrangement
-    count = external_face_count(arr)
+    count = census(arr).f_external
     assert Fraction(count) >= Fraction(6 * 4, 3) + 2
 
 
-def test_external_face_count_dimension_guard():
-    with pytest.raises(UnsupportedDimensionError):
-        external_face_count(build_cyclic_star(4, 6).arrangement)
+def test_census_counts_no_external_faces_in_4d():
+    assert census(build_cyclic_star(4, 6).arrangement).f_external is None
 
 
-def test_p_odd_counts():
-    assert p_odd_count(build_ao2(6).arrangement) == 4     # n-2 for even n
-    assert p_odd_count(build_ao2(7).arrangement) == 6     # n-1 for odd n
-    assert p_odd_count(build_cyclic_star(2, 3).arrangement) == 1
-    with pytest.raises(UnsupportedDimensionError):
-        p_odd_count(build_ao3(5).arrangement)
+def test_census_odd_cell_counts():
+    assert census(build_ao2(6).arrangement).p_odd == 4     # n-2 for even n
+    assert census(build_ao2(7).arrangement).p_odd == 6     # n-1 for odd n
+    assert census(build_cyclic_star(2, 3).arrangement).p_odd == 1
+    assert census(build_ao3(5).arrangement).p_odd is None
+
+
+def assert_edge_identity(arr):
+    """I*delta = (2 f1 - f1_external - p_odd)/2 and f1 = n(n-2), read off the
+    census alone."""
+    report = census(arr)
+    rhs = Fraction(2 * report.f_bounded - report.f_external - report.p_odd, 2)
+    assert report.cell_count * report.delta == rhs
+    assert report.f_bounded == arr.n * (arr.n - 2)
+    return report
 
 
 def test_identity_2d_ao2_7():
-    result = verify_identity_2d(build_ao2(7).arrangement)
-    assert result.passed
+    report = assert_edge_identity(build_ao2(7).arrangement)
     # 15 * 26/15 = 26 = (2*35 - 12 - 6) / 2
-    assert result.computed["f1"] == 35
-    assert result.computed["f1_external"] == 12
-    assert result.computed["p_odd"] == 6
-    assert result.computed["delta"] * 15 == 26
+    assert report.f_bounded == 35
+    assert report.f_external == 12
+    assert report.p_odd == 6
+    assert report.delta * 15 == 26
 
 
 def test_identity_2d_smallest_case():
-    assert verify_identity_2d(build_cyclic_star(2, 4).arrangement).passed
+    assert_edge_identity(build_cyclic_star(2, 4).arrangement)
 
 
 def test_identity_2d_random_instances():
     for seed in range(8):
         n = 4 + seed % 5
-        arr = random_simple_arrangement(2, n, seed=seed).arrangement
-        assert verify_identity_2d(arr).passed
+        assert_edge_identity(random_simple_arrangement(2, n, seed=seed).arrangement)
 
 
 def test_f_bounded_values(cached_census):

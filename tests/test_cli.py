@@ -1,15 +1,22 @@
 """Command-line surface: flows, exit codes, byte-identical artifacts."""
 
+import ast
 import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
-from arrangement_lab.arrangement import enumerate_edges, enumerate_vertices
+from arrangement_lab.arrangement import (
+    enumerate_edges,
+    enumerate_vertices,
+    signature_from_str,
+    signature_str,
+)
 from arrangement_lab.census import census
-from arrangement_lab import cli, verify
+from arrangement_lab import cli, export, verify
 from arrangement_lab.cli import main
 from arrangement_lab.constructions import build_ao2, build_cyclic_star
 from arrangement_lab.export import diameter_color, render_off, render_svg
@@ -19,8 +26,6 @@ from arrangement_lab.jsonio import (
     canonical_dumps,
     census_to_obj,
     load_arrangement,
-    signature_from_str,
-    signature_str,
 )
 from arrangement_lab.verify import RANDOM_2D_POOL, RANDOM_3D_POOL
 
@@ -294,9 +299,12 @@ def test_verify_refuses_a_bad_pool_entry_before_any_census(tmp_path, monkeypatch
      # an exponent would build a 3.3-million-bit integer before anything else
      (2, ["1e1000000", "0"], "not a rational literal: '1e1000000'"),
      (2, ["0.5", "0"], "not a rational literal: '0.5'"),
-     (2, ["1_000", "0"], "not a rational literal: '1_000'")],
+     (2, ["1_000", "0"], "not a rational literal: '1_000'"),
+     # a long value is named by its start and length, on one short line
+     (2, ["1" * 5000, "0"], f"not a rational literal: {'1' * 20!r}... (5000 characters)\n"),
+     (2, ["0." + "1" * 5000, "0"], "... (5002 characters)\n")],
     ids=["float-coefficient", "boolean-coefficient", "fractional-dim", "exponent-string",
-         "decimal-string", "underscore-string"],
+         "decimal-string", "underscore-string", "over-the-digit-limit", "long-decimal"],
 )
 def test_analyze_reads_only_exact_numbers(tmp_path, capsys, dim, first_a, shown):
     path = tmp_path / "inexact.json"
@@ -311,6 +319,7 @@ def test_analyze_reads_only_exact_numbers(tmp_path, capsys, dim, first_a, shown)
     assert run(["analyze", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed arrangement JSON") and shown in err
+    assert err.count("\n") == 1 and len(err) < 160
 
 
 def nested(depth):
@@ -435,6 +444,31 @@ def test_export_off_rejects_unbounded_and_unrealized_cells(tmp_path, capsys):
                     f"--cell={cell}"]) == 2
         assert f"{cell} is not a bounded cell" in capsys.readouterr().err
     assert not (tmp_path / "no.off").exists()
+
+
+def test_export_off_refuses_a_cell_of_the_wrong_length_before_the_vertex_pass(
+        tmp_path, monkeypatch, capsys):
+    src = tmp_path / "s36.json"
+    run(["construct", "--family", "cyclic", "-d", 3, "-n", 6, "--out", src])
+
+    def no_vertex_pass(*_args):
+        raise AssertionError("vertices enumerated before the cell's length was checked")
+
+    monkeypatch.setattr(export, "enumerate_vertices", no_vertex_pass)
+    assert run(["export", src, "--format", "off", "--out", tmp_path / "no.off",
+                "--cell", "+-"]) == 2
+    assert capsys.readouterr().err == "error: signature length 2 does not match n = 6\n"
+    assert not (tmp_path / "no.off").exists()
+
+
+def test_export_imports_no_census_verify_or_json_layer():
+    # the figure exporter reads the vertex pass alone
+    tree = ast.parse(Path(export.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert imported & {"jsonio", "verify", "census"} == set()
+    assert "arrangement" in imported
 
 
 def test_byte_identical_construct(tmp_path):

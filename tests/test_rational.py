@@ -113,6 +113,14 @@ def test_parse_rational_refuses_other_forms_before_building_a_fraction(monkeypat
         parse_rational(text)
 
 
+def test_parse_rational_names_a_long_value_by_its_start_and_length():
+    with pytest.raises(ValueError, match=re.escape("not a rational literal: " + repr("9" * 39 + "x"))):
+        parse_rational("9" * 39 + "x")  # 40 characters, shown whole
+    with pytest.raises(ValueError) as refused:
+        parse_rational("9" * 40 + "x")
+    assert str(refused.value) == f"not a rational literal: {'9' * 20!r}... (41 characters)"
+
+
 def test_parse_rational_reads_signed_integers_and_quotients():
     assert [parse_rational(t) for t in ["+4", "-0", "007", "-6/4", "+1/3"]] == [
         4, 0, 7, Fraction(-3, 2), Fraction(1, 3)]

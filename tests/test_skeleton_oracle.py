@@ -3,7 +3,7 @@
 Cell by cell, the skeletons of `skeletons_for_cells` must equal the
 completion-lookup builder's, both for the census's records and for those
 of `build_cell_records`, and the diameters must equal the all-sources BFS,
-both in `build_cell_records` and in `census.average_diameter`.
+both in `build_cell_records` and in the census's delta.
 """
 
 from fractions import Fraction
@@ -19,7 +19,7 @@ from arrangement_lab.arrangement import (
     enumerate_vertices,
 )
 from arrangement_lab.cells import build_cell_records, cell_diameter, skeletons_for_cells
-from arrangement_lab.census import average_diameter
+from arrangement_lab.census import census
 from arrangement_lab.constructions import (
     build_ao2,
     build_ao3,
@@ -40,7 +40,7 @@ def assert_matches_oracle(arr):
     for rec, adj in zip(records, expected):
         assert rec.diameter == cell_diameter(adj) == oracle.cell_diameter(adj)
         diameters.append(rec.diameter)
-    assert average_diameter(arr) == Fraction(sum(diameters), len(cells))
+    assert census(arr).delta == Fraction(sum(diameters), len(cells))
 
 
 @settings(deadline=None, max_examples=25)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from arrangement_lab import verify
-from arrangement_lab.constructions import build_ao3
 from arrangement_lab.errors import InputError
 from arrangement_lab.verify import (
     P1_RANGE,
@@ -29,7 +28,6 @@ from arrangement_lab.verify import (
     prop7_lower_bound,
     run_suite,
     suite_instances,
-    verify_identity_2d,
     verify_proposition,
 )
 
@@ -216,15 +214,6 @@ def test_verify_proposition_checks_the_point_before_any_census(monkeypatch, prop
 def test_run_suite_rejects_range_for_default_instance_checks(prop):
     with pytest.raises(InputError, match="default instances"):
         run_suite([prop], {"n": [4, 5]})
-
-
-def test_identity_2d_rejects_other_dimensions_before_enumerating(monkeypatch):
-    def no_census(*_args, **_kwargs):
-        raise AssertionError("census ran before the dimension check")
-
-    monkeypatch.setattr(verify, "census", no_census)
-    with pytest.raises(InputError, match="d = 2"):
-        verify_identity_2d(build_ao3(6).arrangement)
 
 
 @pytest.mark.parametrize("prop", PROP_IDS)
