@@ -8,11 +8,11 @@ with the other's on every coordinate where the smaller face is not tight.
 
 `enumerate_vertices` finds every vertex in one pass:
 
-* Solve.  The d-subsets are walked depth-first in lexicographic order, and
-  each level reduces its new row once against its prefix's echelon rows
-  (`rational.reduce_row`), so a subset costs one row reduction plus a
-  back-substitution.  The walk raises at the first singular subset or
-  repeated point.
+* Solve.  The d-subsets are walked depth-first in lexicographic order,
+  carrying the flat that each prefix cuts out of R^d (`rational.meet`):
+  each level cuts its parent's flat once by its new row, so a subset
+  costs one crossing of its prefix's line (`rational.crossing`).  The
+  walk raises at the first singular subset or repeated point.
 * Order.  Dropping one of a vertex's d tight hyperplanes leaves a line
   through it.  Each line's vertices are sorted once, in lexicographic order
   of their points, by an integer key, which gives each vertex its lower and
@@ -84,13 +84,15 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .rational import (
+    Flat,
     IntPoint,
     IntRow,
     Vec,
-    back_substitute,
+    crossing,
     dot,
     integer_row,
-    reduce_row,
+    meet,
+    space,
     vector,
 )
 
@@ -275,53 +277,44 @@ def _solve_subsets(
     rows (a, b) in lexicographic order, raising NotSimpleError at the first
     singular subset or repeated point.
 
-    The subsets are walked depth-first, so each prefix is reduced once
-    and its echelon rows serve every subset that extends it.  A prefix
-    whose normals are dependent makes every subset below it singular, and
-    the first of them in lexicographic order is reported.
+    The subsets are walked depth-first, so each prefix cuts its flat once
+    and every subset that extends it starts from that flat; a leaf is one
+    crossing of its prefix's line.  A prefix whose normals are dependent
+    makes every subset below it singular, and the first of them in
+    lexicographic order is reported.
     """
     n = len(rows)
     if n < d + 1:
         raise _not_simple(None, f"need at least {d + 1} hyperplanes, got {n}")
-    _extend_prefix(rows, d, [], [], [], {}, solved)
+    _extend_prefix(rows, d, (), space(d), {}, solved)
 
 
 def _extend_prefix(
     rows: Sequence[IntRow],
     d: int,
-    prefix: list[int],
-    echelon: list[Sequence[int]],
-    pivots: list[int],
+    prefix: tuple[int, ...],
+    flat: Flat,
     seen: dict[IntPoint, tuple[int, ...]],
     solved: list[tuple[tuple[int, ...], IntPoint]],
 ) -> None:
-    """Every subset that extends `prefix`, whose rows reduced to `echelon`
-    with `pivots`, for `_solve_subsets`; `seen` maps each point solved so
-    far to its subset."""
+    """Every subset that extends `prefix`, whose rows cut out `flat`, for
+    `_solve_subsets`; `seen` maps each point solved so far to its subset."""
     level = len(prefix)
-    start = prefix[-1] + 1 if prefix else 0
-    for i in range(start, len(rows) - d + level + 1):
-        row, col = reduce_row(rows[i], echelon, pivots)
-        if col is None:
+    last = level == d - 1  # the next row completes a subset
+    cut = crossing if last else meet
+    for i in range(prefix[-1] + 1 if prefix else 0, len(rows) - d + level + 1):
+        found = cut(flat, rows[i])
+        if found is None:
             raise _not_simple((*prefix, *range(i, i + d - level)),
                               "hyperplanes do not meet in a single point")
-        echelon.append(row)
-        pivots.append(col)
-        if level == d - 1:
-            subset = (*prefix, i)
-            point = back_substitute(echelon, pivots)
-            if point in seen:
-                raise _not_simple(
-                    subset, f"intersection point coincides with subset {seen[point]}"
-                )
-            seen[point] = subset
-            solved.append((subset, point))
+        subset = (*prefix, i)
+        if not last:
+            _extend_prefix(rows, d, subset, found, seen, solved)
+        elif found in seen:
+            raise _not_simple(subset, f"intersection point coincides with subset {seen[found]}")
         else:
-            prefix.append(i)
-            _extend_prefix(rows, d, prefix, echelon, pivots, seen, solved)
-            prefix.pop()
-        echelon.pop()
-        pivots.pop()
+            seen[found] = subset
+            solved.append((subset, found))
 
 
 def _extra_plane_error(
@@ -330,9 +323,8 @@ def _extra_plane_error(
     """The error for the first solved point, in lexicographic order of its
     subset, that lies on a hyperplane outside its subset; None if none
     does.  It names every hyperplane through the point."""
-    planes = [(row[:-1], row[-1]) for row in rows]
     for subset, (p, q) in solved:
-        zeros = tuple(i for i, (a, b) in enumerate(planes) if sum(map(mul, a, p)) == b * q)
+        zeros = tuple(i for i, row in enumerate(rows) if sum(map(mul, row, p)) == row[-1] * q)
         if zeros != subset:
             return _not_simple(
                 zeros, f"point of subset {subset} lies on extra hyperplanes "
@@ -418,10 +410,9 @@ def _carry_signs(
     carried breadth-first along the lines from one full evaluation at
     vertex 0 (see the module docstring).  The vertex graph of a simple
     arrangement is connected, so every vertex is reached."""
-    planes = [(row[:-1], row[-1]) for row in rows]
     p, q = solved[0][1]
     masks: list[Optional[int]] = [None] * len(solved)
-    masks[0] = sum(bit for bit, (a, b) in zip(bits, planes) if sum(map(mul, a, p)) > b * q)
+    masks[0] = sum(bit for bit, row in zip(bits, rows) if sum(map(mul, row, p)) > row[-1] * q)
     # w's index off the line it shares with u: the line is u's tight set
     # without j, so w's index is the sum of w's tight set minus the line's
     totals = [sum(tight) for tight, _ in solved]
@@ -432,9 +423,8 @@ def _carry_signs(
             for w in pair:
                 if w is None or masks[w] is not None:
                     continue
-                a, b = planes[j]
-                p, q = solved[w][1]
-                mw = mu | bits[j] if sum(map(mul, a, p)) > b * q else mu
+                row, (p, q) = rows[j], solved[w][1]
+                mw = mu | bits[j] if sum(map(mul, row, p)) > row[-1] * q else mu
                 masks[w] = mw & ~bits[totals[w] - base + j]
                 todo.append(w)
     if len(todo) != len(solved):

@@ -21,11 +21,11 @@ and export, raises NotSimpleError on any non-simple input.
 Random simple arrangements draw integer coefficients from a SplitMix64
 stream so that identical (d, n, seed, bound) inputs reproduce bit-identical
 output on any platform.  Each drawn row is checked by the vertex pass's
-own walk (`arrangement._extend_prefix`): the fraction-free elimination of
-Bareiss 1968, depth-first over the subsets that contain the new row, with
-the row fixed first so its reduction is shared by all of them.  A row
-that makes a subset singular or a point repeat is redrawn.  `build` is the
-one place a family name picks its builder.
+own walk (`arrangement._extend_prefix`), depth-first over the subsets that
+contain the new row, starting from the hyperplane the row cuts out of R^d
+(`rational.meet`), so every subset starts from that one cut.  A row that
+makes a subset singular or a point repeat is redrawn.  `build` is the one
+place a family name picks its builder.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional
 
 from .arrangement import Arrangement, Hyperplane, _extend_prefix, hyperplane
 from .errors import GenerationError, InputError, NotSimpleError
-from .rational import IntPoint, IntRow, integer_row, reduce_row
+from .rational import IntPoint, IntRow, integer_row, meet, space
 
 
 @dataclass(frozen=True)
@@ -182,17 +182,18 @@ def _extends_simply(
     `points` holds the distinct points of `existing`, so only the subsets
     containing the candidate are solved, by the vertex pass's walk
     (`arrangement._extend_prefix`) on the rows [candidate, *existing] below
-    the prefix [0], which adds each point to `points` unless it is there.
-    The walk reduces a prefix only when some subset completes it, so it
-    raises exactly when a subset is singular or a point repeats, as solving
-    each subset on its own would; its points are then removed again.
+    the prefix (0,), whose flat is the candidate's hyperplane.  The walk
+    adds each point to `points` unless it is there, and cuts a prefix only
+    when some subset completes it, so it raises exactly when a subset is
+    singular or a point repeats, as solving each subset on its own would;
+    its points are then removed again.
     """
-    first, col = reduce_row(candidate, [], [])
-    if col is None:
+    flat = meet(space(d), candidate)
+    if flat is None:
         return False
     solved: list[tuple[tuple[int, ...], IntPoint]] = []
     try:
-        _extend_prefix([candidate, *existing], d, [0], [first], [col], points, solved)
+        _extend_prefix([candidate, *existing], d, (0,), flat, points, solved)
     except NotSimpleError:
         for _, point in solved:
             del points[point]

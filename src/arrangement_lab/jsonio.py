@@ -138,17 +138,15 @@ def _coefficient(value) -> Fraction:
 def arrangement_from_obj(obj: dict) -> tuple[Arrangement, dict]:
     try:
         dim = json_integer(obj["dim"], '"dim"')
-        rows = obj["hyperplanes"]
-        planes = tuple(
-            Hyperplane(
-                tuple(_coefficient(c) for c in row["a"]),
-                _coefficient(row["b"]),
-            )
-            for row in rows
-        )
+        planes = []
+        for k, row in enumerate(obj["hyperplanes"]):
+            a = row["a"]
+            if not isinstance(a, list):  # a string or object would be read item by item
+                raise InputError(f'hyperplane {k}: "a" must be a JSON array of coefficients')
+            planes.append(Hyperplane(tuple(_coefficient(c) for c in a), _coefficient(row["b"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed arrangement JSON: {exc}") from exc
-    return Arrangement(dim, planes), obj.get("metadata", {})
+    return Arrangement(dim, tuple(planes)), obj.get("metadata", {})
 
 
 def load_arrangement(path: str) -> tuple[Arrangement, dict]:

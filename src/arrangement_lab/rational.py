@@ -1,16 +1,38 @@
 """Exact rational scalars and small dense linear algebra.
 
-Exactness comes from plain integers.  Linear systems are solved by
-fraction-free (Bareiss 1968) elimination on integer rows (A | b), in two
-helpers that hold the one Bareiss formula: `reduce_row` reduces a new row
-against the echelon rows before it and picks its pivot column, so rows
-never move, and `back_substitute` turns d echelon rows into the solution
-as integer numerators over a positive common denominator, in lowest terms.
-`solve_integer_system` chains them over one system; the vertex pass of
-`arrangement` chains them over a depth-first walk of subsets, so that
-subsets sharing a prefix share its echelon rows.  Singularity detection is
-exact, since a row is dependent exactly when it reduces to zero on every
-column of A.  `integer_row` scales a rational row by a positive factor to
+Exactness comes from plain integers.  Linear systems are solved on
+*flats*: a flat (X, U, det) is the solution set (X + Σ t_k·U_k)/det of the
+integer rows (a, b) cut so far, X and each U_k integer d-vectors, and R^d
+is (0, the unit vectors, 1) (`space`).  `meet` cuts a flat by one row with
+one fraction-free update (Bareiss 1968): with c_k = a·U_k, the first
+nonzero c_p as pivot and r = b·det − a·X,
+
+    X' = (c_p·X + r·U_p)/det,  U'_k = (c_p·U_k − c_k·U_p)/det (k ≠ p),  det' = c_p.
+
+No pivot, every c_k zero, means a depends on the normals already cut.
+`crossing` is the update on a line, with no direction left to carry: X'
+over c_p is the point, returned in lowest terms over a positive
+denominator, so equal points give equal results.  The update is exact and
+keeps the flat:
+
+* With the columns Y_0 = (X, det), Y_k = (U_k, 0) and the row as the
+  functional h = (a, −b), it is Y'_k = (c_p·Y_k − (h·Y_k)·Y_p)/det for
+  every k ≠ p, Y_0 included: one step of Bareiss's column elimination on
+  the functionals cut so far stacked above the identity, det being the
+  previous pivot (1 at first).  By Sylvester's identity each entry it
+  makes is a minor of that integer matrix, on the rows cut and its own
+  row and on the pivot columns and its own column, so each division is
+  exact.
+* Each h cut is zero on every later column: the newest by the update,
+  earlier ones as they are zero on both columns it combines.  So X/det
+  lies on every hyperplane cut and each U_k runs along all of them.  As
+  c_p ≠ 0, the columns left and the pivot dropped span what the columns
+  did, so the U_k span every direction along the cut hyperplanes, and a
+  normal is orthogonal to all of them exactly when it depends on those.
+
+`solve_integer_system` cuts R^d by d-1 rows and crosses the last; the
+vertex pass of `arrangement` carries one flat down a depth-first walk of
+subsets.  `integer_row` scales a rational row by a positive factor to
 coprime integers, which keeps the sign of every affine functional it
 describes.
 
@@ -25,6 +47,7 @@ from __future__ import annotations
 import re
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -35,6 +58,7 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 IntRow = tuple[int, ...]                # integer row (a_1, ..., a_d, b)
 IntPoint = tuple[tuple[int, ...], int]  # numerators over a positive denominator
+Flat = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]  # (X, U, det)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _SHOWN = 40  # a refused value longer than this is named by its start and length
 
@@ -51,70 +75,56 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def integer_row(values: Sequence) -> IntRow:
-    """Scale rational values by a positive factor to coprime integers.
+    """Scale Fractions and ints by a positive factor to coprime integers.
 
     The factor is positive, so the sign of a·x − b at any point is kept when
     (a, b) is scaled this way; an all-zero row stays all zero.
     """
-    entries = [Fraction(v) for v in values]
-    scale = lcm(*(e.denominator for e in entries))
-    ints = [e.numerator * (scale // e.denominator) for e in entries]
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
     g = gcd(*ints) or 1
     return tuple(v // g for v in ints)
 
 
-def reduce_row(
-    row: Sequence[int], echelon: Sequence[Sequence[int]], pivots: Sequence[int]
-) -> tuple[Sequence[int], Optional[int]]:
-    """One Bareiss level: `row` (a_1, ..., a_d, b) reduced against the
-    echelon rows before it, and the column it pivots on.
-
-    `echelon[t]` is the t-th row as this function returned it, which is zero
-    on the pivot columns `pivots[:t]` and nonzero on `pivots[t]`.  Each step
-    is Bareiss's update with the previous pivot as exact divisor, taken in
-    the column order the pivots chose, so no row ever moves; where the row
-    is already zero in the step's pivot column, the update only rescales
-    it.  The result is zero on every earlier pivot column; its pivot is the
-    first other column of A where it is nonzero, or None when its normal
-    depends on the echelon rows' normals.
-    """
-    reduced = row
-    prev = 1
-    for e, c in zip(echelon, pivots):
-        pivot, lead = e[c], reduced[c]
-        if lead:
-            reduced = [(x * pivot - lead * y) // prev for x, y in zip(reduced, e)]
-        elif pivot != prev:
-            reduced = [x * pivot // prev for x in reduced]
-        prev = pivot
-    for c in range(len(reduced) - 1):
-        if reduced[c]:
-            return reduced, c
-    return reduced, None
+@cache
+def space(d: int) -> Flat:
+    """R^d as a flat: no rows cut, X = 0, the unit vectors, det = 1."""
+    return (0,) * d, tuple(tuple(int(i == k) for i in range(d)) for k in range(d)), 1
 
 
-def back_substitute(echelon: Sequence[Sequence[int]], pivots: Sequence[int]) -> IntPoint:
-    """The solution of d echelon rows from `reduce_row`, one pivot each, as
-    (numerators, denominator) in lowest terms with a positive denominator.
+def meet(flat: Flat, row: Sequence[int]) -> Optional[Flat]:
+    """`flat` cut by the integer row (a_1, ..., a_d, b), pivoting on the
+    first direction the normal a is not orthogonal to; None when there is
+    none, that is when a depends on the normals already cut."""
+    x, directions, det = flat
+    cs = [sum(map(mul, row, u)) for u in directions]  # map stops before b
+    for p, c in enumerate(cs):
+        if c:
+            up = directions[p]
+            r = row[-1] * det - sum(map(mul, row, x))
+            rest = [tuple([(c * s - ck * t) // det for s, t in zip(u, up)])
+                    for k, (u, ck) in enumerate(zip(directions, cs)) if k != p]
+            return tuple([(c * s + r * t) // det for s, t in zip(x, up)]), tuple(rest), c
+    return None
 
-    The last pivot is ±det(A), so x·det(A) is an integer vector by Cramer's
-    rule; each row, from the last, fixes its pivot coordinate of that
-    vector from the later ones, dividing exactly.
-    """
-    d = len(echelon)
-    det = echelon[-1][pivots[-1]] if echelon else 1
-    x = [0] * d
-    for t in range(d - 1, -1, -1):
-        e, c = echelon[t], pivots[t]
-        x[c] = (det * e[d] - sum(map(mul, e, x))) // e[c]
-    if det < 0:
-        det = -det
-        x = [-v for v in x]
-    g = gcd(det, *x)
+
+def crossing(line: Flat, row: Sequence[int]) -> Optional[IntPoint]:
+    """The point where the integer row (a_1, ..., a_d, b) crosses `line`,
+    a flat with one direction, as (numerators, denominator) in lowest terms
+    with a positive denominator; None when a is orthogonal to the line.
+    It is `meet`'s update with no direction left to carry."""
+    x, (u,), det = line
+    c = sum(map(mul, row, u))
+    if not c:
+        return None
+    r = row[-1] * det - sum(map(mul, row, x))
+    p = [(c * s + r * t) // det for s, t in zip(x, u)]
+    if c < 0:
+        c, p = -c, [-v for v in p]
+    g = gcd(c, *p)
     if g != 1:
-        det //= g
-        x = [v // g for v in x]
-    return tuple(x), det
+        c, p = c // g, [v // g for v in p]
+    return tuple(p), c
 
 
 def solve_integer_system(rows: Sequence[IntRow]) -> Optional[IntPoint]:
@@ -123,22 +133,20 @@ def solve_integer_system(rows: Sequence[IntRow]) -> Optional[IntPoint]:
     Returns None when A is singular, otherwise (numerators, denominator)
     with x_i = numerators[i] / denominator, the denominator positive and
     gcd(numerators..., denominator) = 1, so equal points have equal results.
-    Each row is reduced by `reduce_row` against those before it, then
-    `back_substitute` solves; the vertex pass of `arrangement` shares both
-    helpers, reusing the rows of a common prefix of subsets.
+    R^d is cut by the first d-1 rows (`meet`), and the last row crosses
+    the line they leave (`crossing`).
     """
     d = len(rows)
     if any(len(row) != d + 1 for row in rows):
         raise DimensionMismatchError(f"expected {d} rows of {d + 1} entries")
-    echelon: list[Sequence[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        reduced, col = reduce_row(row, echelon, pivots)
-        if col is None:
+    if not rows:
+        return (), 1
+    flat = space(d)
+    for row in rows[:-1]:
+        flat = meet(flat, row)
+        if flat is None:
             return None
-        echelon.append(reduced)
-        pivots.append(col)
-    return back_substitute(echelon, pivots)
+    return crossing(flat, rows[-1])
 
 
 def solve_linear_system(m: Mat, rhs: Vec) -> Optional[Vec]:

@@ -3,17 +3,17 @@
 This is the generator's earlier decision, kept as the reference for the
 walk that replaced it: a candidate row with a zero normal is redrawn, and
 otherwise each (d-1)-subset of the existing rows plus the candidate is
-solved by itself with `solve_integer_system`, in lexicographic order.  The
-candidate is refused at the first singular subset or repeated point, and
-the points it added are removed again; when it is accepted they stay in
-`points`, each mapped to its subset.
+solved by itself with the earlier solver, `oracle_arithmetic.solve_by_echelon`,
+in lexicographic order.  The candidate is refused at the first singular
+subset or repeated point, and the points it added are removed again; when
+it is accepted they stay in `points`, each mapped to its subset.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from arrangement_lab.rational import solve_integer_system
+from oracle_arithmetic import solve_by_echelon
 
 
 def extends_simply_by_subsets(existing, candidate, d, points) -> bool:
@@ -24,7 +24,7 @@ def extends_simply_by_subsets(existing, candidate, d, points) -> bool:
     added = []
     for rest in combinations(range(last), d - 1):
         subset = rest + (last,)
-        point = solve_integer_system([rows[i] for i in subset])
+        point = solve_by_echelon([rows[i] for i in subset])
         if point is None or point in points:
             for stale in added:
                 del points[stale]

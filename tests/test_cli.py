@@ -322,6 +322,26 @@ def test_analyze_reads_only_exact_numbers(tmp_path, capsys, dim, first_a, shown)
     assert err.count("\n") == 1 and len(err) < 160
 
 
+@pytest.mark.parametrize("first_a", ["10", {"1": 0, "0": 5}, "1/2"],
+                         ids=["string", "object", "quotient-string"])
+def test_analyze_requires_a_json_array_of_coefficients(tmp_path, capsys, first_a):
+    # a string or an object was read item by item: "10" as the line x_0 = 0
+    # and {"1": 0, "0": 5} as its keys (1, 0)
+    path = tmp_path / "not-an-array.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "hyperplanes": [
+            {"a": ["0", "1"], "b": "0"},
+            {"a": first_a, "b": 0},
+            {"a": ["1", "1"], "b": "1"},
+        ],
+    }))
+    assert run(["analyze", path]) == 2
+    assert capsys.readouterr().err == (
+        'error: malformed arrangement JSON: hyperplane 1: "a" must be a JSON array '
+        "of coefficients\n")
+
+
 def nested(depth):
     """`depth` lists, one inside the next, as JSON text."""
     return "[" * depth + "]" * depth

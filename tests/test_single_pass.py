@@ -124,8 +124,8 @@ def test_exports_trace_polygons_without_skeletons(monkeypatch):
 
 
 def test_constructed_instance_solves_each_subset_once(monkeypatch):
-    # every solved subset ends in one back-substitution, shared prefix or not
-    calls = count_calls(monkeypatch, rational.back_substitute)
+    # every solved subset ends in one crossing of its prefix's line
+    calls = count_calls(monkeypatch, rational.crossing)
     construction_census.cache_clear()
     try:
         construction_census("ao3", 3, 8, None, None)

@@ -1,9 +1,11 @@
 """The one-pass vertex kernel against its retained references.
 
-* The prefix-shared elimination of `_solve_subsets` must yield the same
-  stream as `solve_integer_system` run on each d-subset by itself, and stop
-  with the same witness and reason, also on rows with zero leading entries
-  (which force column pivots) and on dependent rows (singular prefixes).
+* The prefix-shared flats of `_solve_subsets` must yield the same stream
+  as the earlier echelon solver (`oracle_arithmetic.solve_by_echelon`) run
+  on each d-subset by itself, and stop with the same witness and reason,
+  also on rows with zero leading entries (which force later pivots), on
+  dependent rows (singular prefixes), on the verify instances and on large
+  constructions up to d = 7.
 * `Vertex.steps` must equal the steps built from the line orders sorted
   over the Fraction points (`oracle_vertices.line_orders`), on the verify
   instances, on large constructions and on random rational arrangements,
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from arrangement_lab.arrangement import (
     Arrangement,
     SimplicityReport,
+    _integer_rows,
     _solve_subsets,
     check_simple,
     enumerate_vertices,
@@ -30,8 +33,8 @@ from arrangement_lab.arrangement import (
 )
 from arrangement_lab.constructions import build, build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import NotSimpleError
-from arrangement_lab.rational import solve_integer_system
 from arrangement_lab.verify import default_instances
+from oracle_arithmetic import solve_by_echelon
 from oracle_vertices import enumerate_vertices_by_fractions, line_steps_from_orders
 from signs import vertex_signs
 from test_vertices_oracle import outcome
@@ -63,7 +66,7 @@ def solve_each_subset(rows, d, solved):
         raise not_simple(None, f"need at least {d + 1} hyperplanes, got {len(rows)}")
     seen = {}
     for subset in itertools.combinations(range(len(rows)), d):
-        point = solve_integer_system([rows[i] for i in subset])
+        point = solve_by_echelon([rows[i] for i in subset])
         if point is None:
             raise not_simple(subset, "hyperplanes do not meet in a single point")
         if point in seen:
@@ -104,6 +107,21 @@ def test_prefix_elimination_reports_the_first_leaf_of_a_singular_prefix():
     solved, (rep, _) = stream(_solve_subsets, rows, 3)
     assert solved == [] and rep.witness == (0, 1, 2)
     assert stream(_solve_subsets, rows, 3) == stream(solve_each_subset, rows, 3)
+
+
+LARGE = [build_ao2(40), build_ao3(16), build_cyclic_star(6, 12), build_cyclic_star(7, 14)]
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [build(*key).arrangement for key in default_instances()] + [b.arrangement for b in LARGE],
+    ids=[str(key) for key in default_instances()] + [f"{b.family}-{b.d}-{b.n}" for b in LARGE],
+)
+def test_constructions_solve_as_each_subset_on_its_own(arr):
+    # the verify instances, the analyze ladder, and d = 7, where the flats'
+    # integers are largest
+    rows = _integer_rows(arr)
+    assert stream(_solve_subsets, rows, arr.dim) == stream(solve_each_subset, rows, arr.dim)
 
 
 # ---------------------------------------------------------------------------
