@@ -70,11 +70,10 @@ read, which only reports make.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import attrgetter, mul
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -107,16 +106,15 @@ _MASK_BITS = str.maketrans("+-", "10")
 _SIGN_VALUES = {"+": 1, "-": -1, "0": 0}
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple("Hyperplane", [("a", Vec), ("b", Fraction)])):
     """Affine functional a·x = b; the stored orientation defines its signs."""
 
-    a: Vec
-    b: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if all(c == 0 for c in self.a):
+    def __new__(cls, a: Vec, b: Fraction):
+        if all(c == 0 for c in a):
             raise ValueError("hyperplane normal must be nonzero")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def dim(self) -> int:
@@ -127,29 +125,27 @@ def hyperplane(a, b) -> Hyperplane:
     return Hyperplane(vector(a), Fraction(b))
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple("Arrangement", [("dim", int), ("hyperplanes", tuple)])):
     """An ordered list of hyperplanes in dimension dim; order is identity."""
 
-    dim: int
-    hyperplanes: tuple[Hyperplane, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 2:
+    def __new__(cls, dim: int, hyperplanes: tuple[Hyperplane, ...]):
+        if dim < 2:
             raise ValueError("arrangements require dimension >= 2")
-        for h in self.hyperplanes:
-            if h.dim != self.dim:
+        for h in hyperplanes:
+            if h.dim != dim:
                 raise DimensionMismatchError(
-                    f"hyperplane of dimension {h.dim} in a {self.dim}-dimensional arrangement"
+                    f"hyperplane of dimension {h.dim} in a {dim}-dimensional arrangement"
                 )
+        return tuple.__new__(cls, (dim, hyperplanes))
 
     @property
     def n(self) -> int:
         return len(self.hyperplanes)
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A vertex as the vertex pass finds it: its point as integers
     numerators / denominator (positive, in lowest terms), the d hyperplanes
     through it, its plus mask, and its steps along each of its d lines.
@@ -179,8 +175,7 @@ class Vertex:
                 for k, step in zip(self.tight_set, self.steps) if not zero >> top - k & 1]
 
 
-@dataclass(frozen=True)
-class ArrangementEdge:
+class ArrangementEdge(NamedTuple):
     """A 1-face: bounded segment (head set) or ray leaving tail (no head)."""
 
     line_set: tuple[int, ...]    # d-1 hyperplane indices, sorted
@@ -193,29 +188,25 @@ class ArrangementEdge:
         return self.head is not None
 
 
-@dataclass(frozen=True)
-class BoundedCell:
+class BoundedCell(NamedTuple):
     signature: int               # a face, as in the module docstring
     vertex_ids: tuple[int, ...]  # sorted
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     is_simple: bool
     witness: Optional[tuple[int, ...]] = None  # offending subset, 0-based
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
-class FacetRecord:
+class FacetRecord(NamedTuple):
     """A bounded (d-1)-face of a d-dimensional arrangement."""
 
     hyperplane: int              # index of the carrying hyperplane
     cells: tuple[int, ...]       # positions of the 1 or 2 bounded cells it bounds
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(NamedTuple):
     """A (d-1)-dimensional arrangement induced on one hyperplane.
 
     Points of the chart map into the ambient space via

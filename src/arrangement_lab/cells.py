@@ -44,11 +44,10 @@ polygon.  Each class is one shared `CellClass` object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arrangement import Arrangement, BoundedCell, Vertex, Walk, _walk, signature_str
 from .errors import InternalConsistencyError
@@ -56,8 +55,7 @@ from .errors import InternalConsistencyError
 Adjacency = dict[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True, order=True)
-class CellClass:
+class CellClass(NamedTuple):
     kind: str
     params: tuple[int, ...] = ()
 
@@ -103,8 +101,7 @@ def other(v: int, e: int, f: int) -> CellClass:
     return CellClass("other", (v, e, f))
 
 
-@dataclass(frozen=True, slots=True)
-class CellRecord:
+class CellRecord(NamedTuple):
     signature: int           # its plus mask: bit n-1-k set where hyperplane k is positive
     vertex_ids: tuple[int, ...]
     vertex_count: int

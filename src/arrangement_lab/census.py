@@ -7,9 +7,8 @@ are attached only at serialization time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arrangement import (
     Arrangement,
@@ -27,8 +26,7 @@ from .cells import (
 )
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     dim: int
     n: int
     vertex_count: int
@@ -39,7 +37,7 @@ class CensusReport:
     f_external: Optional[int]
     p_odd: Optional[int]
     records: list[CellRecord]
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:

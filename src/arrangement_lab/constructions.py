@@ -30,17 +30,15 @@ place a family name picks its builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arrangement import Arrangement, Hyperplane, _extend_prefix, hyperplane
 from .errors import GenerationError, InputError, NotSimpleError
 from .rational import IntPoint, IntRow, integer_row, meet, space
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     arrangement: Arrangement
     family: str
     d: int

@@ -23,7 +23,7 @@ from .arrangement import Arrangement, Hyperplane, signature_str
 from .census import CensusReport
 from .cells import CellRecord
 from .errors import InputError
-from .rational import decimal_display, format_rational, parse_rational
+from .rational import brief, decimal_display, format_rational, parse_rational
 from .verify import RANDOM_COEFF_BOUND, SuiteSummary, VerificationResult
 
 
@@ -117,7 +117,7 @@ def json_integer(value, what: str) -> int:
     """A JSON integer read as exactly that; a boolean, a float or anything
     else raises InputError naming the value."""
     if type(value) is not int:
-        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+        raise InputError(f"{what} must be a JSON integer, got {brief(value)}")
     return value
 
 
@@ -129,24 +129,35 @@ def _coefficient(value) -> Fraction:
         return Fraction(value)
     if not isinstance(value, str):
         raise InputError(
-            f'coefficient must be a rational string such as "1/10" or a JSON integer, '
-            f"got {value!r}"
-        )
+            f'coefficient must be a JSON integer or a "p/q" string, got {brief(value)}')
     return parse_rational(value)
 
 
 def arrangement_from_obj(obj: dict) -> tuple[Arrangement, dict]:
+    """The arrangement and metadata of a JSON object; every refusal of a
+    hyperplane row names its position, 0-based."""
     try:
         dim = json_integer(obj["dim"], '"dim"')
-        planes = []
-        for k, row in enumerate(obj["hyperplanes"]):
-            a = row["a"]
-            if not isinstance(a, list):  # a string or object would be read item by item
-                raise InputError(f'hyperplane {k}: "a" must be a JSON array of coefficients')
-            planes.append(Hyperplane(tuple(_coefficient(c) for c in a), _coefficient(row["b"])))
+        if not isinstance(obj["hyperplanes"], list):
+            raise InputError('"hyperplanes" must be a JSON array')
+        planes = tuple(_hyperplane(k, row, dim) for k, row in enumerate(obj["hyperplanes"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed arrangement JSON: {exc}") from exc
-    return Arrangement(dim, tuple(planes)), obj.get("metadata", {})
+    return Arrangement(dim, planes), obj.get("metadata", {})
+
+
+def _hyperplane(k: int, row, dim: int) -> Hyperplane:
+    try:
+        if not (isinstance(row, dict) and "a" in row and "b" in row):
+            raise InputError('must be a JSON object with "a" and "b"')
+        a = row["a"]
+        if not isinstance(a, list):  # a string or object would be read item by item
+            raise InputError('"a" must be a JSON array of coefficients')
+        if len(a) != dim:
+            raise InputError(f'"a" has {len(a)} coefficients in a {dim}-dimensional arrangement')
+        return Hyperplane(tuple(_coefficient(c) for c in a), _coefficient(row["b"]))
+    except ValueError as exc:
+        raise InputError(f"hyperplane {k}: {exc}") from exc
 
 
 def load_arrangement(path: str) -> tuple[Arrangement, dict]:
@@ -214,7 +225,7 @@ def census_to_obj(report: CensusReport, include_cells: bool = False) -> dict:
 def verification_to_obj(result: VerificationResult) -> dict:
     """Every field by name (prop, params, expected, computed, notes) and the
     verdict that the pass rule reads off expected and computed."""
-    return {**vars(result), "verdict": result.verdict}
+    return {**result._asdict(), "verdict": result.verdict}
 
 
 def suite_to_obj(summary: SuiteSummary) -> dict:

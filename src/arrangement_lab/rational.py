@@ -205,6 +205,13 @@ def parse_rational(text: str) -> Fraction:
     raise ValueError(f"not a rational literal: {shown}")
 
 
+def brief(value) -> str:
+    """`repr(value)`, or when that is longer than `_SHOWN` its first half of
+    that and its length, so a message naming the value stays one short line."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN // 2]}... ({len(text)} characters)"
+
+
 def decimal_display(q: Fraction, places: int = 6) -> str:
     """Fixed-width decimal annotation, round-half-even; display only."""
     value = Decimal(q.numerator) / Decimal(q.denominator)

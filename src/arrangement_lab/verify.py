@@ -33,7 +33,6 @@ degenerate claim.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
@@ -70,13 +69,12 @@ PROP_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "H", "S")
 Instance = tuple  # (family, d, n, seed, bound), the key of construction_census
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     prop: str
     params: dict
     expected: dict
     computed: dict
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
     @property
     def passed(self) -> bool:
@@ -93,8 +91,7 @@ class VerificationResult:
         return "pass" if self.passed else "fail"
 
 
-@dataclass
-class SuiteSummary:
+class SuiteSummary(NamedTuple):
     results: list[VerificationResult]
     random_2d: Sequence[tuple[int, int]]   # the pools that were used
     random_3d: Sequence[tuple[int, int]]
@@ -283,7 +280,7 @@ def _verify_p2(n: int, report: CensusReport) -> VerificationResult:
         "p_odd": report.p_odd,
         "identity_residual": _identity_residual(report),
     }
-    return VerificationResult("P2", {"n": n}, expected, computed)
+    return VerificationResult("P2", {"n": n}, expected, computed, [])
 
 
 def _verify_p2_random(keys: Sequence[Instance], *reports: CensusReport) -> VerificationResult:

@@ -17,7 +17,6 @@ witness and reason as the kernel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional
@@ -97,7 +96,7 @@ def enumerate_vertices_by_fractions(arr: Arrangement) -> list[Vertex]:
         q = lcm(*(c.denominator for c in point))
         plus = face_of(signs) & ~(-1 << arr.n)
         vertices.append(Vertex(tuple(int(c * q) for c in point), q, subset, plus, ()))
-    return [replace(v, steps=steps)
+    return [v._replace(steps=steps)
             for v, steps in zip(vertices, line_steps_from_orders(arr, vertices))]
 
 

@@ -1,5 +1,6 @@
 """Arrangement enumeration: simplicity, vertices, edges, cells, facets."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from arrangement_lab import arrangement
 from arrangement_lab.arrangement import (
     Arrangement,
+    Hyperplane,
     _bounded_face_count,
     check_simple,
     enumerate_bounded_cells,
@@ -27,6 +29,7 @@ from arrangement_lab.constructions import (
     random_simple_arrangement,
 )
 from arrangement_lab.errors import (
+    DimensionMismatchError,
     InternalConsistencyError,
     NotSimpleError,
     UnsupportedDimensionError,
@@ -41,6 +44,37 @@ def enumerate_all(arr):
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices)
     return vertices, edges, cells
+
+
+# ---------------------------------------------------------------------------
+# construction-time refusals
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("normal", [(0, 0), (0, 0, 0), (Fraction(0), Fraction(0, 5))])
+def test_hyperplane_refuses_a_zero_normal(normal):
+    for build in (lambda: hyperplane(normal, 1), lambda: Hyperplane(normal, Fraction(1)),
+                  lambda: Hyperplane(a=normal, b=Fraction(0))):
+        with pytest.raises(ValueError, match="^hyperplane normal must be nonzero$"):
+            build()
+
+
+@pytest.mark.parametrize("dim", [1, 0, -2])
+def test_arrangement_refuses_dimension_below_two(dim):
+    for planes in ((), (hyperplane([1], 0), hyperplane([2], 1))):
+        with pytest.raises(ValueError, match="^arrangements require dimension >= 2$"):
+            Arrangement(dim, planes)
+
+
+@pytest.mark.parametrize("dim, a, message", [
+    (2, [0, 0, 1], "hyperplane of dimension 3 in a 2-dimensional arrangement"),
+    (3, [1, 1], "hyperplane of dimension 2 in a 3-dimensional arrangement"),
+])
+def test_arrangement_refuses_a_hyperplane_of_another_dimension(dim, a, message):
+    planes = (*build_cyclic_star(dim, dim + 1).arrangement.hyperplanes, hyperplane(a, 1))
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        Arrangement(dim, planes)
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        Arrangement(dim=dim, hyperplanes=planes[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ tuples and read back their +/- strings.
 """
 
 import re
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -47,8 +46,8 @@ from test_vertex_pass import build, relabelled_arrangements
 def assert_same_records(ours, theirs):
     assert len(ours) == len(theirs)
     for a, b in zip(ours, theirs):
-        for field in fields(CellRecord):
-            assert getattr(a, field.name) == getattr(b, field.name), (b.signature, field.name)
+        for field in CellRecord._fields:
+            assert getattr(a, field) == getattr(b, field), (b.signature, field)
 
 
 def assert_pass_matches_reference(arr, records=None):

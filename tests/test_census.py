@@ -116,6 +116,14 @@ def test_f_bounded_values(cached_census):
     assert cached_census("ao3", 3, 7).f_bounded == 70
 
 
+def test_a_cached_census_cannot_have_its_fields_reassigned(cached_census):
+    # every check that asks for a key shares the one cached report
+    report = cached_census("ao2", 2, 6)
+    with pytest.raises(AttributeError):
+        report.delta = Fraction(2)
+    assert cached_census("ao2", 2, 6).delta == Fraction(17, 10)
+
+
 def test_metadata_passthrough():
     built = build_ao2(5)
     report = census(built.arrangement, metadata=built.metadata())

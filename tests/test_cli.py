@@ -2,8 +2,11 @@
 
 import ast
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -302,9 +305,12 @@ def test_verify_refuses_a_bad_pool_entry_before_any_census(tmp_path, monkeypatch
      (2, ["1_000", "0"], "not a rational literal: '1_000'"),
      # a long value is named by its start and length, on one short line
      (2, ["1" * 5000, "0"], f"not a rational literal: {'1' * 20!r}... (5000 characters)\n"),
-     (2, ["0." + "1" * 5000, "0"], "... (5002 characters)\n")],
+     (2, ["0." + "1" * 5000, "0"], "... (5002 characters)\n"),
+     # a refused non-string too, by the start and length of its repr
+     (2, [list(range(3000)), "0"], "got [0, 1, 2, 3, 4, 5, 6... (16890 characters)\n")],
     ids=["float-coefficient", "boolean-coefficient", "fractional-dim", "exponent-string",
-         "decimal-string", "underscore-string", "over-the-digit-limit", "long-decimal"],
+         "decimal-string", "underscore-string", "over-the-digit-limit", "long-decimal",
+         "long-array-coefficient"],
 )
 def test_analyze_reads_only_exact_numbers(tmp_path, capsys, dim, first_a, shown):
     path = tmp_path / "inexact.json"
@@ -340,6 +346,29 @@ def test_analyze_requires_a_json_array_of_coefficients(tmp_path, capsys, first_a
     assert capsys.readouterr().err == (
         'error: malformed arrangement JSON: hyperplane 1: "a" must be a JSON array '
         "of coefficients\n")
+
+
+@pytest.mark.parametrize("hyperplanes, message", [
+    ([{"a": ["0", "1"], "b": "0"}, [["1", "0"], "0"]],
+     'hyperplane 1: must be a JSON object with "a" and "b"'),
+    ([{"a": ["0", "1"], "b": "0"}, {"a": ["1", "0"]}],
+     'hyperplane 1: must be a JSON object with "a" and "b"'),
+    ({"0": {"a": ["0", "1"], "b": "0"}}, '"hyperplanes" must be a JSON array'),
+    ([{"a": ["0", "1"], "b": "0"}, {"a": [0, "0/7"], "b": "1"}],
+     "hyperplane 1: hyperplane normal must be nonzero"),
+    ([{"a": ["0", "1"], "b": "0"}, {"a": ["1", "1"], "b": "1"}, {"a": [1, 2, 3], "b": 0}],
+     'hyperplane 2: "a" has 3 coefficients in a 2-dimensional arrangement'),
+], ids=["row-as-array", "row-without-b", "hyperplanes-as-object", "zero-normal", "wrong-length"])
+def test_analyze_names_the_malformed_hyperplane(tmp_path, monkeypatch, capsys, hyperplanes,
+                                                message):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census of a malformed arrangement")
+
+    monkeypatch.setattr(cli, "census", no_census)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"dim": 2, "hyperplanes": hyperplanes}))
+    assert run(["analyze", path]) == 2
+    assert capsys.readouterr().err == f"error: malformed arrangement JSON: {message}\n"
 
 
 def nested(depth):
@@ -489,6 +518,18 @@ def test_export_imports_no_census_verify_or_json_layer():
                  for alias in node.names}
     assert imported & {"jsonio", "verify", "census"} == set()
     assert "arrangement" in imported
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # every command pays its import: records are NamedTuples, so no class
+    # body is generated and compiled, and `dataclasses` (with the `inspect`
+    # it pulls in) stays unloaded; -S keeps site hooks out of the count
+    code = ("import sys; before = 'dataclasses' in sys.modules; import arrangement_lab.cli; "
+            "print(before, 'dataclasses' in sys.modules)")
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
 
 
 def test_byte_identical_construct(tmp_path):

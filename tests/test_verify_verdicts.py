@@ -5,7 +5,6 @@ The census is tampered with after enumeration, by replacing the cached
 construction census with a copy that has one field changed.
 """
 
-import dataclasses
 from fractions import Fraction
 from math import ceil
 
@@ -34,7 +33,7 @@ def _tamper(monkeypatch, change):
 
     def tampered(*key):
         report = real(*key)
-        return dataclasses.replace(report, **change(report))
+        return report._replace(**change(report))
 
     monkeypatch.setattr(verify, "construction_census", tampered)
 
@@ -95,7 +94,7 @@ def _keeping_the_identity(change):
     key of the changed field is off."""
     def changed(report):
         fields = change(report)
-        new = dataclasses.replace(report, **fields)
+        new = report._replace(**fields)
         rhs = Fraction(2 * new.f_bounded - new.f_external - new.p_odd, 2)
         return {**fields, "cell_count": rhs / new.delta}
     return changed
@@ -128,7 +127,7 @@ def _one_over_the_cell_bound(position):
     def change(report):
         records = list(report.records)
         for at, step in ((position, 1), (position + 1, -1)):
-            records[at] = dataclasses.replace(records[at], diameter=records[at].diameter + step)
+            records[at] = records[at]._replace(diameter=records[at].diameter + step)
         return {"records": records}
     return change
 
@@ -217,7 +216,7 @@ def test_p4_cell_note_names_the_first_cell_over_the_bound(monkeypatch):
 
 
 def _result(expected, computed):
-    return verify.VerificationResult("X", {}, expected, computed)
+    return verify.VerificationResult("X", {}, expected, computed, [])
 
 
 @pytest.mark.parametrize("expected, computed, verdict", [
