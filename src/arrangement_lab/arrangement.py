@@ -45,19 +45,19 @@ Everything after this pass reads only the vertices: their tight sets,
 plus masks and steps.  A face is one int too, its plus mask with bit
 2n-1-k set where it is zero on k; a cell's is its plus mask, whose integer
 order is lexicographic order on its ±1 tuple.  Lexicographic order on
-points is a generic linear order, so a bounded face has one lex-min and
-one lex-max vertex.  At each vertex and for each c of its zeros kept zero,
-setting the others to their upward (downward) sides names the one face of
-codimension c that can have that vertex as its minimum (maximum); the
-faces named both ways are the bounded ones (`_face_walks`).  Walking a
-face's steps visits its vertices and each hyperplane's mask of them.  A
-cell has E = V·d/2, and skeletons are built only where read
-(`cells.skeletons_for_cells`).  A census walks only the bounded cells,
-c = 0, builds each record as its walk ends, and pairs the records across
-each facet by flipping one bit.  This is reverse search (Avis-Fukuda 1996)
-without linear programming, as the vertices are known; no floating point
-anywhere.  ±1 tuples and +/- strings are built only to be written
-(`signature_str`) or read back (`signature_from_str`).
+points is a generic linear order, so a bounded cell has one lex-min and
+one lex-max vertex.  At each vertex, setting its tight signs to their
+upward (downward) sides names the one cell that can have that vertex as
+its minimum (maximum); the cells named both ways are the bounded ones.  A
+vertex lies in the 2^d cells that set its d tight signs either way, so one
+more pass over the vertices hands each bounded cell its vertices, with no
+walk (`_bounded_cells`).  A cell has E = V·d/2, and skeletons are built
+only where read (`cells.skeletons_for_cells`).  A census builds each
+cell's record from its vertices' tight sets and pairs the records across
+each facet by flipping one bit.  No linear programming is needed, as the
+vertices are known; no floating point anywhere.  ±1 tuples and +/- strings
+are built only to be written (`signature_str`) or read back
+(`signature_from_str`).
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
@@ -69,11 +69,10 @@ read, which only reports make.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, lcm
-from operator import attrgetter, mul
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -100,7 +99,6 @@ if TYPE_CHECKING:
 
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
-Walk = tuple[list[int], list[int]]  # (order, masks), from `_walk`
 _SIGN_CHARS = str.maketrans("01", "-+")
 _MASK_BITS = str.maketrans("+-", "10")
 _SIGN_VALUES = {"+": 1, "-": -1, "0": 0}
@@ -115,6 +113,8 @@ class Hyperplane(NamedTuple("Hyperplane", [("a", Vec), ("b", Fraction)])):
         if all(c == 0 for c in a):
             raise ValueError("hyperplane normal must be nonzero")
         return tuple.__new__(cls, (a, b))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     @property
     def dim(self) -> int:
@@ -139,6 +139,8 @@ class Arrangement(NamedTuple("Arrangement", [("dim", int), ("hyperplanes", tuple
                     f"hyperplane of dimension {h.dim} in a {dim}-dimensional arrangement"
                 )
         return tuple.__new__(cls, (dim, hyperplanes))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     @property
     def n(self) -> int:
@@ -477,32 +479,6 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     return edges
 
 
-def _walk(vertices: list[Vertex], start: int, n: int, face: int) -> Optional[Walk]:
-    """Walk `face` from `start`, in its closure, by the steps toward the
-    face's side of every hyperplane it is not on, which are its edges: the
-    vertices in the order reached and each hyperplane's bitmask of those on
-    it (bit i for the i-th).  None as soon as a step is a ray, i.e. when the
-    face is unbounded."""
-    top, zero = n - 1, face >> n
-    order, on = [start], [0] * n
-    seen = {start}
-    bit = 1
-    for v in order:
-        vertex = vertices[v]
-        for k, step in zip(vertex.tight_set, vertex.steps):
-            on[k] |= bit
-            if zero and zero >> top - k & 1:
-                continue
-            w = step[face >> top - k & 1]
-            if w is None:
-                return None
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        bit <<= 1
-    return order, on
-
-
 def _bounded_face_count(n: int, d: int, codim: int) -> int:
     """Zaslavsky's count of the bounded faces of codimension `codim` of a
     simple arrangement of n hyperplanes in dimension d: C(n, c)·C(n-c-1,
@@ -510,62 +486,54 @@ def _bounded_face_count(n: int, d: int, codim: int) -> int:
     return comb(n, codim) * comb(n - codim - 1, d - codim)
 
 
-def _face_walks(vertices: list[Vertex], n: int, codim: int) -> Iterator[tuple[int, Walk]]:
-    """Bounded faces of codimension `codim`, one (face, walk) at a time.
+def _bounded_cells(vertices: list[Vertex], n: int) -> dict[int, list[int]]:
+    """Every bounded cell, as {plus mask: increasing vertex ids}.
 
-    For each vertex v and each `codim`-subset K of its tight set, v's up
-    candidate sets every other tight bit to its up side, and its down
-    candidate to the other side.  The up candidate is the one face zero on K
+    A vertex v's up candidate sets every tight bit to its up side, and its
+    down candidate to the other side.  The up candidate is the one cell
     whose edges at v all go up; they span its cone at v, as v is simple, so
     v is its lex-min vertex.  Likewise v is its down candidate's lex-max
-    vertex.  A face is bounded exactly when it is both: a polytope has a
-    lex-min and a lex-max vertex; and if a face has lex-min vertex v and
+    vertex.  A cell is bounded exactly when it is both: a polytope has a
+    lex-min and a lex-max vertex; and if a cell has lex-min vertex v and
     lex-max vertex w, the direction r of any ray in it is lexicographically
     >= 0, as v + r lies in it, and <= 0, as w + r does, so there is none.
-    So the bounded faces are the up candidates that are also down
-    candidates.  Their number is checked against Zaslavsky's count
-    (`_bounded_face_count`) before any walk, and each is walked once, from
-    its minimum.
+    Their number is checked against Zaslavsky's count.  The 2^d cells at v
+    are its plus mask with any of its tight bits set, so one more pass
+    hands each bounded cell its vertices.
     """
     d, top = len(vertices[0].tight_set), n - 1
     ups, downs = [], set()
-    for vid, v in enumerate(vertices):
-        bits = [1 << top - k for k in v.tight_set]
-        tight = sum(bits)
-        rise = sum([bit for bit, step in zip(bits, v.steps) if step[2] > 0])
-        for kept in itertools.combinations(bits, codim):
-            zero = sum(kept)
-            face, free = v.plus | zero << n, tight ^ zero
-            ups.append((vid, face | rise & free))
-            downs.add(face | free & ~rise)
-    bounded = [(vid, face) for vid, face in ups if face in downs]
+    for v in vertices:
+        tight = sum(1 << top - k for k in v.tight_set)
+        rise = sum([1 << top - k for k, step in zip(v.tight_set, v.steps) if step[2] > 0])
+        ups.append(v.plus | rise)
+        downs.add(v.plus | tight & ~rise)
+    cells: dict[int, list[int]] = {face: [] for face in ups if face in downs}
     del ups, downs
-    expected = _bounded_face_count(n, d, codim)
-    if len(bounded) != expected:
+    expected = _bounded_face_count(n, d, 0)
+    if len(cells) != expected:
         raise InternalConsistencyError(
-            f"found {len(bounded)} bounded faces of codimension {codim}, expected "
-            f"C({n},{codim})*C({n - codim - 1},{d - codim}) = {expected}"
+            f"found {len(cells)} bounded faces of codimension 0, expected "
+            f"C({n},0)*C({n - 1},{d}) = {expected}"
         )
-    for vid, face in bounded:
-        walk = _walk(vertices, vid, n, face)
-        if walk is None:
-            raise InternalConsistencyError(f"bounded face {signature_str(face, n)} has a ray")
-        yield face, walk
-
-
-def _bounded_faces(vertices: list[Vertex], n: int, codim: int) -> dict[int, list[int]]:
-    """Bounded faces of codimension `codim`, as {face: increasing vertex ids}."""
-    return {face: sorted(walk[0]) for face, walk in _face_walks(vertices, n, codim)}
+    for vid, v in enumerate(vertices):
+        faces = [v.plus]
+        for k in v.tight_set:
+            faces += [face | 1 << top - k for face in faces]
+        for face in faces:
+            if face in cells:
+                cells[face].append(vid)
+    return cells
 
 
 def enumerate_bounded_cells(arr: Arrangement, vertices: list[Vertex]) -> list[CellRecord]:
     """Bounded cells, the zero-free bounded faces, sorted by signature, each
-    a `cells.CellRecord` built as soon as its walk ends; `_face_walks`
-    checks their count, C(n-1, d), before the first walk."""
+    a `cells.CellRecord` built from its vertices in `_bounded_cells`, which
+    checks their count, C(n-1, d)."""
     from .cells import cell_record  # cells imports this module
 
-    return sorted((cell_record(arr.dim, face, walk, vertices)
-                   for face, walk in _face_walks(vertices, arr.n, 0)), key=attrgetter("signature"))
+    cells = _bounded_cells(vertices, arr.n)
+    return [cell_record(arr.dim, arr.n, face, cells.pop(face), vertices) for face in sorted(cells)]
 
 
 def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:

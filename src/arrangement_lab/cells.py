@@ -1,12 +1,13 @@
 """Per-cell analytics: records, diameters, f-counts, classification.
 
-`cell_record` builds each record from the walk that found its cell: its
-vertices, and each hyperplane's mask of those on it, nonzero exactly on the
-facets.  Its signature is the cell's plus mask, one int, bit n-1-k set
-where hyperplane k is positive (`arrangement` module docstring).  A vertex
-is tight on d hyperplanes and has one cell edge on the line that drops
-each, so E = V·d/2.  `skeletons_for_cells` builds skeletons from the
-vertices' steps only for the uncertified cells.
+`cell_record` builds each record from its cell's vertices, as
+`arrangement._bounded_cells` lists them, and from each facet's mask of
+those on it, read off their tight sets (`_facet_masks`).  Its signature is
+the cell's plus mask, one int, bit n-1-k set where hyperplane k is
+positive (`arrangement` module docstring).  A vertex is tight on d
+hyperplanes and has one cell edge on the line that drops each, so
+E = V·d/2.  `skeletons_for_cells` builds skeletons from the vertices'
+steps only for the uncertified cells.
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -45,11 +46,10 @@ polygon.  Each class is one shared `CellClass` object.
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress
 from math import prod
 from typing import NamedTuple, Optional
 
-from .arrangement import Arrangement, BoundedCell, Vertex, Walk, _walk, signature_str
+from .arrangement import Arrangement, BoundedCell, Vertex, _bounded_cells, signature_str
 from .errors import InternalConsistencyError
 
 Adjacency = dict[int, tuple[int, ...]]
@@ -116,7 +116,7 @@ class CellRecord(NamedTuple):
 
 
 def _broken(face: int, n: int, what: str) -> InternalConsistencyError:
-    """The error for a cell or face whose walk or counts are inconsistent."""
+    """The error for a cell or face whose vertices or counts are inconsistent."""
     return InternalConsistencyError(f"cell {signature_str(face, n)}{what}")
 
 
@@ -204,11 +204,18 @@ def product_factors(tight_sets: list[tuple[int, ...]]) -> Optional[tuple[int, ..
     count must equal g_1 ⋯ g_m; the module docstring shows why these checks
     certify the product, however the factors were grouped.
     """
+    return _factor_sizes(list(_facet_masks(tight_sets).values()), len(tight_sets))
+
+
+def _facet_masks(tight_sets: list[tuple[int, ...]]) -> dict[int, int]:
+    """{k: bitmask of the vertices on hyperplane k} over the union of the
+    tight sets, bit i for the i-th, in order of first appearance."""
     on: dict[int, int] = {}
     for i, tight in enumerate(tight_sets):
+        bit = 1 << i
         for k in tight:
-            on[k] = on.get(k, 0) | 1 << i
-    return _factor_sizes(list(on.values()), len(tight_sets))
+            on[k] = on.get(k, 0) | bit
+    return on
 
 
 def _factor_sizes(masks: list[int], count: int) -> Optional[tuple[int, ...]]:
@@ -260,21 +267,23 @@ def classify_cell(
 # record assembly
 # ---------------------------------------------------------------------------
 
-def cell_record(dim: int, signature: int, walk: Walk, vertices: list[Vertex]) -> CellRecord:
-    """The record of a cell from the walk that found it.  A cell the product
-    certificate on its masks accepts has diameter m, its number of factors;
-    only the others get a skeleton, measured by `cell_diameter`."""
-    order, on = walk
-    n = len(on)
-    vertex_ids = tuple(sorted(order))
-    facets = tuple(compress(range(n), on))
-    v, f = len(order), len(facets)
+def cell_record(
+    dim: int, n: int, signature: int, vertex_ids: list[int], vertices: list[Vertex]
+) -> CellRecord:
+    """The record of a cell from its increasing vertex ids.  A cell the
+    product certificate on its facet masks accepts has diameter m, its
+    number of factors; only the others get a skeleton, measured by
+    `cell_diameter`."""
+    vertex_ids = tuple(vertex_ids)
+    on = _facet_masks([vertices[vid].tight_set for vid in vertex_ids])
+    facets = tuple(sorted(on))
+    v, f = len(vertex_ids), len(facets)
     e, odd = divmod(v * dim, 2)
     if odd:
         raise _broken(signature, n, f": V*d = {v}*{dim} is odd")
     if dim == 3 and v - e + f != 2:
         raise _broken(signature, n, f": (V,E,F)=({v},{e},{f}) violates Euler's relation")
-    factors = _factor_sizes(list(filter(None, on)), v)
+    factors = _factor_sizes(list(on.values()), v)
     diameter = len(factors) if factors else cell_diameter(
         skeletons_for_cells([BoundedCell(signature, vertex_ids)], vertices, dim, n)[0])
     return CellRecord(signature, vertex_ids, v, e, facets, diameter,
@@ -284,13 +293,14 @@ def cell_record(dim: int, signature: int, walk: Walk, vertices: list[Vertex]) ->
 def build_cell_records(
     arr: Arrangement, vertices: list[Vertex], cells: list[BoundedCell]
 ) -> list[CellRecord]:
-    """Records of cells known by signature and vertex ids, each walked from
-    its first vertex.  Raises InternalConsistencyError on a cell whose walk
-    reaches a ray."""
+    """Records of cells known by signature, each built from its vertices in
+    `arrangement._bounded_cells`.  Raises InternalConsistencyError on a
+    signature that is not a bounded cell."""
+    table = _bounded_cells(vertices, arr.n)
     records = []
     for cell in cells:
-        walk = _walk(vertices, cell.vertex_ids[0], arr.n, cell.signature)
-        if walk is None:
+        vertex_ids = table.get(cell.signature)
+        if vertex_ids is None:
             raise _broken(cell.signature, arr.n, " is not bounded")
-        records.append(cell_record(arr.dim, cell.signature, walk, vertices))
+        records.append(cell_record(arr.dim, arr.n, cell.signature, vertex_ids, vertices))
     return records

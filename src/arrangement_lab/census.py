@@ -42,9 +42,9 @@ class CensusReport(NamedTuple):
 
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
     """Full aggregate over the bounded cells of a simple arrangement; vertex
-    enumeration raises NotSimpleError for any other input.  The one face
-    walk reads the vertices' steps and builds each cell's record as it
-    finds it; the facets are read off the records."""
+    enumeration raises NotSimpleError for any other input.  Each cell's
+    record is built from its vertices (`arrangement._bounded_cells`); the
+    facets are read off the records."""
     vertices = enumerate_vertices(arr)
     records = enumerate_bounded_cells(arr, vertices)
     counts = Counter(rec.cell_class for rec in records)

@@ -14,7 +14,7 @@ from functools import cmp_to_key
 from .arrangement import (
     Arrangement,
     Vertex,
-    _walk,
+    _bounded_cells,
     enumerate_bounded_cells,
     enumerate_vertices,
     signature_from_str,
@@ -140,10 +140,8 @@ def render_off(arr: Arrangement, cell: str) -> str:
     text: vertices first, facets ordered by hyperplane index with vertices
     in cyclic order.
 
-    Only the requested cell is walked, from the first vertex whose signs
-    agree with the cell's off its tight set; raises InputError when no
-    vertex does or when the walk reaches a ray, and before any vertex is
-    enumerated when the string's length is not n."""
+    Raises InputError when the cell is not in `arrangement._bounded_cells`,
+    and before any vertex is enumerated when the string's length is not n."""
     if arr.dim != 3:
         raise UnsupportedDimensionError("OFF export requires a 3-dimensional arrangement")
     signature = signature_from_str(cell)
@@ -151,12 +149,10 @@ def render_off(arr: Arrangement, cell: str) -> str:
     if len(cell) != n:
         raise InputError(f"signature length {len(cell)} does not match n = {n}")
     vertices = enumerate_vertices(arr)
-    start = next((vid for vid, v in enumerate(vertices)
-                  if not (v.plus ^ signature) & ~sum(1 << top - k for k in v.tight_set)), None)
-    walk = start is not None and _walk(vertices, start, n, signature)
-    if not walk:
+    vertex_ids = _bounded_cells(vertices, n).get(signature)
+    if vertex_ids is None:
         raise InputError(f"{cell} is not a bounded cell of this arrangement")
-    record = cell_record(arr.dim, signature, walk, vertices)
+    record = cell_record(arr.dim, n, signature, vertex_ids, vertices)
     vids = record.vertex_ids
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []

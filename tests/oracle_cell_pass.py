@@ -1,16 +1,18 @@
 """Reference oracles for the one-pass cell kernel and the one-walk JSON
 emitter.
 
-`cell_records` is the walk-then-records path that `census` ran before each
-walk built its cell's record: the skeleton walk returns a {vertex: sorted
-neighbours} skeleton, every bounded cell's skeleton is kept until the last
-one is found, and only then are the records built, re-reading each
-vertex's tight set for the facets and for `product_factors`, and counting
-the edges in the skeleton.  It shares `Vertex.steps`, `product_factors`,
-`cell_diameter` and `classify_cell` with the kernel, and none of the walk's
-masks; it returns the skeletons beside the records, which keep none.  It
-works on ±1 tuples, sorts the cells by them, and writes each record's
-signature as the mask it stands for (`signs.face_of`).
+`cell_records` is the walk-then-records path: the skeleton walk returns a
+{vertex: sorted neighbours} skeleton, every bounded cell's skeleton is
+kept until the last one is found, and only then are the records built,
+re-reading each vertex's tight set for the facets and for
+`product_factors`, and counting the edges in the skeleton.  It shares
+`Vertex.steps`, `product_factors`, `cell_diameter` and `classify_cell`
+with the kernel, and not its bounded-cell table
+(`arrangement._bounded_cells`); it returns the skeletons beside the
+records, which keep none.  It works on ±1 tuples, sorts the cells by them,
+and writes each record's signature as the mask it stands for
+(`signs.face_of`).  `bounded_face_skeletons` is the face walk in every
+codimension.
 
 `reference_dumps` is `canonical_dumps` as two walks: `jsonify` makes the
 tree JSON-ready, then `json.dumps` writes it.

@@ -1,10 +1,10 @@
-"""Reference oracle for `arrangement._bounded_faces`: sign-vector completion.
+"""Reference oracle for the bounded faces: sign-vector completion.
 
-This is the completion kernel that the line-step walk replaced.  The faces
-at a vertex keep `codim` of its zeros and fill the others with +/- in every
-way; a face is unbounded iff the same completion of some ray's zeros
-produces it.  It reads neither the step table nor lexicographic order, so it
-checks the walk independently.
+The faces at a vertex keep `codim` of its zeros and fill the others with
++/- in every way; a face is unbounded iff the same completion of some ray's
+zeros produces it.  It reads neither the step table nor lexicographic
+order, so it checks the face walk (`oracle_cell_pass.bounded_face_skeletons`)
+and the bounded cells of `arrangement._bounded_cells` independently.
 """
 
 from __future__ import annotations

@@ -77,6 +77,23 @@ def test_arrangement_refuses_a_hyperplane_of_another_dimension(dim, a, message):
         Arrangement(dim=dim, hyperplanes=planes[::-1])
 
 
+def test_hyperplane_replace_keeps_the_construction_check():
+    plane = hyperplane([1, 0], 0)
+    with pytest.raises(ValueError, match="^hyperplane normal must be nonzero$"):
+        plane._replace(a=(0, 0))
+    assert plane._replace(b=Fraction(2)) == hyperplane([1, 0], 2)
+
+
+def test_arrangement_replace_keeps_the_construction_checks():
+    arr = build_cyclic_star(2, 4).arrangement
+    message = "hyperplane of dimension 2 in a 3-dimensional arrangement"
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        arr._replace(dim=3)
+    with pytest.raises(ValueError, match="^arrangements require dimension >= 2$"):
+        arr._replace(dim=1)
+    assert arr._replace(hyperplanes=arr.hyperplanes[:3]) == Arrangement(2, arr.hyperplanes[:3])
+
+
 # ---------------------------------------------------------------------------
 # simplicity
 # ---------------------------------------------------------------------------

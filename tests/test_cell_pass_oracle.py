@@ -1,18 +1,18 @@
 """The one-pass cell kernel and the one-walk JSON emitter against the
 references in `oracle_cell_pass`.
 
-Every record the census builds from its walk must equal, field by field, the
-record of the walk-then-records path, and so must the records
-`build_cell_records` builds for cells known only by signature and vertices;
+Every record the census builds from its cells' vertices must equal, field
+by field, the record of the walk-then-records path, and so must the records
+`build_cell_records` builds for cells known only by signature;
 `skeletons_for_cells` must give the reference skeletons of those records.
-In every codimension each walk must reach the vertices of the reference
-skeleton, `skeletons_for_cells` must give that skeleton, and each
-hyperplane's mask must hold exactly the walked vertices tight on it.
-The cells the kernel walks, the up candidates that are also down
-candidates, must be the cells the reference finds by walking every up
-candidate.  `canonical_dumps` must write the bytes of `jsonify` plus
-`json.dumps` on any JSON-ready tree, and cell masks must sort as their ±1
-tuples and read back their +/- strings.
+In every codimension `skeletons_for_cells` must give the reference
+skeleton of each bounded face.  The bounded cells and their vertices
+(`_bounded_cells`), the up candidates that are also down candidates, must
+be the cells the reference finds by walking every up candidate, with the
+vertices it reaches, and each facet's mask (`_facet_masks`) must hold
+exactly the cell's vertices tight on it.  `canonical_dumps` must write the
+bytes of `jsonify` plus `json.dumps` on any JSON-ready tree, and cell
+masks must sort as their ±1 tuples and read back their +/- strings.
 """
 
 import re
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import oracle_cell_pass as oracle
 from arrangement_lab.arrangement import (
     BoundedCell,
-    _face_walks,
+    _bounded_cells,
     check_simple,
     enumerate_bounded_cells,
     enumerate_vertices,
@@ -33,7 +33,12 @@ from arrangement_lab.arrangement import (
     signature_from_str,
     signature_str,
 )
-from arrangement_lab.cells import CellRecord, build_cell_records, skeletons_for_cells
+from arrangement_lab.cells import (
+    CellRecord,
+    _facet_masks,
+    build_cell_records,
+    skeletons_for_cells,
+)
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import InternalConsistencyError
@@ -66,18 +71,19 @@ def assert_pass_matches_reference(arr, records=None):
 def assert_walks_match_reference(arr):
     vertices = enumerate_vertices(arr)
     for codim in range(arr.dim + 1):
-        walked = {}
-        for sig, (order, on) in _face_walks(vertices, arr.n, codim):
-            face = BoundedCell(sig, tuple(sorted(order)))
-            (walked[sig],) = skeletons_for_cells([face], vertices, arr.dim, arr.n)
-            assert len(order) == len(walked[sig]), sig
-            tight = {k for vid in order for k in vertices[vid].tight_set}
-            assert {k for k, mask in enumerate(on) if mask} == tight
-            for k, mask in enumerate(on):
-                assert mask == sum(1 << i for i, vid in enumerate(order)
-                                   if k in vertices[vid].tight_set), (sig, k)
         reference = oracle.bounded_face_skeletons(vertices, arr.n, codim)
-        assert walked == {face_of(sig): skeleton for sig, skeleton in reference.items()}
+        for sig, skeleton in reference.items():
+            face = BoundedCell(face_of(sig), tuple(skeleton))
+            assert skeletons_for_cells([face], vertices, arr.dim, arr.n) == [skeleton], sig
+        if codim == 0:
+            cells = _bounded_cells(vertices, arr.n)
+            assert cells == {face_of(sig): list(skeleton) for sig, skeleton in reference.items()}
+    for sig, vids in cells.items():
+        tight_sets = [vertices[vid].tight_set for vid in vids]
+        masks = _facet_masks(tight_sets)
+        assert set(masks) == {k for tight in tight_sets for k in tight}, sig
+        for k, mask in masks.items():
+            assert mask == sum(1 << i for i, tight in enumerate(tight_sets) if k in tight), (sig, k)
 
 
 @pytest.mark.parametrize("key", default_instances(), ids=str)

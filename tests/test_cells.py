@@ -113,17 +113,20 @@ def test_skeleton_guards_name_the_cell():
 
 
 def test_cell_record_checks_the_counts():
-    # a tetrahedron's walk with one vertex dropped: 3 vertices of degree 3
-    # cannot pair up; with 4 vertices but 5 facet masks, V - E + F = 3
+    # a tetrahedron with one vertex dropped: 3 vertices of degree 3 cannot
+    # pair up; with a vertex off it in place of the fourth, the 4 tight
+    # sets cover 5 planes, and V - E + F = 3
     arr = build_ao3(5).arrangement
     vertices = enumerate_vertices(arr)
     tetra = next(c for c in enumerate_bounded_cells(arr, vertices) if c.vertex_count == 4)
     name = re.escape(f"cell {signature_str(tetra.signature, arr.n)}")
-    masks = [1 if k in tetra.facets else 0 for k in range(arr.n)]
     with pytest.raises(InternalConsistencyError, match=name + r": V\*d = 3\*3 is odd"):
-        cell_record(3, tetra.signature, (list(tetra.vertex_ids[:3]), masks), vertices)
+        cell_record(3, arr.n, tetra.signature, list(tetra.vertex_ids[:3]), vertices)
+    off = next(vid for vid, v in enumerate(vertices) if not set(v.tight_set) <= set(tetra.facets))
+    mixed = sorted([*tetra.vertex_ids[:3], off])
+    assert len({k for vid in mixed for k in vertices[vid].tight_set}) == 5
     with pytest.raises(InternalConsistencyError, match=name + r": \(V,E,F\)=\(4,6,5\)"):
-        cell_record(3, tetra.signature, (list(tetra.vertex_ids), [1] * 5), vertices)
+        cell_record(3, arr.n, tetra.signature, mixed, vertices)
 
 
 def test_cubical_cell_of_star_36():

@@ -21,7 +21,12 @@ from arrangement_lab.arrangement import (
 from arrangement_lab.census import census
 from arrangement_lab import cli, export, verify
 from arrangement_lab.cli import main
-from arrangement_lab.constructions import build_ao2, build_cyclic_star
+from arrangement_lab.constructions import (
+    build_ao2,
+    build_ao3,
+    build_cyclic_star,
+    random_simple_arrangement,
+)
 from arrangement_lab.export import diameter_color, render_off, render_svg
 from arrangement_lab.errors import InputError, UnsupportedDimensionError
 from arrangement_lab.jsonio import (
@@ -575,6 +580,22 @@ def test_render_guards():
         render_off(build_ao2(5).arrangement, "+" * 5)
     with pytest.raises(InputError):
         render_off(build_cyclic_star(3, 6).arrangement, "+++")  # wrong length
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [build_ao3(7).arrangement, random_simple_arrangement(3, 7, 1).arrangement],
+    ids=["ao3-7", "random-3-7-1"],
+)
+def test_off_export_writes_the_census_counts_of_every_cell(arr):
+    for rec in census(arr).records:
+        lines = render_off(arr, signature_str(rec.signature, arr.n)).splitlines()
+        v, f, e = map(int, lines[1].split())
+        faces = [[int(x) for x in line.split()] for line in lines[2 + v:]]
+        assert (lines[0], v, e, f) == ("OFF", rec.vertex_count, rec.edge_count, rec.facet_count)
+        assert len(faces) == f and all(face[0] == len(face) - 1 for face in faces)
+        assert sum(face[0] for face in faces) == 2 * e
+        assert sorted({i for face in faces for i in face[1:]}) == list(range(v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exact invariants of the bounded face lattice found by `_bounded_faces`.
+"""Exact invariants of the bounded face lattice found by the face walk
+(`oracle_cell_pass.bounded_face_skeletons`).
 
 For a simple arrangement of n hyperplanes in dimension d, Zaslavsky's count
 on each flat gives f_k = C(n, d-k) * C(n-d+k-1, k) bounded k-faces, and the
@@ -12,17 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrangement_lab.arrangement import (
-    _bounded_faces,
-    enumerate_vertices,
-)
+from arrangement_lab.arrangement import enumerate_vertices
 from arrangement_lab.constructions import (
     build_ao2,
     build_ao3,
     build_cyclic_star,
     random_simple_arrangement,
 )
-from signs import signs_of, vertex_signs
+from oracle_cell_pass import bounded_face_skeletons
+from signs import vertex_signs
 
 
 def assert_face_lattice_invariants(arr):
@@ -30,8 +29,8 @@ def assert_face_lattice_invariants(arr):
     vertices = enumerate_vertices(arr)
     f = []
     for k in range(d + 1):
-        faces = _bounded_faces(vertices, n, d - k)
-        assert all(sig.count(0) == d - k for sig in signs_of(faces, n))
+        faces = bounded_face_skeletons(vertices, n, d - k)
+        assert all(sig.count(0) == d - k for sig in faces)
         f.append(len(faces))
     assert f == [comb(n, d - k) * comb(n - d + k - 1, k) for k in range(d + 1)]
     assert sum((-1) ** k * fk for k, fk in enumerate(f)) == 1
@@ -67,7 +66,7 @@ def test_faces_list_exactly_the_vertices_in_their_closure():
     arr = build_ao3(6).arrangement
     vertices = enumerate_vertices(arr)
     for codim in range(arr.dim + 1):
-        faces = _bounded_faces(vertices, arr.n, codim)
-        for sig, vids in zip(signs_of(faces, arr.n), faces.values()):
-            assert vids == [vid for vid, v in enumerate(vertices)
-                            if in_closure(vertex_signs(v, arr.n), sig)]
+        faces = bounded_face_skeletons(vertices, arr.n, codim)
+        for sig, skeleton in faces.items():
+            assert list(skeleton) == [vid for vid, v in enumerate(vertices)
+                                      if in_closure(vertex_signs(v, arr.n), sig)]

@@ -6,8 +6,8 @@ its cells; a facet's signature is its first cell's with the carrier set to
 item with the restriction oracle's, and each record's cells must be exactly
 the bounded ones among the oracle's two incident cells.  The signature-keyed
 kernel that the flips replaced must give the same facets and cells, and the
-codimension-1 face walk the same signatures.  In the plane the bounded
-facets are exactly the bounded segments.
+codimension-1 face walk of `oracle_cell_pass` the same signatures.  In the
+plane the bounded facets are exactly the bounded segments.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrangement_lab.arrangement import (
-    _bounded_faces,
     enumerate_bounded_cells,
     enumerate_bounded_facets,
     enumerate_edges,
@@ -30,6 +29,7 @@ from arrangement_lab.constructions import (
     random_simple_arrangement,
 )
 from arrangement_lab.verify import default_instances
+from oracle_cell_pass import bounded_face_skeletons
 from oracle_facets import (
     enumerate_bounded_facets_by_restriction,
     enumerate_bounded_facets_by_signature,
@@ -84,7 +84,7 @@ def by_carrier(signature):
 
 def assert_matches_facet_walk(arr):
     vertices, cells, facets = cells_and_facets(arr)
-    walked = signs_of(_bounded_faces(vertices, arr.n, 1), arr.n)
+    walked = list(bounded_face_skeletons(vertices, arr.n, 1))
     bounded = signs_of(cells, arr.n)
     signatures = [facet_signature(rec, bounded) for rec in facets]
     assert sorted(signatures, key=by_carrier) == sorted(walked, key=by_carrier)

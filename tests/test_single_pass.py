@@ -1,7 +1,7 @@
 """Each fact is computed once: one vertex pass, which writes every step,
-per census or export, one face walk per census, edge counts from the
-vertex counts (E = V·d/2), skeletons built and diameters measured only for
-the cells the product certificate rejects, and one linear solve per
+per census or export, one bounded-cell table per census, edge counts from
+the vertex counts (E = V·d/2), skeletons built and diameters measured only
+for the cells the product certificate rejects, and one linear solve per
 d-subset of a constructed instance.
 
 A counter replaces the function at every module binding, because `census`,
@@ -61,18 +61,11 @@ def test_one_line_step_table_per_use(monkeypatch, render):
 
 @pytest.mark.parametrize("built", [build_ao2(7), build_ao3(7)], ids=["ao2-7", "ao3-7"])
 def test_census_walks_once(monkeypatch, built):
-    # the walk in codimension 0 finds the cells and builds their records;
-    # the facets are read off the records
-    codims = []
-    walk = arrangement._face_walks
-
-    def spy(vertices, n, codim):
-        codims.append(codim)
-        return walk(vertices, n, codim)
-
-    monkeypatch.setattr(arrangement, "_face_walks", spy)
+    # one pass over the vertices lists every bounded cell's vertices and
+    # the records are built from them; the facets are read off the records
+    calls = count_calls(monkeypatch, arrangement._bounded_cells)
     census(built.arrangement)
-    assert codims == [0]
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize(
