@@ -23,10 +23,10 @@ with the other's on every coordinate where the smaller face is not tight.
   own indices off the line, since no other hyperplane crosses the segment
   between them; so w's mask is u's with u's index set to w's side of it
   (one dot product) and w's index cleared.  The masks spread breadth-first.
-* Edges.  The segment or ray on a vertex's line to either side of the
-  dropped hyperplane is a step.  Each neighbour pair becomes, in place, the
-  vertex's step on that line (`Vertex.steps`): its neighbours by side of
-  the dropped hyperplane, and the side that lies lexicographically above.
+* Rise.  The upper neighbour's side of the dropped hyperplane k lies
+  lexicographically above (at a line's lex-max vertex, the side away from
+  the lower one); it sets k's bit in the vertex's rise mask (`Vertex.rise`),
+  and the neighbour pairs are dropped.
 
 Carrying the signs needs the vertices to be simple, with no point on more than
 d hyperplanes, and the solve pass already proves it.  If the point x of a
@@ -42,7 +42,7 @@ the error of the first defective subset, as a subset-by-subset check would
 give.
 
 Everything after this pass reads only the vertices: their tight sets,
-plus masks and steps.  A face is one int too, its plus mask with bit
+plus masks and rise masks.  A face is one int too, its plus mask with bit
 2n-1-k set where it is zero on k; a cell's is its plus mask, whose integer
 order is lexicographic order on its ±1 tuple.  Lexicographic order on
 points is a generic linear order, so a bounded cell has one lex-min and
@@ -51,13 +51,14 @@ upward (downward) sides names the one cell that can have that vertex as
 its minimum (maximum); the cells named both ways are the bounded ones.  A
 vertex lies in the 2^d cells that set its d tight signs either way, so one
 more pass over the vertices hands each bounded cell its vertices, with no
-walk (`_bounded_cells`).  A cell has E = V·d/2, and skeletons are built
-only where read (`cells.skeletons_for_cells`).  A census builds each
-cell's record from its vertices' tight sets and pairs the records across
-each facet by flipping one bit.  No linear programming is needed, as the
-vertices are known; no floating point anywhere.  ±1 tuples and +/- strings
-are built only to be written (`signature_str`) or read back
-(`signature_from_str`).
+walk (`_bounded_cells`).  A cell has E = V·d/2.  Two vertices of a bounded
+face are adjacent exactly when their tight sets share d-1 hyperplanes: the
+line through both meets the closed face in an edge, which has only its two
+ends as vertices (`_face_edges`).  A census builds each cell's record from
+its vertices' tight sets and pairs the records across each facet by
+flipping one bit.  No linear programming is needed, as the vertices are
+known; no floating point anywhere.  ±1 tuples and +/- strings are built
+only to be written (`signature_str`) or read back (`signature_from_str`).
 
 The geometry itself runs in plain integers.  Each call scales every
 hyperplane (a, b) by a positive factor to primitive integers, which keeps
@@ -70,6 +71,7 @@ read, which only reports make.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb, lcm
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
@@ -150,31 +152,23 @@ class Arrangement(NamedTuple("Arrangement", [("dim", int), ("hyperplanes", tuple
 class Vertex(NamedTuple):
     """A vertex as the vertex pass finds it: its point as integers
     numerators / denominator (positive, in lowest terms), the d hyperplanes
-    through it, its plus mask, and its steps along each of its d lines.
+    through it, its plus mask, and its rise mask.
 
-    `steps[i]` is (w-, w+, up) for the line that drops k = `tight_set[i]`:
-    the neighbours on the - and the + side of k, None where a ray leaves
-    instead, and the side of k that lies lexicographically above.
+    Bit n-1-k of `rise` is set where k is tight and k's + side lies
+    lexicographically above the vertex, along the line that drops k.
     """
 
     numerators: tuple[int, ...]
     denominator: int
     tight_set: tuple[int, ...]   # exactly d hyperplane indices, sorted
     plus: int                    # bit n-1-k set where hyperplane k is positive
-    steps: tuple[tuple[Optional[int], Optional[int], Sign], ...]
+    rise: int                    # bit n-1-k set where k is tight and + is up
 
     @property
     def point(self) -> Vec:
         """The point as Fractions, built on each read (OFF export, reports)."""
         q = self.denominator
         return tuple(Fraction(p, q) for p in self.numerators)
-
-    def ends(self, face: int, n: int) -> list[Optional[int]]:
-        """The far ends of the edges of `face` at this vertex: the step
-        toward the face's side of each tight hyperplane it is not on."""
-        top, zero = n - 1, face >> n
-        return [step[face >> top - k & 1]
-                for k, step in zip(self.tight_set, self.steps) if not zero >> top - k & 1]
 
 
 class ArrangementEdge(NamedTuple):
@@ -184,10 +178,6 @@ class ArrangementEdge(NamedTuple):
     sign_vector: SignVector      # zeros exactly on line_set
     tail: int                    # vertex id
     head: Optional[int] = None
-
-    @property
-    def is_segment(self) -> bool:
-        return self.head is not None
 
 
 class BoundedCell(NamedTuple):
@@ -328,7 +318,7 @@ def _extra_plane_error(
 
 def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
     """All C(n,d) vertices, sorted by tight set, each with its signs and
-    its steps.  This is the simplicity check of every enumeration:
+    its rise mask.  This is the simplicity check of every enumeration:
     it raises NotSimpleError, with the report attached, on a singular
     subset, a repeated point, or a point lying on more than d hyperplanes
     (the witness then names all of them), whichever subset comes first.
@@ -359,14 +349,10 @@ def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
             neighbours[vid][k] = (ids[t], ids[t + 2])
     bits = [1 << len(rows) - 1 - k for k in range(len(rows))]
     masks = _carry_signs(rows, solved, neighbours, bits)
-    # the upper neighbour lies on the up side; at a line's lex-max vertex,
-    # up is the side away from the lower one
-    for (tight, _), pairs in zip(solved, neighbours):
-        for i, (k, (below, above)) in enumerate(zip(tight, pairs)):
-            up = masks[above] & bits[k] if above is not None else not masks[below] & bits[k]
-            pairs[i] = (below, above, 1) if up else (above, below, -1)
-    return [
-        Vertex(p, q, tight, masks[vid], tuple(neighbours[vid]))
+    return [  # rise masks, as in the module docstring
+        Vertex(p, q, tight, masks[vid], sum([
+            masks[above] & bits[k] if above is not None else bits[k] & ~masks[below]
+            for k, (below, above) in zip(tight, neighbours[vid])]))
         for vid, (tight, (p, q)) in enumerate(solved)
     ]
 
@@ -431,37 +417,30 @@ def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[Arrangemen
     """Decompose every line (each (d-1)-subset of hyperplanes) into its
     bounded segments between consecutive vertices plus the two extreme rays.
 
-    Everything follows from the vertex plus masks and steps.  The segment
-    from u to its neighbour w has u's signs with u's index j set to w's sign
-    at j (u's plus mask OR w's); the ray leaving an extreme vertex v away
-    from its neighbour w has v's signs with v's index j set to minus w's
-    sign at j.  Lines come in sorted order, each as a ray, its segments,
-    then a ray.
-
-    Order contract, shared with `Vertex.steps`: along each line the vertices
-    come in increasing lexicographic order of their points, so every
-    segment runs from tail to head with vertices[tail].point <
-    vertices[head].point, the line's first ray leaves its lex-min vertex
-    and its last ray leaves its lex-max vertex.
+    Each line's vertices are sorted by one comparison: w lies above u when
+    w's sign at u's index j off the line is u's rise bit at j.  The segment
+    from u to its upper neighbour w has u's signs with j set to w's sign
+    there (u's plus mask OR w's); the ray leaving an extreme vertex v away
+    from its neighbour w has v's signs with v's index set to minus w's sign
+    there.  Lines come in sorted order, each as a ray, its segments, then a
+    ray.  Along a line the vertices go up lexicographically, so every
+    segment has vertices[tail].point < vertices[head].point, the first ray
+    leaves the lex-min vertex and the last ray the lex-max one.
     """
     n = arr.n
     bits = [1 << n - 1 - k for k in range(n)]
-    starts = []
+    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for vid, v in enumerate(vertices):
         tight = v.tight_set
-        for k, step in enumerate(v.steps):
-            if step[step[2] < 0] is None:  # no lower neighbour
-                starts.append((tight[:k] + tight[k + 1:], vid))
+        for k, j in enumerate(tight):
+            lines.setdefault(tight[:k] + tight[k + 1:], []).append((vid, j))
+
+    def order(u: tuple[int, int], w: tuple[int, int]) -> int:
+        return 1 if (vertices[w[0]].plus ^ vertices[u[0]].rise) & bits[u[1]] else -1
+
     edges: list[ArrangementEdge] = []
-    for line_set, first in sorted(starts):
-        on_line = []  # (vertex id, its index off the line), going up
-        vid = first
-        while vid is not None:
-            tight = vertices[vid].tight_set
-            k = next(k for k, j in enumerate(tight) if j not in line_set)
-            on_line.append((vid, tight[k]))
-            step = vertices[vid].steps[k]
-            vid = step[step[2] > 0]
+    for line_set in sorted(lines):
+        on_line = sorted(lines[line_set], key=cmp_to_key(order))  # (vertex id, j), going up
         masks = [vertices[vid].plus for vid, _ in on_line]
         zero = sum(bits[k] for k in line_set) << n
 
@@ -505,9 +484,8 @@ def _bounded_cells(vertices: list[Vertex], n: int) -> dict[int, list[int]]:
     ups, downs = [], set()
     for v in vertices:
         tight = sum(1 << top - k for k in v.tight_set)
-        rise = sum([1 << top - k for k, step in zip(v.tight_set, v.steps) if step[2] > 0])
-        ups.append(v.plus | rise)
-        downs.add(v.plus | tight & ~rise)
+        ups.append(v.plus | v.rise)
+        downs.add(v.plus | tight & ~v.rise)
     cells: dict[int, list[int]] = {face: [] for face in ups if face in downs}
     del ups, downs
     expected = _bounded_face_count(n, d, 0)
@@ -524,6 +502,35 @@ def _bounded_cells(vertices: list[Vertex], n: int) -> dict[int, list[int]]:
             if face in cells:
                 cells[face].append(vid)
     return cells
+
+
+def _face_edges(
+    vertices: list[Vertex], n: int, face: int, ids: Sequence[int]
+) -> dict[int, tuple[int, ...]]:
+    """A bounded face's skeleton, {vertex id: increasing neighbours} over its
+    vertex ids: two are adjacent when their tight sets share d-1 hyperplanes.
+    Each line of the face at a vertex must hold exactly two of them; raises
+    InternalConsistencyError, naming the face, where one holds fewer or more."""
+    top, zero = n - 1, face >> n
+    lines: dict[tuple[int, ...], list[int]] = {}
+    for vid in ids:
+        tight = vertices[vid].tight_set
+        for k, j in enumerate(tight):
+            if not zero >> top - j & 1:
+                lines.setdefault(tight[:k] + tight[k + 1:], []).append(vid)
+    adj: dict[int, list[int]] = {vid: [] for vid in ids}
+    for ends in lines.values():
+        if len(ends) != 2:
+            raise _broken(face, n, f": an edge at vertex {ends[0]} is missing or leaves the cell"
+                          if len(ends) < 2 else f": {len(ends)} of its vertices share a line")
+        adj[ends[0]].append(ends[1])
+        adj[ends[1]].append(ends[0])
+    return {vid: tuple(sorted(nbrs)) for vid, nbrs in adj.items()}
+
+
+def _broken(face: int, n: int, what: str) -> InternalConsistencyError:
+    """The error for a cell or face whose vertices or counts are inconsistent."""
+    return InternalConsistencyError(f"cell {signature_str(face, n)}{what}")
 
 
 def enumerate_bounded_cells(arr: Arrangement, vertices: list[Vertex]) -> list[CellRecord]:

@@ -6,8 +6,9 @@ those on it, read off their tight sets (`_facet_masks`).  Its signature is
 the cell's plus mask, one int, bit n-1-k set where hyperplane k is
 positive (`arrangement` module docstring).  A vertex is tight on d
 hyperplanes and has one cell edge on the line that drops each, so
-E = V·d/2.  `skeletons_for_cells` builds skeletons from the vertices'
-steps only for the uncertified cells.
+E = V·d/2.  `skeletons_for_cells` builds skeletons only for the
+uncertified cells, joining two vertices when their tight sets share d-1
+hyperplanes (`arrangement._face_edges`).
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -49,8 +50,7 @@ from functools import cache
 from math import prod
 from typing import NamedTuple, Optional
 
-from .arrangement import Arrangement, BoundedCell, Vertex, _bounded_cells, signature_str
-from .errors import InternalConsistencyError
+from .arrangement import Arrangement, BoundedCell, Vertex, _bounded_cells, _broken, _face_edges
 
 Adjacency = dict[int, tuple[int, ...]]
 
@@ -115,11 +115,6 @@ class CellRecord(NamedTuple):
         return len(self.facets)
 
 
-def _broken(face: int, n: int, what: str) -> InternalConsistencyError:
-    """The error for a cell or face whose vertices or counts are inconsistent."""
-    return InternalConsistencyError(f"cell {signature_str(face, n)}{what}")
-
-
 # ---------------------------------------------------------------------------
 # skeletons
 # ---------------------------------------------------------------------------
@@ -128,27 +123,23 @@ def skeletons_for_cells(
     cells: list[BoundedCell | CellRecord], vertices: list[Vertex], dim: int, n: int
 ) -> list[Adjacency]:
     """Skeletons of bounded faces known by signature (a face of the n
-    hyperplanes, as in `arrangement`) and increasing vertex ids, read off
-    the vertices' steps (`Vertex.ends`).
+    hyperplanes, as in `arrangement`) and increasing vertex ids: two of
+    them are adjacent when their tight sets share d-1 hyperplanes
+    (`arrangement._face_edges`).
 
     The closure of a bounded face C is a simple polytope, so at each of its
     vertices v and for each k in v's tight set off C, C has exactly one
-    edge on the line that drops k, on C's side C[k].  Raises
-    InternalConsistencyError, naming the signature, when a step is missing
-    or leaves C, when C has no more vertices than its dimension, or when
-    its skeleton is disconnected.
+    edge on the line that drops k.  Raises InternalConsistencyError,
+    naming the signature, when such a line holds one vertex of C (its
+    edge is missing or leaves C) or more than two, when C has no more
+    vertices than its dimension, or when its skeleton is disconnected.
     """
     skeletons = []
     for cell in cells:
-        face, members = cell.signature, set(cell.vertex_ids)
-        if len(members) <= dim - (face >> n).bit_count():
-            raise _broken(face, n, f" has only {len(members)} vertices")
-        adj: Adjacency = {}
-        for v in cell.vertex_ids:
-            nbrs = vertices[v].ends(face, n)
-            if not members.issuperset(nbrs):
-                raise _broken(face, n, f": an edge at vertex {v} is missing or leaves the cell")
-            adj[v] = tuple(sorted(nbrs))
+        face = cell.signature
+        if len(cell.vertex_ids) <= dim - (face >> n).bit_count():
+            raise _broken(face, n, f" has only {len(cell.vertex_ids)} vertices")
+        adj = _face_edges(vertices, n, face, cell.vertex_ids)
         reached = [cell.vertex_ids[0]]
         seen = set(reached)
         for v in reached:

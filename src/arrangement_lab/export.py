@@ -3,7 +3,9 @@
 Exports are terminal artifacts, never re-ingested, so this is the one place
 exact coordinates are allowed to become decimal text.  All element orders,
 colors and number formats are fixed, making output byte-identical for
-identical input.  Polygons are traced on the vertices' steps.
+identical input.  Polygons are traced on their skeletons, whose vertices
+are adjacent when their tight sets share d-1 hyperplanes
+(`arrangement._face_edges`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .arrangement import (
     Arrangement,
     Vertex,
     _bounded_cells,
+    _face_edges,
     enumerate_bounded_cells,
     enumerate_vertices,
     signature_from_str,
@@ -37,15 +40,15 @@ def diameter_color(diameter: int, max_diameter: int) -> str:
     return "#%02x%02x%02x" % channels
 
 
-def _ring(vertices: list[Vertex], n: int, face: int, start: int) -> list[int]:
-    """A bounded 2-face's vertices in cyclic order: at each vertex its two
-    edges step to its side of the two tight hyperplanes it is not on.
-    Starts at `start`, its smallest vertex, toward the smaller neighbour."""
-    ring, previous, current = [start], start, min(vertices[start].ends(face, n))
-    while current != start:
-        ring.append(current)
-        a, b = vertices[current].ends(face, n)
-        previous, current = current, b if a == previous else a
+def _ring(vertices: list[Vertex], n: int, face: int, vertex_ids: tuple[int, ...]) -> list[int]:
+    """A bounded 2-face's increasing vertex ids in cyclic order, each joined
+    to the two that share a line with it.  Starts at the smallest vertex,
+    toward its smaller neighbour."""
+    adj = _face_edges(vertices, n, face, vertex_ids)
+    ring = [vertex_ids[0], adj[vertex_ids[0]][0]]
+    while len(ring) < len(adj):
+        a, b = adj[ring[-1]]
+        ring.append(b if a == ring[-2] else a)
     return ring
 
 
@@ -89,7 +92,7 @@ def render_svg(arr: Arrangement) -> str:
         f'height="{height:.2f}" viewBox="0 0 {_SVG_WIDTH:.2f} {height:.2f}">'
     ]
     for rec in records:
-        ring = _ring(vertices, arr.n, rec.signature, rec.vertex_ids[0])
+        ring = _ring(vertices, arr.n, rec.signature, rec.vertex_ids)
         points = [",".join(pixels[vid]) for vid in ring]
         parts.append(
             f'<polygon points="{" ".join(points)}" '
@@ -157,10 +160,9 @@ def render_off(arr: Arrangement, cell: str) -> str:
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []
     for plane in record.facets:
-        first = next(vid for vid in vids if plane in vertices[vid].tight_set)
         bit = 1 << top - plane
-        ring = _ring(vertices, n, signature & ~bit | bit << n, first)
-        facets.append([local[vid] for vid in ring])
+        on = tuple(vid for vid in vids if plane in vertices[vid].tight_set)
+        facets.append([local[vid] for vid in _ring(vertices, n, signature & ~bit | bit << n, on)])
 
     lines = ["OFF", f"{record.vertex_count} {record.facet_count} {record.edge_count}"]
     for vid in vids:

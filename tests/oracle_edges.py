@@ -8,9 +8,12 @@ beyond the extreme vertex).  Slow, but it derives each sign vector from the
 geometry instead of from the vertex sign vectors, so it checks the
 combinatorial kernel independently.
 
-`line_steps_from_edges` is the step-table builder that reading the line
-orders directly replaced: it fills every vertex's steps from the segments
-of `enumerate_edges`, so it checks `Vertex.steps` through a second route.
+`line_steps_from_edges` fills every vertex's steps, (w-, w+, up) on each
+of its lines, from the segments of `enumerate_edges`; the up sides it
+reads give `Vertex.rise` through a second route (`signs.rise_mask`).
+
+Whether an edge is a segment is read only by the tests, so the
+`ArrangementEdge.is_segment` property is defined here.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from arrangement_lab.arrangement import (
 from arrangement_lab.errors import InternalConsistencyError
 from arrangement_lab.rational import Vec
 from oracle_arithmetic import evaluate_sign, vec_add, vec_scale
+
+ArrangementEdge.is_segment = property(lambda edge: edge.head is not None)
 
 
 def _neg(u: Vec) -> Vec:
@@ -110,7 +115,8 @@ def enumerate_edges_by_probing(arr: Arrangement, vertices: list[Vertex]) -> list
 
 
 def line_steps_from_edges(vertices: list[Vertex], edges: list[ArrangementEdge]) -> list[tuple]:
-    """Every vertex's `Vertex.steps`, read off the segments.
+    """Every vertex's steps, (w-, w+, up) for the line that drops each
+    tight index in turn, read off the segments.
 
     For a segment at v, the line drops the one index of v's tight set where
     the segment's sign is nonzero.  Segments run from tail to head in
@@ -119,7 +125,7 @@ def line_steps_from_edges(vertices: list[Vertex], edges: list[ArrangementEdge]) 
     """
     steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]
     for edge in edges:
-        if edge.is_segment:
+        if edge.head is not None:
             signs = edge.sign_vector
             for v, w, up in ((edge.tail, edge.head, 1), (edge.head, edge.tail, -1)):
                 for k, step in steps[v].items():

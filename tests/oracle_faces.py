@@ -48,6 +48,6 @@ def bounded_faces_by_completion(
 
     unbounded: set[SignVector] = set()
     for edge in edges:
-        if not edge.is_segment:
+        if edge.head is None:
             unbounded.update(_face_completions(edge.sign_vector, edge.line_set, codim))
     return {sig: vids for sig, vids in members.items() if sig not in unbounded}

@@ -45,7 +45,7 @@ def skeletons_for_cells(
         {vid: set() for vid in cell.vertex_ids} for cell in cells
     ]
     for edge in edges:
-        if not edge.is_segment:
+        if edge.head is None:
             continue
         base = list(edge.sign_vector)
         for combo in itertools.product((-1, 1), repeat=len(edge.line_set)):
@@ -69,7 +69,7 @@ def cell_skeleton(cell: BoundedCell, edges: list[ArrangementEdge], dim: int) -> 
     adj: dict[int, set[int]] = {vid: set() for vid in cell.vertex_ids}
     signature = sign_tuple(cell.signature, len(edges[0].sign_vector))
     for edge in edges:
-        if not edge.is_segment:
+        if edge.head is None:
             continue
         line = set(edge.line_set)
         if all(

@@ -10,8 +10,10 @@ test.  The defects are checked subset by subset in lexicographic order
 witness and reason as the kernel.
 
 `line_orders` is the earlier per-line sort over the Fraction points, and
-`line_steps_from_orders` every vertex's steps built from it, which
-`Vertex.steps` must reproduce.
+`line_steps_from_orders` every vertex's steps built from it: (w-, w+, up)
+on each of its lines, the neighbours on the - and + sides of the dropped
+hyperplane and the side that lies above.  `Vertex.rise` must equal the up
+sides they read (`signs.rise_mask`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from arrangement_lab.arrangement import (
 from arrangement_lab.errors import NotSimpleError
 from arrangement_lab.rational import Vec
 from oracle_arithmetic import evaluate_sign
-from signs import face_of, vertex_signs
+from signs import face_of, rise_mask, vertex_signs
 
 
 def solve_by_fractions(m, rhs) -> Optional[Vec]:
@@ -95,8 +97,8 @@ def enumerate_vertices_by_fractions(arr: Arrangement) -> list[Vertex]:
             )
         q = lcm(*(c.denominator for c in point))
         plus = face_of(signs) & ~(-1 << arr.n)
-        vertices.append(Vertex(tuple(int(c * q) for c in point), q, subset, plus, ()))
-    return [v._replace(steps=steps)
+        vertices.append(Vertex(tuple(int(c * q) for c in point), q, subset, plus, 0))
+    return [v._replace(rise=rise_mask(v, steps, arr.n))
             for v, steps in zip(vertices, line_steps_from_orders(arr, vertices))]
 
 
@@ -124,8 +126,9 @@ def line_orders(
 
 
 def line_steps_from_orders(arr: Arrangement, vertices: list[Vertex]) -> list[tuple]:
-    """Every vertex's `Vertex.steps` from consecutive vertices of each line
-    in `line_orders`: for u < w, w lies on its own side of u's index j off
+    """Every vertex's steps, (w-, w+, up) for the line that drops each
+    tight index in turn, from consecutive vertices of each line in
+    `line_orders`: for u < w, w lies on its own side of u's index j off
     the line, which is up from u, and w's up side is the opposite of u's
     side of w's index."""
     steps = [{k: [None, None, 0] for k in v.tight_set} for v in vertices]

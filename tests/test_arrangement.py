@@ -200,16 +200,16 @@ def test_line_decomposition_counts():
         by_line.setdefault(e.line_set, []).append(e)
     assert len(by_line) == 5
     for line_edges in by_line.values():
-        assert sum(1 for e in line_edges if e.is_segment) == 3
-        assert sum(1 for e in line_edges if not e.is_segment) == 2
-    assert sum(1 for e in edges if e.is_segment) == 15  # n(n-2)
+        assert sum(1 for e in line_edges if e.head is not None) == 3
+        assert sum(1 for e in line_edges if e.head is None) == 2
+    assert sum(1 for e in edges if e.head is not None) == 15  # n(n-2)
 
 
 def test_total_bounded_edges_2d():
     for n in (4, 6, 7):
         arr = build_ao2(n).arrangement
         vertices, edges, _ = enumerate_all(arr)
-        assert sum(1 for e in edges if e.is_segment) == n * (n - 2)
+        assert sum(1 for e in edges if e.head is not None) == n * (n - 2)
 
 
 def test_segment_endpoints_consecutive_and_rays_signed():
@@ -221,8 +221,8 @@ def test_segment_endpoints_consecutive_and_rays_signed():
         assert zeros == e.line_set
         by_line.setdefault(e.line_set, []).append(e)
     for line_set, line_edges in by_line.items():
-        segments = [e for e in line_edges if e.is_segment]
-        for ray in (e for e in line_edges if not e.is_segment):
+        segments = [e for e in line_edges if e.head is not None]
+        for ray in (e for e in line_edges if e.head is None):
             # the tail is an extreme vertex of the line: one segment ends there
             touching = [s for s in segments if ray.tail in (s.tail, s.head)]
             assert len(touching) == 1
@@ -240,7 +240,7 @@ def test_segments_chain_consecutive_vertices_along_each_line():
     vertices, edges, _ = enumerate_all(arr)
     by_line = {}
     for e in edges:
-        if e.is_segment:
+        if e.head is not None:
             by_line.setdefault(e.line_set, []).append(e)
     for line_set, segments in by_line.items():
         # the segment list must be a path: tail of one is head of the previous
@@ -267,7 +267,7 @@ def assert_lines_run_in_lex_order(arr):
         by_line.setdefault(e.line_set, []).append(e)
     for line_edges in by_line.values():
         first, *segments, last = line_edges
-        assert not first.is_segment and not last.is_segment
+        assert first.head is None and last.head is None
         for s in segments:
             assert vertices[s.tail].point < vertices[s.head].point
         points = [vertices[s.tail].point for s in segments] + [vertices[last.tail].point]
@@ -299,7 +299,7 @@ def test_random_arrangements_satisfy_structural_counts(seed, shape):
     vertices, edges, cells = enumerate_all(arr)
     assert len(vertices) == comb(n, d)
     assert len(cells) == comb(n - 1, d)
-    rays = [e for e in edges if not e.is_segment]
+    rays = [e for e in edges if e.head is None]
     assert len(rays) == 2 * comb(n, d - 1)
     for cell in cells:
         assert len(cell.vertex_ids) >= d + 1
@@ -367,7 +367,7 @@ def test_boundedness_cross_check_against_ray_compatibility():
             for pos, s in zip(v.tight_set, combo):
                 sig[pos] = s
             candidates.add(tuple(sig))
-    rays = [e for e in edges if not e.is_segment]
+    rays = [e for e in edges if e.head is None]
 
     def compatible(ray, sig):
         line = set(ray.line_set)

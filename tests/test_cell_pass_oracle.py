@@ -44,6 +44,7 @@ from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_sta
 from arrangement_lab.errors import InternalConsistencyError
 from arrangement_lab.jsonio import canonical_dumps, census_to_obj, suite_to_obj
 from arrangement_lab.verify import construction_census, default_instances, run_suite
+from oracle_vertices import line_steps_from_orders
 from signs import face_of, signs_of
 from test_vertex_pass import build, relabelled_arrangements
 
@@ -70,8 +71,9 @@ def assert_pass_matches_reference(arr, records=None):
 
 def assert_walks_match_reference(arr):
     vertices = enumerate_vertices(arr)
+    steps = line_steps_from_orders(arr, vertices)
     for codim in range(arr.dim + 1):
-        reference = oracle.bounded_face_skeletons(vertices, arr.n, codim)
+        reference = oracle.bounded_face_skeletons(vertices, steps, arr.n, codim)
         for sig, skeleton in reference.items():
             face = BoundedCell(face_of(sig), tuple(skeleton))
             assert skeletons_for_cells([face], vertices, arr.dim, arr.n) == [skeleton], sig
@@ -97,8 +99,10 @@ def test_bounded_candidates_are_the_walked_cells_on_verify_instances(key):
     # vertex's down candidate; the reference walks every up candidate
     arr = build(*key).arrangement
     vertices = enumerate_vertices(arr)
-    both = oracle.lex_candidates(vertices, arr.n, 1) & oracle.lex_candidates(vertices, arr.n, -1)
-    assert both == set(oracle.bounded_face_skeletons(vertices, arr.n, 0))
+    steps = line_steps_from_orders(arr, vertices)
+    both = oracle.lex_candidates(vertices, steps, arr.n, 1) \
+        & oracle.lex_candidates(vertices, steps, arr.n, -1)
+    assert both == set(oracle.bounded_face_skeletons(vertices, steps, arr.n, 0))
     assert sorted(both) == signs_of(construction_census(*key).records, arr.n)
 
 

@@ -110,6 +110,13 @@ def test_skeleton_guards_name_the_cell():
     dropped = BoundedCell(quad.signature, quad.vertex_ids[1:])
     with pytest.raises(InternalConsistencyError, match=name + ": an edge at vertex"):
         skeletons_for_cells([dropped], vertices, arr.dim, arr.n)
+    # one vertex outside added: a line holds it alone, or it and two others
+    outside = [vid for vid in range(len(vertices)) if vid not in quad.vertex_ids]
+    assert len(outside) == 11
+    for vid in outside:
+        added = BoundedCell(quad.signature, tuple(sorted((*quad.vertex_ids, vid))))
+        with pytest.raises(InternalConsistencyError, match=name):
+            skeletons_for_cells([added], vertices, arr.dim, arr.n)
 
 
 def test_cell_record_checks_the_counts():

@@ -1,13 +1,13 @@
-"""The vertex-facet product certificate, the step-table skeletons and the
-integer line orders against the retained references.
+"""The vertex-facet product certificate, the tight-set skeletons and the
+rise masks against the retained references.
 
 On every cell, the class must equal the graph classifier's
 (`oracle_classify`), the diameter the all-sources BFS (`oracle_skeleton`),
 the edge count E = V·d/2 the skeleton's, and the skeleton of
-`skeletons_for_cells` the completion-lookup builder's.  The step table
-must equal the one read off the segments of `enumerate_edges`.  The
-hand-built tight-set families below exercise each rejection branch of
-`product_factors`.
+`skeletons_for_cells` the completion-lookup builder's.  The rise masks
+must equal the up sides of the steps read off the segments of
+`enumerate_edges`.  The hand-built tight-set families below exercise each
+rejection branch of `product_factors`.
 """
 
 import itertools
@@ -33,12 +33,15 @@ from arrangement_lab.cells import (
 from arrangement_lab.constructions import build, build_ao3, random_simple_arrangement
 from arrangement_lab.verify import default_instances
 from oracle_edges import line_steps_from_edges
+from signs import rise_mask
 
 
 def assert_kernels_match_references(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    assert [v.steps for v in vertices] == line_steps_from_edges(vertices, edges)
+    steps = line_steps_from_edges(vertices, edges)
+    assert [v.rise for v in vertices] == \
+        [rise_mask(v, s, arr.n) for v, s in zip(vertices, steps)]
     cells = enumerate_bounded_cells(arr, vertices)
     skeletons = skeletons_for_cells(cells, vertices, arr.dim, arr.n)
     assert skeletons == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)

@@ -488,7 +488,7 @@ def test_export_off_rejects_unbounded_and_unrealized_cells(tmp_path, capsys):
     run(["construct", "--family", "cyclic", "-d", 3, "-n", 6, "--out", src])
     arr, _ = load_arrangement(str(src))
     vertices = enumerate_vertices(arr)
-    ray = next(e for e in enumerate_edges(arr, vertices) if not e.is_segment)
+    ray = next(e for e in enumerate_edges(arr, vertices) if e.head is None)
     # every side of a ray's line set is a cell, and the ray makes it unbounded
     unbounded = "".join("-" if s < 0 else "+" for s in ray.sign_vector)
     # below all three coordinate planes every slanted plane (positive

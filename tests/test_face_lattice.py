@@ -21,15 +21,17 @@ from arrangement_lab.constructions import (
     random_simple_arrangement,
 )
 from oracle_cell_pass import bounded_face_skeletons
+from oracle_vertices import line_steps_from_orders
 from signs import vertex_signs
 
 
 def assert_face_lattice_invariants(arr):
     d, n = arr.dim, arr.n
     vertices = enumerate_vertices(arr)
+    steps = line_steps_from_orders(arr, vertices)
     f = []
     for k in range(d + 1):
-        faces = bounded_face_skeletons(vertices, n, d - k)
+        faces = bounded_face_skeletons(vertices, steps, n, d - k)
         assert all(sig.count(0) == d - k for sig in faces)
         f.append(len(faces))
     assert f == [comb(n, d - k) * comb(n - d + k - 1, k) for k in range(d + 1)]
@@ -65,8 +67,9 @@ def in_closure(vertex_signs, face_signs):
 def test_faces_list_exactly_the_vertices_in_their_closure():
     arr = build_ao3(6).arrangement
     vertices = enumerate_vertices(arr)
+    steps = line_steps_from_orders(arr, vertices)
     for codim in range(arr.dim + 1):
-        faces = bounded_face_skeletons(vertices, arr.n, codim)
+        faces = bounded_face_skeletons(vertices, steps, arr.n, codim)
         for sig, skeleton in faces.items():
             assert list(skeleton) == [vid for vid, v in enumerate(vertices)
                                       if in_closure(vertex_signs(v, arr.n), sig)]

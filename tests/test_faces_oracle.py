@@ -22,15 +22,17 @@ from arrangement_lab.constructions import (
 from oracle_cell_pass import bounded_face_skeletons
 from arrangement_lab.verify import default_instances
 from oracle_faces import bounded_faces_by_completion
+from oracle_vertices import line_steps_from_orders
 from signs import signs_of
 
 
 def assert_matches_oracle(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
+    steps = line_steps_from_orders(arr, vertices)
     for codim in range(arr.dim + 1):
         expected = bounded_faces_by_completion(vertices, edges, codim)
-        faces = bounded_face_skeletons(vertices, arr.n, codim)
+        faces = bounded_face_skeletons(vertices, steps, arr.n, codim)
         assert {sig: list(skeleton) for sig, skeleton in faces.items()} == expected, \
             f"codim {codim}"
 

@@ -35,6 +35,7 @@ from oracle_facets import (
     enumerate_bounded_facets_by_signature,
     facet_signature,
 )
+from oracle_vertices import line_steps_from_orders
 from signs import signs_of
 
 
@@ -84,7 +85,8 @@ def by_carrier(signature):
 
 def assert_matches_facet_walk(arr):
     vertices, cells, facets = cells_and_facets(arr)
-    walked = list(bounded_face_skeletons(vertices, arr.n, 1))
+    steps = line_steps_from_orders(arr, vertices)
+    walked = list(bounded_face_skeletons(vertices, steps, arr.n, 1))
     bounded = signs_of(cells, arr.n)
     signatures = [facet_signature(rec, bounded) for rec in facets]
     assert sorted(signatures, key=by_carrier) == sorted(walked, key=by_carrier)
@@ -126,6 +128,6 @@ def test_random_arrangements_match_facet_walk(seed, d, n):
 def test_planar_facets_are_the_segments(arr):
     vertices, cells, facets = cells_and_facets(arr)
     edges = enumerate_edges(arr, vertices)
-    segments = sorted((e.line_set[0], e.sign_vector) for e in edges if e.is_segment)
+    segments = sorted((e.line_set[0], e.sign_vector) for e in edges if e.head is not None)
     bounded = signs_of(cells, arr.n)
     assert sorted((rec.hyperplane, facet_signature(rec, bounded)) for rec in facets) == segments

@@ -1,8 +1,8 @@
-"""Each fact is computed once: one vertex pass, which writes every step,
-per census or export, one bounded-cell table per census, edge counts from
-the vertex counts (E = V·d/2), skeletons built and diameters measured only
-for the cells the product certificate rejects, and one linear solve per
-d-subset of a constructed instance.
+"""Each fact is computed once: one vertex pass, which writes every rise
+mask, per census or export, one bounded-cell table per census, edge counts
+from the vertex counts (E = V·d/2), skeletons built and diameters measured
+only for the cells the product certificate rejects, and one linear solve
+per d-subset of a constructed instance.
 
 A counter replaces the function at every module binding, because `census`,
 `export` and `constructions` import what they call by name.
@@ -53,7 +53,7 @@ def count_calls(monkeypatch, fn) -> list[int]:
     ids=["census-3d", "render_svg", "render_off"],
 )
 def test_one_line_step_table_per_use(monkeypatch, render):
-    # the steps are written by the vertex pass, so one pass means one table
+    # the rise masks are written by the vertex pass, so one pass per use
     calls = count_calls(monkeypatch, arrangement.enumerate_vertices)
     render()
     assert calls[0] == 1
@@ -95,7 +95,7 @@ def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
 
 
 def test_exports_trace_polygons_without_skeletons(monkeypatch):
-    # the SVG and OFF rings are traced on the vertices' steps; the only skeleton
+    # the SVG and OFF rings are traced on shared tight sets; the only skeleton
     # left is the one cell_record builds for the ao2 n-gon, which the
     # product certificate rejects
     ao3 = build_ao3(16).arrangement

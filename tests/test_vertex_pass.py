@@ -6,11 +6,11 @@
   also on rows with zero leading entries (which force later pivots), on
   dependent rows (singular prefixes), on the verify instances and on large
   constructions up to d = 7.
-* `Vertex.steps` must equal the steps built from the line orders sorted
-  over the Fraction points (`oracle_vertices.line_orders`), on the verify
-  instances, on large constructions and on random rational arrangements,
-  also after relabelling and reorientation, which moves each step with its
-  hyperplane: reorienting k swaps the two sides of k and negates up.
+* `Vertex.rise` must equal the up sides of the steps built from the line
+  orders sorted over the Fraction points (`oracle_vertices.line_orders`),
+  on the verify instances, on large constructions and on random rational
+  arrangements, also after relabelling and reorientation, which moves each
+  rise bit with its hyperplane and flips the bits of reoriented ones.
 * An arrangement whose first three subsets hit the three defects in turn
   must report the first of them, as the subset-by-subset oracle does.
 """
@@ -36,7 +36,7 @@ from arrangement_lab.errors import NotSimpleError
 from arrangement_lab.verify import default_instances
 from oracle_arithmetic import solve_by_echelon
 from oracle_vertices import enumerate_vertices_by_fractions, line_steps_from_orders
-from signs import vertex_signs
+from signs import rise_mask, vertex_signs
 from test_vertices_oracle import outcome
 
 
@@ -125,12 +125,13 @@ def test_constructions_solve_as_each_subset_on_its_own(arr):
 
 
 # ---------------------------------------------------------------------------
-# the steps
+# the rise masks
 # ---------------------------------------------------------------------------
 
 def assert_lines_match_oracle(arr):
     vertices = enumerate_vertices(arr)
-    assert [v.steps for v in vertices] == line_steps_from_orders(arr, vertices)
+    steps = line_steps_from_orders(arr, vertices)
+    assert [v.rise for v in vertices] == [rise_mask(v, s, arr.n) for v, s in zip(vertices, steps)]
 
 
 @pytest.mark.parametrize("key", default_instances(), ids=str)
@@ -182,27 +183,24 @@ def test_random_arrangements_lines_match_oracle(case):
     assert_lines_match_oracle(arr)
     assert_lines_match_oracle(moved)
 
-    # relabelling and reorientation keep every point, so the neighbours of
-    # a vertex on each line are the same points in both; reorienting the
-    # dropped hyperplane swaps its sides and negates up
+    # relabelling and reorientation keep every point and which way is up,
+    # so each rise bit moves with its hyperplane, and reorienting one
+    # swaps its sides, which flips its bit
     before, after = enumerate_vertices(arr), enumerate_vertices(moved)
     position = {i: k for k, i in enumerate(order)}
     by_tight = {v.tight_set: v for v in after}
 
-    def point(vertices, vid):
-        return None if vid is None else vertices[vid].point
+    def bit(mask, n, k):
+        return mask >> n - 1 - k & 1
 
     for v in before:
         w = by_tight[tuple(sorted(position[i] for i in v.tight_set))]
         assert w.point == v.point
         assert all(vertex_signs(w, moved.n)[position[i]] == (-s if i in flipped else s)
                    for i, s in enumerate(vertex_signs(v, arr.n)))
-        for i, (minus, plus, up) in zip(v.tight_set, v.steps):
-            moved_minus, moved_plus, moved_up = w.steps[w.tight_set.index(position[i])]
-            if i in flipped:
-                moved_minus, moved_plus, moved_up = moved_plus, moved_minus, -moved_up
-            assert (point(after, moved_minus), point(after, moved_plus), moved_up) == \
-                (point(before, minus), point(before, plus), up)
+        for i in v.tight_set:
+            assert bit(w.rise, moved.n, position[i]) == bit(v.rise, arr.n, i) ^ (i in flipped)
+        assert w.rise & ~sum(1 << moved.n - 1 - k for k in w.tight_set) == 0
 
 
 # ---------------------------------------------------------------------------
