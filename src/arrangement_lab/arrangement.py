@@ -39,7 +39,7 @@ hyperplanes.  When it does raise, the points solved so far are checked
 against all n hyperplanes in lexicographic order, and the first that lies
 on an extra one is reported instead, naming every hyperplane through it:
 the error of the first defective subset, as a subset-by-subset check would
-give.
+give, and the report that `check_simple` returns.
 
 Everything after this pass reads only the vertices: their tight sets,
 plus masks and rise masks.  A face is one int too, its plus mask with bit
@@ -234,10 +234,10 @@ def sign_tuple(face: int, n: int) -> SignVector:
 
 
 def check_simple(arr: Arrangement) -> SimplicityReport:
-    """Decide simplicity by the definition: n >= d+1, every d-subset of
-    hyperplanes meets in a unique point, and all such points are distinct."""
+    """The report that `enumerate_vertices` raises on `arr`, the census's
+    own simplicity check, or SimplicityReport(True) when it raises none."""
     try:
-        _solve_subsets(_integer_rows(arr), arr.dim, [])
+        enumerate_vertices(arr)
     except NotSimpleError as exc:
         return exc.report
     return SimplicityReport(True)

@@ -48,9 +48,12 @@ from __future__ import annotations
 
 from functools import cache
 from math import prod
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .arrangement import Arrangement, BoundedCell, Vertex, _bounded_cells, _broken, _face_edges
+from .arrangement import (
+    Arrangement, BoundedCell, Vertex, _bounded_cells, _broken, _face_edges, signature_str,
+)
+from .errors import InputError
 
 Adjacency = dict[int, tuple[int, ...]]
 
@@ -282,16 +285,14 @@ def cell_record(
 
 
 def build_cell_records(
-    arr: Arrangement, vertices: list[Vertex], cells: list[BoundedCell]
+    arr: Arrangement, vertices: list[Vertex], signatures: Sequence[int]
 ) -> list[CellRecord]:
-    """Records of cells known by signature, each built from its vertices in
-    `arrangement._bounded_cells`.  Raises InternalConsistencyError on a
-    signature that is not a bounded cell."""
+    """Records of cells known by signature, their plus masks, each built
+    from its vertices in `arrangement._bounded_cells`.  Raises InputError,
+    as `export --cell` reports it, on a signature that is not a bounded cell."""
     table = _bounded_cells(vertices, arr.n)
-    records = []
-    for cell in cells:
-        vertex_ids = table.get(cell.signature)
-        if vertex_ids is None:
-            raise _broken(cell.signature, arr.n, " is not bounded")
-        records.append(cell_record(arr.dim, arr.n, cell.signature, vertex_ids, vertices))
-    return records
+    for signature in signatures:
+        if signature not in table:
+            raise InputError(f"{signature_str(signature, arr.n)} is not a bounded cell "
+                             "of this arrangement")
+    return [cell_record(arr.dim, arr.n, sig, table[sig], vertices) for sig in signatures]

@@ -37,6 +37,8 @@ from .arrangement import Arrangement, Hyperplane, _extend_prefix, hyperplane
 from .errors import GenerationError, InputError, NotSimpleError
 from .rational import IntPoint, IntRow, integer_row, meet, space
 
+RANDOM_COEFF_BOUND = 100  # default bound of random coefficients, drawn from [-bound, bound]
+
 
 class Construction(NamedTuple):
     arrangement: Arrangement
@@ -137,7 +139,9 @@ class SplitMix64:
                 return lo + value % span
 
 
-def random_simple_arrangement(d: int, n: int, seed: int, bound: int = 100) -> Construction:
+def random_simple_arrangement(
+    d: int, n: int, seed: int, bound: int = RANDOM_COEFF_BOUND
+) -> Construction:
     """A seed-reproducible simple arrangement with integer coefficients in
     [-bound, bound]; any hyperplane breaking simplicity is redrawn, up to
     1000 attempts each.  `_extends_simply` has then solved every d-subset

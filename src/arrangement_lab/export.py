@@ -16,14 +16,13 @@ from functools import cmp_to_key
 from .arrangement import (
     Arrangement,
     Vertex,
-    _bounded_cells,
     _face_edges,
     enumerate_bounded_cells,
     enumerate_vertices,
     signature_from_str,
     signature_str,
 )
-from .cells import cell_record
+from .cells import build_cell_records
 from .errors import InputError, UnsupportedDimensionError
 from .rational import decimal_display
 
@@ -143,7 +142,7 @@ def render_off(arr: Arrangement, cell: str) -> str:
     text: vertices first, facets ordered by hyperplane index with vertices
     in cyclic order.
 
-    Raises InputError when the cell is not in `arrangement._bounded_cells`,
+    Raises InputError when the cell is not bounded (`cells.build_cell_records`),
     and before any vertex is enumerated when the string's length is not n."""
     if arr.dim != 3:
         raise UnsupportedDimensionError("OFF export requires a 3-dimensional arrangement")
@@ -152,10 +151,7 @@ def render_off(arr: Arrangement, cell: str) -> str:
     if len(cell) != n:
         raise InputError(f"signature length {len(cell)} does not match n = {n}")
     vertices = enumerate_vertices(arr)
-    vertex_ids = _bounded_cells(vertices, n).get(signature)
-    if vertex_ids is None:
-        raise InputError(f"{cell} is not a bounded cell of this arrangement")
-    record = cell_record(arr.dim, n, signature, vertex_ids, vertices)
+    (record,) = build_cell_records(arr, vertices, [signature])
     vids = record.vertex_ids
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []

@@ -45,7 +45,6 @@ former clears denominators and calls the integer kernel.
 from __future__ import annotations
 
 import re
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -61,6 +60,7 @@ IntPoint = tuple[tuple[int, ...], int]  # numerators over a positive denominator
 Flat = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]  # (X, U, det)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _SHOWN = 40  # a refused value longer than this is named by its start and length
+_DISPLAY_SCALE = 10**6  # `decimal_display` shows six places
 
 
 def vector(values: Iterable) -> Vec:
@@ -212,7 +212,8 @@ def brief(value) -> str:
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN // 2]}... ({len(text)} characters)"
 
 
-def decimal_display(q: Fraction, places: int = 6) -> str:
-    """Fixed-width decimal annotation, round-half-even; display only."""
-    value = Decimal(q.numerator) / Decimal(q.denominator)
-    return str(value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+def decimal_display(q: Fraction) -> str:
+    """Fixed-width decimal annotation, six places, round-half-even; display only.
+    Exact at any size; a negative value that rounds to 0 shows as -0.000000."""
+    units = abs(round(q * _DISPLAY_SCALE))  # Fraction.__round__ rounds half to even
+    return f"{'-' if q < 0 else ''}{units // _DISPLAY_SCALE}.{units % _DISPLAY_SCALE:06d}"

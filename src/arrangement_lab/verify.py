@@ -47,12 +47,10 @@ from .census import (
     prism_count,
     simplex_count,
 )
-from .constructions import SplitMix64, build
+from .constructions import RANDOM_COEFF_BOUND, SplitMix64, build
 from .errors import InputError
 
-# Documented random pools: seeds 0..k-1, n cycling through the small range,
-# integer coefficients in [-100, 100].
-RANDOM_COEFF_BOUND = 100
+# Documented random pools: seeds 0..k-1, n cycling through the small range.
 RANDOM_2D_POOL: tuple[tuple[int, int], ...] = tuple((4 + s % 5, s) for s in range(50))
 RANDOM_3D_POOL: tuple[tuple[int, int], ...] = tuple((5 + s % 3, s) for s in range(20))
 
@@ -173,11 +171,9 @@ def expected_census_dplus2(d: int) -> dict[CellClass, int]:
 # cached construction censuses (pure in their arguments)
 # ---------------------------------------------------------------------------
 
-# lru_cache keys on the arguments as passed, so ("ao2", 2, n) and
-# ("ao2", 2, n, None, None) would be two entries: every call passes all five.
 @lru_cache(maxsize=None)
 def construction_census(
-    family: str, d: int, n: int, seed: Optional[int] = None, bound: Optional[int] = None
+    family: str, d: int, n: int, seed: Optional[int], bound: Optional[int]
 ) -> CensusReport:
     built = build(family, d, n, seed, bound)
     return census(built.arrangement, metadata=built.metadata())

@@ -7,7 +7,8 @@ solve is kept here instead of calling `solve_linear_system`, which now
 adapts the integer kernel, so no arithmetic is shared with the code under
 test.  The defects are checked subset by subset in lexicographic order
 (singular, repeated point, extra hyperplane) and reported with the same
-witness and reason as the kernel.
+witness and reason as the kernel; `check_simple_by_fractions` returns the
+report of that error, as `check_simple` returns the kernel's.
 
 `line_orders` is the earlier per-line sort over the Fraction points, and
 `line_steps_from_orders` every vertex's steps built from it: (w-, w+, up)
@@ -77,9 +78,10 @@ def subset_points_by_fractions(arr: Arrangement) -> Iterator[tuple[tuple[int, ..
 
 
 def check_simple_by_fractions(arr: Arrangement) -> SimplicityReport:
+    """The report that `enumerate_vertices_by_fractions` raises, or
+    SimplicityReport(True)."""
     try:
-        for _ in subset_points_by_fractions(arr):
-            pass
+        enumerate_vertices_by_fractions(arr)
     except NotSimpleError as exc:
         return exc.report
     return SimplicityReport(True)

@@ -53,16 +53,16 @@ def _identity_holds(report) -> bool:
 
 def test_criterion_1_ao2_census_and_delta():
     for n in range(4, 13):
-        report = construction_census("ao2", 2, n)
+        report = construction_census("ao2", 2, n, None, None)
         assert report.class_counts == expected_census_2d(n), f"census at n={n}"
         assert report.delta == delta_formula_2d(n), f"delta at n={n}"
-    assert construction_census("ao2", 2, 7).delta == Fraction(26, 15)
+    assert construction_census("ao2", 2, 7, None, None).delta == Fraction(26, 15)
     print("\nACCEPTANCE criterion 1: PASS — ao2 census and delta, n=4..12")
 
 
 def test_criterion_2_identity_and_components():
     for n in range(4, 13):
-        report = construction_census("ao2", 2, n)
+        report = construction_census("ao2", 2, n, None, None)
         assert report.f_bounded == n * (n - 2), f"f1 at n={n}"
         assert report.f_external == 2 * (n - 1), f"f1_external at n={n}"
         expected_p_odd = n - 2 if n % 2 == 0 else n - 1
@@ -83,10 +83,10 @@ def test_criterion_3_ao3_census_and_delta():
     for n in range(5, 11):
         if n == 6:
             continue
-        report = construction_census("ao3", 3, n)
+        report = construction_census("ao3", 3, n, None, None)
         assert report.class_counts == expected_census_3d(n), f"census at n={n}"
         assert report.delta == delta_formula_3d(n), f"delta at n={n}"
-    assert construction_census("ao3", 3, 7).delta == Fraction(41, 20)
+    assert construction_census("ao3", 3, 7, None, None).delta == Fraction(41, 20)
     # n = 6: enumeration against the closed form, with the documented
     # alternative value 1.8 attached as a note
     result = verify_proposition("P3", n=6)
@@ -120,7 +120,7 @@ def test_criterion_4_three_dimensional_bounds():
 
 def test_criterion_5_dplus2_grid():
     for d in range(2, 7):
-        report = construction_census("cyclic", d, d + 2)
+        report = construction_census("cyclic", d, d + 2, None, None)
         assert report.cell_count == d + 1, f"I at d={d}"
         assert report.delta == Fraction(2 * d, d + 1), f"delta at d={d}"
         assert report.class_counts == expected_census_dplus2(d), f"census at d={d}"
@@ -129,7 +129,7 @@ def test_criterion_5_dplus2_grid():
 
 def test_criterion_6_cyclic_star_counts_and_bounds():
     for d, n in P6_GRID:
-        report = construction_census("cyclic", d, n)
+        report = construction_census("cyclic", d, n, None, None)
         assert cube_count(report) == comb(n - d, d), f"cubes at ({d},{n})"
         assert simplex_count(report) == n - d, f"simplices at ({d},{n})"
         if d >= 3:
@@ -141,7 +141,7 @@ def test_criterion_6_cyclic_star_counts_and_bounds():
         else:
             # only the cubical-cell consequence survives in the plane
             assert report.delta >= prop6_lower_bound(d, n), f"delta bound at ({d},{n})"
-    report = construction_census("cyclic", 3, 6)
+    report = construction_census("cyclic", 3, 6, None, None)
     assert simplex_count(report) + prism_count(report) + cube_count(report) == 10
     print("ACCEPTANCE criterion 6: PASS — cyclic-star counts and bounds "
           "(plane prism tally and d>=4 sum checks tracked as strict xfails)")
@@ -155,7 +155,7 @@ def test_criterion_6_cyclic_star_counts_and_bounds():
 )
 @pytest.mark.parametrize("n", [6, 8])
 def test_criterion_6_prism_tally_in_the_plane(n):
-    report = construction_census("cyclic", 2, n)
+    report = construction_census("cyclic", 2, n, None, None)
     print(f"ACCEPTANCE criterion 6 (plane prism tally, n={n}): FAIL expected "
           f"— documented degeneracy")
     assert prism_count(report) == (n - 2) * (n - 3)
@@ -168,7 +168,7 @@ def test_criterion_6_prism_tally_in_the_plane(n):
 )
 @pytest.mark.parametrize("n", [6, 8])
 def test_criterion_6_delta_max_bound_in_the_plane(n):
-    report = construction_census("cyclic", 2, n)
+    report = construction_census("cyclic", 2, n, None, None)
     bound = max(prop6_lower_bound(2, n), prop7_lower_bound(2, n))
     print(f"ACCEPTANCE criterion 6 (plane max bound, n={n}): FAIL expected "
           f"— documented degeneracy")
@@ -183,7 +183,7 @@ def test_criterion_6_delta_max_bound_in_the_plane(n):
 )
 @pytest.mark.parametrize("d,n", [(4, 8), (5, 10)])
 def test_criterion_6_counts_sum_to_cells_at_twice_d(d, n):
-    report = construction_census("cyclic", d, n)
+    report = construction_census("cyclic", d, n, None, None)
     total = simplex_count(report) + prism_count(report) + cube_count(report)
     print(f"ACCEPTANCE criterion 6 (sum at n=2d, d={d}): FAIL expected "
           f"— documented degeneracy")

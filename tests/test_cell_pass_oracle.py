@@ -41,7 +41,7 @@ from arrangement_lab.cells import (
 )
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
-from arrangement_lab.errors import InternalConsistencyError
+from arrangement_lab.errors import InputError
 from arrangement_lab.jsonio import canonical_dumps, census_to_obj, suite_to_obj
 from arrangement_lab.verify import construction_census, default_instances, run_suite
 from oracle_vertices import line_steps_from_orders
@@ -61,8 +61,7 @@ def assert_pass_matches_reference(arr, records=None):
     expected, skeletons = oracle.cell_records(arr, vertices)
     if records is None:
         records = enumerate_bounded_cells(arr, vertices)
-        known = [BoundedCell(rec.signature, rec.vertex_ids) for rec in records]
-        rebuilt = build_cell_records(arr, vertices, known)
+        rebuilt = build_cell_records(arr, vertices, [rec.signature for rec in records])
         assert_same_records(rebuilt, expected)
         assert skeletons_for_cells(rebuilt, vertices, arr.dim, arr.n) == skeletons
     assert_same_records(records, expected)
@@ -127,7 +126,8 @@ def test_random_arrangements_match_reference(case):
 
 def test_build_cell_records_names_an_unbounded_cell():
     # the triangle of cyclic(2,3) is its one bounded cell; the other three
-    # cells at its first vertex are unbounded
+    # cells at its first vertex are unbounded, refused as `export --cell`
+    # refuses them
     arr = build_cyclic_star(2, 3).arrangement
     vertices = enumerate_vertices(arr)
     (triangle,) = enumerate_bounded_cells(arr, vertices)
@@ -137,10 +137,12 @@ def test_build_cell_records_names_an_unbounded_cell():
         signature = triangle.signature
         for i in flips:
             signature ^= 1 << 2 - tight[i]
-        cell = BoundedCell(signature, (start,))
-        name = signature_str(signature, 3)
-        with pytest.raises(InternalConsistencyError, match=re.escape(f"cell {name} is not bounded")):
-            build_cell_records(arr, vertices, [cell])
+        message = f"{signature_str(signature, 3)} is not a bounded cell of this arrangement"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build_cell_records(arr, vertices, [triangle.signature, signature])
+    arr = build_cyclic_star(3, 6).arrangement
+    with pytest.raises(InputError, match=r"^\+{6} is not a bounded cell of this arrangement$"):
+        build_cell_records(arr, enumerate_vertices(arr), [0b111111])
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def records_of(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices)
-    records = build_cell_records(arr, vertices, cells)
+    records = build_cell_records(arr, vertices, [c.signature for c in cells])
     return records, skeletons_for_cells(records, vertices, arr.dim, arr.n), vertices, edges, cells
 
 

@@ -45,7 +45,8 @@ def assert_kernels_match_references(arr):
     cells = enumerate_bounded_cells(arr, vertices)
     skeletons = skeletons_for_cells(cells, vertices, arr.dim, arr.n)
     assert skeletons == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)
-    for rec, adj in zip(build_cell_records(arr, vertices, cells), skeletons):
+    records = build_cell_records(arr, vertices, [c.signature for c in cells])
+    for rec, adj in zip(records, skeletons):
         v, e, f = rec.vertex_count, rec.edge_count, rec.facet_count
         assert 2 * e == sum(map(len, adj.values())), rec.signature
         assert rec.cell_class == oracle_classify.classify_cell(v, e, f, adj, arr.dim), rec.signature
@@ -126,7 +127,7 @@ def test_ao3_5_shell_certifies_as_the_prism():
         cells = enumerate_bounded_cells(arr, vertices)
         (cell,) = [c for c in cells if c.signature == (1 << n) - 2]  # + ... + -
         factors = product_factors([vertices[vid].tight_set for vid in cell.vertex_ids])
-        (rec,) = build_cell_records(arr, vertices, [cell])
+        (rec,) = build_cell_records(arr, vertices, [cell.signature])
         if n == 5:
             assert factors == (2, 3)
             assert rec.cell_class == simplex_product(1, 2) and rec.diameter == 2

@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 from arrangement_lab.arrangement import (
+    Arrangement,
+    check_simple,
     enumerate_edges,
     enumerate_vertices,
+    hyperplane,
     signature_from_str,
     signature_str,
 )
@@ -124,6 +127,8 @@ def test_analyze_concurrent_lines_names_the_triple(tmp_path, capsys):
     assert run(["analyze", bad]) == 2
     err = capsys.readouterr().err
     assert "extra hyperplanes" in err and "(hyperplanes (2, 3, 4))" in err
+    # the library's simplicity check names the same triple, 0-based
+    assert check_simple(load_arrangement(str(bad))[0]).witness == (1, 2, 3)
 
 
 def test_analyze_with_cells(tmp_path):
@@ -582,10 +587,17 @@ def test_render_guards():
         render_off(build_cyclic_star(3, 6).arrangement, "+++")  # wrong length
 
 
+# a corner at 10^23 has more digits than a 28-digit decimal context holds
+BIG_SIMPLEX = Arrangement(3, (
+    hyperplane([1, 0, 0], 0), hyperplane([0, 1, 0], 0), hyperplane([0, 0, 1], 0),
+    hyperplane([1, 1, 1], 10**23),
+))
+
+
 @pytest.mark.parametrize(
     "arr",
-    [build_ao3(7).arrangement, random_simple_arrangement(3, 7, 1).arrangement],
-    ids=["ao3-7", "random-3-7-1"],
+    [build_ao3(7).arrangement, random_simple_arrangement(3, 7, 1).arrangement, BIG_SIMPLEX],
+    ids=["ao3-7", "random-3-7-1", "simplex-10^23"],
 )
 def test_off_export_writes_the_census_counts_of_every_cell(arr):
     for rec in census(arr).records:

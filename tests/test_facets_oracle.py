@@ -42,7 +42,7 @@ from signs import signs_of
 def cells_and_facets(arr):
     vertices = enumerate_vertices(arr)
     cells = enumerate_bounded_cells(arr, vertices)
-    records = build_cell_records(arr, vertices, cells)
+    records = build_cell_records(arr, vertices, [c.signature for c in cells])
     return vertices, cells, enumerate_bounded_facets(arr, records)
 
 

@@ -129,8 +129,12 @@ def test_parse_rational_reads_signed_integers_and_quotients():
 def test_decimal_display_six_digits_half_even():
     assert decimal_display(Fraction(26, 15)) == "1.733333"
     assert decimal_display(Fraction(17, 10)) == "1.700000"
-    assert decimal_display(Fraction(1, 2), places=0) == "0"   # round half even
-    assert decimal_display(Fraction(3, 2), places=0) == "2"
+    assert decimal_display(Fraction(1, 2_000_000)) == "0.000000"   # round half even
+    assert decimal_display(Fraction(3, 2_000_000)) == "0.000002"
+    # exact at any size: no 28-digit context rounds first or overflows
+    assert decimal_display(Fraction(1, 2_000_000) + Fraction(1, 10**40)) == "0.000001"
+    assert decimal_display(Fraction(-10**30, 3)) == "-" + "3" * 30 + ".333333"
+    assert decimal_display(Fraction(-1, 3_000_000)) == "-0.000000"
 
 
 square_systems = st.integers(1, 4).flatmap(

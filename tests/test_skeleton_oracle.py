@@ -34,7 +34,7 @@ def assert_matches_oracle(arr):
     cells = enumerate_bounded_cells(arr, vertices)
     expected = oracle.skeletons_for_cells(cells, edges, arr.dim)
     assert skeletons_for_cells(cells, vertices, arr.dim, arr.n) == expected
-    records = build_cell_records(arr, vertices, cells)
+    records = build_cell_records(arr, vertices, [c.signature for c in cells])
     assert skeletons_for_cells(records, vertices, arr.dim, arr.n) == expected
     diameters = []
     for rec, adj in zip(records, expected):

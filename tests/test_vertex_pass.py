@@ -221,5 +221,5 @@ def test_first_defect_in_subset_order_is_reported():
     assert err.value.report.witness == (0, 1, 3)
     assert err.value.report.reason == "point of subset (0, 1) lies on extra hyperplanes [3]"
     assert outcome(enumerate_vertices, arr) == outcome(enumerate_vertices_by_fractions, arr)
-    # the simplicity check alone reports the singular pair, as before
-    assert check_simple(arr).witness == (0, 2)
+    # the simplicity check reports what the census raises
+    assert check_simple(arr) == err.value.report
