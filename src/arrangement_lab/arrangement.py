@@ -269,7 +269,7 @@ def _solve_subsets(
     n = len(rows)
     if n < d + 1:
         raise _not_simple(None, f"need at least {d + 1} hyperplanes, got {n}")
-    _extend_prefix(rows, d, (), space(d), {}, solved)
+    _extend_prefix(rows, d, (), space(d), set(), solved)
 
 
 def _extend_prefix(
@@ -277,11 +277,13 @@ def _extend_prefix(
     d: int,
     prefix: tuple[int, ...],
     flat: Flat,
-    seen: dict[IntPoint, tuple[int, ...]],
+    seen: set[IntPoint],
     solved: list[tuple[tuple[int, ...], IntPoint]],
 ) -> None:
     """Every subset that extends `prefix`, whose rows cut out `flat`, for
-    `_solve_subsets`; `seen` maps each point solved so far to its subset."""
+    `_solve_subsets`; `seen` is the set of points solved so far.  A repeat
+    names no earlier subset: that subset's point lies on an extra
+    hyperplane, so `enumerate_vertices` reports it instead."""
     level = len(prefix)
     last = level == d - 1  # the next row completes a subset
     cut = crossing if last else meet
@@ -294,9 +296,9 @@ def _extend_prefix(
         if not last:
             _extend_prefix(rows, d, subset, found, seen, solved)
         elif found in seen:
-            raise _not_simple(subset, f"intersection point coincides with subset {seen[found]}")
+            raise _not_simple(subset, "intersection point coincides with an earlier subset's")
         else:
-            seen[found] = subset
+            seen.add(found)
             solved.append((subset, found))
 
 

@@ -157,7 +157,7 @@ def random_simple_arrangement(
         raise InputError(f"seed must lie in [0, 2^64), got {seed}")
     stream = SplitMix64(seed)
     rows: list[IntRow] = []
-    points: dict[IntPoint, tuple[int, ...]] = {}
+    points: set[IntPoint] = set()
     for _ in range(n):
         for attempt in range(1000):
             row = tuple(stream.next_int(-bound, bound) for _ in range(d + 1))
@@ -175,20 +175,20 @@ def random_simple_arrangement(
 
 def _extends_simply(
     existing: list[IntRow], candidate: IntRow, d: int,
-    points: dict[IntPoint, tuple[int, ...]],
+    points: set[IntPoint],
 ) -> bool:
     """True if adding the integer row `candidate` (a, b) keeps every
     d-subset nonsingular and all intersection points distinct; a zero
     normal is refused.
 
-    `points` holds the distinct points of `existing`, so only the subsets
-    containing the candidate are solved, by the vertex pass's walk
+    `points` is the set of the distinct points of `existing`, so only the
+    subsets containing the candidate are solved, by the vertex pass's walk
     (`arrangement._extend_prefix`) on the rows [candidate, *existing] below
     the prefix (0,), whose flat is the candidate's hyperplane.  The walk
-    adds each point to `points` unless it is there, and cuts a prefix only
+    adds each point to the set unless it is there, and cuts a prefix only
     when some subset completes it, so it raises exactly when a subset is
     singular or a point repeats, as solving each subset on its own would;
-    its points are then removed again.
+    its points are then removed again, and its reason is not read.
     """
     flat = meet(space(d), candidate)
     if flat is None:
@@ -197,8 +197,7 @@ def _extends_simply(
     try:
         _extend_prefix([candidate, *existing], d, (0,), flat, points, solved)
     except NotSimpleError:
-        for _, point in solved:
-            del points[point]
+        points.difference_update([point for _, point in solved])
         return False
     return True
 

@@ -30,16 +30,15 @@ keeps the flat:
   did, so the U_k span every direction along the cut hyperplanes, and a
   normal is orthogonal to all of them exactly when it depends on those.
 
-`solve_integer_system` cuts R^d by d-1 rows and crosses the last; the
-vertex pass of `arrangement` carries one flat down a depth-first walk of
-subsets.  `integer_row` scales a rational row by a positive factor to
+The vertex pass of `arrangement` carries one flat down a depth-first walk
+of subsets.  `integer_row` scales a rational row by a positive factor to
 coprime integers, which keeps the sign of every affine functional it
 describes.
 
 `fractions.Fraction` is the boundary type: vectors are tuples of Fractions
 and matrices tuples of row tuples, for input, reports and exports.
 `solve_linear_system` and `sign_affine` keep that Fraction interface; the
-former clears denominators and calls the integer kernel.
+former clears denominators, cuts R^d by d-1 rows and crosses the last.
 """
 
 from __future__ import annotations
@@ -127,44 +126,28 @@ def crossing(line: Flat, row: Sequence[int]) -> Optional[IntPoint]:
     return tuple(p), c
 
 
-def solve_integer_system(rows: Sequence[IntRow]) -> Optional[IntPoint]:
-    """Solve the integer augmented system (A | b) with d rows of d+1 entries.
-
-    Returns None when A is singular, otherwise (numerators, denominator)
-    with x_i = numerators[i] / denominator, the denominator positive and
-    gcd(numerators..., denominator) = 1, so equal points have equal results.
-    R^d is cut by the first d-1 rows (`meet`), and the last row crosses
-    the line they leave (`crossing`).
-    """
-    d = len(rows)
-    if any(len(row) != d + 1 for row in rows):
-        raise DimensionMismatchError(f"expected {d} rows of {d + 1} entries")
-    if not rows:
-        return (), 1
-    flat = space(d)
-    for row in rows[:-1]:
-        flat = meet(flat, row)
-        if flat is None:
-            return None
-    return crossing(flat, rows[-1])
-
-
 def solve_linear_system(m: Mat, rhs: Vec) -> Optional[Vec]:
     """Solve m·x = rhs exactly; return None when the matrix is singular.
 
-    Each row of the augmented matrix is scaled to integers and solved by
-    `solve_integer_system`; Fractions appear again only in the result.
+    Each row of the augmented matrix is scaled to integers (`integer_row`),
+    R^d is cut by the first d-1 (`meet`) and the last crosses the line they
+    leave (`crossing`); Fractions appear again only in the result.
     """
     d = len(rhs)
     if len(m) != d or any(len(row) != d for row in m):
         raise DimensionMismatchError(
             f"expected a {d}x{d} matrix to match rhs of length {d}"
         )
-    solved = solve_integer_system([integer_row((*row, y)) for row, y in zip(m, rhs)])
-    if solved is None:
-        return None
-    numerators, denominator = solved
-    return tuple(Fraction(p, denominator) for p in numerators)
+    if not d:
+        return ()
+    *rows, last = [integer_row((*row, y)) for row, y in zip(m, rhs)]
+    flat = space(d)
+    for row in rows:
+        flat = meet(flat, row)
+        if flat is None:
+            return None
+    solved = crossing(flat, last)
+    return None if solved is None else tuple(Fraction(p, solved[1]) for p in solved[0])
 
 
 def sign_affine(a: Sequence[Fraction], b: Fraction, x: Sequence[Fraction]) -> int:

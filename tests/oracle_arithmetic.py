@@ -120,7 +120,7 @@ def back_substitute(echelon: Sequence[Sequence[int]], pivots: Sequence[int]) -> 
 
 def solve_by_echelon(rows: Sequence[IntRow]) -> Optional[IntPoint]:
     """The integer system (A | b) with d rows of d+1 entries solved on its
-    own, as `rational.solve_integer_system` returns it: None when A is
+    own, in the form of `rational.crossing`'s result: None when A is
     singular, else the point in lowest terms over a positive denominator."""
     echelon: list[Sequence[int]] = []
     pivots: list[int] = []

@@ -6,7 +6,7 @@ otherwise each (d-1)-subset of the existing rows plus the candidate is
 solved by itself with the earlier solver, `oracle_arithmetic.solve_by_echelon`,
 in lexicographic order.  The candidate is refused at the first singular
 subset or repeated point, and the points it added are removed again; when
-it is accepted they stay in `points`, each mapped to its subset.
+it is accepted they stay in the set `points`.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ def extends_simply_by_subsets(existing, candidate, d, points) -> bool:
         subset = rest + (last,)
         point = solve_by_echelon([rows[i] for i in subset])
         if point is None or point in points:
-            for stale in added:
-                del points[stale]
+            points.difference_update(added)
             return False
-        points[point] = subset
+        points.add(point)
         added.append(point)
     return True

@@ -62,7 +62,7 @@ def subset_points_by_fractions(arr: Arrangement) -> Iterator[tuple[tuple[int, ..
     d, n = arr.dim, arr.n
     if n < d + 1:
         raise _not_simple(None, f"need at least {d + 1} hyperplanes, got {n}")
-    seen: dict[Vec, tuple[int, ...]] = {}
+    seen: set[Vec] = set()
     for subset in itertools.combinations(range(n), d):
         m = tuple(arr.hyperplanes[i].a for i in subset)
         rhs = tuple(arr.hyperplanes[i].b for i in subset)
@@ -70,10 +70,8 @@ def subset_points_by_fractions(arr: Arrangement) -> Iterator[tuple[tuple[int, ..
         if point is None:
             raise _not_simple(subset, "hyperplanes do not meet in a single point")
         if point in seen:
-            raise _not_simple(
-                subset, f"intersection point coincides with subset {seen[point]}"
-            )
-        seen[point] = subset
+            raise _not_simple(subset, "intersection point coincides with an earlier subset's")
+        seen.add(point)
         yield subset, point
 
 

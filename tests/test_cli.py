@@ -569,6 +569,15 @@ def test_analyze_three_dimensional(tmp_path, capsys):
     assert obj["f_bounded"] == 70 and obj["p_odd"] is None
 
 
+def test_analyze_cyclic_star_at_d_7(tmp_path, capsys):
+    # d = 7, where the vertex pass's integers are largest: C(13,7) cells
+    src = tmp_path / "cyclic7.json"
+    assert run(["construct", "--family", "cyclic", "-d", 7, "-n", 14, "--out", src]) == 0
+    capsys.readouterr()
+    assert run(["analyze", src]) == 0
+    assert " I=1716 " in capsys.readouterr().out
+
+
 def test_signature_parsing():
     assert signature_from_str("+-+") == 0b101
     assert signature_from_str("--+-") == 0b0010

@@ -28,9 +28,8 @@ from arrangement_lab.constructions import (
 )
 from arrangement_lab.errors import InputError
 from arrangement_lab.jsonio import arrangement_to_obj, canonical_dumps
-from arrangement_lab.rational import solve_integer_system
 from arrangement_lab.verify import RANDOM_2D_POOL, RANDOM_3D_POOL, RANDOM_COEFF_BOUND
-from oracle_arithmetic import evaluate_sign
+from oracle_arithmetic import evaluate_sign, solve_by_echelon
 from oracle_generation import extends_simply_by_subsets
 from oracle_vertices import check_simple_by_fractions
 
@@ -293,7 +292,7 @@ def candidate_streams(draw):
         elif kind == 2:
             # a row through the point of d earlier rows, if they meet in one
             subset = draw(st.lists(st.sampled_from(rows), min_size=d, max_size=d))
-            point = solve_integer_system(subset)
+            point = solve_by_echelon(subset)
             a = [draw(entries) for _ in range(d)]
             if point is None:
                 rows.append((*a, draw(entries)))
@@ -312,12 +311,12 @@ def test_extends_simply_decides_as_solving_each_subset(case):
     # they must agree on the verdict and leave the same points behind, and
     # a refused candidate must leave the points as they were
     d, candidates = case
-    existing, points, reference = [], {}, {}
+    existing, points, reference = [], set(), set()
     for candidate in candidates:
         before = set(points)
         verdict = _extends_simply(existing, candidate, d, points)
         assert verdict == extends_simply_by_subsets(existing, candidate, d, reference)
-        assert set(points) == set(reference)
+        assert points == reference
         if verdict:
             existing.append(candidate)
         else:

@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,15 @@ from hypothesis import strategies as st
 from arrangement_lab import rational
 from arrangement_lab.errors import DimensionMismatchError
 from arrangement_lab.rational import (
+    crossing,
     decimal_display,
     format_rational,
     integer_row,
+    meet,
     parse_rational,
     sign_affine,
-    solve_integer_system,
     solve_linear_system,
+    space,
     vector,
 )
 from oracle_arithmetic import identity_matrix, mat_vec, matrix
@@ -145,21 +148,37 @@ square_systems = st.integers(1, 4).flatmap(
 )
 
 
+def solve_and_cross(m, rhs):
+    """`solve_linear_system(m, rhs)` and the list of what each `crossing`
+    call it made returned."""
+    crossed = []
+
+    def spy(line, row):
+        crossed.append(crossing(line, row))
+        return crossed[-1]
+
+    with mock.patch.object(rational, "crossing", spy):
+        return solve_linear_system(m, rhs), crossed
+
+
 @settings(deadline=None, max_examples=80)
 @given(square_systems)
 def test_integer_core_agrees_with_cramer(system):
+    # the last row crosses the line the others cut out of R^d, in lowest
+    # terms over a positive denominator, so equal points give equal results
     rows, rhs = system
-    solved = solve_integer_system([integer_row((*row, y)) for row, y in zip(rows, rhs)])
+    x, crossed = solve_and_cross(rows, rhs)
     det = cofactor_determinant(rows)
     if det == 0:
-        assert solved is None
+        assert x is None
         return
-    numerators, denominator = solved
+    [(numerators, denominator)] = crossed
     assert denominator > 0
     assert gcd(denominator, *numerators) == 1
+    assert x == tuple(Fraction(p, denominator) for p in numerators)
     for i in range(len(rows)):
         replaced = [row[:i] + [y] + row[i + 1:] for row, y in zip(rows, rhs)]
-        assert Fraction(numerators[i], denominator) == cofactor_determinant(replaced) / det
+        assert x[i] == cofactor_determinant(replaced) / det
 
 
 @settings(deadline=None, max_examples=40)
@@ -171,19 +190,21 @@ def test_integer_core_agrees_with_cramer(system):
     st.lists(st.integers(-30, 30), min_size=3, max_size=3),
 )
 def test_integer_core_returns_none_on_singular(u, v, s, t, rhs):
+    # the dependent row last, then first: singular either way
     dependent = [s * a + t * b for a, b in zip(u, v)]
-    rows = [(*u, rhs[0]), (*v, rhs[1]), (*dependent, rhs[2])]
-    assert solve_integer_system(rows) is None
-    assert solve_integer_system([rows[2], rows[0], rows[1]]) is None
+    assert solve_linear_system([u, v, dependent], rhs) is None
+    assert solve_linear_system([dependent, u, v], [rhs[2], rhs[0], rhs[1]]) is None
 
 
 def test_integer_core_lowest_terms_and_shapes():
     # 2x = 1, 4y = -2 in unreduced form: x = 1/2, y = -1/2
-    assert solve_integer_system([(4, 0, 2), (0, -8, 4)]) == ((1, -1), 2)
-    assert solve_integer_system([(-3, 6)]) == ((-2,), 1)
-    assert solve_integer_system([]) == ((), 1)
+    assert crossing(meet(space(2), (4, 0, 2)), (0, -8, 4)) == ((1, -1), 2)
+    assert solve_linear_system([[4, 0], [0, -8]], [2, 4]) == (Fraction(1, 2), Fraction(-1, 2))
+    assert crossing(space(1), (-3, 6)) == ((-2,), 1)
+    assert solve_linear_system([[-3]], [6]) == (-2,)
+    assert solve_linear_system((), ()) == ()
     with pytest.raises(DimensionMismatchError):
-        solve_integer_system([(1, 2), (3, 4)])
+        solve_linear_system([[1], [3]], [2, 4])
 
 
 @settings(deadline=None, max_examples=60)

@@ -64,14 +64,14 @@ def solve_each_subset(rows, d, solved):
     """The reference: every d-subset solved on its own, in lex order."""
     if len(rows) < d + 1:
         raise not_simple(None, f"need at least {d + 1} hyperplanes, got {len(rows)}")
-    seen = {}
+    seen = set()
     for subset in itertools.combinations(range(len(rows)), d):
         point = solve_by_echelon([rows[i] for i in subset])
         if point is None:
             raise not_simple(subset, "hyperplanes do not meet in a single point")
         if point in seen:
-            raise not_simple(subset, f"intersection point coincides with subset {seen[point]}")
-        seen[point] = subset
+            raise not_simple(subset, "intersection point coincides with an earlier subset's")
+        seen.add(point)
         solved.append((subset, point))
 
 
