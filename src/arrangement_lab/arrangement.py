@@ -13,20 +13,22 @@ with the other's on every coordinate where the smaller face is not tight.
   each level cuts its parent's flat once by its new row, so a subset
   costs one crossing of its prefix's line (`rational.crossing`).  The
   walk raises at the first singular subset or repeated point.
-* Order.  Dropping one of a vertex's d tight hyperplanes leaves a line
-  through it.  Each line's vertices are sorted once, in lexicographic order
-  of their points, by an integer key, which gives each vertex its lower and
-  upper neighbour on each of its lines.
-* Signs.  A vertex keeps them as its plus mask, bit n-1-k set where
-  hyperplane k is positive.  All n signs are evaluated at the first vertex
-  only.  Consecutive vertices u < w on a line differ in sign only at their
-  own indices off the line, since no other hyperplane crosses the segment
-  between them; so w's mask is u's with u's index set to w's side of it
-  (one dot product) and w's index cleared.  The masks spread breadth-first.
-* Rise.  The upper neighbour's side of the dropped hyperplane k lies
-  lexicographically above (at a line's lex-max vertex, the side away from
-  the lower one); it sets k's bit in the vertex's rise mask (`Vertex.rise`),
-  and the neighbour pairs are dropped.
+* Sweep.  Dropping one of a vertex's d tight hyperplanes leaves a line
+  through it, named by the vertex's tight mask (bit n-1-k set for each
+  tight k, as in the plus masks) less that bit.  The lines are swept
+  breadth-first from those of the first vertex, the only one whose n
+  signs are all evaluated.  A line's n-d+1 vertices are sorted once, in
+  lexicographic order of their points, by an integer key.  Consecutive
+  vertices u < w differ in sign only at their own indices off the line,
+  as no other hyperplane crosses the segment between them; so w's plus
+  mask is u's with u's index set to w's side (one dot product) and w's
+  index cleared, carried both ways from a vertex already reached, and
+  each vertex newly reached queues its other lines.  A vertex's upper
+  neighbour lies on the up side of its index off the line, which sets
+  that bit of its rise mask (`Vertex.rise`); at the line's lex-max
+  vertex the up side is the one away from the lower neighbour.  The
+  vertex graph of a simple arrangement is connected, and every queued
+  line holds the vertex that queued it, so every vertex is reached.
 
 Carrying the signs needs the vertices to be simple, with no point on more than
 d hyperplanes, and the solve pass already proves it.  If the point x of a
@@ -101,6 +103,7 @@ if TYPE_CHECKING:
 
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
+Solved = list[tuple[tuple[int, ...], IntPoint]]  # (d-subset, its point) per vertex
 _SIGN_CHARS = str.maketrans("01", "-+")
 _MASK_BITS = str.maketrans("+-", "10")
 _SIGN_VALUES = {"+": 1, "-": -1, "0": 0}
@@ -235,9 +238,10 @@ def sign_tuple(face: int, n: int) -> SignVector:
 
 def check_simple(arr: Arrangement) -> SimplicityReport:
     """The report that `enumerate_vertices` raises on `arr`, the census's
-    own simplicity check, or SimplicityReport(True) when it raises none."""
+    own simplicity check, or SimplicityReport(True) when it raises none.
+    Only the solve walk runs."""
     try:
-        enumerate_vertices(arr)
+        _solve_simple(_integer_rows(arr), arr.dim)
     except NotSimpleError as exc:
         return exc.report
     return SimplicityReport(True)
@@ -253,9 +257,7 @@ def _integer_rows(arr: Arrangement) -> list[IntRow]:
     return [integer_row((*h.a, h.b)) for h in arr.hyperplanes]
 
 
-def _solve_subsets(
-    rows: Sequence[IntRow], d: int, solved: list[tuple[tuple[int, ...], IntPoint]]
-) -> None:
+def _solve_subsets(rows: Sequence[IntRow], d: int, solved: Solved) -> None:
     """Append (subset, (p, q)) to `solved` for every d-subset of the integer
     rows (a, b) in lexicographic order, raising NotSimpleError at the first
     singular subset or repeated point.
@@ -278,7 +280,7 @@ def _extend_prefix(
     prefix: tuple[int, ...],
     flat: Flat,
     seen: set[IntPoint],
-    solved: list[tuple[tuple[int, ...], IntPoint]],
+    solved: Solved,
 ) -> None:
     """Every subset that extends `prefix`, whose rows cut out `flat`, for
     `_solve_subsets`; `seen` is the set of points solved so far.  A repeat
@@ -302,9 +304,7 @@ def _extend_prefix(
             solved.append((subset, found))
 
 
-def _extra_plane_error(
-    rows: list[IntRow], solved: list[tuple[tuple[int, ...], IntPoint]]
-) -> Optional[NotSimpleError]:
+def _extra_plane_error(rows: list[IntRow], solved: Solved) -> Optional[NotSimpleError]:
     """The error for the first solved point, in lexicographic order of its
     subset, that lies on a hyperplane outside its subset; None if none
     does.  It names every hyperplane through the point."""
@@ -318,6 +318,22 @@ def _extra_plane_error(
     return None
 
 
+def _solve_simple(rows: list[IntRow], d: int) -> Solved:
+    """Every d-subset's (subset, (p, q)) in lexicographic order, from the
+    solve walk, which is the simplicity check: on a defect it raises the
+    error of the first solved point on an extra hyperplane, if any, and
+    otherwise the walk's own (module docstring)."""
+    solved: Solved = []
+    try:
+        _solve_subsets(rows, d, solved)
+    except NotSimpleError:
+        extra = _extra_plane_error(rows, solved)
+        if extra is None:
+            raise
+        raise extra from None
+    return solved
+
+
 def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
     """All C(n,d) vertices, sorted by tight set, each with its signs and
     its rise mask.  This is the simplicity check of every enumeration:
@@ -327,44 +343,59 @@ def enumerate_vertices(arr: Arrangement) -> list[Vertex]:
 
     The pass and its soundness are described in the module docstring.
     """
-    d = arr.dim
     rows = _integer_rows(arr)
-    solved: list[tuple[tuple[int, ...], IntPoint]] = []
-    try:
-        _solve_subsets(rows, d, solved)
-    except NotSimpleError:
-        extra = _extra_plane_error(rows, solved)
-        if extra is None:
-            raise
-        raise extra from None
+    solved = _solve_simple(rows, arr.dim)
+    masks, rise = _sweep_lines(rows, solved)
+    return [Vertex(p, q, tight, plus, up)
+            for (tight, (p, q)), plus, up in zip(solved, masks, rise)]
 
-    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for vid, (tight, _) in enumerate(solved):
-        for k in range(d):
-            lines.setdefault(tight[:k] + tight[k + 1:], []).append((vid, k))
-    neighbours: list[list] = [[None] * d for _ in solved]
-    while lines:  # each line's list is dropped as soon as it is read
-        on_line = lines.popitem()[1]
-        _sort_line(solved, on_line)
-        ids = [None, *(vid for vid, _ in on_line), None]
-        for t, (vid, k) in enumerate(on_line):
-            neighbours[vid][k] = (ids[t], ids[t + 2])
+
+def _sweep_lines(rows: list[IntRow], solved: Solved) -> tuple[list[int], list[int]]:
+    """Every vertex's plus mask and rise mask, from one breadth-first sweep
+    over the lines (module docstring); its tables are freed on return,
+    before the vertices are built."""
     bits = [1 << len(rows) - 1 - k for k in range(len(rows))]
-    masks = _carry_signs(rows, solved, neighbours, bits)
-    return [  # rise masks, as in the module docstring
-        Vertex(p, q, tight, masks[vid], sum([
-            masks[above] & bits[k] if above is not None else bits[k] & ~masks[below]
-            for k, (below, above) in zip(tight, neighbours[vid])]))
-        for vid, (tight, (p, q)) in enumerate(solved)
-    ]
+    vid_of = {sum(bits[k] for k in tight): vid for vid, (tight, _) in enumerate(solved)}
+    first, (p, q) = solved[0]
+    masks: list[Optional[int]] = [None] * len(solved)
+    masks[0] = sum(bit for bit, row in zip(bits, rows) if sum(map(mul, row, p)) > row[-1] * q)
+    rise = [0] * len(solved)
+    queue = [sum(bits[k] for k in first) ^ bits[k] for k in first]  # lines, as tight masks
+    queued = set(queue)
+    for line in queue:
+        on_line = [(vid_of[line | bit], j) for j, bit in enumerate(bits) if not line & bit]
+        _sort_line(solved, on_line)
+        start = next(t for t, (vid, _) in enumerate(on_line) if masks[vid] is not None)
+        for steps in range(start + 1, len(on_line)), range(start - 1, -1, -1):
+            u, i = on_line[start]
+            for t in steps:  # w's mask is u's, i set to w's side and j cleared
+                w, j = on_line[t]
+                if masks[w] is None:
+                    row, (p, q) = rows[i], solved[w][1]
+                    mw = masks[u] | bits[i] if sum(map(mul, row, p)) > row[-1] * q else masks[u]
+                    masks[w] = mw & ~bits[j]
+                    for k in solved[w][0]:  # w's lines; the one being swept is queued
+                        other = (line | bits[j]) ^ bits[k]
+                        if other not in queued:
+                            queued.add(other)
+                            queue.append(other)
+                u, i = w, j
+        for (vid, j), (above, _) in zip(on_line, on_line[1:]):
+            rise[vid] |= masks[above] & bits[j]
+        top, j = on_line[-1]
+        rise[top] |= bits[j] & ~masks[on_line[-2][0]]
+    if None in masks:
+        raise InternalConsistencyError(
+            f"signs reached {len(masks) - masks.count(None)} of {len(masks)} vertices "
+            "along the lines"
+        )
+    return masks, rise
 
 
-def _sort_line(
-    solved: list[tuple[tuple[int, ...], IntPoint]], on_line: list[tuple[int, int]]
-) -> None:
-    """Sort one line's (vertex id, k) entries, k the position in the
-    vertex's tight set of the one index off the line, into increasing
-    lexicographic order of their points.
+def _sort_line(solved: Solved, on_line: list[tuple[int, int]]) -> None:
+    """Sort one line's (vertex id, j) entries, j the one hyperplane tight at
+    the vertex off the line, into increasing lexicographic order of their
+    points.
 
     The vertices of a line are collinear, so the first coordinate in which
     two of them differ orders them all strictly.  The sort key is that
@@ -379,40 +410,6 @@ def _sort_line(
     scale = lcm(*[q for _, q in points])
     keys = [p[axis] * (scale // q) for p, q in points]
     on_line[:] = [on_line[t] for t in sorted(range(len(keys)), key=keys.__getitem__)]
-
-
-def _carry_signs(
-    rows: list[IntRow],
-    solved: list[tuple[tuple[int, ...], IntPoint]],
-    neighbours: list[list],
-    bits: list[int],
-) -> list[int]:
-    """Every vertex's plus mask, `bits[k]` standing for hyperplane k,
-    carried breadth-first along the lines from one full evaluation at
-    vertex 0 (see the module docstring).  The vertex graph of a simple
-    arrangement is connected, so every vertex is reached."""
-    p, q = solved[0][1]
-    masks: list[Optional[int]] = [None] * len(solved)
-    masks[0] = sum(bit for bit, row in zip(bits, rows) if sum(map(mul, row, p)) > row[-1] * q)
-    # w's index off the line it shares with u: the line is u's tight set
-    # without j, so w's index is the sum of w's tight set minus the line's
-    totals = [sum(tight) for tight, _ in solved]
-    todo = [0]
-    for u in todo:
-        mu, base = masks[u], totals[u]
-        for j, pair in zip(solved[u][0], neighbours[u]):
-            for w in pair:
-                if w is None or masks[w] is not None:
-                    continue
-                row, (p, q) = rows[j], solved[w][1]
-                mw = mu | bits[j] if sum(map(mul, row, p)) > row[-1] * q else mu
-                masks[w] = mw & ~bits[totals[w] - base + j]
-                todo.append(w)
-    if len(todo) != len(solved):
-        raise InternalConsistencyError(
-            f"signs reached {len(todo)} of {len(solved)} vertices along the lines"
-        )
-    return masks
 
 
 def enumerate_edges(arr: Arrangement, vertices: list[Vertex]) -> list[ArrangementEdge]:

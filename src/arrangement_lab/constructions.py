@@ -146,13 +146,16 @@ def random_simple_arrangement(
     [-bound, bound]; any hyperplane breaking simplicity is redrawn, up to
     1000 attempts each.  `_extends_simply` has then solved every d-subset
     and seen every point distinct, so the result needs no further check.
-    The seed must lie in [0, 2^64): SplitMix64 keeps it mod 2^64."""
+    The seed must lie in [0, 2^64): SplitMix64 keeps it mod 2^64; the bound
+    in [10, 2^63 - 1], so that `next_int` draws from at most 2^64 values."""
     if d not in (2, 3):
         raise InputError("random arrangements support d in {2, 3}")
     if n < d + 1:
         raise InputError(f"random arrangement requires n >= d+1 = {d + 1}")
     if bound < 10:
         raise InputError("coefficient bound must be at least 10")
+    if bound > SplitMix64.MASK >> 1:
+        raise InputError(f"coefficient bound must be at most 2^63 - 1, got {bound}")
     if not 0 <= seed <= SplitMix64.MASK:
         raise InputError(f"seed must lie in [0, 2^64), got {seed}")
     stream = SplitMix64(seed)

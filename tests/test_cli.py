@@ -695,6 +695,19 @@ def test_random_refuses_a_seed_outside_the_generator_range(tmp_path, capsys, see
     assert not out.exists()
 
 
+def test_random_refuses_a_bound_whose_span_exceeds_the_generator(tmp_path, capsys):
+    # a span 2*bound + 1 above 2^64 left no draw under the rejection limit,
+    # so the generator looped for ever
+    out = tmp_path / "r.json"
+    argv = ["random", "-d", 2, "-n", 4, "--seed", 0, "--out", out]
+    assert run([*argv, "--bound", 2**63]) == 2
+    assert capsys.readouterr().err == (
+        f"error: coefficient bound must be at most 2^63 - 1, got {2**63}\n")
+    assert not out.exists()
+    assert run([*argv, "--bound", 2**63 - 1]) == 0
+    assert out.exists()
+
+
 def test_random_that_runs_out_of_attempts_exits_2_naming_the_instance(tmp_path, capsys):
     # 86 lines with coefficients in [-10, 10] leave no room for an 87th
     out = tmp_path / "r.json"
