@@ -9,7 +9,6 @@ identities and bounds that the built-in families realize.
 from .arrangement import (
     Arrangement,
     ArrangementEdge,
-    BoundedCell,
     FacetRecord,
     Hyperplane,
     Restriction,

@@ -183,11 +183,6 @@ class ArrangementEdge(NamedTuple):
     head: Optional[int] = None
 
 
-class BoundedCell(NamedTuple):
-    signature: int               # a face, as in the module docstring
-    vertex_ids: tuple[int, ...]  # sorted
-
-
 class SimplicityReport(NamedTuple):
     is_simple: bool
     witness: Optional[tuple[int, ...]] = None  # offending subset, 0-based

@@ -7,8 +7,9 @@ the cell's plus mask, one int, bit n-1-k set where hyperplane k is
 positive (`arrangement` module docstring).  A vertex is tight on d
 hyperplanes and has one cell edge on the line that drops each, so
 E = V·d/2.  `skeletons_for_cells` builds skeletons only for the
-uncertified cells, joining two vertices when their tight sets share d-1
-hyperplanes (`arrangement._face_edges`).
+uncertified cells, read as (signature, vertex ids) pairs, joining two
+vertices when their tight sets share d-1 hyperplanes
+(`arrangement._face_edges`).
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -40,8 +41,11 @@ the diameter.
 `classify_cell` reads the factor sizes, with the documented precedence
 simplex > cube > simplex product > shell > other: one factor is a simplex,
 d factors of size 2 a cube, two factors a simplex product; any other cell
-is a shell or other by its counts, and every cell of the plane is a
-polygon.  Each class is one shared `CellClass` object.
+is a shell or other by its counts.  Every cell of the plane is a polygon,
+so there the factories name the 2-simplex the triangle, and the 2-cube and
+the prism Δ1×Δ1 one square: `simplex(2)` is `polygon(3)`, and `cube(2)`
+and `simplex_product(1, 1)` are `polygon(4)`.  Each class is one shared
+`CellClass` object.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from .arrangement import (
-    Arrangement, BoundedCell, Vertex, _bounded_cells, _broken, _face_edges, signature_str,
+    Arrangement, Vertex, _bounded_cells, _broken, _face_edges, signature_str,
 )
 from .errors import InputError
 
@@ -79,19 +83,19 @@ def polygon(k: int) -> CellClass:
 
 @cache
 def simplex(d: int) -> CellClass:
-    return CellClass("simplex", (d,))
+    return polygon(3) if d == 2 else CellClass("simplex", (d,))
 
 
 @cache
 def cube(d: int) -> CellClass:
-    return CellClass("cube", (d,))
+    return polygon(4) if d == 2 else CellClass("cube", (d,))
 
 
 @cache
 def simplex_product(k: int, j: int) -> CellClass:
     if k > j:
         k, j = j, k
-    return CellClass("product", (k, j))
+    return polygon(4) if (k, j) == (1, 1) else CellClass("product", (k, j))
 
 
 @cache
@@ -123,12 +127,13 @@ class CellRecord(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def skeletons_for_cells(
-    cells: list[BoundedCell | CellRecord], vertices: list[Vertex], dim: int, n: int
+    cells: Sequence[tuple], vertices: list[Vertex], dim: int, n: int
 ) -> list[Adjacency]:
-    """Skeletons of bounded faces known by signature (a face of the n
-    hyperplanes, as in `arrangement`) and increasing vertex ids: two of
-    them are adjacent when their tight sets share d-1 hyperplanes
-    (`arrangement._face_edges`).
+    """Skeletons of bounded faces, each read as (signature, vertex ids,
+    *rest), so a `CellRecord` serves as well as a plain pair: the signature
+    is a face of the n hyperplanes, as in `arrangement`, and the vertex ids
+    increase.  Two vertices are adjacent when their tight sets share d-1
+    hyperplanes (`arrangement._face_edges`).
 
     The closure of a bounded face C is a simple polytope, so at each of its
     vertices v and for each k in v's tight set off C, C has exactly one
@@ -138,12 +143,11 @@ def skeletons_for_cells(
     vertices than its dimension, or when its skeleton is disconnected.
     """
     skeletons = []
-    for cell in cells:
-        face = cell.signature
-        if len(cell.vertex_ids) <= dim - (face >> n).bit_count():
-            raise _broken(face, n, f" has only {len(cell.vertex_ids)} vertices")
-        adj = _face_edges(vertices, n, face, cell.vertex_ids)
-        reached = [cell.vertex_ids[0]]
+    for face, vertex_ids, *_ in cells:
+        if len(vertex_ids) <= dim - (face >> n).bit_count():
+            raise _broken(face, n, f" has only {len(vertex_ids)} vertices")
+        adj = _face_edges(vertices, n, face, vertex_ids)
+        reached = [vertex_ids[0]]
         seen = set(reached)
         for v in reached:
             for w in adj[v]:
@@ -279,7 +283,7 @@ def cell_record(
         raise _broken(signature, n, f": (V,E,F)=({v},{e},{f}) violates Euler's relation")
     factors = _factor_sizes(list(on.values()), v)
     diameter = len(factors) if factors else cell_diameter(
-        skeletons_for_cells([BoundedCell(signature, vertex_ids)], vertices, dim, n)[0])
+        skeletons_for_cells([(signature, vertex_ids)], vertices, dim, n)[0])
     return CellRecord(signature, vertex_ids, v, e, facets, diameter,
                       classify_cell(v, e, f, factors, dim))
 

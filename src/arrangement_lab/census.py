@@ -20,7 +20,6 @@ from .cells import (
     CellClass,
     CellRecord,
     cube,
-    polygon,
     simplex,
     simplex_product,
 )
@@ -76,8 +75,8 @@ def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
 
 
 # ---------------------------------------------------------------------------
-# class-count views; in dimension 2 every cell is a polygon, so the square
-# plays the role of both the 2-cube and the prism over a 1-simplex
+# class-count views; the factories name the plane's classes, so in dimension
+# 2 these count triangles and squares
 # ---------------------------------------------------------------------------
 
 def class_count(report: CensusReport, cls: CellClass) -> int:
@@ -85,18 +84,12 @@ def class_count(report: CensusReport, cls: CellClass) -> int:
 
 
 def simplex_count(report: CensusReport) -> int:
-    if report.dim == 2:
-        return class_count(report, polygon(3))
     return class_count(report, simplex(report.dim))
 
 
 def cube_count(report: CensusReport) -> int:
-    if report.dim == 2:
-        return class_count(report, polygon(4))
     return class_count(report, cube(report.dim))
 
 
 def prism_count(report: CensusReport) -> int:
-    if report.dim == 2:
-        return class_count(report, polygon(4))
     return class_count(report, simplex_product(1, report.dim - 1))

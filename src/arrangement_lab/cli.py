@@ -5,8 +5,10 @@ Exit codes: 0 success (or all checks pass), 1 verification failure,
 text) written atomically, so identical invocations give identical bytes.
 
 `random`, `analyze`, `export` and `verify` solve C(n,d) vertices per
-instance, so before building anything they check that count against a size
-budget (`--max-vertices`, default `DEFAULT_MAX_VERTICES`) and exit 2 above it.
+instance, and the cell pass looks up the 2^d cells at each of them.  So
+before building anything they check both counts against a size budget
+(`--max-vertices`, default `DEFAULT_MAX_VERTICES`, and `CELL_PASS_FACTOR`
+times it for the lookups) and exit 2 above it.
 """
 
 from __future__ import annotations
@@ -41,24 +43,36 @@ from .verify import (
 
 # The largest C(n,d) vertex count an instance may have without --max-vertices.
 DEFAULT_MAX_VERTICES = 1_000_000
+# The cell pass may make this many C(n,d)*2^d lookups per vertex of the
+# budget: 2^7, so every instance with d <= 7 under the vertex limit passes.
+CELL_PASS_FACTOR = 2**7
 
 
 def _add_size_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
-        help=f"refuse instances with more than this many vertices C(n,d) "
+        help=f"refuse instances with more than this many vertices C(n,d), or more "
+        f"than {CELL_PASS_FACTOR} times as many cell-pass lookups C(n,d)*2^d "
         f"(default {DEFAULT_MAX_VERTICES})",
     )
 
 
 def _check_size(instance: str, n: int, d: int, limit: int) -> None:
-    """Raise InputError when the instance has more than `limit` vertices; a
-    negative n is left to the builder's own parameter check."""
+    """Raise InputError when the instance has more than `limit` vertices, or
+    its cell pass more than `CELL_PASS_FACTOR * limit` lookups; a negative n
+    is left to the builder's own parameter check."""
     vertices = comb(max(n, 0), d)
     if vertices > limit:
         raise InputError(
             f"{instance} has C({n},{d}) = {vertices} vertices, above the limit of "
             f"{limit}; raise it with --max-vertices"
+        )
+    lookups = vertices << d
+    if lookups > CELL_PASS_FACTOR * limit:
+        raise InputError(
+            f"{instance} has C({n},{d})*2^{d} = {lookups} cell-pass lookups, above the "
+            f"limit of {CELL_PASS_FACTOR * limit} ({CELL_PASS_FACTOR} per vertex of the "
+            "budget); raise it with --max-vertices"
         )
 
 

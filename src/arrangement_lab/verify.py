@@ -158,8 +158,6 @@ def expected_census_3d(n: int) -> dict[CellClass, int]:
 def expected_census_dplus2(d: int) -> dict[CellClass, int]:
     """Two simplices plus a pair of each simplex product, the middle product
     once when d is even; in the plane these are two triangles and a square."""
-    if d == 2:
-        return {polygon(3): 2, polygon(4): 1}
     counts: Counter[CellClass] = Counter()
     counts[simplex(d)] += 2
     for k in range(1, d // 2 + 1):

@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from arrangement_lab.arrangement import ArrangementEdge, BoundedCell, sign_tuple
-from arrangement_lab.cells import Adjacency
+from arrangement_lab.arrangement import ArrangementEdge, sign_tuple
+from arrangement_lab.cells import Adjacency, CellRecord
 from arrangement_lab.errors import InternalConsistencyError
 
 
@@ -36,7 +36,7 @@ def bfs_distances(adj: Adjacency, source: int) -> dict[int, int] | None:
 
 
 def skeletons_for_cells(
-    cells: list[BoundedCell], edges: list[ArrangementEdge], dim: int
+    cells: list[CellRecord], edges: list[ArrangementEdge], dim: int
 ) -> list[Adjacency]:
     """Skeletons of all cells in one pass, via sign-vector completion lookup."""
     n = len(edges[0].sign_vector)
@@ -63,7 +63,7 @@ def skeletons_for_cells(
     return skeletons
 
 
-def cell_skeleton(cell: BoundedCell, edges: list[ArrangementEdge], dim: int) -> Adjacency:
+def cell_skeleton(cell: CellRecord, edges: list[ArrangementEdge], dim: int) -> Adjacency:
     """Skeleton of one bounded cell: segments whose sign vectors agree with
     the cell signature off their line sets."""
     adj: dict[int, set[int]] = {vid: set() for vid in cell.vertex_ids}

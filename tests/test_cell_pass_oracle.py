@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 import oracle_cell_pass as oracle
 from arrangement_lab.arrangement import (
-    BoundedCell,
     _bounded_cells,
     check_simple,
     enumerate_bounded_cells,
@@ -74,7 +73,7 @@ def assert_walks_match_reference(arr):
     for codim in range(arr.dim + 1):
         reference = oracle.bounded_face_skeletons(vertices, steps, arr.n, codim)
         for sig, skeleton in reference.items():
-            face = BoundedCell(face_of(sig), tuple(skeleton))
+            face = (face_of(sig), tuple(skeleton))
             assert skeletons_for_cells([face], vertices, arr.dim, arr.n) == [skeleton], sig
         if codim == 0:
             cells = _bounded_cells(vertices, arr.n)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from arrangement_lab.arrangement import (
     Arrangement,
-    BoundedCell,
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
@@ -96,6 +95,20 @@ def test_batch_skeletons_match_single_cell_skeletons():
         assert adj == cell_skeleton(cell, edges, arr.dim)
 
 
+@pytest.mark.parametrize(
+    "built", [build_ao2(12), build_ao3(8), build_cyclic_star(4, 8)],
+    ids=["ao2-12", "ao3-8", "cyclic-4-8"],
+)
+def test_skeletons_read_records_and_pairs_alike(built):
+    # each item is read as (signature, vertex ids, *rest)
+    arr = built.arrangement
+    vertices = enumerate_vertices(arr)
+    records = enumerate_bounded_cells(arr, vertices)
+    pairs = [(rec.signature, rec.vertex_ids) for rec in records]
+    assert skeletons_for_cells(pairs, vertices, arr.dim, arr.n) == \
+        skeletons_for_cells(records, vertices, arr.dim, arr.n)
+
+
 def test_skeleton_guards_name_the_cell():
     arr = build_ao2(6).arrangement
     vertices = enumerate_vertices(arr)
@@ -103,18 +116,18 @@ def test_skeleton_guards_name_the_cell():
     quad = next(c for c in cells if len(c.vertex_ids) == 4)
     name = re.escape(f"cell {signature_str(quad.signature, arr.n)}")
     # only d vertices: too few for a bounded cell
-    too_few = BoundedCell(quad.signature, quad.vertex_ids[:2])
+    too_few = (quad.signature, quad.vertex_ids[:2])
     with pytest.raises(InternalConsistencyError, match=name + " has only 2 vertices"):
         skeletons_for_cells([too_few], vertices, arr.dim, arr.n)
     # one vertex dropped: a step from its neighbours leads out of the cell
-    dropped = BoundedCell(quad.signature, quad.vertex_ids[1:])
+    dropped = (quad.signature, quad.vertex_ids[1:])
     with pytest.raises(InternalConsistencyError, match=name + ": an edge at vertex"):
         skeletons_for_cells([dropped], vertices, arr.dim, arr.n)
     # one vertex outside added: a line holds it alone, or it and two others
     outside = [vid for vid in range(len(vertices)) if vid not in quad.vertex_ids]
     assert len(outside) == 11
     for vid in outside:
-        added = BoundedCell(quad.signature, tuple(sorted((*quad.vertex_ids, vid))))
+        added = (quad.signature, tuple(sorted((*quad.vertex_ids, vid))))
         with pytest.raises(InternalConsistencyError, match=name):
             skeletons_for_cells([added], vertices, arr.dim, arr.n)
 
@@ -311,6 +324,15 @@ def test_six_facet_shell_counts_match_cube_counts():
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
+
+def test_factories_name_the_plane_s_cells_as_polygons():
+    # the 2-simplex is the triangle; the 2-cube and the prism over a
+    # 1-simplex are one square
+    assert simplex(2) is polygon(3)
+    assert cube(2) is simplex_product(1, 1) is polygon(4)
+    labels = (simplex(3).label, cube(3).label, simplex_product(1, 2).label)
+    assert labels == ("simplex-3", "cube-3", "product-1x2")
+
 
 def test_simplex_classification_is_vertex_count_based():
     assert classify_cell(4, 6, 4, hypercube_graph(2), 3) == simplex(3)

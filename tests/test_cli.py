@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -642,13 +643,15 @@ def test_verify_refuses_a_range_over_the_budget(capsys):
     assert err.startswith("error: ao2 d=2 n=1415 has C(1415,2) = 1000405 vertices")
 
 
-@pytest.mark.parametrize("prop, spec, instance", [
-    ("P1", f"n=4..{10**12}", "ao2 d=2 n=1415"),
-    ("P5", f"d=2..{10**12}", "cyclic d=1413 n=1415"),
-    ("P6", f"d=2..{10**12},n=4..{10**12}", "cyclic d=2 n=1415"),
+@pytest.mark.parametrize("prop, spec, refusal", [
+    ("P1", f"n=4..{10**12}", "ao2 d=2 n=1415 has C(1415,"),
+    ("P5", f"d=2..{10**12}", "cyclic d=20 n=22 has C(22,20)*2^20 = 242221056 cell-pass lookups"),
+    ("P5", "d=2..30", "cyclic d=20 n=22 has C(22,20)*2^20 = 242221056 cell-pass lookups, above "
+     "the limit of 128000000 (128 per vertex of the budget); raise it with --max-vertices\n"),
+    ("P6", f"d=2..{10**12},n=4..{10**12}", "cyclic d=2 n=1415 has C(1415,"),
 ])
 def test_verify_refuses_a_huge_range_at_its_first_oversized_instance(monkeypatch, capsys,
-                                                                    prop, spec, instance):
+                                                                    prop, spec, refusal):
     # the grid is read lazily, so the size loop stops at the first instance
     # over the budget without listing the rest of the range
     def no_census(*key):
@@ -658,7 +661,54 @@ def test_verify_refuses_a_huge_range_at_its_first_oversized_instance(monkeypatch
     started = time.perf_counter()
     assert run(["verify", "--prop", prop, "--range", spec]) == 2
     assert time.perf_counter() - started < 1.0
-    assert capsys.readouterr().err.startswith(f"error: {instance} has C(1415,")
+    assert capsys.readouterr().err.startswith(f"error: {refusal}")
+
+
+def test_the_lookup_budget_admits_what_the_vertex_budget_admits_up_to_d_7():
+    # 2^7 lookups per vertex of the budget: an instance with d <= 7 under the
+    # vertex limit is never refused for its cell pass
+    for limit in (20, 1000, cli.DEFAULT_MAX_VERTICES):
+        for d in range(2, 8):
+            n = d
+            while comb(n + 1, d) <= limit:
+                n += 1
+            cli._check_size(f"d={d} n={n}", n, d, limit)
+    cli._check_size("cyclic d=19 n=21", 21, 19, cli.DEFAULT_MAX_VERTICES)
+    with pytest.raises(InputError, match="cell-pass lookups"):
+        cli._check_size("cyclic d=20 n=22", 22, 20, cli.DEFAULT_MAX_VERTICES)
+
+
+@pytest.fixture(scope="module")
+def cyclic_20_22(tmp_path_factory):
+    path = tmp_path_factory.mktemp("budget") / "cyclic-20-22.json"
+    assert run(["construct", "--family", "cyclic", "-d", 20, "-n", 22, "--out", path]) == 0
+    return path
+
+
+class CensusReached(Exception):
+    pass
+
+
+def test_analyze_refuses_a_cell_pass_over_the_budget(monkeypatch, capsys, cyclic_20_22):
+    def no_census(arr, metadata=None):
+        raise AssertionError("census before the size check")
+
+    monkeypatch.setattr(cli, "census", no_census)
+    assert run(["analyze", cyclic_20_22]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cyclic_20_22} has C(22,20)*2^20 = 242221056 cell-pass lookups, above the "
+        "limit of 128000000 (128 per vertex of the budget); raise it with --max-vertices\n")
+
+
+def test_max_vertices_raises_the_cell_pass_budget(monkeypatch, cyclic_20_22):
+    # the census itself would take about 20 s, so a stub stands in for it
+    def reached(arr, metadata=None):
+        raise CensusReached(arr.dim, arr.n)
+
+    monkeypatch.setattr(cli, "census", reached)
+    with pytest.raises(CensusReached) as got:
+        run(["analyze", cyclic_20_22, "--max-vertices", 2_000_000])
+    assert got.value.args == (20, 22)
 
 
 def test_verify_budget_covers_the_seeds_pools(tmp_path, capsys):

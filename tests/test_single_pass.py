@@ -79,7 +79,7 @@ def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
     build_skeletons = cells.skeletons_for_cells
 
     def spy(faces, vertices, dim, n):
-        skeletons.extend(face.signature for face in faces)
+        skeletons.extend(face[0] for face in faces)
         return build_skeletons(faces, vertices, dim, n)
 
     monkeypatch.setattr(cells, "skeletons_for_cells", spy)
@@ -105,7 +105,7 @@ def test_exports_trace_polygons_without_skeletons(monkeypatch):
     build_skeletons = cells.skeletons_for_cells
 
     def spy(faces, vertices, dim, n):
-        built.extend(len(face.vertex_ids) for face in faces)
+        built.extend(len(face[1]) for face in faces)
         return build_skeletons(faces, vertices, dim, n)
 
     replace_everywhere(monkeypatch, build_skeletons, spy)

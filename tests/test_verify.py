@@ -147,6 +147,18 @@ def test_run_suite_rejects_unknown_prop():
         run_suite(["P0"])
 
 
+def test_p5_holds_up_to_d_15():
+    # the cell pass costs C(n,d)*2^d lookups, so this grid is a tripwire for
+    # a slower pass as well as a check of the census and of 2d/(d+1)
+    summary = run_suite(["P5"], {"d": range(2, 16)})
+    assert [r.params["d"] for r in summary.results] == list(range(2, 16))
+    for result in summary.results:
+        d = result.params["d"]
+        assert result.passed, d
+        assert result.computed["census"] == result.expected["census"], d
+        assert result.computed["delta"] == Fraction(2 * d, d + 1), d
+
+
 def test_hirsch_and_simplex_floor():
     summary = run_suite(["H", "S"])
     assert summary.all_pass
