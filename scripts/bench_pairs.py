@@ -2,19 +2,20 @@
 """Compare two source trees on the benchmark, in concurrent pairs.
 
 Usage:
-    python scripts/bench_pairs.py BASE CHANGE [--seeds 1-10] [--seconds 20]
+    python scripts/bench_pairs.py BASE CHANGE [--seeds 1-10] [--seconds S]
                                   [--workload NAME ...]
 
 BASE and CHANGE are checkouts of the repository, for example an exported
 copy of the parent commit and the working tree.  For each workload and seed
 the two trees run `perfbench/run.py` at the same time, one process each, so
-both sides of a pair see the same phase of the machine.  BASE is started
-first in even-numbered pairs and CHANGE in odd-numbered ones, so the start
-order does not favour either side.  For every
-end-to-end metric of BENCHMARK.json (read from CHANGE) the script prints
-each pair's ratio CHANGE / BASE, each side's median and quartiles, how many
-pairs CHANGE won, and whether the gap between the medians exceeds BASE's
-interquartile range.  Two verdicts follow for each metric and workload:
+both sides of a pair see the same phase of the machine.  Each run lasts
+`--seconds`, by default BENCHMARK.json's `run_seconds`, the length of the
+benchmark's own runs.  BASE is started first in even-numbered pairs and
+CHANGE in odd-numbered ones, so the start order does not favour either
+side.  For every end-to-end metric of BENCHMARK.json (read from CHANGE) the
+script prints each pair's ratio CHANGE / BASE, each side's median and
+quartiles, how many pairs CHANGE won, and whether the gap between the
+medians exceeds BASE's interquartile range.  Two verdicts follow for each metric and workload:
 "gain holds" when CHANGE won at least 9 of every 10 pairs and its median is
 better by more than that range, and "worse than bound" when its median is
 worse than BASE's by more than the metric's BENCHMARK.json bound.
@@ -116,7 +117,8 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="run length of each side (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--workload", action="append", default=None)
     args = parser.parse_args(argv)
 
@@ -131,13 +133,14 @@ def main(argv=None) -> int:
         return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 
     failed = False
     with ThreadPoolExecutor(max_workers=2) as pool:
         for workload in workloads:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for index, seed in enumerate(seeds):
-                sides = {side: pool.submit(run_one, tree, workload, seed, args.seconds)
+                sides = {side: pool.submit(run_one, tree, workload, seed, seconds)
                          for side, tree in pair_order(index, args.base, args.change)}
                 try:
                     results = {side: future.result() for side, future in sides.items()}

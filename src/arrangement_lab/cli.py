@@ -4,21 +4,24 @@ Exit codes: 0 success (or all checks pass), 1 verification failure,
 2 invalid input or parameters.  Output files are canonical JSON (or SVG/OFF
 text) written atomically, so identical invocations give identical bytes.
 
-`random`, `analyze`, `export` and `verify` solve C(n,d) vertices per
-instance, and the cell pass looks up the 2^d cells at each of them.  So
-before building anything they check both counts against a size budget
-(`--max-vertices`, default `DEFAULT_MAX_VERTICES`, and `CELL_PASS_FACTOR`
-times it for the lookups) and exit 2 above it.
+`construct` and `random` share one handler; `random` takes any d >= 2.  A
+census solves C(n,d) vertices per instance, and the cell pass looks up the
+2^d cells at each of them.  So all five commands check both counts against
+a size budget before building anything (`--max-vertices`, default
+`DEFAULT_MAX_VERTICES`, and `CELL_PASS_FACTOR` times it for the lookups)
+and exit 2 above it.  `verify --seeds` reads pools keyed "d<k>", k >= 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from math import comb
+from typing import Optional
 
 from .census import census
-from .constructions import build, random_simple_arrangement
+from .constructions import FIXED_DIMENSION, build
 from .errors import GenerationError, InputError, NotSimpleError
 from .export import render_off, render_svg
 from .jsonio import (
@@ -33,13 +36,7 @@ from .jsonio import (
     suite_to_obj,
 )
 from .rational import decimal_display, format_rational
-from .verify import (
-    RANDOM_2D_POOL,
-    RANDOM_3D_POOL,
-    RANDOM_COEFF_BOUND,
-    run_suite,
-    suite_instances,
-)
+from .verify import RANDOM_COEFF_BOUND, RANDOM_POOLS, run_suite, suite_instances
 
 # The largest C(n,d) vertex count an instance may have without --max-vertices.
 DEFAULT_MAX_VERTICES = 1_000_000
@@ -57,10 +54,16 @@ def _add_size_budget(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_size(instance: str, n: int, d: int, limit: int) -> None:
+def _instance(family: str, d: Optional[int], n: int, seed: Optional[int]) -> str:
+    return f"{family} d={d} n={n}" + ("" if seed is None else f" seed={seed}")
+
+
+def _check_size(instance: str, n: int, d: Optional[int], limit: int) -> None:
     """Raise InputError when the instance has more than `limit` vertices, or
-    its cell pass more than `CELL_PASS_FACTOR * limit` lookups; a negative n
-    is left to the builder's own parameter check."""
+    its cell pass more than `CELL_PASS_FACTOR * limit` lookups; a missing d,
+    or a negative n or d, is left to the builder's own parameter check."""
+    if d is None or d < 0:
+        return
     vertices = comb(max(n, 0), d)
     if vertices > limit:
         raise InputError(
@@ -89,13 +92,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("-d", type=int, default=None, help="dimension (cyclic only)")
     p_construct.add_argument("-n", type=int, required=True, help="number of hyperplanes")
     p_construct.add_argument("--out", required=True, help="output arrangement JSON")
+    p_construct.set_defaults(seed=None, bound=None)
+    _add_size_budget(p_construct)
 
-    p_random = sub.add_parser("random", help="seeded random simple arrangement")
-    p_random.add_argument("-d", type=int, required=True, choices=(2, 3))
+    p_random = sub.add_parser("random", help="seeded random simple arrangement, any d >= 2")
+    p_random.add_argument("-d", type=int, required=True)
     p_random.add_argument("-n", type=int, required=True)
     p_random.add_argument("--seed", type=int, required=True)
     p_random.add_argument("--bound", type=int, default=RANDOM_COEFF_BOUND)
     p_random.add_argument("--out", required=True)
+    p_random.set_defaults(family="random")
     _add_size_budget(p_random)
 
     p_analyze = sub.add_parser("analyze", help="census and diameter statistics")
@@ -112,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--range", dest="range_spec", default=None,
                           help='grid override, e.g. "n=4..12" or "d=2..6"')
     p_verify.add_argument("--seeds", default=None,
-                          help="JSON file overriding the random pools")
+                          help='JSON file of random pools {"d<k>": [[n, seed], ...]}, k >= 2')
     p_verify.add_argument("--out", default=None, help="write the summary JSON here")
     _add_size_budget(p_verify)
 
@@ -144,44 +150,39 @@ def _parse_range(spec: str) -> dict[str, range]:
     return ranges
 
 
-def _pool(obj: dict, key: str, default) -> tuple[tuple[int, int], ...]:
+def _pool(entries, key: str) -> tuple[tuple[int, int], ...]:
     """The [n, seed] pairs of one pool, each a JSON integer as given."""
     return tuple(
         (json_integer(n, f"{key} pool n"), json_integer(seed, f"{key} pool seed"))
-        for n, seed in obj.get(key, default)
+        for n, seed in entries
     )
 
 
 def _load_pools(path: str):
+    """The default pools, with each "d<k>" pool of the file in place of k's."""
     try:
         obj = _read_json(path)
         if not isinstance(obj, dict):
-            raise TypeError('top level must be an object with "d2" and/or "d3" pools')
-        d2 = _pool(obj, "d2", RANDOM_2D_POOL)
-        d3 = _pool(obj, "d3", RANDOM_3D_POOL)
+            raise TypeError('top level must be an object of "d<k>" pools, k >= 2')
+        pools = dict(RANDOM_POOLS)
+        for key, entries in obj.items():
+            if not re.fullmatch(r"d([2-9]|[1-9][0-9]+)", key):
+                raise ValueError(f'pool key {key!r} is not "d<k>" with k >= 2')
+            pools[int(key[1:])] = _pool(entries, key)
     except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot read seeds file {path}: {exc}") from exc
-    return d2, d3
+    return pools
 
 
-def _cmd_construct(args) -> int:
-    built = build(args.family, args.d, args.n)
-    text = canonical_dumps(arrangement_to_obj(built.arrangement, built.metadata()))
-    atomic_write_text(args.out, text)
-    print(
-        f"{built.family}: n={built.n} d={built.d} "
-        f"epsilon={format_rational(built.epsilon)} -> {args.out}"
-    )
-    return 0
-
-
-def _cmd_random(args) -> int:
-    _check_size(f"random d={args.d} n={args.n} seed={args.seed}", args.n, args.d,
-                args.max_vertices)
-    built = random_simple_arrangement(args.d, args.n, args.seed, args.bound)
-    text = canonical_dumps(arrangement_to_obj(built.arrangement, built.metadata()))
-    atomic_write_text(args.out, text)
-    print(f"random: n={built.n} d={built.d} seed={built.seed} bound={built.bound} -> {args.out}")
+def _cmd_build(args) -> int:
+    """`construct` and `random`: check the size, build, write, report."""
+    d = FIXED_DIMENSION.get(args.family, args.d)
+    _check_size(_instance(args.family, d, args.n, args.seed), args.n, d, args.max_vertices)
+    built = build(args.family, args.d, args.n, args.seed, args.bound)
+    meta = built.metadata()
+    atomic_write_text(args.out, canonical_dumps(arrangement_to_obj(built.arrangement, meta)))
+    details = "".join(f" {key}={meta[key]}" for key in ("epsilon", "seed", "bound") if key in meta)
+    print(f"{built.family}: n={built.n} d={built.d}{details} -> {args.out}")
     return 0
 
 
@@ -208,13 +209,10 @@ def _cmd_verify(args) -> int:
     if args.out:
         check_writable(args.out)
     ranges = _parse_range(args.range_spec) if args.range_spec else None
-    pools_2d, pools_3d = (RANDOM_2D_POOL, RANDOM_3D_POOL)
-    if args.seeds:
-        pools_2d, pools_3d = _load_pools(args.seeds)
-    for family, d, n, seed, _ in suite_instances(args.prop, ranges, pools_2d, pools_3d):
-        instance = f"{family} d={d} n={n}" + ("" if seed is None else f" seed={seed}")
-        _check_size(instance, n, d, args.max_vertices)
-    summary = run_suite(args.prop, ranges, pools_2d, pools_3d)
+    pools = _load_pools(args.seeds) if args.seeds else RANDOM_POOLS
+    for family, d, n, seed, _ in suite_instances(args.prop, ranges, pools):
+        _check_size(_instance(family, d, n, seed), n, d, args.max_vertices)
+    summary = run_suite(args.prop, ranges, pools)
     for result in summary.results:
         params = " ".join(f"{k}={v}" for k, v in result.params.items())
         print(f"{result.prop} {params}: {result.verdict}")
@@ -244,8 +242,8 @@ def _cmd_export(args) -> int:
 
 
 _COMMANDS = {
-    "construct": _cmd_construct,
-    "random": _cmd_random,
+    "construct": _cmd_build,
+    "random": _cmd_build,
     "analyze": _cmd_analyze,
     "verify": _cmd_verify,
     "export": _cmd_export,

@@ -18,14 +18,16 @@ simplicity across a grid of each family, and every use proves it again for
 its instance, because `enumerate_vertices`, the first step of every census
 and export, raises NotSimpleError on any non-simple input.
 
-Random simple arrangements draw integer coefficients from a SplitMix64
-stream so that identical (d, n, seed, bound) inputs reproduce bit-identical
-output on any platform.  Each drawn row is checked by the vertex pass's
-own walk (`arrangement._extend_prefix`), depth-first over the subsets that
-contain the new row, starting from the hyperplane the row cuts out of R^d
-(`rational.meet`), so every subset starts from that one cut.  A row that
-makes a subset singular or a point repeat is redrawn.  `build` is the one
-place a family name picks its builder.
+Random simple arrangements, in any dimension d >= 2, draw integer
+coefficients from a SplitMix64 stream so that identical (d, n, seed, bound)
+inputs reproduce bit-identical output on any platform.  Each drawn row is
+checked by the vertex pass's own walk (`arrangement._extend_prefix`),
+depth-first over the subsets that contain the new row, starting from the
+hyperplane the row cuts out of R^d (`rational.meet`), so every subset starts
+from that one cut.  A row that makes a subset singular or a point repeat is
+redrawn.  `build` is the one
+place a family name picks its builder, and `FIXED_DIMENSION` the one place
+a name fixes its dimension.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .errors import GenerationError, InputError, NotSimpleError
 from .rational import IntPoint, IntRow, integer_row, meet, space
 
 RANDOM_COEFF_BOUND = 100  # default bound of random coefficients, drawn from [-bound, bound]
+# The families whose dimension the name fixes; `build` refuses any other -d.
+FIXED_DIMENSION = {"ao2": 2, "ao3": 3}
 
 
 class Construction(NamedTuple):
@@ -142,14 +146,14 @@ class SplitMix64:
 def random_simple_arrangement(
     d: int, n: int, seed: int, bound: int = RANDOM_COEFF_BOUND
 ) -> Construction:
-    """A seed-reproducible simple arrangement with integer coefficients in
-    [-bound, bound]; any hyperplane breaking simplicity is redrawn, up to
-    1000 attempts each.  `_extends_simply` has then solved every d-subset
-    and seen every point distinct, so the result needs no further check.
-    The seed must lie in [0, 2^64): SplitMix64 keeps it mod 2^64; the bound
-    in [10, 2^63 - 1], so that `next_int` draws from at most 2^64 values."""
-    if d not in (2, 3):
-        raise InputError("random arrangements support d in {2, 3}")
+    """A seed-reproducible simple arrangement in any d >= 2 with integer
+    coefficients in [-bound, bound]; any hyperplane breaking simplicity is
+    redrawn, up to 1000 attempts each.  `_extends_simply` has then solved
+    every d-subset and seen every point distinct, so the result needs no
+    further check.  The seed must lie in [0, 2^64): SplitMix64 keeps it mod
+    2^64; the bound in [10, 2^63 - 1], so `next_int` draws from <= 2^64 values."""
+    if d < 2:
+        raise InputError("random arrangement requires d >= 2")
     if n < d + 1:
         raise InputError(f"random arrangement requires n >= d+1 = {d + 1}")
     if bound < 10:
@@ -210,19 +214,17 @@ def build(
     seed: Optional[int] = None, bound: Optional[int] = None,
 ) -> Construction:
     """The construction of a family name: `d` is required for cyclic and
-    random and, when given, must match ao2's and ao3's; `seed` and `bound`
-    are read for random only.  Raises InputError on any other name."""
+    random and, when given, must match `FIXED_DIMENSION`'s; `seed` and
+    `bound` are read for random only.  Raises InputError on any other name."""
+    if d not in (None, FIXED_DIMENSION.get(family, d)):
+        raise InputError(f"{family} is {FIXED_DIMENSION[family]}-dimensional")
     if family == "cyclic":
         if d is None:
             raise InputError("cyclic construction requires -d")
         return build_cyclic_star(d, n)
     if family == "ao2":
-        if d not in (None, 2):
-            raise InputError("ao2 is 2-dimensional")
         return build_ao2(n)
     if family == "ao3":
-        if d not in (None, 3):
-            raise InputError("ao3 is 3-dimensional")
         return build_ao3(n)
     if family == "random":
         return random_simple_arrangement(d, n, seed, bound)

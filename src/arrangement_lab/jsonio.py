@@ -229,14 +229,14 @@ def verification_to_obj(result: VerificationResult) -> dict:
 
 
 def suite_to_obj(summary: SuiteSummary) -> dict:
-    """The summary with the random pools it used, each sorted by (seed, n),
-    so a reordered pool writes the same bytes."""
+    """The summary with the random pools it used, keyed "d<k>", each sorted
+    by (seed, n), so a reordered pool writes the same bytes."""
     return {
         "all_pass": summary.all_pass,
         "results": [verification_to_obj(r) for r in summary.results],
         "random_pools": {
-            "d2": sorted(summary.random_2d, key=lambda row: (row[1], row[0])),
-            "d3": sorted(summary.random_3d, key=lambda row: (row[1], row[0])),
+            **{f"d{d}": sorted(pool, key=lambda row: (row[1], row[0]))
+               for d, pool in summary.pools.items()},
             "coefficient_bound": RANDOM_COEFF_BOUND,
         },
     }

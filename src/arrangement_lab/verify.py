@@ -17,6 +17,11 @@ are no tolerances anywhere in this module.  No check writes its verdict: one
 rule, `VerificationResult.passed`, reads it off the result's own `expected`
 and `computed`, so every verdict in a summary JSON can be recomputed from it.
 
+The random pools are one mapping from dimension to [n, seed] pairs,
+`RANDOM_POOLS` (d = 2 and 3) by default; `verify --seeds` adds or replaces
+pools in any d >= 2.  P2 reads the d = 2 pool and P4 the d = 3 pool, H the
+default instances in d = 2 and 3, and S every default instance.
+
 Each gridded check (P1-P7) is declared once, in `_GRIDDED`.  `_plan` checks
 every grid point against its check's condition before the CLI's size budget
 or any census sees it; `run_suite` and `verify_proposition` both run its rows.
@@ -37,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cells import CellClass, cube, polygon, shell, simplex, simplex_product
 from .census import (
@@ -53,6 +58,8 @@ from .errors import InputError
 # Documented random pools: seeds 0..k-1, n cycling through the small range.
 RANDOM_2D_POOL: tuple[tuple[int, int], ...] = tuple((4 + s % 5, s) for s in range(50))
 RANDOM_3D_POOL: tuple[tuple[int, int], ...] = tuple((5 + s % 3, s) for s in range(20))
+Pools = Mapping[int, Sequence[tuple[int, int]]]  # dimension -> its [n, seed] pairs
+RANDOM_POOLS: Pools = {2: RANDOM_2D_POOL, 3: RANDOM_3D_POOL}
 
 P1_RANGE = tuple(range(4, 13))
 P2_RANGE = tuple(range(4, 13))
@@ -91,8 +98,7 @@ class VerificationResult(NamedTuple):
 
 class SuiteSummary(NamedTuple):
     results: list[VerificationResult]
-    random_2d: Sequence[tuple[int, int]]   # the pools that were used
-    random_3d: Sequence[tuple[int, int]]
+    pools: Pools   # the random pools that were used
 
     @property
     def all_pass(self) -> bool:
@@ -177,16 +183,13 @@ def construction_census(
     return census(built.arrangement, metadata=built.metadata())
 
 
-def default_instances(
-    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
-    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
-) -> list[tuple]:
+def default_instances(pools: Pools = RANDOM_POOLS) -> list[tuple]:
     """(family, d, n, seed, bound) keys of every default grid point that
-    `_GRIDDED` declares and of the random pools, each key once, in
-    first-seen order."""
+    `_GRIDDED` declares and of the random pools, by dimension, each key
+    once, in first-seen order."""
     instances = [key for spec in _GRIDDED.values() for point in spec.grid
                  for key in spec.keys(*point)]
-    instances += _pool_keys(2, random_2d) + _pool_keys(3, random_3d)
+    instances += [key for d in sorted(pools) for key in _pool_keys(d, pools[d])]
     return list(dict.fromkeys(instances))
 
 
@@ -505,8 +508,7 @@ def _check_keys(prop: str, keys) -> None:
 def _plan(
     props: Sequence[str],
     ranges: Optional[dict],
-    random_2d: Sequence[tuple[int, int]],
-    random_3d: Sequence[tuple[int, int]],
+    pools: Pools,
     point: Optional[tuple[int, ...]] = None,
 ) -> Iterator[tuple[Callable[..., VerificationResult], tuple, list[Instance]]]:
     """The checks `run_suite` makes, in order, as (check, arguments, the
@@ -529,7 +531,7 @@ def _plan(
     if ranges:
         (prop,) = requested
         _check_keys(prop, ranges)
-    for d, pool in ((2, random_2d), (3, random_3d)):
+    for d, pool in pools.items():
         for n, seed in pool:
             if n < d + 1:
                 raise InputError(f"random pool d{d} entry n={n} seed={seed}: needs n >= {d + 1}")
@@ -537,12 +539,12 @@ def _plan(
                 raise InputError(f"random pool d{d} entry n={n} seed={seed}: "
                                  f"seeds lie in [0, 2^64)")
 
-    instances = default_instances(random_2d, random_3d)
+    instances = default_instances(pools)
     hirsch = [key for key in instances if key[1] in (2, 3)]
     # the checks that read a list of instances, each after its grid if it has one
     listed = {
-        "P2": (_verify_p2_random, _pool_keys(2, random_2d)),
-        "P4": (_verify_p4_random, _pool_keys(3, random_3d)),
+        "P2": (_verify_p2_random, _pool_keys(2, pools.get(2, ()))),
+        "P4": (_verify_p4_random, _pool_keys(3, pools.get(3, ()))),
         "H": (_verify_hirsch, hirsch),
         "S": (_verify_simplex_floor, instances),
     }
@@ -576,21 +578,20 @@ def verify_proposition(prop: str, **params) -> VerificationResult:
         raise InputError(f"{prop} is missing parameter {exc}") from exc
     _check_keys(prop, params)
     # the first row is the check at `point`, or H or S; P2's and P4's pool rows follow it
-    first, *_ = _plan([prop], None, RANDOM_2D_POOL, RANDOM_3D_POOL, point)
+    first, *_ = _plan([prop], None, RANDOM_POOLS, point)
     return _run(first)
 
 
 def suite_instances(
     props: Sequence[str] = ("all",),
     ranges: Optional[dict] = None,
-    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
-    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
+    pools: Pools = RANDOM_POOLS,
 ) -> Iterator[Instance]:
     """The (family, d, n, seed, bound) keys of every instance `run_suite`
     would census with these arguments, each once, in first-seen order,
     without building any of them; raises InputError as `run_suite` does."""
     seen = set()
-    for _, _, keys in _plan(props, ranges, random_2d, random_3d):
+    for _, _, keys in _plan(props, ranges, pools):
         for key in keys:
             if key not in seen:
                 seen.add(key)
@@ -600,8 +601,7 @@ def suite_instances(
 def run_suite(
     props: Sequence[str] = ("all",),
     ranges: Optional[dict] = None,
-    random_2d: Sequence[tuple[int, int]] = RANDOM_2D_POOL,
-    random_3d: Sequence[tuple[int, int]] = RANDOM_3D_POOL,
+    pools: Pools = RANDOM_POOLS,
 ) -> SuiteSummary:
     """Run the requested checks over their grids, in id order.
 
@@ -610,9 +610,9 @@ def run_suite(
     keys that proposition takes (its parameter names), when it leaves at least
     one instance, and when every point it gives meets the check's condition;
     the default grids are the documented acceptance grids.
-    The random pools, with coefficients bounded by RANDOM_COEFF_BOUND, feed
-    P2, P4, H and S; H and S check them beside every default-grid
-    construction.
+    The random pools, keyed by dimension, with coefficients bounded by
+    RANDOM_COEFF_BOUND, feed P2 (d = 2), P4 (d = 3), H (d = 2 and 3) and S
+    (every pool); H and S check them beside every default-grid construction.
     """
-    plan = list(_plan(props, ranges, random_2d, random_3d))  # raises before any census
-    return SuiteSummary([_run(row) for row in plan], random_2d, random_3d)
+    plan = list(_plan(props, ranges, pools))  # raises before any census
+    return SuiteSummary([_run(row) for row in plan], pools)

@@ -1,6 +1,7 @@
 """Command-line surface: flows, exit codes, byte-identical artifacts."""
 
 import ast
+import hashlib
 import json
 import os
 import random
@@ -23,7 +24,7 @@ from arrangement_lab.arrangement import (
     signature_str,
 )
 from arrangement_lab.census import census
-from arrangement_lab import cli, export, verify
+from arrangement_lab import cli, constructions, export, verify
 from arrangement_lab.cli import main
 from arrangement_lab.constructions import (
     build_ao2,
@@ -40,6 +41,8 @@ from arrangement_lab.jsonio import (
     load_arrangement,
 )
 from arrangement_lab.verify import RANDOM_2D_POOL, RANDOM_3D_POOL
+from oracle_vertices import check_simple_by_fractions
+from test_golden_outputs import SUMMARY_DIGEST
 
 
 def run(args):
@@ -80,6 +83,27 @@ def test_construct_refuses_a_dimension_the_family_lacks(tmp_path, capsys, args, 
     assert run(["construct", *args, "--out", out]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, line", [
+    (["construct", "--family", "ao2", "-n", 7], "ao2: n=7 d=2 epsilon=1/5"),
+    (["construct", "--family", "cyclic", "-d", 4, "-n", 9], "cyclic: n=9 d=4 epsilon=1/5"),
+    (["random", "-d", 3, "-n", 7, "--seed", 0], "random: n=7 d=3 seed=0 bound=100"),
+    (["random", "-d", 2, "-n", 5, "--seed", 3, "--bound", 10], "random: n=5 d=2 seed=3 bound=10"),
+], ids=["ao2", "cyclic", "random", "random-bound"])
+def test_construct_and_random_print_one_pinned_line(tmp_path, capsys, args, line):
+    out = tmp_path / "a.json"
+    assert run([*args, "--out", out]) == 0
+    assert capsys.readouterr() == (f"{line} -> {out}\n", "")
+
+
+def test_construct_and_random_share_one_handler():
+    parser = cli._build_parser()
+    construct = parser.parse_args(["construct", "--family", "ao2", "-n", "5", "--out", "x"])
+    random_ = parser.parse_args(["random", "-d", "2", "-n", "5", "--seed", "0", "--out", "x"])
+    assert cli._COMMANDS["construct"] is cli._COMMANDS["random"]
+    assert (construct.seed, construct.bound, random_.family) == (None, None, "random")
+    assert construct.max_vertices == random_.max_vertices == cli.DEFAULT_MAX_VERTICES
 
 
 def test_analyze_round_trip_matches_in_memory(tmp_path, capsys):
@@ -298,11 +322,11 @@ def test_verify_refuses_a_bad_pool_entry_before_any_census(tmp_path, monkeypatch
     assert run(["verify", "--prop", prop, "--seeds", seeds]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     # both entry points of the plan refuse the pool before their first row
-    d2, d3 = pools.get("d2", RANDOM_2D_POOL), pools.get("d3", RANDOM_3D_POOL)
+    by_dim = {**verify.RANDOM_POOLS, **{int(key[1:]): pool for key, pool in pools.items()}}
     with pytest.raises(InputError, match=re.escape(message)):
-        next(verify.suite_instances([prop], None, d2, d3))
+        next(verify.suite_instances([prop], None, by_dim))
     with pytest.raises(InputError, match=re.escape(message)):
-        verify.run_suite([prop], None, d2, d3)
+        verify.run_suite([prop], None, by_dim)
 
 
 @pytest.mark.parametrize(
@@ -626,7 +650,9 @@ def test_off_export_writes_the_census_counts_of_every_cell(arr):
 
 def test_analyze_refuses_an_instance_over_the_default_budget(tmp_path, capsys):
     out = tmp_path / "c840.json"
-    assert run(["construct", "--family", "cyclic", "-d", 8, "-n", 40, "--out", out]) == 0
+    # C(40,8)*2^8 cell-pass lookups need a budget of 153,809,370 vertices
+    argv = ["construct", "--family", "cyclic", "-d", 8, "-n", 40, "--out", out]
+    assert run([*argv, "--max-vertices", 153_809_370]) == 0
     capsys.readouterr()
     started = time.perf_counter()
     assert run(["analyze", out]) == 2
@@ -681,7 +707,8 @@ def test_the_lookup_budget_admits_what_the_vertex_budget_admits_up_to_d_7():
 @pytest.fixture(scope="module")
 def cyclic_20_22(tmp_path_factory):
     path = tmp_path_factory.mktemp("budget") / "cyclic-20-22.json"
-    assert run(["construct", "--family", "cyclic", "-d", 20, "-n", 22, "--out", path]) == 0
+    argv = ["construct", "--family", "cyclic", "-d", 20, "-n", 22, "--out", path]
+    assert run([*argv, "--max-vertices", 2_000_000]) == 0
     return path
 
 
@@ -709,6 +736,35 @@ def test_max_vertices_raises_the_cell_pass_budget(monkeypatch, cyclic_20_22):
     with pytest.raises(CensusReached) as got:
         run(["analyze", cyclic_20_22, "--max-vertices", 2_000_000])
     assert got.value.args == (20, 22)
+
+
+def test_construct_refuses_an_instance_over_the_budget_before_building(tmp_path, monkeypatch,
+                                                                       capsys):
+    # ao2 with n = 10^6 built for 30 s and wrote 107 MB that analyze refused
+    def no_build(*args):
+        raise AssertionError("a hyperplane was built before the size check")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    out = tmp_path / "a.json"
+    started = time.perf_counter()
+    assert run(["construct", "--family", "ao2", "-n", 10**8, "--out", out]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        "error: ao2 d=2 n=100000000 has C(100000000,2) = 4999999950000000 vertices, above the "
+        "limit of 1000000; raise it with --max-vertices\n")
+    assert not out.exists()
+
+
+def test_max_vertices_raises_the_construct_budget(tmp_path, capsys):
+    out = tmp_path / "c3-200.json"
+    argv = ["construct", "--family", "cyclic", "-d", 3, "-n", 200, "--out", out]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cyclic d=3 n=200 has C(200,3) = 1313400 vertices, above the limit of 1000000")
+    assert not out.exists()
+    assert run([*argv, "--max-vertices", 2_000_000]) == 0
+    arr, meta = load_arrangement(str(out))
+    assert (arr.dim, arr.n, meta["family"]) == (3, 200, "cyclic")
 
 
 def test_verify_budget_covers_the_seeds_pools(tmp_path, capsys):
@@ -844,3 +900,79 @@ def test_analyze_and_export_refuse_an_unwritable_path_before_any_work(
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.out == ""
     assert not list(tmp_path.rglob(".tmp-*"))
+
+
+# ---------------------------------------------------------------------------
+# random input in any dimension, under the same budget
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d, n", [(4, 7), (5, 8), (6, 9), (7, 10)])
+def test_random_draws_simple_arrangements_in_any_dimension(tmp_path, capsys, d, n):
+    first, again = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (first, again):
+        assert run(["random", "-d", d, "-n", n, "--seed", 0, "--out", out]) == 0
+    assert first.read_bytes() == again.read_bytes()
+    arr, meta = load_arrangement(str(first))
+    assert (arr.dim, arr.n, meta["family"], meta["seed"]) == (d, n, "random", 0)
+    assert check_simple_by_fractions(arr).is_simple
+    report = census(arr)   # raises NotSimpleError on a non-simple arrangement
+    assert report.cell_count == comb(n - 1, d)
+    assert report.f_bounded is None and report.f_external is None
+    capsys.readouterr()
+    assert run(["analyze", first]) == 0
+    assert capsys.readouterr().out.startswith(f"n={n} d={d} I={comb(n - 1, d)} delta=")
+
+
+@pytest.mark.parametrize("d", [1, 0, -1])
+def test_random_refuses_a_dimension_below_2_with_the_generator_s_message(tmp_path, capsys, d):
+    out = tmp_path / "r.json"
+    assert run(["random", "-d", d, "-n", 5, "--seed", 0, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: random arrangement requires d >= 2\n"
+    assert not out.exists()
+
+
+def test_random_refuses_a_cell_pass_over_the_budget_before_drawing(tmp_path, monkeypatch,
+                                                                   capsys):
+    def no_draw(*args):
+        raise AssertionError("random generation before the size check")
+
+    monkeypatch.setattr(constructions, "random_simple_arrangement", no_draw)
+    out = tmp_path / "r.json"
+    assert run(["random", "-d", 20, "-n", 22, "--seed", 0, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: random d=20 n=22 seed=0 has C(22,20)*2^20 = 242221056 cell-pass lookups, above "
+        "the limit of 128000000 (128 per vertex of the budget); raise it with --max-vertices\n")
+    assert not out.exists()
+
+
+def test_verify_checks_a_d4_pool_in_s_but_not_in_h(tmp_path):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"d4": [[7, 0], [8, 1]]}))
+    out = tmp_path / "s.json"
+    assert run(["verify", "--prop", "H", "--prop", "S", "--seeds", seeds, "--out", out]) == 0
+    summary = json.loads(out.read_text())
+    by_prop = {r["prop"]: r for r in summary["results"]}
+    default = verify.default_instances()
+    assert by_prop["S"]["params"]["instances"] == len(default) + 2
+    assert by_prop["H"]["params"]["instances"] == sum(key[1] in (2, 3) for key in default)
+    assert summary["all_pass"] and by_prop["S"]["verdict"] == "pass"
+    assert summary["random_pools"]["d4"] == [[7, 0], [8, 1]]
+    assert summary["random_pools"]["d2"] == [[n, seed] for n, seed in RANDOM_2D_POOL]
+
+
+def test_verify_with_the_default_pools_as_seeds_writes_the_pinned_summary(tmp_path):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({f"d{d}": pool for d, pool in verify.RANDOM_POOLS.items()}))
+    out = tmp_path / "s.json"
+    assert run(["verify", "--prop", "all", "--seeds", seeds, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUMMARY_DIGEST
+
+
+@pytest.mark.parametrize("key", ["d1", "d", "x2", "d02", "D3"])
+def test_verify_refuses_a_pool_key_that_is_no_dimension(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.setattr(verify, "construction_census", lambda *key: 1 / 0)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"d2": [[5, 3]], key: [[7, 0]]}))
+    assert run(["verify", "--prop", "S", "--seeds", seeds]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read seeds file {seeds}: pool key {key!r} is not \"d<k>\" with k >= 2\n")

@@ -245,8 +245,8 @@ def test_random_35_census_is_forced():
 
 
 def test_random_parameter_validation():
-    with pytest.raises(InputError):
-        random_simple_arrangement(4, 8, seed=0)
+    with pytest.raises(InputError, match=re.escape("random arrangement requires d >= 2")):
+        random_simple_arrangement(1, 8, seed=0)
     with pytest.raises(InputError):
         random_simple_arrangement(2, 5, seed=0, bound=5)
     with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 """The three scripts under scripts/, each run in-process as __main__."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -96,3 +97,26 @@ def test_bench_pairs_bound_verdict():
     assert not summarise(base, [0.8] * 4, "higher", 0.25)["worse_than_bound"]
     assert not summarise(base, [0.5] * 4, "lower", 0.25)["worse_than_bound"]   # better
     assert summarise(base, [1.3] * 4, "lower")["worse_than_bound"] is None
+
+
+def test_bench_pairs_runs_each_side_for_the_benchmark_run_length(tmp_path):
+    # pairs at another length than the benchmark's own runs measure another spread
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    for tree in ("base", "change"):
+        (tmp_path / tree / "src" / "arrangement_lab").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    main = bench_pairs()["main"]
+    asked = []
+
+    def fake_run(tree, workload, seed, seconds):
+        asked.append(seconds)
+        return {metric["name"]: 1.0 for metric in spec["end_to_end"]}
+
+    main.__globals__["run_one"] = fake_run
+    argv = [str(tmp_path / "base"), str(tmp_path / "change"), "--seeds", "1-2"]
+    assert main(argv) == 0
+    assert len(asked) == 2 * 2 * len(spec["workloads"])
+    assert set(asked) == {spec["run_seconds"]} == {45}
+    asked.clear()
+    assert main([*argv, "--seconds", "3"]) == 0
+    assert set(asked) == {3.0}

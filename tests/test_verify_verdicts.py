@@ -240,5 +240,5 @@ def test_pass_rule(expected, computed, verdict):
 
 def test_summary_passes_when_every_result_passes():
     passing, failing = _result({"a": 1}, {"a": 1}), _result({"a": 1}, {"a": 2})
-    assert verify.SuiteSummary([passing, passing], (), ()).all_pass
-    assert not verify.SuiteSummary([passing, failing], (), ()).all_pass
+    assert verify.SuiteSummary([passing, passing], {}).all_pass
+    assert not verify.SuiteSummary([passing, failing], {}).all_pass
