@@ -53,12 +53,13 @@ upward (downward) sides names the one cell that can have that vertex as
 its minimum (maximum); the cells named both ways are the bounded ones.  A
 vertex lies in the 2^d cells that set its d tight signs either way, so one
 more pass over the vertices hands each bounded cell its vertices, with no
-walk (`_bounded_cells`).  A cell has E = V·d/2.  Two vertices of a bounded
-face are adjacent exactly when their tight sets share d-1 hyperplanes: the
-line through both meets the closed face in an edge, which has only its two
-ends as vertices (`_face_edges`).  A census builds each cell's record from
-its vertices' tight sets and pairs the records across each facet by
-flipping one bit.  No linear programming is needed, as the vertices are
+walk: `enumerate_bounded_cells`, the cell pass, lists each as a (plus mask,
+vertex ids) pair.  A cell has E = V·d/2.  Two vertices of a bounded face
+are adjacent exactly when their tight sets share d-1 hyperplanes: the line
+through both meets the closed face in an edge, which has only its two ends
+as vertices (`_face_edges`).  A census builds each cell's record from its
+pair (`cells.build_cell_records`) and pairs the records across each facet
+by flipping one bit.  No linear programming is needed, as the vertices are
 known; no floating point anywhere.  ±1 tuples and +/- strings are built
 only to be written (`signature_str`) or read back (`signature_from_str`).
 
@@ -104,6 +105,7 @@ if TYPE_CHECKING:
 Sign = int  # -1, 0, +1
 SignVector = tuple[Sign, ...]
 Solved = list[tuple[tuple[int, ...], IntPoint]]  # (d-subset, its point) per vertex
+Cells = list[tuple[int, tuple[int, ...]]]  # (plus mask, increasing vertex ids) per bounded cell
 _SIGN_CHARS = str.maketrans("01", "-+")
 _MASK_BITS = str.maketrans("+-", "10")
 _SIGN_VALUES = {"+": 1, "-": -1, "0": 0}
@@ -459,45 +461,6 @@ def _bounded_face_count(n: int, d: int, codim: int) -> int:
     return comb(n, codim) * comb(n - codim - 1, d - codim)
 
 
-def _bounded_cells(vertices: list[Vertex], n: int) -> dict[int, list[int]]:
-    """Every bounded cell, as {plus mask: increasing vertex ids}.
-
-    A vertex v's up candidate sets every tight bit to its up side, and its
-    down candidate to the other side.  The up candidate is the one cell
-    whose edges at v all go up; they span its cone at v, as v is simple, so
-    v is its lex-min vertex.  Likewise v is its down candidate's lex-max
-    vertex.  A cell is bounded exactly when it is both: a polytope has a
-    lex-min and a lex-max vertex; and if a cell has lex-min vertex v and
-    lex-max vertex w, the direction r of any ray in it is lexicographically
-    >= 0, as v + r lies in it, and <= 0, as w + r does, so there is none.
-    Their number is checked against Zaslavsky's count.  The 2^d cells at v
-    are its plus mask with any of its tight bits set, so one more pass
-    hands each bounded cell its vertices.
-    """
-    d, top = len(vertices[0].tight_set), n - 1
-    ups, downs = [], set()
-    for v in vertices:
-        tight = sum(1 << top - k for k in v.tight_set)
-        ups.append(v.plus | v.rise)
-        downs.add(v.plus | tight & ~v.rise)
-    cells: dict[int, list[int]] = {face: [] for face in ups if face in downs}
-    del ups, downs
-    expected = _bounded_face_count(n, d, 0)
-    if len(cells) != expected:
-        raise InternalConsistencyError(
-            f"found {len(cells)} bounded faces of codimension 0, expected "
-            f"C({n},0)*C({n - 1},{d}) = {expected}"
-        )
-    for vid, v in enumerate(vertices):
-        faces = [v.plus]
-        for k in v.tight_set:
-            faces += [face | 1 << top - k for face in faces]
-        for face in faces:
-            if face in cells:
-                cells[face].append(vid)
-    return cells
-
-
 def _face_edges(
     vertices: list[Vertex], n: int, face: int, ids: Sequence[int]
 ) -> dict[int, tuple[int, ...]]:
@@ -527,14 +490,44 @@ def _broken(face: int, n: int, what: str) -> InternalConsistencyError:
     return InternalConsistencyError(f"cell {signature_str(face, n)}{what}")
 
 
-def enumerate_bounded_cells(arr: Arrangement, vertices: list[Vertex]) -> list[CellRecord]:
-    """Bounded cells, the zero-free bounded faces, sorted by signature, each
-    a `cells.CellRecord` built from its vertices in `_bounded_cells`, which
-    checks their count, C(n-1, d)."""
-    from .cells import cell_record  # cells imports this module
+def enumerate_bounded_cells(arr: Arrangement, vertices: list[Vertex]) -> Cells:
+    """Every bounded cell as (plus mask, increasing vertex ids), sorted by
+    mask; `cells.build_cell_records` makes their records.
 
-    cells = _bounded_cells(vertices, arr.n)
-    return [cell_record(arr.dim, arr.n, face, cells.pop(face), vertices) for face in sorted(cells)]
+    A vertex v's up candidate sets every tight bit to its up side, and its
+    down candidate to the other side.  The up candidate is the one cell
+    whose edges at v all go up; they span its cone at v, as v is simple, so
+    v is its lex-min vertex.  Likewise v is its down candidate's lex-max
+    vertex.  A cell is bounded exactly when it is both: a polytope has a
+    lex-min and a lex-max vertex; and if a cell has lex-min vertex v and
+    lex-max vertex w, the direction r of any ray in it is lexicographically
+    >= 0, as v + r lies in it, and <= 0, as w + r does, so there is none.
+    Their number is checked against Zaslavsky's count, C(n-1, d).  The 2^d
+    cells at v are its plus mask with any of its tight bits set, so one
+    more pass hands each bounded cell its vertices.
+    """
+    d, n, top = arr.dim, arr.n, arr.n - 1
+    ups, downs = [], set()
+    for v in vertices:
+        tight = sum(1 << top - k for k in v.tight_set)
+        ups.append(v.plus | v.rise)
+        downs.add(v.plus | tight & ~v.rise)
+    cells: dict[int, list[int]] = {face: [] for face in ups if face in downs}
+    del ups, downs
+    expected = _bounded_face_count(n, d, 0)
+    if len(cells) != expected:
+        raise InternalConsistencyError(
+            f"found {len(cells)} bounded faces of codimension 0, expected "
+            f"C({n},0)*C({n - 1},{d}) = {expected}"
+        )
+    for vid, v in enumerate(vertices):
+        faces = [v.plus]
+        for k in v.tight_set:
+            faces += [face | 1 << top - k for face in faces]
+        for face in faces:
+            if face in cells:
+                cells[face].append(vid)
+    return [(face, tuple(cells.pop(face))) for face in sorted(cells)]
 
 
 def restrict_to_hyperplane(arr: Arrangement, index: int) -> Restriction:

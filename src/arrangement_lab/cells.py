@@ -1,15 +1,15 @@
 """Per-cell analytics: records, diameters, f-counts, classification.
 
-`cell_record` builds each record from its cell's vertices, as
-`arrangement._bounded_cells` lists them, and from each facet's mask of
-those on it, read off their tight sets (`_facet_masks`).  Its signature is
-the cell's plus mask, one int, bit n-1-k set where hyperplane k is
-positive (`arrangement` module docstring).  A vertex is tight on d
-hyperplanes and has one cell edge on the line that drops each, so
-E = V·d/2.  `skeletons_for_cells` builds skeletons only for the
-uncertified cells, read as (signature, vertex ids) pairs, joining two
-vertices when their tight sets share d-1 hyperplanes
-(`arrangement._face_edges`).
+`build_cell_records` builds every record, each from its cell's (plus
+mask, vertex ids) pair as the cell pass, `arrangement.enumerate_bounded_cells`,
+lists them, and from each facet's mask of those vertices on it, read off
+their tight sets (`_facet_masks`).  A record's signature is the cell's plus
+mask, one int, bit n-1-k set where hyperplane k is positive (`arrangement`
+module docstring).  A vertex is tight on d hyperplanes and has one cell
+edge on the line that drops each, so E = V·d/2.  `skeletons_for_cells`
+builds skeletons only for the uncertified cells, read as (signature,
+vertex ids) pairs, joining two vertices when their tight sets share d-1
+hyperplanes (`arrangement._face_edges`).
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -54,10 +54,7 @@ from functools import cache
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
-from .arrangement import (
-    Arrangement, Vertex, _bounded_cells, _broken, _face_edges, signature_str,
-)
-from .errors import InputError
+from .arrangement import Arrangement, Cells, Vertex, _broken, _face_edges
 
 Adjacency = dict[int, tuple[int, ...]]
 
@@ -265,38 +262,26 @@ def classify_cell(
 # record assembly
 # ---------------------------------------------------------------------------
 
-def cell_record(
-    dim: int, n: int, signature: int, vertex_ids: list[int], vertices: list[Vertex]
-) -> CellRecord:
-    """The record of a cell from its increasing vertex ids.  A cell the
-    product certificate on its facet masks accepts has diameter m, its
-    number of factors; only the others get a skeleton, measured by
+def build_cell_records(arr: Arrangement, vertices: list[Vertex], cells: Cells) -> list[CellRecord]:
+    """The record of each bounded cell, given as (signature, increasing
+    vertex ids) as `arrangement.enumerate_bounded_cells` lists them.  A
+    cell the product certificate on its facet masks accepts has diameter
+    m, its number of factors; only the others get a skeleton, measured by
     `cell_diameter`."""
-    vertex_ids = tuple(vertex_ids)
-    on = _facet_masks([vertices[vid].tight_set for vid in vertex_ids])
-    facets = tuple(sorted(on))
-    v, f = len(vertex_ids), len(facets)
-    e, odd = divmod(v * dim, 2)
-    if odd:
-        raise _broken(signature, n, f": V*d = {v}*{dim} is odd")
-    if dim == 3 and v - e + f != 2:
-        raise _broken(signature, n, f": (V,E,F)=({v},{e},{f}) violates Euler's relation")
-    factors = _factor_sizes(list(on.values()), v)
-    diameter = len(factors) if factors else cell_diameter(
-        skeletons_for_cells([(signature, vertex_ids)], vertices, dim, n)[0])
-    return CellRecord(signature, vertex_ids, v, e, facets, diameter,
-                      classify_cell(v, e, f, factors, dim))
-
-
-def build_cell_records(
-    arr: Arrangement, vertices: list[Vertex], signatures: Sequence[int]
-) -> list[CellRecord]:
-    """Records of cells known by signature, their plus masks, each built
-    from its vertices in `arrangement._bounded_cells`.  Raises InputError,
-    as `export --cell` reports it, on a signature that is not a bounded cell."""
-    table = _bounded_cells(vertices, arr.n)
-    for signature in signatures:
-        if signature not in table:
-            raise InputError(f"{signature_str(signature, arr.n)} is not a bounded cell "
-                             "of this arrangement")
-    return [cell_record(arr.dim, arr.n, sig, table[sig], vertices) for sig in signatures]
+    dim, n = arr.dim, arr.n
+    records = []
+    for signature, vertex_ids in cells:
+        on = _facet_masks([vertices[vid].tight_set for vid in vertex_ids])
+        facets = tuple(sorted(on))
+        v, f = len(vertex_ids), len(facets)
+        e, odd = divmod(v * dim, 2)
+        if odd:
+            raise _broken(signature, n, f": V*d = {v}*{dim} is odd")
+        if dim == 3 and v - e + f != 2:
+            raise _broken(signature, n, f": (V,E,F)=({v},{e},{f}) violates Euler's relation")
+        factors = _factor_sizes(list(on.values()), v)
+        diameter = len(factors) if factors else cell_diameter(
+            skeletons_for_cells([(signature, vertex_ids)], vertices, dim, n)[0])
+        records.append(CellRecord(signature, vertex_ids, v, e, facets, diameter,
+                                  classify_cell(v, e, f, factors, dim)))
+    return records

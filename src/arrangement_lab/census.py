@@ -1,5 +1,12 @@
 """Arrangement-level aggregates: censuses, average diameter, face statistics.
 
+A census runs the stages in order: the vertex pass
+(`arrangement.enumerate_vertices`), the cell pass, which lists each
+bounded cell as a (plus mask, vertex ids) pair
+(`arrangement.enumerate_bounded_cells`), the records built from those
+pairs (`cells.build_cell_records`), and in d = 2 and 3 the facets read
+off the records (`arrangement.enumerate_bounded_facets`).
+
 Everything here is an exact rational or an integer count; decimal displays
 are attached only at serialization time.
 """
@@ -19,6 +26,7 @@ from .arrangement import (
 from .cells import (
     CellClass,
     CellRecord,
+    build_cell_records,
     cube,
     simplex,
     simplex_product,
@@ -40,12 +48,11 @@ class CensusReport(NamedTuple):
 
 
 def census(arr: Arrangement, metadata: Optional[dict] = None) -> CensusReport:
-    """Full aggregate over the bounded cells of a simple arrangement; vertex
-    enumeration raises NotSimpleError for any other input.  Each cell's
-    record is built from its vertices (`arrangement._bounded_cells`); the
-    facets are read off the records."""
+    """Full aggregate over the bounded cells of a simple arrangement, in the
+    stages the module docstring lists; vertex enumeration raises
+    NotSimpleError for any other input."""
     vertices = enumerate_vertices(arr)
-    records = enumerate_bounded_cells(arr, vertices)
+    records = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
     counts = Counter(rec.cell_class for rec in records)
     delta = Fraction(sum(rec.diameter for rec in records), len(records))
 

@@ -140,6 +140,8 @@ def _parse_range(spec: str) -> dict[str, range]:
         key, value = key.strip(), value.strip()
         if key not in ("n", "d") or not value:
             raise InputError(f'malformed range chunk {chunk!r}; use "n=4..12" or "d=2..6"')
+        if key in ranges:
+            raise InputError(f"--range repeats key {key!r}; give each of n and d at most once")
         try:
             lo, hi = value.split("..", 1) if ".." in value else (value, value)
             ranges[key] = range(int(lo), int(hi) + 1)

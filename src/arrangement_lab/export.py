@@ -65,7 +65,7 @@ def render_svg(arr: Arrangement) -> str:
     if arr.dim != 2:
         raise UnsupportedDimensionError("SVG export requires a 2-dimensional arrangement")
     vertices = enumerate_vertices(arr)
-    records = enumerate_bounded_cells(arr, vertices)
+    records = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
 
     (x_lo, x_hi), (y_lo, y_hi) = _extremes(vertices, 0), _extremes(vertices, 1)
     pad_x, pad_y = (x_hi - x_lo) * Fraction(1, 5), (y_hi - y_lo) * Fraction(1, 5)
@@ -142,8 +142,8 @@ def render_off(arr: Arrangement, cell: str) -> str:
     text: vertices first, facets ordered by hyperplane index with vertices
     in cyclic order.
 
-    Raises InputError when the cell is not bounded (`cells.build_cell_records`),
-    and before any vertex is enumerated when the string's length is not n."""
+    Raises InputError when the cell is not bounded, and before any vertex
+    is enumerated when the string's length is not n."""
     if arr.dim != 3:
         raise UnsupportedDimensionError("OFF export requires a 3-dimensional arrangement")
     signature = signature_from_str(cell)
@@ -151,7 +151,10 @@ def render_off(arr: Arrangement, cell: str) -> str:
     if len(cell) != n:
         raise InputError(f"signature length {len(cell)} does not match n = {n}")
     vertices = enumerate_vertices(arr)
-    (record,) = build_cell_records(arr, vertices, [signature])
+    vertex_ids = dict(enumerate_bounded_cells(arr, vertices)).get(signature)
+    if vertex_ids is None:
+        raise InputError(f"{cell} is not a bounded cell of this arrangement")
+    (record,) = build_cell_records(arr, vertices, [(signature, vertex_ids)])
     vids = record.vertex_ids
     local = {vid: i for i, vid in enumerate(vids)}
     facets = []

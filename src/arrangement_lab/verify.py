@@ -532,6 +532,8 @@ def _plan(
         (prop,) = requested
         _check_keys(prop, ranges)
     for d, pool in pools.items():
+        if d < 2:
+            raise InputError(f"random pool d{d}: random arrangements need d >= 2")
         for n, seed in pool:
             if n < d + 1:
                 raise InputError(f"random pool d{d} entry n={n} seed={seed}: needs n >= {d + 1}")

@@ -8,7 +8,8 @@ re-reading each vertex's tight set for the facets and for
 `product_factors`, and counting the edges in the skeleton.  It walks the
 steps of `oracle_vertices.line_steps_from_orders`, so it reads the
 kernel's vertices only for their points, tight sets and signs, and not
-the kernel's bounded-cell table (`arrangement._bounded_cells`); it shares
+the kernel's cell pass (`arrangement.enumerate_bounded_cells`) or its
+record builder (`cells.build_cell_records`); it shares
 `product_factors`, `cell_diameter` and `classify_cell`.  It returns the
 skeletons beside the records, which keep none.  It works on ±1 tuples,
 sorts the cells by them, and writes each record's signature as the mask

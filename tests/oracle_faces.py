@@ -4,7 +4,8 @@ The faces at a vertex keep `codim` of its zeros and fill the others with
 +/- in every way; a face is unbounded iff the same completion of some ray's
 zeros produces it.  It reads neither the step table nor lexicographic
 order, so it checks the face walk (`oracle_cell_pass.bounded_face_skeletons`)
-and the bounded cells of `arrangement._bounded_cells` independently.
+and the (mask, vertex ids) pairs of the cell pass
+(`arrangement.enumerate_bounded_cells`) independently.
 """
 
 from __future__ import annotations

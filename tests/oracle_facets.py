@@ -81,8 +81,8 @@ def enumerate_bounded_facets_by_restriction(arr: Arrangement) -> list[Restricted
         restriction = restrict_to_hyperplane(arr, i)
         sub_vertices = enumerate_vertices(restriction.arrangement)
         sub_cells = enumerate_bounded_cells(restriction.arrangement, sub_vertices)
-        for cell in sub_cells:
-            induced = sign_tuple(cell.signature, restriction.arrangement.n)
+        for face, _ in sub_cells:
+            induced = sign_tuple(face, restriction.arrangement.n)
             full = [0] * n
             for pos, orig in enumerate(restriction.kept):
                 full[orig] = induced[pos]

@@ -42,7 +42,7 @@ from signs import signs_of, vertex_signs
 def enumerate_all(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    cells = enumerate_bounded_cells(arr, vertices)
+    cells = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
     return vertices, edges, cells
 
 
@@ -446,8 +446,7 @@ def test_restriction_requires_dim_three():
 
 
 def facets_of(arr):
-    vertices, _, cells = enumerate_all(arr)
-    records = build_cell_records(arr, vertices, [c.signature for c in cells])
+    _, _, records = enumerate_all(arr)
     return enumerate_bounded_facets(arr, records)
 
 
@@ -460,9 +459,8 @@ def test_facet_records_have_two_incident_signatures():
     # the oracle's two incident cells set the carrier to - and +; the
     # record names the bounded ones among them, by position in the cells
     arr = build_ao3(5).arrangement
-    vertices, _, cells = enumerate_all(arr)
-    bounded = signs_of(cells, arr.n)
-    records = build_cell_records(arr, vertices, [c.signature for c in cells])
+    _, _, records = enumerate_all(arr)
+    bounded = signs_of(records, arr.n)
     facets = enumerate_bounded_facets(arr, records)
     facets.sort(key=lambda rec: (rec.hyperplane, facet_signature(rec, bounded)))
     oracle = enumerate_bounded_facets_by_restriction(arr)
@@ -495,8 +493,7 @@ def test_bounded_face_count_gives_the_cells_and_the_facets():
 def test_bounded_face_counts_are_checked_with_their_messages(monkeypatch):
     arr = build_ao3(6).arrangement
     vertices = enumerate_vertices(arr)
-    records = build_cell_records(
-        arr, vertices, [c.signature for c in enumerate_bounded_cells(arr, vertices)])
+    records = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
     monkeypatch.setattr(arrangement, "_bounded_face_count", lambda n, d, c: 1)
     with pytest.raises(InternalConsistencyError) as cells_error:
         enumerate_bounded_cells(arr, vertices)

@@ -3,28 +3,33 @@ references in `oracle_cell_pass`.
 
 Every record the census builds from its cells' vertices must equal, field
 by field, the record of the walk-then-records path, and so must the records
-`build_cell_records` builds for cells known only by signature;
+`build_cell_records` builds from the pairs of `enumerate_bounded_cells`;
 `skeletons_for_cells` must give the reference skeletons of those records.
 In every codimension `skeletons_for_cells` must give the reference
 skeleton of each bounded face.  The bounded cells and their vertices
-(`_bounded_cells`), the up candidates that are also down candidates, must
-be the cells the reference finds by walking every up candidate, with the
-vertices it reaches, and each facet's mask (`_facet_masks`) must hold
-exactly the cell's vertices tight on it.  `canonical_dumps` must write the
-bytes of `jsonify` plus `json.dumps` on any JSON-ready tree, and cell
-masks must sort as their ±1 tuples and read back their +/- strings.
+(`enumerate_bounded_cells`), the up candidates that are also down
+candidates, must be the cells the reference finds by walking every up
+candidate, with the vertices it reaches, and each facet's mask
+(`_facet_masks`) must hold exactly the cell's vertices tight on it.
+`export --cell` must refuse a cell that is not bounded.  `canonical_dumps`
+must write the bytes of `jsonify` plus `json.dumps` on any JSON-ready
+tree, and cell masks must sort as their ±1 tuples and read back their +/-
+strings.
 """
 
+import ast
 import re
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arrangement_lab
 import oracle_cell_pass as oracle
 from arrangement_lab.arrangement import (
-    _bounded_cells,
     check_simple,
     enumerate_bounded_cells,
     enumerate_vertices,
@@ -41,6 +46,7 @@ from arrangement_lab.cells import (
 from arrangement_lab.census import census
 from arrangement_lab.constructions import build_ao2, build_ao3, build_cyclic_star
 from arrangement_lab.errors import InputError
+from arrangement_lab.export import render_off
 from arrangement_lab.jsonio import canonical_dumps, census_to_obj, suite_to_obj
 from arrangement_lab.verify import construction_census, default_instances, run_suite
 from oracle_vertices import line_steps_from_orders
@@ -59,10 +65,7 @@ def assert_pass_matches_reference(arr, records=None):
     vertices = enumerate_vertices(arr)
     expected, skeletons = oracle.cell_records(arr, vertices)
     if records is None:
-        records = enumerate_bounded_cells(arr, vertices)
-        rebuilt = build_cell_records(arr, vertices, [rec.signature for rec in records])
-        assert_same_records(rebuilt, expected)
-        assert skeletons_for_cells(rebuilt, vertices, arr.dim, arr.n) == skeletons
+        records = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
     assert_same_records(records, expected)
     assert skeletons_for_cells(records, vertices, arr.dim, arr.n) == skeletons
 
@@ -76,8 +79,8 @@ def assert_walks_match_reference(arr):
             face = (face_of(sig), tuple(skeleton))
             assert skeletons_for_cells([face], vertices, arr.dim, arr.n) == [skeleton], sig
         if codim == 0:
-            cells = _bounded_cells(vertices, arr.n)
-            assert cells == {face_of(sig): list(skeleton) for sig, skeleton in reference.items()}
+            cells = dict(enumerate_bounded_cells(arr, vertices))
+            assert cells == {face_of(sig): tuple(skeleton) for sig, skeleton in reference.items()}
     for sig, vids in cells.items():
         tight_sets = [vertices[vid].tight_set for vid in vids]
         masks = _facet_masks(tight_sets)
@@ -113,6 +116,48 @@ def test_large_constructions_match_reference(built):
     assert_pass_matches_reference(built.arrangement, census(built.arrangement).records)
 
 
+def assert_pairs_give_the_census_records(arr):
+    vertices = enumerate_vertices(arr)
+    cells = enumerate_bounded_cells(arr, vertices)
+    assert len(cells) == comb(arr.n - 1, arr.dim)
+    masks = [face for face, _ in cells]
+    assert masks == sorted(masks)
+    for _, vertex_ids in cells:
+        assert type(vertex_ids) is tuple and list(vertex_ids) == sorted(set(vertex_ids))
+    assert_same_records(build_cell_records(arr, vertices, cells), census(arr).records)
+
+
+@pytest.mark.parametrize("key", default_instances(), ids=str)
+def test_cell_pass_pairs_give_the_census_records_on_verify_instances(key):
+    assert_pairs_give_the_census_records(build(*key).arrangement)
+
+
+@pytest.mark.parametrize(
+    "built", [build_ao2(40), build_ao3(16), build_cyclic_star(6, 12)],
+    ids=lambda b: f"{b.family}-{b.d}-{b.n}",
+)
+def test_cell_pass_pairs_give_the_census_records_on_large_constructions(built):
+    assert_pairs_give_the_census_records(built.arrangement)
+
+
+def test_the_cell_pass_does_not_import_the_records():
+    # arrangement lists the cells and cells builds their records, so
+    # arrangement reads cells only for type names; and no module of the
+    # package imports inside a function
+    kinds = (ast.Import, ast.ImportFrom)
+    package = Path(arrangement_lab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top_level = [node for node in tree.body if isinstance(node, kinds)]
+        typing_only = [node for block in tree.body if isinstance(block, ast.If)
+                       and ast.unparse(block.test) == "TYPE_CHECKING" for node in block.body]
+        imports = [node for node in ast.walk(tree) if isinstance(node, kinds)]
+        assert set(map(id, imports)) == set(map(id, top_level + typing_only)), path.name
+        if path.name == "arrangement.py":
+            assert all(node.module != "cells" for node in top_level
+                       if isinstance(node, ast.ImportFrom)), "arrangement imports cells"
+
+
 @settings(deadline=None, max_examples=25)
 @given(relabelled_arrangements())
 def test_random_arrangements_match_reference(case):
@@ -123,25 +168,32 @@ def test_random_arrangements_match_reference(case):
         assert_walks_match_reference(instance)
 
 
-def test_build_cell_records_names_an_unbounded_cell():
-    # the triangle of cyclic(2,3) is its one bounded cell; the other three
-    # cells at its first vertex are unbounded, refused as `export --cell`
-    # refuses them
-    arr = build_cyclic_star(2, 3).arrangement
-    vertices = enumerate_vertices(arr)
-    (triangle,) = enumerate_bounded_cells(arr, vertices)
-    start = triangle.vertex_ids[0]
-    tight = vertices[start].tight_set
-    for flips in ((0,), (1,), (0, 1)):
-        signature = triangle.signature
-        for i in flips:
-            signature ^= 1 << 2 - tight[i]
-        message = f"{signature_str(signature, 3)} is not a bounded cell of this arrangement"
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            build_cell_records(arr, vertices, [triangle.signature, signature])
+def test_render_off_names_an_unbounded_cell():
+    # of the 2^3 cells at a bounded cell's first vertex, those that are not
+    # bounded are refused as `export --cell` refuses them
+    for built in (build_cyclic_star(3, 6), build_ao3(7)):
+        arr, n = built.arrangement, built.n
+        vertices = enumerate_vertices(arr)
+        bounded = dict(enumerate_bounded_cells(arr, vertices))
+        face, vertex_ids = next(iter(bounded.items()))
+        tight = vertices[vertex_ids[0]].tight_set
+        refused = 0
+        for flips in range(1, 8):
+            signature = face
+            for i, k in enumerate(tight):
+                if flips >> i & 1:
+                    signature ^= 1 << n - 1 - k
+            if signature in bounded:
+                continue
+            text = signature_str(signature, n)
+            message = f"{text} is not a bounded cell of this arrangement"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                render_off(arr, text)
+            refused += 1
+        assert refused > 0, built.family
     arr = build_cyclic_star(3, 6).arrangement
     with pytest.raises(InputError, match=r"^\+{6} is not a bounded cell of this arrangement$"):
-        build_cell_records(arr, enumerate_vertices(arr), [0b111111])
+        render_off(arr, "+" * 6)
 
 
 @pytest.mark.parametrize(

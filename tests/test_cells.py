@@ -16,7 +16,6 @@ from arrangement_lab.arrangement import (
 from arrangement_lab.cells import (
     build_cell_records,
     cell_diameter,
-    cell_record,
     cube,
     other,
     polygon,
@@ -38,11 +37,11 @@ from oracle_skeleton import cell_diameter as oracle_cell_diameter, cell_skeleton
 
 def records_of(arr):
     """The records of `build_cell_records`, their skeletons, and the
-    vertices, edges and census records they came from."""
+    vertices, edges and (mask, vertex ids) pairs they came from."""
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices)
-    records = build_cell_records(arr, vertices, [c.signature for c in cells])
+    records = build_cell_records(arr, vertices, cells)
     return records, skeletons_for_cells(records, vertices, arr.dim, arr.n), vertices, edges, cells
 
 
@@ -78,7 +77,7 @@ def test_triangle_cell_skeleton_is_three_cycle():
     arr = build_cyclic_star(2, 3).arrangement
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
-    (cell,) = enumerate_bounded_cells(arr, vertices)
+    (cell,) = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
     adj = cell_skeleton(cell, edges, arr.dim)
     assert len(adj) == 3
     assert all(len(nbrs) == 2 for nbrs in adj.values())
@@ -91,7 +90,7 @@ def test_batch_skeletons_match_single_cell_skeletons():
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices)
     batch = skeletons_for_cells(cells, vertices, arr.dim, arr.n)
-    for cell, adj in zip(cells, batch):
+    for cell, adj in zip(build_cell_records(arr, vertices, cells), batch):
         assert adj == cell_skeleton(cell, edges, arr.dim)
 
 
@@ -103,8 +102,8 @@ def test_skeletons_read_records_and_pairs_alike(built):
     # each item is read as (signature, vertex ids, *rest)
     arr = built.arrangement
     vertices = enumerate_vertices(arr)
-    records = enumerate_bounded_cells(arr, vertices)
-    pairs = [(rec.signature, rec.vertex_ids) for rec in records]
+    pairs = enumerate_bounded_cells(arr, vertices)
+    records = build_cell_records(arr, vertices, pairs)
     assert skeletons_for_cells(pairs, vertices, arr.dim, arr.n) == \
         skeletons_for_cells(records, vertices, arr.dim, arr.n)
 
@@ -112,7 +111,7 @@ def test_skeletons_read_records_and_pairs_alike(built):
 def test_skeleton_guards_name_the_cell():
     arr = build_ao2(6).arrangement
     vertices = enumerate_vertices(arr)
-    cells = enumerate_bounded_cells(arr, vertices)
+    cells = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
     quad = next(c for c in cells if len(c.vertex_ids) == 4)
     name = re.escape(f"cell {signature_str(quad.signature, arr.n)}")
     # only d vertices: too few for a bounded cell
@@ -138,15 +137,16 @@ def test_cell_record_checks_the_counts():
     # sets cover 5 planes, and V - E + F = 3
     arr = build_ao3(5).arrangement
     vertices = enumerate_vertices(arr)
-    tetra = next(c for c in enumerate_bounded_cells(arr, vertices) if c.vertex_count == 4)
+    records = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
+    tetra = next(c for c in records if c.vertex_count == 4)
     name = re.escape(f"cell {signature_str(tetra.signature, arr.n)}")
     with pytest.raises(InternalConsistencyError, match=name + r": V\*d = 3\*3 is odd"):
-        cell_record(3, arr.n, tetra.signature, list(tetra.vertex_ids[:3]), vertices)
+        build_cell_records(arr, vertices, [(tetra.signature, tetra.vertex_ids[:3])])
     off = next(vid for vid, v in enumerate(vertices) if not set(v.tight_set) <= set(tetra.facets))
-    mixed = sorted([*tetra.vertex_ids[:3], off])
+    mixed = tuple(sorted([*tetra.vertex_ids[:3], off]))
     assert len({k for vid in mixed for k in vertices[vid].tight_set}) == 5
     with pytest.raises(InternalConsistencyError, match=name + r": \(V,E,F\)=\(4,6,5\)"):
-        cell_record(3, arr.n, tetra.signature, mixed, vertices)
+        build_cell_records(arr, vertices, [(tetra.signature, mixed)])
 
 
 def test_cubical_cell_of_star_36():

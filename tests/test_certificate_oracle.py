@@ -43,9 +43,9 @@ def assert_kernels_match_references(arr):
     assert [v.rise for v in vertices] == \
         [rise_mask(v, s, arr.n) for v, s in zip(vertices, steps)]
     cells = enumerate_bounded_cells(arr, vertices)
+    records = build_cell_records(arr, vertices, cells)
     skeletons = skeletons_for_cells(cells, vertices, arr.dim, arr.n)
-    assert skeletons == oracle_skeleton.skeletons_for_cells(cells, edges, arr.dim)
-    records = build_cell_records(arr, vertices, [c.signature for c in cells])
+    assert skeletons == oracle_skeleton.skeletons_for_cells(records, edges, arr.dim)
     for rec, adj in zip(records, skeletons):
         v, e, f = rec.vertex_count, rec.edge_count, rec.facet_count
         assert 2 * e == sum(map(len, adj.values())), rec.signature
@@ -124,10 +124,10 @@ def test_ao3_5_shell_certifies_as_the_prism():
     for n in (5, 6, 7):
         arr = build_ao3(n).arrangement
         vertices = enumerate_vertices(arr)
-        cells = enumerate_bounded_cells(arr, vertices)
-        (cell,) = [c for c in cells if c.signature == (1 << n) - 2]  # + ... + -
-        factors = product_factors([vertices[vid].tight_set for vid in cell.vertex_ids])
-        (rec,) = build_cell_records(arr, vertices, [cell.signature])
+        shell = (1 << n) - 2  # + ... + -
+        vertex_ids = dict(enumerate_bounded_cells(arr, vertices))[shell]
+        factors = product_factors([vertices[vid].tight_set for vid in vertex_ids])
+        (rec,) = build_cell_records(arr, vertices, [(shell, vertex_ids)])
         if n == 5:
             assert factors == (2, 3)
             assert rec.cell_class == simplex_product(1, 2) and rec.diameter == 2

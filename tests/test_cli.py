@@ -214,6 +214,17 @@ def test_verify_range_key_the_proposition_does_not_take(prop, spec, capsys):
     assert err.startswith(f"error: --range key '{spec[0]}' does not apply to {prop}")
 
 
+@pytest.mark.parametrize("spec, key", [("d=3,d=4", "d"), ("n=4..6,n=8", "n")])
+def test_verify_range_refuses_a_repeated_key(monkeypatch, capsys, spec, key):
+    # a repeated key would replace the earlier range and run only the last
+    censused = []
+    monkeypatch.setattr(verify, "construction_census", lambda *k: censused.append(k))
+    assert run(["verify", "--prop", "P6", "--range", spec]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --range repeats key {key!r}; give each of n and d at most once\n"
+    assert censused == []
+
+
 def test_verify_range_that_leaves_no_instance(capsys):
     assert run(["verify", "--prop", "P6", "--range", "n=3"]) == 2
     captured = capsys.readouterr()

@@ -4,14 +4,19 @@ completion.
 
 For every codimension 0..d both references must give the same bounded
 faces, each with the same increasing vertex ids; in codimension 0 so must
-`_bounded_cells`, whose masks are read as tuples.
+the (mask, vertex ids) pairs of `enumerate_bounded_cells`, whose masks are
+read as tuples.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrangement_lab.arrangement import _bounded_cells, enumerate_edges, enumerate_vertices
+from arrangement_lab.arrangement import (
+    enumerate_bounded_cells,
+    enumerate_edges,
+    enumerate_vertices,
+)
 from arrangement_lab.constructions import (
     build,
     build_ao2,
@@ -56,8 +61,8 @@ def test_constructions_match_oracle(built):
 def assert_cells_match_completion(arr):
     vertices = enumerate_vertices(arr)
     expected = bounded_faces_by_completion(vertices, enumerate_edges(arr, vertices), 0)
-    cells = _bounded_cells(vertices, arr.n)
-    assert dict(zip(signs_of(cells, arr.n), cells.values())) == expected
+    cells = dict(enumerate_bounded_cells(arr, vertices))
+    assert dict(zip(signs_of(cells, arr.n), map(list, cells.values()))) == expected
 
 
 @pytest.mark.parametrize("key", default_instances(), ids=str)

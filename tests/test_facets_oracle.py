@@ -41,9 +41,8 @@ from signs import signs_of
 
 def cells_and_facets(arr):
     vertices = enumerate_vertices(arr)
-    cells = enumerate_bounded_cells(arr, vertices)
-    records = build_cell_records(arr, vertices, [c.signature for c in cells])
-    return vertices, cells, enumerate_bounded_facets(arr, records)
+    records = build_cell_records(arr, vertices, enumerate_bounded_cells(arr, vertices))
+    return vertices, records, enumerate_bounded_facets(arr, records)
 
 
 def key(rec, bounded):

@@ -62,10 +62,12 @@ def test_one_line_step_table_per_use(monkeypatch, render):
 @pytest.mark.parametrize("built", [build_ao2(7), build_ao3(7)], ids=["ao2-7", "ao3-7"])
 def test_census_walks_once(monkeypatch, built):
     # one pass over the vertices lists every bounded cell's vertices and
-    # the records are built from them; the facets are read off the records
-    calls = count_calls(monkeypatch, arrangement._bounded_cells)
+    # one call builds the records from them; the facets are read off the
+    # records
+    passes = count_calls(monkeypatch, arrangement.enumerate_bounded_cells)
+    builds = count_calls(monkeypatch, cells.build_cell_records)
     census(built.arrangement)
-    assert calls[0] == 1
+    assert (passes[0], builds[0]) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -96,7 +98,7 @@ def test_census_measures_only_uncertified_cells(monkeypatch, built, measured):
 
 def test_exports_trace_polygons_without_skeletons(monkeypatch):
     # the SVG and OFF rings are traced on shared tight sets; the only skeleton
-    # left is the one cell_record builds for the ao2 n-gon, which the
+    # left is the one build_cell_records builds for the ao2 n-gon, which the
     # product certificate rejects
     ao3 = build_ao3(16).arrangement
     certified = next(signature_str(rec.signature, ao3.n) for rec in census(ao3).records

@@ -32,9 +32,9 @@ def assert_matches_oracle(arr):
     vertices = enumerate_vertices(arr)
     edges = enumerate_edges(arr, vertices)
     cells = enumerate_bounded_cells(arr, vertices)
-    expected = oracle.skeletons_for_cells(cells, edges, arr.dim)
+    records = build_cell_records(arr, vertices, cells)
+    expected = oracle.skeletons_for_cells(records, edges, arr.dim)
     assert skeletons_for_cells(cells, vertices, arr.dim, arr.n) == expected
-    records = build_cell_records(arr, vertices, [c.signature for c in cells])
     assert skeletons_for_cells(records, vertices, arr.dim, arr.n) == expected
     diameters = []
     for rec, adj in zip(records, expected):

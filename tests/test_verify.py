@@ -244,6 +244,27 @@ def test_suite_instances_lists_every_instance_censused(monkeypatch, prop):
     assert list(dict.fromkeys(censused)) == list(suite_instances([prop]))
 
 
+@pytest.mark.parametrize("pools, d", [
+    ({1: [(3, 0)]}, 1),
+    ({2: [(4, 0)], 0: []}, 0),
+    ({3: [(5, 0)], -2: [(3, 1)]}, -2),
+], ids=["d1", "empty-d0", "d-2"])
+def test_a_pool_below_the_plane_is_refused_before_any_census(monkeypatch, pools, d):
+    # the generator refuses d < 2 too, but only once the checks before it
+    # have run their censuses
+    def no_census(*_args, **_kwargs):
+        raise AssertionError("census ran before the pools were checked")
+
+    monkeypatch.setattr(verify, "construction_census", no_census)
+    message = f"random pool d{d}: random arrangements need d >= 2"
+    with pytest.raises(InputError) as refused:
+        run_suite(["S"], None, pools)
+    assert str(refused.value) == message
+    with pytest.raises(InputError) as listed:
+        list(suite_instances(["all"], None, pools))
+    assert str(listed.value) == message
+
+
 def test_a_huge_d_range_ends_where_n_leaves_no_pair():
     # the (d, n) grid reads d in ascending order and stops at the first d
     # above max(n)/2, instead of filtering every d of the range
