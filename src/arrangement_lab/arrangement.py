@@ -12,7 +12,8 @@ with the other's on every coordinate where the smaller face is not tight.
   carrying the flat that each prefix cuts out of R^d (`rational.meet`):
   each level cuts its parent's flat once by its new row, so a subset
   costs one crossing of its prefix's line (`rational.crossing`).  The
-  walk raises at the first singular subset or repeated point.
+  walk raises at the first singular subset or repeated point, here and
+  on the subsets that contain a new random row (`extends_simply`).
 * Sweep.  Dropping one of a vertex's d tight hyperplanes leaves a line
   through it, named by the vertex's tight mask (bit n-1-k set for each
   tight k, as in the plus masks) less that bit.  The lines are swept
@@ -54,13 +55,10 @@ its minimum (maximum); the cells named both ways are the bounded ones.  A
 vertex lies in the 2^d cells that set its d tight signs either way, so one
 more pass over the vertices hands each bounded cell its vertices, with no
 walk: `enumerate_bounded_cells`, the cell pass, lists each as a (plus mask,
-vertex ids) pair.  A cell has E = V·d/2.  Two vertices of a bounded face
-are adjacent exactly when their tight sets share d-1 hyperplanes: the line
-through both meets the closed face in an edge, which has only its two ends
-as vertices (`_face_edges`).  A census builds each cell's record from its
-pair (`cells.build_cell_records`) and pairs the records across each facet
-by flipping one bit.  No linear programming is needed, as the vertices are
-known; no floating point anywhere.  ±1 tuples and +/- strings are built
+vertex ids) pair.  A census builds each cell's record from its pair
+(`cells.build_cell_records`, which owns the face adjacency) and pairs the
+records across each facet by flipping one bit.  No linear programming is
+needed, as the vertices are known; no floating point anywhere.  ±1 tuples and +/- strings are built
 only to be written (`signature_str`) or read back (`signature_from_str`).
 
 The geometry itself runs in plain integers.  Each call scales every
@@ -280,9 +278,9 @@ def _extend_prefix(
     solved: Solved,
 ) -> None:
     """Every subset that extends `prefix`, whose rows cut out `flat`, for
-    `_solve_subsets`; `seen` is the set of points solved so far.  A repeat
-    names no earlier subset: that subset's point lies on an extra
-    hyperplane, so `enumerate_vertices` reports it instead."""
+    `_solve_subsets` and `extends_simply`; `seen` is the set of points
+    solved so far.  A repeat names no earlier subset: that subset's point
+    lies on an extra hyperplane, so `enumerate_vertices` reports it instead."""
     level = len(prefix)
     last = level == d - 1  # the next row completes a subset
     cut = crossing if last else meet
@@ -299,6 +297,33 @@ def _extend_prefix(
         else:
             seen.add(found)
             solved.append((subset, found))
+
+
+def extends_simply(
+    existing: list[IntRow], candidate: IntRow, d: int, points: set[IntPoint]
+) -> bool:
+    """True if adding the integer row `candidate` (a, b) to `existing` keeps
+    every d-subset nonsingular and all intersection points distinct; a zero
+    normal is refused.  `points`, the distinct points of `existing`, gains
+    an accepted candidate's points and is left as it was otherwise.
+
+    Only the subsets containing the candidate are solved, by the solve walk
+    on the rows [candidate, *existing] below the prefix (0,), whose flat is
+    the candidate's hyperplane.  The walk adds each point to the set unless
+    it is there, and cuts a prefix only when some subset completes it, so it
+    raises exactly when a subset is singular or a point repeats, as solving
+    each subset on its own would; its points are then removed again, and
+    its reason is not read."""
+    flat = meet(space(d), candidate)
+    if flat is None:
+        return False
+    solved: Solved = []
+    try:
+        _extend_prefix([candidate, *existing], d, (0,), flat, points, solved)
+    except NotSimpleError:
+        points.difference_update([point for _, point in solved])
+        return False
+    return True
 
 
 def _extra_plane_error(rows: list[IntRow], solved: Solved) -> Optional[NotSimpleError]:
@@ -459,35 +484,6 @@ def _bounded_face_count(n: int, d: int, codim: int) -> int:
     simple arrangement of n hyperplanes in dimension d: C(n, c)·C(n-c-1,
     d-c), which is n·C(n-2, d-1) for the facets."""
     return comb(n, codim) * comb(n - codim - 1, d - codim)
-
-
-def _face_edges(
-    vertices: list[Vertex], n: int, face: int, ids: Sequence[int]
-) -> dict[int, tuple[int, ...]]:
-    """A bounded face's skeleton, {vertex id: increasing neighbours} over its
-    vertex ids: two are adjacent when their tight sets share d-1 hyperplanes.
-    Each line of the face at a vertex must hold exactly two of them; raises
-    InternalConsistencyError, naming the face, where one holds fewer or more."""
-    top, zero = n - 1, face >> n
-    lines: dict[tuple[int, ...], list[int]] = {}
-    for vid in ids:
-        tight = vertices[vid].tight_set
-        for k, j in enumerate(tight):
-            if not zero >> top - j & 1:
-                lines.setdefault(tight[:k] + tight[k + 1:], []).append(vid)
-    adj: dict[int, list[int]] = {vid: [] for vid in ids}
-    for ends in lines.values():
-        if len(ends) != 2:
-            raise _broken(face, n, f": an edge at vertex {ends[0]} is missing or leaves the cell"
-                          if len(ends) < 2 else f": {len(ends)} of its vertices share a line")
-        adj[ends[0]].append(ends[1])
-        adj[ends[1]].append(ends[0])
-    return {vid: tuple(sorted(nbrs)) for vid, nbrs in adj.items()}
-
-
-def _broken(face: int, n: int, what: str) -> InternalConsistencyError:
-    """The error for a cell or face whose vertices or counts are inconsistent."""
-    return InternalConsistencyError(f"cell {signature_str(face, n)}{what}")
 
 
 def enumerate_bounded_cells(arr: Arrangement, vertices: list[Vertex]) -> Cells:

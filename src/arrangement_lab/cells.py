@@ -8,8 +8,10 @@ mask, one int, bit n-1-k set where hyperplane k is positive (`arrangement`
 module docstring).  A vertex is tight on d hyperplanes and has one cell
 edge on the line that drops each, so E = V·d/2.  `skeletons_for_cells`
 builds skeletons only for the uncertified cells, read as (signature,
-vertex ids) pairs, joining two vertices when their tight sets share d-1
-hyperplanes (`arrangement._face_edges`).
+vertex ids) pairs.  Two vertices of a bounded face are adjacent exactly
+when their tight sets share d-1 hyperplanes: the line through both meets
+the closed face in an edge, which has only its two ends as vertices
+(`face_edges`, which the export's polygons read too).
 
 Classification and diameter come from a certificate on the vertex-facet
 incidences.  `product_factors` splits the facets into groups F_1, ..., F_m
@@ -54,7 +56,8 @@ from functools import cache
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
-from .arrangement import Arrangement, Cells, Vertex, _broken, _face_edges
+from .arrangement import Arrangement, Cells, Vertex, signature_str
+from .errors import InternalConsistencyError
 
 Adjacency = dict[int, tuple[int, ...]]
 
@@ -130,7 +133,7 @@ def skeletons_for_cells(
     *rest), so a `CellRecord` serves as well as a plain pair: the signature
     is a face of the n hyperplanes, as in `arrangement`, and the vertex ids
     increase.  Two vertices are adjacent when their tight sets share d-1
-    hyperplanes (`arrangement._face_edges`).
+    hyperplanes (`face_edges`).
 
     The closure of a bounded face C is a simple polytope, so at each of its
     vertices v and for each k in v's tight set off C, C has exactly one
@@ -143,7 +146,7 @@ def skeletons_for_cells(
     for face, vertex_ids, *_ in cells:
         if len(vertex_ids) <= dim - (face >> n).bit_count():
             raise _broken(face, n, f" has only {len(vertex_ids)} vertices")
-        adj = _face_edges(vertices, n, face, vertex_ids)
+        adj = face_edges(vertices, n, face, vertex_ids)
         reached = [vertex_ids[0]]
         seen = set(reached)
         for v in reached:
@@ -155,6 +158,33 @@ def skeletons_for_cells(
             raise _broken(face, n, " has a disconnected skeleton")
         skeletons.append(adj)
     return skeletons
+
+
+def face_edges(vertices: list[Vertex], n: int, face: int, ids: Sequence[int]) -> Adjacency:
+    """A bounded face's skeleton, {vertex id: increasing neighbours} over its
+    vertex ids: two are adjacent when their tight sets share d-1 hyperplanes.
+    Each line of the face at a vertex must hold exactly two of them; raises
+    InternalConsistencyError, naming the face, where one holds fewer or more."""
+    top, zero = n - 1, face >> n
+    lines: dict[tuple[int, ...], list[int]] = {}
+    for vid in ids:
+        tight = vertices[vid].tight_set
+        for k, j in enumerate(tight):
+            if not zero >> top - j & 1:
+                lines.setdefault(tight[:k] + tight[k + 1:], []).append(vid)
+    adj: dict[int, list[int]] = {vid: [] for vid in ids}
+    for ends in lines.values():
+        if len(ends) != 2:
+            raise _broken(face, n, f": an edge at vertex {ends[0]} is missing or leaves the cell"
+                          if len(ends) < 2 else f": {len(ends)} of its vertices share a line")
+        adj[ends[0]].append(ends[1])
+        adj[ends[1]].append(ends[0])
+    return {vid: tuple(sorted(nbrs)) for vid, nbrs in adj.items()}
+
+
+def _broken(face: int, n: int, what: str) -> InternalConsistencyError:
+    """The error for a cell or face whose vertices or counts are inconsistent."""
+    return InternalConsistencyError(f"cell {signature_str(face, n)}{what}")
 
 
 def cell_diameter(adj: Adjacency) -> int:

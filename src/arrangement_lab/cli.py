@@ -9,13 +9,13 @@ census solves C(n,d) vertices per instance, and the cell pass looks up the
 2^d cells at each of them.  So all five commands check both counts against
 a size budget before building anything (`--max-vertices`, default
 `DEFAULT_MAX_VERTICES`, and `CELL_PASS_FACTOR` times it for the lookups)
-and exit 2 above it.  `verify --seeds` reads pools keyed "d<k>", k >= 2.
+and exit 2 above it.  `verify --seeds` reads pools keyed "d<k>", k >= 2,
+through `jsonio.load_pools`.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from math import comb
 from typing import Optional
@@ -25,14 +25,13 @@ from .constructions import FIXED_DIMENSION, build
 from .errors import GenerationError, InputError, NotSimpleError
 from .export import render_off, render_svg
 from .jsonio import (
-    _read_json,
     arrangement_to_obj,
     atomic_write_text,
     canonical_dumps,
     census_to_obj,
     check_writable,
-    json_integer,
     load_arrangement,
+    load_pools,
     suite_to_obj,
 )
 from .rational import decimal_display, format_rational
@@ -152,30 +151,6 @@ def _parse_range(spec: str) -> dict[str, range]:
     return ranges
 
 
-def _pool(entries, key: str) -> tuple[tuple[int, int], ...]:
-    """The [n, seed] pairs of one pool, each a JSON integer as given."""
-    return tuple(
-        (json_integer(n, f"{key} pool n"), json_integer(seed, f"{key} pool seed"))
-        for n, seed in entries
-    )
-
-
-def _load_pools(path: str):
-    """The default pools, with each "d<k>" pool of the file in place of k's."""
-    try:
-        obj = _read_json(path)
-        if not isinstance(obj, dict):
-            raise TypeError('top level must be an object of "d<k>" pools, k >= 2')
-        pools = dict(RANDOM_POOLS)
-        for key, entries in obj.items():
-            if not re.fullmatch(r"d([2-9]|[1-9][0-9]+)", key):
-                raise ValueError(f'pool key {key!r} is not "d<k>" with k >= 2')
-            pools[int(key[1:])] = _pool(entries, key)
-    except (OSError, ValueError, TypeError) as exc:
-        raise InputError(f"cannot read seeds file {path}: {exc}") from exc
-    return pools
-
-
 def _cmd_build(args) -> int:
     """`construct` and `random`: check the size, build, write, report."""
     d = FIXED_DIMENSION.get(args.family, args.d)
@@ -211,7 +186,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         check_writable(args.out)
     ranges = _parse_range(args.range_spec) if args.range_spec else None
-    pools = _load_pools(args.seeds) if args.seeds else RANDOM_POOLS
+    pools = load_pools(args.seeds) if args.seeds else RANDOM_POOLS
     for family, d, n, seed, _ in suite_instances(args.prop, ranges, pools):
         _check_size(_instance(family, d, n, seed), n, d, args.max_vertices)
     summary = run_suite(args.prop, ranges, pools)

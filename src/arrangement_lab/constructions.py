@@ -21,13 +21,10 @@ and export, raises NotSimpleError on any non-simple input.
 Random simple arrangements, in any dimension d >= 2, draw integer
 coefficients from a SplitMix64 stream so that identical (d, n, seed, bound)
 inputs reproduce bit-identical output on any platform.  Each drawn row is
-checked by the vertex pass's own walk (`arrangement._extend_prefix`),
-depth-first over the subsets that contain the new row, starting from the
-hyperplane the row cuts out of R^d (`rational.meet`), so every subset starts
-from that one cut.  A row that makes a subset singular or a point repeat is
-redrawn.  `build` is the one
-place a family name picks its builder, and `FIXED_DIMENSION` the one place
-a name fixes its dimension.
+checked by the vertex pass's own walk over the subsets that contain it
+(`arrangement.extends_simply`), and a row that makes a subset singular or a
+point repeat is redrawn.  `build` is the one place a family name picks its
+builder, and `FIXED_DIMENSION` the one place a name fixes its dimension.
 """
 
 from __future__ import annotations
@@ -35,9 +32,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arrangement import Arrangement, Hyperplane, _extend_prefix, hyperplane
-from .errors import GenerationError, InputError, NotSimpleError
-from .rational import IntPoint, IntRow, integer_row, meet, space
+from .arrangement import Arrangement, Hyperplane, extends_simply, hyperplane
+from .errors import GenerationError, InputError
+from .rational import IntPoint, IntRow, integer_row, require_int
 
 RANDOM_COEFF_BOUND = 100  # default bound of random coefficients, drawn from [-bound, bound]
 # The families whose dimension the name fixes; `build` refuses any other -d.
@@ -148,7 +145,7 @@ def random_simple_arrangement(
 ) -> Construction:
     """A seed-reproducible simple arrangement in any d >= 2 with integer
     coefficients in [-bound, bound]; any hyperplane breaking simplicity is
-    redrawn, up to 1000 attempts each.  `_extends_simply` has then solved
+    redrawn, up to 1000 attempts each.  `extends_simply` has then solved
     every d-subset and seen every point distinct, so the result needs no
     further check.  The seed must lie in [0, 2^64): SplitMix64 keeps it mod
     2^64; the bound in [10, 2^63 - 1], so `next_int` draws from <= 2^64 values."""
@@ -168,7 +165,7 @@ def random_simple_arrangement(
     for _ in range(n):
         for attempt in range(1000):
             row = tuple(stream.next_int(-bound, bound) for _ in range(d + 1))
-            if _extends_simply(rows, row, d, points):
+            if extends_simply(rows, row, d, points):
                 rows.append(row)
                 break
         else:
@@ -180,47 +177,24 @@ def random_simple_arrangement(
     return Construction(arr, "random", d, n, seed=seed, bound=bound)
 
 
-def _extends_simply(
-    existing: list[IntRow], candidate: IntRow, d: int,
-    points: set[IntPoint],
-) -> bool:
-    """True if adding the integer row `candidate` (a, b) keeps every
-    d-subset nonsingular and all intersection points distinct; a zero
-    normal is refused.
-
-    `points` is the set of the distinct points of `existing`, so only the
-    subsets containing the candidate are solved, by the vertex pass's walk
-    (`arrangement._extend_prefix`) on the rows [candidate, *existing] below
-    the prefix (0,), whose flat is the candidate's hyperplane.  The walk
-    adds each point to the set unless it is there, and cuts a prefix only
-    when some subset completes it, so it raises exactly when a subset is
-    singular or a point repeats, as solving each subset on its own would;
-    its points are then removed again, and its reason is not read.
-    """
-    flat = meet(space(d), candidate)
-    if flat is None:
-        return False
-    solved: list[tuple[tuple[int, ...], IntPoint]] = []
-    try:
-        _extend_prefix([candidate, *existing], d, (0,), flat, points, solved)
-    except NotSimpleError:
-        points.difference_update([point for _, point in solved])
-        return False
-    return True
-
-
 def build(
     family: str, d: Optional[int], n: int,
     seed: Optional[int] = None, bound: Optional[int] = None,
 ) -> Construction:
     """The construction of a family name: `d` is required for cyclic and
     random and, when given, must match `FIXED_DIMENSION`'s; `seed` and
-    `bound` are read for random only.  Raises InputError on any other name."""
+    `bound` are read for random only.  Raises InputError on any other name,
+    and on a parameter it reads that is not an int."""
+    if d is None and family in ("cyclic", "random"):
+        raise InputError(f"{family} construction requires -d")
+    params = {"n": n} if d is None else {"d": d, "n": n}
+    if family == "random":
+        params.update(seed=seed, bound=bound)
+    for name, value in params.items():
+        require_int(value, f"{family} {name}")
     if d not in (None, FIXED_DIMENSION.get(family, d)):
         raise InputError(f"{family} is {FIXED_DIMENSION[family]}-dimensional")
     if family == "cyclic":
-        if d is None:
-            raise InputError("cyclic construction requires -d")
         return build_cyclic_star(d, n)
     if family == "ao2":
         return build_ao2(n)

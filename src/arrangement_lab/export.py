@@ -5,7 +5,7 @@ exact coordinates are allowed to become decimal text.  All element orders,
 colors and number formats are fixed, making output byte-identical for
 identical input.  Polygons are traced on their skeletons, whose vertices
 are adjacent when their tight sets share d-1 hyperplanes
-(`arrangement._face_edges`).
+(`cells.face_edges`).
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from functools import cmp_to_key
 from .arrangement import (
     Arrangement,
     Vertex,
-    _face_edges,
     enumerate_bounded_cells,
     enumerate_vertices,
     signature_from_str,
     signature_str,
 )
-from .cells import build_cell_records
+from .cells import build_cell_records, face_edges
 from .errors import InputError, UnsupportedDimensionError
 from .rational import decimal_display
 
@@ -43,7 +42,7 @@ def _ring(vertices: list[Vertex], n: int, face: int, vertex_ids: tuple[int, ...]
     """A bounded 2-face's increasing vertex ids in cyclic order, each joined
     to the two that share a line with it.  Starts at the smallest vertex,
     toward its smaller neighbour."""
-    adj = _face_edges(vertices, n, face, vertex_ids)
+    adj = face_edges(vertices, n, face, vertex_ids)
     ring = [vertex_ids[0], adj[vertex_ids[0]][0]]
     while len(ring) < len(adj):
         a, b = adj[ring[-1]]

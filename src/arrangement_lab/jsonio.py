@@ -1,13 +1,15 @@
-"""JSON interchange: arrangements, censuses, verification summaries.
+"""JSON interchange: arrangements, seeds files, censuses, verification summaries.
 
-One parser, many emitters.  Rationals travel as "p/q" strings ("p" when the
-denominator is 1); every emitter goes through `canonical_dumps` (sorted keys,
-fixed indentation, trailing newline) so identical inputs give byte-identical
-files; it writes Fractions and keys as text in its one walk, so emitters
-pass their values as they are.  Files are written atomically: temp file in
-the target directory, then rename; a path that cannot be written is an
-InputError naming it.  A result's verdict is written beside the numbers it
-is read off.
+One parser, `_read_json`, under two readers: `load_arrangement`, and
+`load_pools` for the "d<k>" random pools of `verify --seeds`, as
+`suite_to_obj` writes them; many emitters.  Rationals travel as "p/q"
+strings ("p" when the denominator is 1); every emitter goes through
+`canonical_dumps` (sorted keys, fixed indentation, trailing newline) so
+identical inputs give byte-identical files; it writes Fractions and keys
+as text in its one walk, so emitters pass their values as they are.  Files
+are written atomically: temp file in the target directory, then rename; a
+path that cannot be written is an InputError naming it.  A result's verdict
+is written beside the numbers it is read off.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from typing import Optional
@@ -24,7 +27,7 @@ from .census import CensusReport
 from .cells import CellRecord
 from .errors import InputError
 from .rational import brief, decimal_display, format_rational, parse_rational
-from .verify import RANDOM_COEFF_BOUND, SuiteSummary, VerificationResult
+from .verify import RANDOM_COEFF_BOUND, RANDOM_POOLS, Pools, SuiteSummary, VerificationResult
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -240,3 +243,24 @@ def suite_to_obj(summary: SuiteSummary) -> dict:
             "coefficient_bound": RANDOM_COEFF_BOUND,
         },
     }
+
+
+def load_pools(path: str) -> Pools:
+    """The default random pools, with each "d<k>" pool of the seeds file
+    `path`, k >= 2, in place of k's; every [n, seed] pair is a JSON integer
+    pair as given.  Raises InputError naming the file on anything else."""
+    try:
+        obj = _read_json(path)
+        if not isinstance(obj, dict):
+            raise TypeError('top level must be an object of "d<k>" pools, k >= 2')
+        pools = dict(RANDOM_POOLS)
+        for key, entries in obj.items():
+            if not re.fullmatch(r"d([2-9]|[1-9][0-9]+)", key):
+                raise ValueError(f'pool key {key!r} is not "d<k>" with k >= 2')
+            pools[int(key[1:])] = tuple(
+                (json_integer(n, f"{key} pool n"), json_integer(seed, f"{key} pool seed"))
+                for n, seed in entries
+            )
+    except (OSError, ValueError, TypeError) as exc:
+        raise InputError(f"cannot read seeds file {path}: {exc}") from exc
+    return pools

@@ -50,7 +50,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InputError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -193,6 +193,13 @@ def brief(value) -> str:
     that and its length, so a message naming the value stays one short line."""
     text = repr(value)
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN // 2]}... ({len(text)} characters)"
+
+
+def require_int(value, what: str) -> int:
+    """`value` when it is an int, not a bool; else InputError naming it."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an int, got {brief(value)}")
+    return value
 
 
 def decimal_display(q: Fraction) -> str:

@@ -54,6 +54,7 @@ from .census import (
 )
 from .constructions import RANDOM_COEFF_BOUND, SplitMix64, build
 from .errors import InputError
+from .rational import require_int
 
 # Documented random pools: seeds 0..k-1, n cycling through the small range.
 RANDOM_2D_POOL: tuple[tuple[int, int], ...] = tuple((4 + s % 5, s) for s in range(50))
@@ -513,8 +514,8 @@ def _plan(
 ) -> Iterator[tuple[Callable[..., VerificationResult], tuple, list[Instance]]]:
     """The checks `run_suite` makes, in order, as (check, arguments, the
     instances it censuses); `point` replaces the grid of the one gridded
-    check selected.  Raises InputError on a bad selection, pool entry or
-    grid point."""
+    check selected.  Raises InputError on a bad selection, pool key, pool
+    entry or grid point, including a key, n or seed that is not an int."""
     requested = {p.upper() for p in props}
     if "ALL" in requested:
         requested = set(PROP_IDS)
@@ -532,9 +533,11 @@ def _plan(
         (prop,) = requested
         _check_keys(prop, ranges)
     for d, pool in pools.items():
-        if d < 2:
+        if require_int(d, "random pool dimension") < 2:
             raise InputError(f"random pool d{d}: random arrangements need d >= 2")
         for n, seed in pool:
+            require_int(n, f"random pool d{d} entry n")
+            require_int(seed, f"random pool d{d} entry seed")
             if n < d + 1:
                 raise InputError(f"random pool d{d} entry n={n} seed={seed}: needs n >= {d + 1}")
             if not 0 <= seed <= SplitMix64.MASK:
@@ -568,14 +571,16 @@ def _run(row: tuple) -> VerificationResult:
 
 
 def verify_proposition(prop: str, **params) -> VerificationResult:
-    """Run one check; raises InputError for an unknown id, a missing or bad
-    parameter, and any key the check does not take."""
+    """Run one check; raises InputError for an unknown id, a missing
+    parameter, one that is not an int or fails the check's condition, and
+    any key the check does not take."""
     prop = prop.upper()
     if prop not in PROP_IDS:
         raise InputError(f"unknown proposition id {prop!r}")
     spec = _GRIDDED.get(prop)
     try:
-        point = tuple(int(params[name]) for name in (spec.names if spec else ()))
+        point = tuple(require_int(params[name], f"{prop} parameter {name}")
+                      for name in (spec.names if spec else ()))
     except KeyError as exc:
         raise InputError(f"{prop} is missing parameter {exc}") from exc
     _check_keys(prop, params)

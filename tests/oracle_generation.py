@@ -1,4 +1,4 @@
-"""Reference oracle for `constructions._extends_simply`: every subset on its own.
+"""Reference oracle for `arrangement.extends_simply`: every subset on its own.
 
 This is the generator's earlier decision, kept as the reference for the
 walk that replaced it: a candidate row with a zero normal is redrawn, and

@@ -39,8 +39,10 @@ from arrangement_lab.jsonio import (
     canonical_dumps,
     census_to_obj,
     load_arrangement,
+    load_pools,
+    suite_to_obj,
 )
-from arrangement_lab.verify import RANDOM_2D_POOL, RANDOM_3D_POOL
+from arrangement_lab.verify import RANDOM_2D_POOL, RANDOM_3D_POOL, SuiteSummary
 from oracle_vertices import check_simple_by_fractions
 from test_golden_outputs import SUMMARY_DIGEST
 
@@ -289,6 +291,18 @@ def test_verify_summary_bytes_ignore_pool_order(tmp_path):
     assert run([*argv, shuffled, "--seeds", seeds]) == 0
     assert run([*argv, default]) == 0
     assert shuffled.read_bytes() == default.read_bytes()
+
+
+def test_load_pools_reads_back_the_pools_a_summary_writes(tmp_path):
+    # a summary's "random_pools", less its coefficient bound, is a seeds file
+    # for the same pools, each in the summary's (seed, n) order
+    pools = {2: RANDOM_2D_POOL, 3: RANDOM_3D_POOL[::-1], 4: ((8, 2), (7, 0), (9, 0))}
+    written = suite_to_obj(SuiteSummary([], pools))["random_pools"]
+    del written["coefficient_bound"]
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(canonical_dumps(written))
+    assert load_pools(str(seeds)) == {
+        d: tuple(sorted(pool, key=lambda row: (row[1], row[0]))) for d, pool in pools.items()}
 
 
 def test_verify_seeds_file_not_an_object(tmp_path, capsys):

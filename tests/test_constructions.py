@@ -14,12 +14,12 @@ from arrangement_lab.arrangement import (
     enumerate_bounded_cells,
     enumerate_edges,
     enumerate_vertices,
+    extends_simply,
 )
 from arrangement_lab.cells import build_cell_records, polygon, simplex, simplex_product
 from arrangement_lab import constructions
 from arrangement_lab.constructions import (
     SplitMix64,
-    _extends_simply,
     build,
     build_ao2,
     build_ao3,
@@ -122,6 +122,22 @@ def test_build_picks_the_builder_of_each_family_name():
     assert build("ao3", 3, 7) == build_ao3(7)
     assert build("cyclic", 4, 8) == build_cyclic_star(4, 8)
     assert build("random", 2, 6, 3, 100) == random_simple_arrangement(2, 6, 3, 100)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("cyclic", 3, 6.0), "cyclic n must be an int, got 6.0"),
+    (("cyclic", 3.0, 6), "cyclic d must be an int, got 3.0"),
+    (("ao2", True, 6), "ao2 d must be an int, got True"),
+    (("ao3", None, "7"), "ao3 n must be an int, got '7'"),
+    (("random", 2, 5, 0, None), "random bound must be an int, got None"),
+    (("random", 2, 5, 1.5, 100), "random seed must be an int, got 1.5"),
+    (("random", None, 5, 0, 100), "random construction requires -d"),
+])
+def test_build_refuses_a_parameter_that_is_not_an_int(args, message):
+    # library callers reach `build` without argparse's int conversion
+    with pytest.raises(InputError) as refused:
+        build(*args)
+    assert str(refused.value) == message
 
 
 def test_epsilon_rule_and_recorded_bounds():
@@ -314,7 +330,7 @@ def test_extends_simply_decides_as_solving_each_subset(case):
     existing, points, reference = [], set(), set()
     for candidate in candidates:
         before = set(points)
-        verdict = _extends_simply(existing, candidate, d, points)
+        verdict = extends_simply(existing, candidate, d, points)
         assert verdict == extends_simply_by_subsets(existing, candidate, d, reference)
         assert points == reference
         if verdict:
@@ -330,6 +346,6 @@ def test_random_pools_are_built_as_by_the_reference(monkeypatch):
             + [(3, n, seed, RANDOM_COEFF_BOUND) for n, seed in RANDOM_3D_POOL]
             + [(2, 30, 0, 100), (3, 12, 0, 100), (2, 40, 0, 10), (3, 14, 1, 10)])
     built = [random_simple_arrangement(*key).arrangement for key in keys]
-    monkeypatch.setattr(constructions, "_extends_simply", extends_simply_by_subsets)
+    monkeypatch.setattr(constructions, "extends_simply", extends_simply_by_subsets)
     assert built == [random_simple_arrangement(*key).arrangement for key in keys]
 

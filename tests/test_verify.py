@@ -211,6 +211,9 @@ def test_verify_proposition_matches_the_suite_row(prop):
     ("P3", {"n": 4}, "P3 requires n >= 5"),
     ("P5", {"d": -1}, "P5 requires d >= 2"),
     ("P7", {"d": 3, "n": 5}, "P7 requires d >= 2 and n >= 2d"),
+    ("P1", {"n": 4.7}, "P1 parameter n must be an int, got 4.7"),
+    ("P1", {"n": "5"}, "P1 parameter n must be an int, got '5'"),
+    ("P6", {"d": 3, "n": True}, "P6 parameter n must be an int, got True"),
 ])
 def test_verify_proposition_checks_the_point_before_any_census(monkeypatch, prop, params,
                                                                message):
@@ -257,6 +260,28 @@ def test_a_pool_below_the_plane_is_refused_before_any_census(monkeypatch, pools,
 
     monkeypatch.setattr(verify, "construction_census", no_census)
     message = f"random pool d{d}: random arrangements need d >= 2"
+    with pytest.raises(InputError) as refused:
+        run_suite(["S"], None, pools)
+    assert str(refused.value) == message
+    with pytest.raises(InputError) as listed:
+        list(suite_instances(["all"], None, pools))
+    assert str(listed.value) == message
+
+
+@pytest.mark.parametrize("pools, message", [
+    ({"2": [(4, 0)]}, "random pool dimension must be an int, got '2'"),
+    ({True: [(4, 0)]}, "random pool dimension must be an int, got True"),
+    ({2: [(4.5, 0)]}, "random pool d2 entry n must be an int, got 4.5"),
+    ({2: [(4, 0.5)]}, "random pool d2 entry seed must be an int, got 0.5"),
+    ({3: [(5, 0)], 2: [(5, False)]}, "random pool d2 entry seed must be an int, got False"),
+], ids=["str-key", "bool-key", "float-n", "float-seed", "bool-seed"])
+def test_a_pool_that_is_not_ints_is_refused_before_any_census(monkeypatch, pools, message):
+    # a library call reaches the pools without the seeds file's JSON
+    # integer check, so `_plan` checks the types itself
+    def no_census(*_args, **_kwargs):
+        raise AssertionError("census ran before the pools were checked")
+
+    monkeypatch.setattr(verify, "construction_census", no_census)
     with pytest.raises(InputError) as refused:
         run_suite(["S"], None, pools)
     assert str(refused.value) == message
